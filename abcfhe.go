@@ -23,8 +23,7 @@
 //
 // Misuse of the public surface (bad lengths, wrong levels, malformed
 // bytes, unknown presets) returns typed errors (see errors.go); panics
-// are reserved for internal invariants. The legacy Client type remains as
-// a deprecated facade composed of the three roles.
+// are reserved for internal invariants.
 //
 // See examples/ for runnable programs and DESIGN.md for the system map.
 package abcfhe
@@ -83,156 +82,6 @@ type Ciphertext = ckks.Ciphertext
 
 // Plaintext is an encoded (but unencrypted) message.
 type Plaintext = ckks.Plaintext
-
-// ---------------------------------------------------------------------
-// Deprecated single-process facade
-// ---------------------------------------------------------------------
-
-// Client bundles all three deployment roles in one process: a KeyOwner, an
-// Encryptor built on the owner's public key, and a Server — sharing one
-// parameter set. It predates the role separation and is kept so existing
-// code continues to work.
-//
-// Deprecated: use KeyOwner, Encryptor and Server directly — they return
-// typed errors where Client's v0 methods panic on misuse, and they model
-// which machine holds which material. Client remains a thin composition
-// of the three.
-type Client struct {
-	owner *KeyOwner
-	enc   *Encryptor
-	srv   *Server
-}
-
-// NewClient builds a client for the preset with a 128-bit seed (all key
-// material and public-key encryption randomness derive deterministically
-// from it — the property the accelerator's on-chip PRNG exploits).
-// Options tune the execution engine; the cryptographic output never
-// depends on them. Exception: EncodeEncryptCompressed draws a fresh
-// per-instance stream base (see NewKeyOwner), so compressed uploads are
-// not byte-reproducible across Client instances.
-func NewClient(preset Preset, seedLo, seedHi uint64, opts ...Option) (*Client, error) {
-	owner, err := NewKeyOwner(preset, seedLo, seedHi, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		owner: owner,
-		enc:   newEncryptor(owner.params, owner.public, owner.seed, false),
-		srv:   newServer(owner.params, false),
-	}, nil
-}
-
-// must preserves the v0 facade contract: misuse panics. The role methods
-// underneath return the typed error instead.
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
-// KeyOwner returns the facade's key-owning role.
-func (c *Client) KeyOwner() *KeyOwner { return c.owner }
-
-// Encryptor returns the facade's encrypting-device role.
-func (c *Client) Encryptor() *Encryptor { return c.enc }
-
-// Server returns the facade's evaluation role.
-func (c *Client) Server() *Server { return c.srv }
-
-// Slots returns the number of complex message slots (N/2).
-func (c *Client) Slots() int { return c.owner.Slots() }
-
-// MaxLevel returns the RNS depth fresh ciphertexts carry.
-func (c *Client) MaxLevel() int { return c.owner.MaxLevel() }
-
-// Workers reports the lane count client kernels fan out across.
-func (c *Client) Workers() int { return c.owner.Workers() }
-
-// Close releases the client's private lane engine, if WithWorkers
-// installed one. The client must be idle; using it afterwards falls back
-// to the shared default engine.
-func (c *Client) Close() { c.owner.params.Close() }
-
-// EncodeEncrypt runs the outbound client pipeline: IFFT encoding, RNS
-// expansion, and public-key encryption at full depth.
-func (c *Client) EncodeEncrypt(msg []complex128) *Ciphertext {
-	return must(c.enc.EncodeEncrypt(msg))
-}
-
-// DecryptDecode runs the inbound pipeline: decryption at the ciphertext's
-// level, allocation-free CRT combination and FFT decoding.
-func (c *Client) DecryptDecode(ct *Ciphertext) []complex128 {
-	return must(c.owner.DecryptDecode(ct))
-}
-
-// DecryptDecodeInto is DecryptDecode writing into a caller-provided slot
-// buffer of length Slots() (returned for chaining).
-func (c *Client) DecryptDecodeInto(ct *Ciphertext, out []complex128) []complex128 {
-	return must(c.owner.DecryptDecodeInto(ct, out))
-}
-
-// EncodeEncryptBatch runs the outbound pipeline over a whole batch,
-// fanning the messages out across the lane engine. The result is
-// bit-identical to calling EncodeEncrypt on each message in order — at
-// any worker count.
-func (c *Client) EncodeEncryptBatch(msgs [][]complex128) []*Ciphertext {
-	return must(c.enc.EncodeEncryptBatch(msgs))
-}
-
-// DecryptDecodeBatch runs the inbound pipeline over a whole batch in
-// parallel.
-func (c *Client) DecryptDecodeBatch(cts []*Ciphertext) [][]complex128 {
-	return must(c.owner.DecryptDecodeBatch(cts))
-}
-
-// DecryptDecodeBatchInto is DecryptDecodeBatch writing into
-// caller-provided slot buffers; nil entries are allocated, non-nil
-// entries (length Slots()) are reused in place.
-func (c *Client) DecryptDecodeBatchInto(cts []*Ciphertext, out [][]complex128) [][]complex128 {
-	return must(c.owner.DecryptDecodeBatchInto(cts, out))
-}
-
-// Encode encodes without encrypting (plaintext-side tooling).
-func (c *Client) Encode(msg []complex128) *Plaintext {
-	return must(c.enc.Encode(msg))
-}
-
-// Evaluator exposes keyless homomorphic operations (add, sub, plaintext
-// multiply, rescale, level drop) for server-side simulation in examples.
-func (c *Client) Evaluator() *ckks.Evaluator { return c.srv.Evaluator() }
-
-// SerializeCiphertext encodes ct in the packed 44-bit wire format — the
-// exact byte stream the accelerator's DRAM/wire accounting charges.
-func (c *Client) SerializeCiphertext(ct *Ciphertext) ([]byte, error) {
-	return c.owner.SerializeCiphertext(ct)
-}
-
-// DeserializeCiphertext reverses SerializeCiphertext, validating every
-// residue against the parameter set.
-func (c *Client) DeserializeCiphertext(data []byte) (*Ciphertext, error) {
-	return c.owner.DeserializeCiphertext(data)
-}
-
-// EncodeEncryptCompressed runs the seeded upload path: encode, encrypt
-// with a PRNG-derived mask, and serialize only (c0, 16-byte seed) — about
-// half the bytes of a full ciphertext.
-func (c *Client) EncodeEncryptCompressed(msg []complex128) ([]byte, error) {
-	return c.owner.EncodeEncryptCompressed(msg)
-}
-
-// ExpandCompressedUpload is the server-side inverse: parse the compressed
-// form and regenerate c1 from the embedded seed. No key material needed.
-func (c *Client) ExpandCompressedUpload(data []byte) (*Ciphertext, error) {
-	return c.srv.ExpandCompressedUpload(data)
-}
-
-// CiphertextWireBytes reports the packed wire size of a full ciphertext
-// at the given level; CompressedWireBytes the seeded form's size.
-func (c *Client) CiphertextWireBytes(level int) int { return c.owner.params.CiphertextWireBytes(level) }
-
-// CompressedWireBytes reports the seeded upload's wire size at a level.
-func (c *Client) CompressedWireBytes(level int) int { return c.owner.params.SeededWireBytes(level) }
 
 // ---------------------------------------------------------------------
 // Modeled accelerator

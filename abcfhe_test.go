@@ -1,91 +1,75 @@
-// Compatibility tests for the deprecated Client facade: the v0 surface
-// must keep working (and keep its panic-on-misuse semantics) on top of
-// the role-separated implementation. Role-level coverage lives in
-// roles_test.go / errors_test.go.
+// Smoke tests of the package-level surface: the paper's client/server
+// flow through the three roles in one process (no wire in between —
+// roles_test.go covers the cross-machine form), the ciphertext wire-size
+// accessors, and the modeled accelerator and experiment registry.
 
 package abcfhe
 
 import (
-	"math/cmplx"
+	"errors"
 	"testing"
 )
 
 func TestClientRoundTrip(t *testing.T) {
-	c, err := NewClient(Test, 1, 2)
+	owner, device, _ := threeParties(t, Test, 1, 2)
+	msg := testMsgs(device.Slots(), 1)[0]
+	ct, err := device.EncodeEncrypt(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
-	for i := range msg {
-		msg[i] = complex(float64(i%7)/7-0.5, float64(i%11)/11-0.5)
-	}
-	ct := c.EncodeEncrypt(msg)
-	if ct.Level != c.MaxLevel() {
+	if ct.Level != device.MaxLevel() {
 		t.Fatal("fresh ciphertext must be at full depth")
 	}
-	got := c.DecryptDecode(ct)
-	for i := range msg {
-		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
-			t.Fatalf("slot %d error %g", i, cmplx.Abs(got[i]-msg[i]))
-		}
+	got, err := owner.DecryptDecode(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := worstSlotErr(msg, got); e > 1e-4 {
+		t.Fatalf("worst-slot error %g", e)
 	}
 }
 
 func TestClientServerFlow(t *testing.T) {
 	// The paper's deployment: client encrypts at full depth, server
 	// computes and returns a 2-limb ciphertext, client decrypts it.
-	c, err := NewClient(Test, 3, 4)
+	owner, device, server := threeParties(t, Test, 3, 4)
+	msg := make([]complex128, device.Slots())
+	want := make([]complex128, len(msg))
+	for i := range msg {
+		msg[i], want[i] = complex(0.25, -0.125), complex(0.5, -0.25)
+	}
+	ct, err := device.EncodeEncrypt(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
-	for i := range msg {
-		msg[i] = complex(0.25, -0.125)
+	doubled, err := server.Add(ct, ct)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ct := c.EncodeEncrypt(msg)
-	ev := c.Evaluator()
-	doubled := ev.Add(ct, ct)         // server-side work
-	small := ev.DropLevel(doubled, 2) // server returns 2-limb state
-	got := c.DecryptDecode(small)
-	for i := range got {
-		if cmplx.Abs(got[i]-complex(0.5, -0.25)) > 1e-4 {
-			t.Fatalf("slot %d: %v", i, got[i])
+	small, err := server.DropLevel(doubled, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := owner.DecryptDecode(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := worstSlotErr(want, got); e > 1e-4 {
+		t.Fatalf("worst-slot error %g", e)
+	}
+}
+
+// TestUnknownPreset: every listed preset names a parameter set; any other
+// name is ErrUnknownPreset (constructors: TestUnknownPresetErrors).
+func TestUnknownPreset(t *testing.T) {
+	for _, p := range Presets() {
+		if _, err := p.spec(); err != nil {
+			t.Fatalf("listed preset %q: %v", p, err)
 		}
 	}
-}
-
-func TestUnknownPreset(t *testing.T) {
-	if _, err := NewClient(Preset("bogus"), 0, 0); err == nil {
-		t.Fatal("unknown preset must error")
+	if _, err := Preset("bogus").spec(); !errors.Is(err, ErrUnknownPreset) {
+		t.Fatalf("unknown preset: got %v, want ErrUnknownPreset", err)
 	}
-}
-
-// TestClientFacadePanicsOnMisuse pins the v0 contract: where the role
-// types return typed errors, the deprecated facade panics.
-func TestClientFacadePanicsOnMisuse(t *testing.T) {
-	c, err := NewClient(Test, 15, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: facade misuse must panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("EncodeEncrypt too long", func() {
-		c.EncodeEncrypt(make([]complex128, c.Slots()+1))
-	})
-	mustPanic("DecryptDecode nil", func() {
-		c.DecryptDecode(nil)
-	})
-	mustPanic("BatchInto mis-sized", func() {
-		ct := c.EncodeEncrypt([]complex128{0.5})
-		c.DecryptDecodeBatchInto([]*Ciphertext{ct}, make([][]complex128, 2))
-	})
 }
 
 func TestAcceleratorSummary(t *testing.T) {
@@ -127,62 +111,51 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestSerializationAPI(t *testing.T) {
-	c, err := NewClient(Test, 5, 6)
+	owner, device, _ := threeParties(t, Test, 5, 6)
+	msg := testMsgs(8, 1)[0]
+	ct, err := device.EncodeEncrypt(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, 8)
-	for i := range msg {
-		msg[i] = complex(0.1*float64(i), -0.05*float64(i))
-	}
-	ct := c.EncodeEncrypt(msg)
-	data, err := c.SerializeCiphertext(ct)
+	data, err := device.SerializeCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != c.CiphertextWireBytes(ct.Level) {
-		t.Fatalf("wire size %d != reported %d", len(data), c.CiphertextWireBytes(ct.Level))
+	if want, err := owner.CiphertextWireBytes(ct.Level); err != nil || len(data) != want {
+		t.Fatalf("wire size %d != reported %d (%v)", len(data), want, err)
 	}
-	back, err := c.DeserializeCiphertext(data)
+	back, err := owner.DeserializeCiphertext(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.DecryptDecode(back)
-	for i := range msg {
-		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
-			t.Fatalf("slot %d after wire round trip: %v", i, got[i])
-		}
+	got, err := owner.DecryptDecode(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := worstSlotErr(msg, got); e > 1e-4 {
+		t.Fatalf("worst-slot error %g", e)
 	}
 }
 
 func TestCompressedUploadAPI(t *testing.T) {
-	c, err := NewClient(Test, 7, 8)
+	owner, _, server := threeParties(t, Test, 7, 8)
+	msg := testMsgs(owner.Slots(), 1)[0]
+	data, err := owner.EncodeEncryptCompressed(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := make([]complex128, c.Slots())
-	for i := range msg {
-		msg[i] = complex(0.25, -0.25)
+	if want, err := server.CompressedWireBytes(owner.MaxLevel()); err != nil || len(data) != want {
+		t.Fatalf("compressed size %d != reported %d (%v)", len(data), want, err)
 	}
-	data, err := c.EncodeEncryptCompressed(msg)
+	ct, err := server.ExpandCompressedUpload(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := c.CiphertextWireBytes(c.MaxLevel())
-	if float64(len(data)) > 0.52*float64(full) {
-		t.Fatalf("compressed upload %d bytes not ≈half of %d", len(data), full)
-	}
-	if len(data) != c.CompressedWireBytes(c.MaxLevel()) {
-		t.Fatal("compressed size does not match the reported wire size")
-	}
-	ct, err := c.ExpandCompressedUpload(data)
+	got, err := owner.DecryptDecode(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := c.DecryptDecode(ct)
-	for i := range msg {
-		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
-			t.Fatalf("slot %d after compressed round trip: %v", i, got[i])
-		}
+	if e := worstSlotErr(msg, got); e > 1e-4 {
+		t.Fatalf("worst-slot error %g", e)
 	}
 }

@@ -69,35 +69,55 @@ func BenchmarkPrimeCensus(b *testing.B) { benchExperiment(b, "primes") }
 // Micro-benchmarks: the client primitives themselves.
 // ---------------------------------------------------------------------
 
-func benchClient(b *testing.B) (*Client, []complex128) {
+// benchParties wires the three roles (see threeParties) for the client
+// micro-benchmarks and builds one full-slot message.
+func benchParties(b *testing.B, preset Preset, opts ...Option) (*KeyOwner, *Encryptor, *Server, []complex128) {
 	b.Helper()
-	c, err := NewClient(Test, 7, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	msg := make([]complex128, c.Slots())
+	owner, device, server := threeParties(b, preset, 7, 8, opts...)
+	return owner, device, server, benchMsg(device.Slots())
+}
+
+func benchMsg(slots int) []complex128 {
+	msg := make([]complex128, slots)
 	src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
 	for i := range msg {
 		msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
 	}
-	return c, msg
+	return msg
+}
+
+// benchReply encrypts msg and drops it to the paper's 2-limb return level.
+func benchReply(b *testing.B, device *Encryptor, server *Server, msg []complex128) *Ciphertext {
+	b.Helper()
+	ct, err := device.EncodeEncrypt(msg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	low, err := server.DropLevel(ct, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return low
 }
 
 func BenchmarkClientEncodeEncrypt(b *testing.B) {
-	c, msg := benchClient(b)
+	_, device, _, msg := benchParties(b, Test)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodeEncrypt(msg)
+		if _, err := device.EncodeEncrypt(msg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkClientDecryptDecode(b *testing.B) {
-	c, msg := benchClient(b)
-	ct := c.EncodeEncrypt(msg)
-	low := c.Evaluator().DropLevel(ct, 2)
+	owner, device, server, msg := benchParties(b, Test)
+	low := benchReply(b, device, server, msg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.DecryptDecode(low)
+		if _, err := owner.DecryptDecode(low); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -108,21 +128,15 @@ func BenchmarkClientDecryptDecode(b *testing.B) {
 func BenchmarkDecryptDecode(b *testing.B) {
 	for _, preset := range []Preset{Test, PN13, PN14, PN15, PN16} {
 		b.Run(string(preset), func(b *testing.B) {
-			c, err := NewClient(preset, 7, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
-			low := c.Evaluator().DropLevel(c.EncodeEncrypt(msg), 2)
-			out := make([]complex128, c.Slots())
+			owner, device, server, msg := benchParties(b, preset)
+			low := benchReply(b, device, server, msg)
+			out := make([]complex128, owner.Slots())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.DecryptDecodeInto(low, out)
+				if _, err := owner.DecryptDecodeInto(low, out); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -132,24 +146,18 @@ func BenchmarkDecryptDecode(b *testing.B) {
 func BenchmarkDecryptDecodeBatch(b *testing.B) {
 	for _, preset := range []Preset{Test, PN13} {
 		b.Run(fmt.Sprintf("%s/8msgs", preset), func(b *testing.B) {
-			c, err := NewClient(preset, 7, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
+			owner, device, server, msg := benchParties(b, preset)
 			cts := make([]*Ciphertext, 8)
 			out := make([][]complex128, len(cts))
 			for i := range cts {
-				cts[i] = c.Evaluator().DropLevel(c.EncodeEncrypt(msg), 2)
+				cts[i] = benchReply(b, device, server, msg)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.DecryptDecodeBatchInto(cts, out)
+				if _, err := owner.DecryptDecodeBatchInto(cts, out); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -175,19 +183,15 @@ func BenchmarkPN15EncodeEncryptLanes(b *testing.B) {
 	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			c, err := NewClient(PN15, 7, 8, WithWorkers(w))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			msg := make([]complex128, c.Slots())
-			src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-			for i := range msg {
-				msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-			}
+			owner, device, server, msg := benchParties(b, PN15, WithWorkers(w))
+			defer owner.Close()
+			defer device.Close()
+			defer server.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.EncodeEncrypt(msg)
+				if _, err := device.EncodeEncrypt(msg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -196,25 +200,23 @@ func BenchmarkPN15EncodeEncryptLanes(b *testing.B) {
 // Batch pipeline: amortizes per-message overheads on top of limb-level
 // parallelism (message-level fan-out keeps lanes busy between ops).
 func BenchmarkClientEncodeEncryptBatch8(b *testing.B) {
-	c, msg := benchClient(b)
+	_, device, _, msg := benchParties(b, Test)
 	msgs := make([][]complex128, 8)
 	for i := range msgs {
 		msgs[i] = msg
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodeEncryptBatch(msgs)
+		if _, err := device.EncodeEncryptBatch(msgs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // benchEvalServer builds the key-gated server surface once for the
 // evaluation benchmarks: Test-preset parties, depth-4 keys with the
-// rotation ladder for an 8-slot inner sum, hybrid gadget (the default).
+// rotation ladder for an 8-slot inner sum.
 func benchEvalServer(b *testing.B) (*Server, *EvaluationKeys, *Ciphertext) {
-	return benchEvalServerGadget(b, GadgetAuto)
-}
-
-func benchEvalServerGadget(b *testing.B, gadget GadgetType) (*Server, *EvaluationKeys, *Ciphertext) {
 	b.Helper()
 	owner, err := NewKeyOwner(Test, 7, 8)
 	if err != nil {
@@ -224,7 +226,6 @@ func benchEvalServerGadget(b *testing.B, gadget GadgetType) (*Server, *Evaluatio
 	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
 		MaxLevel:  4,
 		Rotations: InnerSumRotations(8),
-		Gadget:    gadget,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -237,12 +238,7 @@ func benchEvalServerGadget(b *testing.B, gadget GadgetType) (*Server, *Evaluatio
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := make([]complex128, device.Slots())
-	src := prng.NewSource(prng.SeedFromUint64s(1, 2), 0)
-	for i := range msg {
-		msg[i] = complex(src.Float64()-0.5, src.Float64()-0.5)
-	}
-	ct, err := device.EncodeEncrypt(msg)
+	ct, err := device.EncodeEncrypt(benchMsg(device.Slots()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,37 +298,6 @@ func BenchmarkServerRotateMany(b *testing.B) {
 			}
 		}
 	})
-}
-
-// Hybrid vs BV gadget head-to-head on the same circuit — the software
-// version of the bench-check gate's PN15 comparison (which CI runs at
-// paper scale via `abcbench -check`).
-func BenchmarkServerGadgets(b *testing.B) {
-	for _, g := range []struct {
-		name   string
-		gadget GadgetType
-	}{{"hybrid", GadgetHybrid}, {"bv", GadgetBV}} {
-		b.Run("MulRelin/"+g.name, func(b *testing.B) {
-			server, evk, ct := benchEvalServerGadget(b, g.gadget)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := server.Mul(ct, ct, evk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("Rotate/"+g.name, func(b *testing.B) {
-			server, evk, ct := benchEvalServerGadget(b, g.gadget)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := server.Rotate(ct, 1, evk); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 func BenchmarkServerInnerSum8(b *testing.B) {

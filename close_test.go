@@ -64,19 +64,6 @@ func TestCloseConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFacadeCloseIdempotent: the deprecated Client facade shares one
-// parameter set across its three roles; double Close (and a role Close
-// after the facade's) must stay a no-op.
-func TestFacadeCloseIdempotent(t *testing.T) {
-	c, err := NewClient(Test, 5, 6, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	c.Close()
-	c.KeyOwner().Close()
-}
-
 // TestUseAfterCloseFallsBack: a closed party falls back to the shared
 // default engine and keeps working (documented behavior) — the drain path
 // may still flush a response after teardown started.

@@ -168,7 +168,6 @@ func runEvalKeys(args []string) error {
 	rotations := fs.String("rotations", "", "comma-separated rotation steps, e.g. 1,2,4 (innersum over n slots needs 1..n/2 powers of two)")
 	conj := fs.Bool("conjugate", false, "also generate the complex-conjugation key")
 	dftLevels := fs.Int("dft-levels", 0, "also export the rotation set (and conjugation key) for `eval -op c2s|s2c` with this many butterfly groups per direction (0 = none)")
-	gadgetName := fs.String("gadget", "auto", "key-switching gadget: auto (hybrid where supported), hybrid, or bv")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
 	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
@@ -218,22 +217,10 @@ func runEvalKeys(args []string) error {
 		addSteps(abcfhe.HomomorphicDFTRotations(owner.Slots(), *dftLevels))
 		*conj = true
 	}
-	var gadget abcfhe.GadgetType
-	switch *gadgetName {
-	case "auto":
-		gadget = abcfhe.GadgetAuto
-	case "hybrid":
-		gadget = abcfhe.GadgetHybrid
-	case "bv":
-		gadget = abcfhe.GadgetBV
-	default:
-		return fmt.Errorf("evalkeys: -gadget must be auto, hybrid or bv (got %q)", *gadgetName)
-	}
 	evk, err := owner.ExportEvaluationKeys(abcfhe.EvalKeyConfig{
 		MaxLevel:  *maxLevel,
 		Rotations: steps,
 		Conjugate: *conj,
-		Gadget:    gadget,
 	})
 	if err != nil {
 		return err

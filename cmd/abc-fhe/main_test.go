@@ -123,6 +123,27 @@ func TestCLIEvalFlow(t *testing.T) {
 		"-a", p("x.bin"), "-out", p("rot.bin")}); err == nil {
 		t.Fatal("rotation by an ungenerated step must fail")
 	}
+
+	// A key blob carrying the retired digit-gadget tag (0) is refused with
+	// a one-line error naming the gadget, and the flag that used to select
+	// that gadget is gone.
+	evk, err := os.ReadFile(p("evk.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk[14] = 0 // the gadget byte follows the 14-byte key header
+	if err := os.WriteFile(p("evk-retired.bin"), evk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = runEval([]string{"-evk", p("evk-retired.bin"), "-op", "mul",
+		"-a", p("x.bin"), "-b", p("y.bin"), "-out", p("never.bin")})
+	if err == nil || !strings.Contains(err.Error(), "gadget") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("eval over a retired-gadget blob: %v", err)
+	}
+	if err := runEvalKeys([]string{"-sk", p("sk.key"), "-gadget", "bv", "-out", p("never.bin")}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("evalkeys -gadget bv: %v", err)
+	}
 }
 
 // TestCLIHomomorphicDFTFlow drives the CoeffsToSlots → SlotsToCoeffs

@@ -15,12 +15,12 @@
 //
 //	abcbench -check -out BENCH_8.json -budget bench_budget.json
 //
-// runs the MulRelin (hybrid vs BV at max level on PN15, under both the
-// portable and fast execution backends), Rotate, DecryptDecode and
-// EncodeEncrypt benchmarks, appends the JSON report to the out file, and
-// exits non-zero when allocs/op or evaluation-key blob bytes regress past
-// the committed budgets — or when hybrid stops beating BV, or the fast
-// backend's fused key switch stops beating the portable staged path.
+// runs the MulRelin (max level on PN15, under both the portable and fast
+// execution backends), Rotate, DecryptDecode and EncodeEncrypt benchmarks,
+// appends the JSON report to the out file, and exits non-zero when
+// allocs/op or evaluation-key blob bytes regress past the committed
+// budgets — or when the fast backend's fused key switch stops beating the
+// portable staged path.
 package main
 
 import (

@@ -69,8 +69,7 @@ func TestDecryptDecodeBatchMatchesSequential(t *testing.T) {
 
 // TestDecryptDecodeBatchInto pins the buffer-reuse contract: non-nil
 // entries are written in place, nil entries allocated, and a mis-sized
-// batch is a typed error on the role API (the deprecated Client facade
-// still panics — see TestClientFacadePanicsOnMisuse).
+// batch is a typed error.
 func TestDecryptDecodeBatchInto(t *testing.T) {
 	owner, device, server := threeParties(t, Test, 7, 9)
 	cts := decodeTestCiphertexts(t, device, server, 3)

@@ -39,12 +39,12 @@ func NewEncryptor(publicKey []byte, seedLo, seedHi uint64, opts ...Option) (*Enc
 	if err != nil {
 		return nil, wireErr(err)
 	}
-	return newEncryptor(params, pk, prng.SeedFromUint64s(seedLo, seedHi), true), nil
+	return newEncryptor(params, pk, prng.SeedFromUint64s(seedLo, seedHi)), nil
 }
 
-func newEncryptor(params *ckks.Parameters, pk *ckks.PublicKey, seed [16]byte, owns bool) *Encryptor {
+func newEncryptor(params *ckks.Parameters, pk *ckks.PublicKey, seed [16]byte) *Encryptor {
 	return &Encryptor{
-		party:   party{params: params, ownsParams: owns},
+		party:   party{params: params},
 		encoder: ckks.NewEncoder(params),
 		enc:     ckks.NewEncryptor(params, pk, seed),
 	}

@@ -43,9 +43,10 @@ var (
 	// ErrInvalidSpan: an inner-sum span is not a power of two within the
 	// slot count.
 	ErrInvalidSpan = errors.New("abcfhe: invalid slot span")
-	// ErrGadgetUnsupported: an evaluation-key gadget was requested that
-	// the parameter set cannot host (hybrid key switching on a set
-	// without special primes, or an unknown selector).
+	// ErrGadgetUnsupported: evaluation keys were requested from a
+	// parameter set that cannot host hybrid key switching (no special
+	// primes), or an imported blob carries a gadget tag other than the
+	// hybrid one (tag 0 marked the retired digit-gadget format).
 	ErrGadgetUnsupported = errors.New("abcfhe: key-switching gadget unsupported by parameter set")
 	// ErrUnknownBackend: WithBackend named an execution backend that does
 	// not exist (valid names: "portable", "fast").

@@ -19,9 +19,6 @@ func TestUnknownPresetErrors(t *testing.T) {
 	if _, err := NewServer(Preset("bogus")); !errors.Is(err, ErrUnknownPreset) {
 		t.Fatalf("NewServer: %v", err)
 	}
-	if _, err := NewClient(Preset("bogus"), 1, 2); !errors.Is(err, ErrUnknownPreset) {
-		t.Fatalf("NewClient: %v", err)
-	}
 }
 
 func TestMalformedKeyBytes(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/ckks"
+	"repro/internal/prng"
 )
 
 // dotSpan is the vector width the integration tests reduce over.
@@ -264,10 +265,7 @@ func TestRotateAndConjugate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 0.1 rather than 5e-2: the conjugation element's switching key draws
-	// different error polynomials than the small-step keys, and at the
-	// Test preset's Δ = 2^30 the gadget noise (~2^18, paper-style σ) sits
-	// only ~4 bits under these thresholds.
+	// Presence check only: the precision floors are pinned elsewhere.
 	for j := range cGot {
 		if cmplx.Abs(cGot[j]-cmplx.Conj(msg[j])) > 0.1 {
 			t.Fatalf("slot %d not conjugated", j)
@@ -436,8 +434,10 @@ func TestEvalMisuseMatrix(t *testing.T) {
 }
 
 // TestEvalKeyBlobMisuse: hostile evaluation-key bytes — wrong preset,
-// NTT-tagged domain byte, truncation, bit flips, wrong kind — all return
-// ErrMalformedWire from both import paths.
+// NTT-tagged domain byte, truncation, bit flips, wrong kind, a gadget tag
+// other than hybrid — all return ErrMalformedWire from both import paths.
+// The retired digit-gadget tag (0) is additionally ErrGadgetUnsupported,
+// as is an export over a parameter set without special primes.
 func TestEvalKeyBlobMisuse(t *testing.T) {
 	owner, _, server := threeParties(t, Test, 0xBAD, 0xE44)
 	good, err := owner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: 2, Rotations: []int{1}})
@@ -460,7 +460,14 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 		d[i] ^= 0xFF
 		return d
 	}
+	gadgetTag := func(tag byte) []byte {
+		d := append([]byte(nil), good...)
+		d[14] = tag // first sub-header byte, after the 14-byte key header
+		return d
+	}
 	cases := map[string][]byte{
+		"retired gadget":   gadgetTag(0),
+		"unknown gadget":   gadgetTag(2),
 		"empty":            nil,
 		"garbage":          []byte("ABCF with nothing useful behind it"),
 		"different preset": otherBlob,
@@ -478,10 +485,43 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 	// The bootstrap constructor applies the same gates (a different-preset
 	// blob is fine there — it builds its own params — so only structural
 	// damage applies).
-	for _, name := range []string{"empty", "garbage", "ntt-tagged", "truncated", "padded"} {
+	for _, name := range []string{"empty", "garbage", "ntt-tagged", "truncated", "padded", "retired gadget", "unknown gadget"} {
 		if _, _, err := NewServerFromEvaluationKeys(cases[name]); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("NewServerFromEvaluationKeys(%s): %v", name, err)
 		}
+	}
+
+	// The retired tag is named as such, from the header alone: the same
+	// verdict with the payload cut off.
+	retired := cases["retired gadget"]
+	for name, data := range map[string][]byte{"full blob": retired, "header only": retired[:14+7+4]} {
+		if _, err := server.ImportEvaluationKeys(data); !errors.Is(err, ErrGadgetUnsupported) {
+			t.Errorf("ImportEvaluationKeys(retired gadget, %s): %v", name, err)
+		}
+		if _, _, err := NewServerFromEvaluationKeys(data); !errors.Is(err, ErrGadgetUnsupported) {
+			t.Errorf("NewServerFromEvaluationKeys(retired gadget, %s): %v", name, err)
+		}
+	}
+	if _, err := server.ImportEvaluationKeys(cases["truncated"]); errors.Is(err, ErrGadgetUnsupported) {
+		t.Errorf("a merely truncated blob was reported as a gadget mismatch: %v", err)
+	}
+
+	// Export side: an owner over a spec without special primes (only
+	// reachable through a hand-built secret-key blob) cannot host the keys.
+	bare := ckks.TestParams
+	bare.SpecialLimbs = 0
+	params := bare.MustBuild()
+	seed := prng.SeedFromUint64s(0xBAD, 0xE44)
+	skBlob, err := params.MarshalSecretKey(ckks.NewKeyGenerator(params, seed).GenSecretKey(), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bareOwner, err := NewKeyOwnerFromSecretKey(skBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bareOwner.ExportEvaluationKeys(EvalKeyConfig{}); !errors.Is(err, ErrGadgetUnsupported) {
+		t.Errorf("ExportEvaluationKeys without special primes: %v", err)
 	}
 }
 

@@ -1,8 +1,8 @@
 package abcfhe
 
 // Public-surface tests of the polynomial-evaluation stack: BSGS Chebyshev
-// evaluation pinned against the plaintext Horner oracle at every preset ×
-// both gadgets, the misuse matrix of the new entry points, backend×worker
+// evaluation pinned against the plaintext Horner oracle at every preset,
+// the misuse matrix of the new entry points, backend×worker
 // byte-identity, and the PN15 EvalMod-after-CoeffsToSlots round trip with
 // its pinned worst-slot precision floor (the fftfp degree-15 sine
 // surrogate as the oracle).
@@ -67,9 +67,7 @@ func evalPolyDegrees(server *Server) []int {
 
 // TestEvalPolyEveryPreset: random coefficient vectors at every feasible
 // degree on all shipped presets must match the plaintext Horner oracle
-// within a per-preset worst-slot floor; the hybrid gadget runs the full
-// degree ladder, GadgetBV one shallow degree (its keys are quadratic in
-// depth).
+// within a per-preset worst-slot floor.
 func TestEvalPolyEveryPreset(t *testing.T) {
 	for _, preset := range Presets() {
 		preset := preset
@@ -101,15 +99,10 @@ func TestEvalPolyEveryPreset(t *testing.T) {
 				tol = 5e-2
 			}
 
-			// One key export per gadget (keygen dominates at paper scale):
-			// the hybrid set at the deepest KeyLevel in the ladder serves
-			// every degree — deeper-than-needed keys are the common case —
-			// and the BV set covers its one shallow degree.
+			// One key export (keygen dominates at paper scale): the set at
+			// the deepest KeyLevel in the ladder serves every degree —
+			// deeper-than-needed keys are the common case.
 			degs := evalPolyDegrees(server)
-			bvDeg := degs[0]
-			if len(degs) > 1 {
-				bvDeg = degs[1]
-			}
 			plans := map[int]*PolyEval{}
 			coeffsByDeg := map[int][]complex128{}
 			maxKeyLevel := 0
@@ -124,24 +117,16 @@ func TestEvalPolyEveryPreset(t *testing.T) {
 					maxKeyLevel = pe.KeyLevel()
 				}
 			}
-			exportKeys := func(maxLevel int, gadget GadgetType) *EvaluationKeys {
-				t.Helper()
-				evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
-					MaxLevel: maxLevel, Gadget: gadget})
-				if err != nil {
-					t.Fatal(err)
-				}
-				evk, err := server.ImportEvaluationKeys(evkBytes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return evk
+			evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: maxKeyLevel})
+			if err != nil {
+				t.Fatal(err)
 			}
-			hybridKeys := exportKeys(maxKeyLevel, GadgetHybrid)
-			bvKeys := exportKeys(plans[bvDeg].KeyLevel(), GadgetBV)
+			evk, err := server.ImportEvaluationKeys(evkBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			run := func(deg int, gadget GadgetType, evk *EvaluationKeys) {
-				t.Helper()
+			for _, deg := range degs {
 				pe := plans[deg]
 				out, err := server.EvalPoly(ct, pe, evk)
 				if err != nil {
@@ -155,13 +140,9 @@ func TestEvalPolyEveryPreset(t *testing.T) {
 					t.Fatal(err)
 				}
 				if e := worstSlotErr(polyHornerRef(coeffsByDeg[deg], msg), got); e > tol {
-					t.Fatalf("deg %d gadget %d: worst-slot error %g (budget %g)", deg, gadget, e, tol)
+					t.Fatalf("deg %d: worst-slot error %g (budget %g)", deg, e, tol)
 				}
 			}
-			for _, deg := range degs {
-				run(deg, GadgetHybrid, hybridKeys)
-			}
-			run(bvDeg, GadgetBV, bvKeys)
 		})
 	}
 }
@@ -238,7 +219,7 @@ func TestEvalPolyMisuse(t *testing.T) {
 	}
 	// A set without the relinearization key (hand-built: every exported
 	// blob carries one) errors before any compute.
-	noRlk := &EvaluationKeys{set: &ckks.EvaluationKeySet{MaxLevel: server.MaxLevel(), Gadget: ckks.GadgetHybrid}}
+	noRlk := &EvaluationKeys{set: &ckks.EvaluationKeySet{MaxLevel: server.MaxLevel()}}
 	if _, err := server.EvalPoly(ct, pe, noRlk); !errors.Is(err, ErrEvaluationKeyMissing) {
 		t.Errorf("EvalPoly missing relinearization key: %v", err)
 	}

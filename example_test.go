@@ -192,8 +192,8 @@ func ExampleServer_Rotate() {
 }
 
 // Exporting evaluation keys: the owner chooses the depth cap and rotation
-// steps (the BV gadget is quadratic in depth — export only what the
-// server's circuit needs), and the blob is self-describing.
+// steps (key bytes grow with both — export only what the server's
+// circuit needs), and the blob is self-describing.
 func ExampleKeyOwner_ExportEvaluationKeys() {
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Test, 41, 42)
 	if err != nil {

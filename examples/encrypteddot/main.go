@@ -31,8 +31,8 @@ func main() {
 	// Party 1 — the key owner. Two blobs leave this machine: the public
 	// key (for the encrypting fleet) and the evaluation keys (for the
 	// server). The evaluation keys are depth-capped at the circuit the
-	// server runs — the BV gadget is quadratic in depth, so exporting
-	// full-depth keys for a depth-4 circuit would be pure waste.
+	// server runs — key bytes grow with depth, so exporting full-depth
+	// keys for a depth-4 circuit would be pure waste.
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Test, 2024, 2025)
 	if err != nil {
 		log.Fatal(err)

@@ -14,19 +14,16 @@ func testReport() BenchReport {
 		{Op: "DecryptDecode", AllocsPerOp: 23},
 		{Op: "RotateHybrid", AllocsPerOp: 49},
 		{Op: "RotateHybridFused", AllocsPerOp: 89},
-		{Op: "RotateBV", AllocsPerOp: 78},
 		{Op: "LinearTransformBSGS", AllocsPerOp: 355},
 		{Op: "LinearTransformNaive", AllocsPerOp: 727},
 		{Op: "RotateHybridPN15", AllocsPerOp: 72},
 		{Op: "RotateHybridFusedPN15", AllocsPerOp: 299},
 		{Op: "MulRelinHybridPN15", AllocsPerOp: 92},
 		{Op: "MulRelinHybridPN15Fused", AllocsPerOp: 319},
-		{Op: "MulRelinBVPN15", AllocsPerOp: 764},
 		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 3444},
 		{Op: "EvalPolyPN15", AllocsPerOp: 1128},
 		{Op: "EvalModPN15", AllocsPerOp: 1779},
 		{Op: "EvkBlobHybridPN15", BlobBytes: 242221089},
-		{Op: "EvkBlobBVPN15", BlobBytes: 4152360993},
 	}}
 }
 

@@ -36,18 +36,18 @@ func requireSameCT(t *testing.T, r *ring.Ring, what string, a, b *Ciphertext) {
 
 // TestBackendEquivalence: the full client+server pipeline — encrypt,
 // hybrid MulRelin (fused on fast), hybrid rotation (fused), hoisted
-// rotations, BV rotation, rescale — is byte-identical across backends.
+// rotations, rescale — is byte-identical across backends.
 func TestBackendEquivalence(t *testing.T) {
 	pPort, pFast := backendPair()
 	msg1 := randMsg(pPort, 0, 301)
 	msg2 := randMsg(pPort, 0, 302)
 
 	type run struct {
-		enc, mul, rotHy, rotBV, hoist0, hoist1 *Ciphertext
+		enc, mul, rotHy, hoist0, hoist1 *Ciphertext
 	}
 	exec := func(p *Parameters) run {
 		kg := NewKeyGenerator(p, testSeed())
-		sk, pk := kg.GenKeyPair()
+		_, pk := kg.GenKeyPair()
 		enc := NewEncoder(p)
 		encryptor := NewEncryptor(p, pk, testSeed())
 		ev := NewEvaluator(p)
@@ -59,13 +59,11 @@ func TestBackendEquivalence(t *testing.T) {
 
 		rkHy := kg.GenRotationKeyHybridAt(p.GaloisElement(3), p.MaxLevel())
 		rkHy2 := kg.GenRotationKeyHybridAt(p.GaloisElement(5), p.MaxLevel())
-		rkBV := kg.GenRotationKeyAt(sk, p.GaloisElement(3), p.MaxLevel())
 		hoisted := ev.RotateHoisted(ct1, []*RotationKey{rkHy, rkHy2})
 		return run{
 			enc:    ct1,
 			mul:    mul,
 			rotHy:  ev.RotateGalois(ct1, rkHy),
-			rotBV:  ev.RotateGalois(ct1, rkBV),
 			hoist0: hoisted[0],
 			hoist1: hoisted[1],
 		}
@@ -75,7 +73,6 @@ func TestBackendEquivalence(t *testing.T) {
 	requireSameCT(t, r, "encrypt", a.enc, b.enc)
 	requireSameCT(t, r, "hybrid MulRelin+Rescale", a.mul, b.mul)
 	requireSameCT(t, r, "hybrid RotateGalois", a.rotHy, b.rotHy)
-	requireSameCT(t, r, "BV RotateGalois", a.rotBV, b.rotBV)
 	requireSameCT(t, r, "hoisted rotation[0]", a.hoist0, b.hoist0)
 	requireSameCT(t, r, "hoisted rotation[1]", a.hoist1, b.hoist1)
 }
@@ -88,7 +85,7 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 	out1 := rl.NewPoly()
 	out0.IsNTT, out1.IsNTT = true, true
 	h := p.hoistHybrid(c, level)
-	p.applyHybridInto(h, ksk, perm, out0, out1)
+	p.applyInto(h, ksk, perm, out0, out1)
 	p.releaseDigits(h)
 	rl.INTT(out0)
 	rl.INTT(out1)

@@ -10,20 +10,15 @@ import "sort"
 // — it belongs on the server, never on the encrypting devices (which need
 // only the public key) and never back at rest with ciphertexts.
 //
-// MaxLevel caps the depth every key in the set supports. Gadget records
-// which decomposition the keys were built for: GadgetHybrid (the default
-// wherever the parameter set carries special primes) holds ⌈D/α⌉ rows of
-// D+α limbs per key — linear in depth — while GadgetBV is quadratic (a
-// depth-D key holds D·Digits·2 polynomials of D limbs each), so exporting
-// keys no deeper than the server's actual circuit keeps blobs proportional
-// to the work — see EvalKeyInfo and the wire-size helpers in
-// evalkeyserialize.go.
+// MaxLevel caps the depth every key in the set supports: a depth-D key
+// holds ⌈D/α⌉ rows of D+α limbs — linear in depth — so exporting keys no
+// deeper than the server's actual circuit keeps blobs proportional to the
+// work — see EvalKeyInfo and the wire-size helpers in evalkeyserialize.go.
 type EvaluationKeySet struct {
 	Rlk      *RelinearizationKey
 	Rot      map[int]*RotationKey // by normalized slot step in [1, Slots)
 	Conj     *RotationKey         // nil unless conjugation was requested
 	MaxLevel int
-	Gadget   Gadget
 }
 
 // Steps lists the set's rotation steps in ascending order (the canonical
@@ -50,45 +45,38 @@ func InnerSumRotations(n int) []int {
 
 // GenEvaluationKeySet derives a key set deterministically from the
 // generator's seed: the relinearization key plus one rotation key per
-// (deduplicated, normalized) step, all capped at maxLevel limbs and built
-// for the requested gadget, and the conjugation key when conj is set.
-// Step 0 (the identity) is dropped. Every call with the same arguments
-// regenerates byte-identical keys. GadgetHybrid requires a parameter set
-// with special primes.
+// (deduplicated, normalized) step, all capped at maxLevel limbs, and the
+// conjugation key when conj is set. Step 0 (the identity) is dropped.
+// Every call with the same arguments regenerates byte-identical keys. The
+// parameter set must carry special primes.
+//
+// The trailing gadget argument is vestigial: it must equal GadgetHybrid,
+// the only construction. It survives because the frozen benchmark harness
+// passes it; the next benchmark PR drops it.
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, maxLevel int, steps []int, conj bool, gadget Gadget) *EvaluationKeySet {
 	p := kg.params
+	if gadget != GadgetHybrid {
+		panic("ckks: evaluation keys are hybrid only")
+	}
 	if maxLevel < 1 || maxLevel > p.MaxLevel() {
 		panic("ckks: evaluation-key depth out of range")
 	}
-	if gadget == GadgetHybrid {
-		if p.SpecialLimbs == 0 {
-			panic("ckks: hybrid evaluation keys need special primes (ParamSpec.SpecialLimbs)")
-		}
-		// The hybrid keygen re-derives the secret from the generator's
-		// seed (the stored SecretKey carries only Q limbs; extending to
-		// the P basis needs the signed form). A caller-supplied sk that
-		// is not this seed's secret would silently produce keys for the
-		// wrong key pair — every server result would decrypt to noise —
-		// so the mismatch is a loud invariant violation instead.
-		if check := kg.GenSecretKey(); !p.Ring().Equal(check.S, sk.S) {
-			panic("ckks: hybrid evaluation keys derive the secret from the generator seed; the provided secret key does not match it")
-		}
+	if p.SpecialLimbs == 0 {
+		panic("ckks: evaluation keys need special primes (ParamSpec.SpecialLimbs)")
 	}
-	genRot := func(g int) *RotationKey {
-		if gadget == GadgetHybrid {
-			return kg.GenRotationKeyHybridAt(g, maxLevel)
-		}
-		return kg.GenRotationKeyAt(sk, g, maxLevel)
+	// The keygen re-derives the secret from the generator's seed (the
+	// stored SecretKey carries only Q limbs; extending to the P basis needs
+	// the signed form). A caller-supplied sk that is not this seed's secret
+	// would silently produce keys for the wrong key pair — every server
+	// result would decrypt to noise — so the mismatch is a loud invariant
+	// violation instead.
+	if check := kg.GenSecretKey(); !p.Ring().Equal(check.S, sk.S) {
+		panic("ckks: evaluation keys derive the secret from the generator seed; the provided secret key does not match it")
 	}
 	ks := &EvaluationKeySet{
+		Rlk:      kg.GenRelinearizationKeyHybridAt(maxLevel),
 		Rot:      make(map[int]*RotationKey),
 		MaxLevel: maxLevel,
-		Gadget:   gadget,
-	}
-	if gadget == GadgetHybrid {
-		ks.Rlk = kg.GenRelinearizationKeyHybridAt(maxLevel)
-	} else {
-		ks.Rlk = kg.GenRelinearizationKeyAt(sk, maxLevel)
 	}
 	for _, k := range steps {
 		k = p.NormalizeStep(k)
@@ -98,10 +86,10 @@ func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, maxLevel int, steps [
 		if _, ok := ks.Rot[k]; ok {
 			continue
 		}
-		ks.Rot[k] = genRot(p.GaloisElement(k))
+		ks.Rot[k] = kg.GenRotationKeyHybridAt(p.GaloisElement(k), maxLevel)
 	}
 	if conj {
-		ks.Conj = genRot(p.GaloisElementConjugate())
+		ks.Conj = kg.GenRotationKeyHybridAt(p.GaloisElementConjugate(), maxLevel)
 	}
 	return ks
 }

@@ -7,108 +7,77 @@ import (
 	"testing"
 )
 
-func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool, gadget Gadget) (*EvaluationKeySet, *SecretKey, *PublicKey) {
+func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*EvaluationKeySet, *SecretKey, *PublicKey) {
 	t.Helper()
 	kg := NewKeyGenerator(testParams, testSeed())
 	sk, pk := kg.GenKeyPair()
-	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj, gadget), sk, pk
+	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj, GadgetHybrid), sk, pk
 }
 
-// TestEvalKeySetRoundTrip pins the wire format for both gadgets:
-// marshal→unmarshal→marshal is byte-identical, the round-tripped keys are
-// poly-equal to the originals (the coefficient-domain wire pass is exact),
-// and generation is deterministic from the seed (canonical re-export).
+// TestEvalKeySetRoundTrip pins the wire format: marshal→unmarshal→marshal
+// is byte-identical, the round-tripped keys are poly-equal to the
+// originals (the coefficient-domain wire pass is exact), and generation is
+// deterministic from the seed (canonical re-export).
 func TestEvalKeySetRoundTrip(t *testing.T) {
 	p := testParams
-	for _, gadget := range []Gadget{GadgetBV, GadgetHybrid} {
-		t.Run(gadget.String(), func(t *testing.T) {
-			ks, _, _ := testEvalKeySet(t, 3, []int{1, 2, 2, -1 /* dup + negative */}, true, gadget)
+	t.Run("hybrid", func(t *testing.T) {
+		ks, _, _ := testEvalKeySet(t, 3, []int{1, 2, 2, -1 /* dup + negative */}, true)
 
-			data, err := p.MarshalEvaluationKeySet(ks)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := p.EvaluationKeyWireBytes(3, len(ks.Rot), true, gadget); len(data) != want {
-				t.Fatalf("blob is %d bytes, EvaluationKeyWireBytes says %d", len(data), want)
-			}
+		data, err := p.MarshalEvaluationKeySet(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := p.EvaluationKeyWireBytes(3, len(ks.Rot), true); len(data) != want {
+			t.Fatalf("blob is %d bytes, EvaluationKeyWireBytes says %d", len(data), want)
+		}
 
-			back, err := p.UnmarshalEvaluationKeySet(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := p.MarshalEvaluationKeySet(back)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, again) {
-				t.Fatal("re-marshal not byte-identical")
-			}
+		back, err := p.UnmarshalEvaluationKeySet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := p.MarshalEvaluationKeySet(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatal("re-marshal not byte-identical")
+		}
 
-			// Deterministic regeneration: a second key set from the same
-			// seed marshals identically.
-			ks2, _, _ := testEvalKeySet(t, 3, []int{-1, 1, 2}, true, gadget)
-			data2, err := p.MarshalEvaluationKeySet(ks2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(data, data2) {
-				t.Fatal("evaluation-key generation is not deterministic from the seed")
-			}
+		// Deterministic regeneration: a second key set from the same
+		// seed marshals identically.
+		ks2, _, _ := testEvalKeySet(t, 3, []int{-1, 1, 2}, true)
+		data2, err := p.MarshalEvaluationKeySet(ks2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, data2) {
+			t.Fatal("evaluation-key generation is not deterministic from the seed")
+		}
 
-			// Poly-level equality of a sample: the relin key survives the
-			// coefficient-domain wire pass exactly.
-			if gadget == GadgetHybrid {
-				rqp := p.RingQPAt(3)
-				for j := range ks.Rlk.K.H0 {
-					if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
-						!rqp.Equal(ks.Rlk.K.H1[j], back.Rlk.K.H1[j]) {
-						t.Fatal("relinearization key changed across the wire")
-					}
-				}
-			} else {
-				r := p.RingAt(3)
-				for i := range ks.Rlk.K.K0 {
-					for tt := range ks.Rlk.K.K0[i] {
-						if !r.Equal(ks.Rlk.K.K0[i][tt], back.Rlk.K.K0[i][tt]) ||
-							!r.Equal(ks.Rlk.K.K1[i][tt], back.Rlk.K.K1[i][tt]) {
-							t.Fatal("relinearization key changed across the wire")
-						}
-					}
-				}
+		// Poly-level equality of a sample: the relin key survives the
+		// coefficient-domain wire pass exactly.
+		rqp := p.RingQPAt(3)
+		for j := range ks.Rlk.K.H0 {
+			if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
+				!rqp.Equal(ks.Rlk.K.H1[j], back.Rlk.K.H1[j]) {
+				t.Fatal("relinearization key changed across the wire")
 			}
-			// Geometry: steps normalized (−1 ≡ Slots−1), dup dropped, conj
-			// present, gadget preserved.
-			wantSteps := map[int]bool{1: true, 2: true, p.Slots() - 1: true}
-			if len(back.Rot) != len(wantSteps) {
-				t.Fatalf("rotation steps %v", back.Steps())
+		}
+		// Geometry: steps normalized (−1 ≡ Slots−1), dup dropped, conj
+		// present.
+		wantSteps := map[int]bool{1: true, 2: true, p.Slots() - 1: true}
+		if len(back.Rot) != len(wantSteps) {
+			t.Fatalf("rotation steps %v", back.Steps())
+		}
+		for s := range wantSteps {
+			if back.Rot[s] == nil {
+				t.Fatalf("missing step %d (have %v)", s, back.Steps())
 			}
-			for s := range wantSteps {
-				if back.Rot[s] == nil {
-					t.Fatalf("missing step %d (have %v)", s, back.Steps())
-				}
-			}
-			if back.Conj == nil || back.MaxLevel != 3 {
-				t.Fatal("conjugation key or depth lost")
-			}
-			if back.Gadget != gadget {
-				t.Fatalf("gadget %v lost across the wire (got %v)", gadget, back.Gadget)
-			}
-		})
-	}
-}
-
-// TestHybridBlobSmallerThanBV pins the key-size win the hybrid gadget
-// exists for: for the same depth and rotation set, the hybrid blob is
-// strictly smaller (at the Test parameters by ~α·T/(1+α/D) ≈ 6–7×; more
-// at the paper chains).
-func TestHybridBlobSmallerThanBV(t *testing.T) {
-	p := testParams
-	d := p.MaxLevel()
-	bv := p.EvaluationKeyWireBytes(d, 3, true, GadgetBV)
-	hy := p.EvaluationKeyWireBytes(d, 3, true, GadgetHybrid)
-	if hy >= bv {
-		t.Fatalf("hybrid blob %d bytes not smaller than BV %d", hy, bv)
-	}
+		}
+		if back.Conj == nil || back.MaxLevel != 3 {
+			t.Fatal("conjugation key or depth lost")
+		}
+	})
 }
 
 // TestDepthCappedMulRelin: a relinearization key generated at a reduced
@@ -117,7 +86,7 @@ func TestDepthCappedMulRelin(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
 	sk, pk := kg.GenKeyPair()
-	rlk := kg.GenRelinearizationKeyAt(sk, 2)
+	rlk := kg.GenRelinearizationKeyHybridAt(2)
 	enc := NewEncoder(p)
 	encryptor := NewEncryptor(p, pk, testSeed())
 	dec := NewDecryptor(p, sk)
@@ -171,7 +140,7 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 	steps := []int{1, 2, 5}
 	rks := make([]*RotationKey, len(steps))
 	for i, k := range steps {
-		rks[i] = kg.GenRotationKey(sk, p.GaloisElement(k))
+		rks[i] = kg.GenRotationKeyHybridAt(p.GaloisElement(k), p.MaxLevel())
 	}
 
 	hoisted := ev.RotateHoisted(ct, rks)
@@ -192,18 +161,14 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestEvalKeyInfoRejects drives the sub-header validation: forged domain
-// byte (NTT-tagged), unknown flags, bad digit counts, out-of-range depth,
+// TestEvalKeyInfoRejects drives the sub-header validation: a gadget tag
+// other than hybrid (0 tagged the retired digit gadget), forged domain
+// byte (NTT-tagged), unknown flags, bad group sizes, out-of-range depth,
 // non-ascending steps, truncations — errors, never panics.
 func TestEvalKeyInfoRejects(t *testing.T) {
 	p := testParams
-	ks, _, _ := testEvalKeySet(t, 2, []int{1}, false, GadgetBV)
+	ks, _, _ := testEvalKeySet(t, 2, []int{1}, false)
 	data, err := p.MarshalEvaluationKeySet(ks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybridKs, _, _ := testEvalKeySet(t, 2, []int{1}, false, GadgetHybrid)
-	hybridData, err := p.MarshalEvaluationKeySet(hybridKs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,30 +179,31 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		d[i] = v
 		return d
 	}
-	mutH := func(i int, v byte) []byte {
-		d := append([]byte(nil), hybridData...)
-		d[i] = v
-		return d
-	}
 	cases := map[string][]byte{
-		"unknown gadget":       mut(off, 7),
-		"ntt-tagged payload":   mut(off+4, 1),
-		"unknown flags":        mut(off+3, 0xF0),
-		"zero digits":          mut(off+1, 0),
-		"huge digits":          mut(off+1, 255),
-		"zero depth":           mut(off+2, 0),
-		"depth > limbs":        mut(off+2, 200),
-		"step zero":            mut(off+7, 0),
-		"truncated":            data[:len(data)-5],
-		"padded":               append(append([]byte(nil), data...), 0),
-		"wrong kind":           mut(5, 'P'),
-		"hybrid alpha forged":  mutH(off+1, byte(p.SpecialLimbs+1)),
-		"hybrid claimed as bv": mutH(off, byte(GadgetBV)),
-		"bv claimed as hybrid": mut(off, byte(GadgetHybrid)),
+		"retired gadget tag": mut(off, 0),
+		"gadget tag 2":       mut(off, 2),
+		"ntt-tagged payload": mut(off+4, 1),
+		"unknown flags":      mut(off+3, 0xF0),
+		"zero group size":    mut(off+1, 0),
+		"huge group size":    mut(off+1, 255),
+		"forged group size":  mut(off+1, byte(p.SpecialLimbs+1)),
+		"zero depth":         mut(off+2, 0),
+		"depth > limbs":      mut(off+2, 200),
+		"step zero":          mut(off+7, 0),
+		"truncated":          data[:len(data)-5],
+		"padded":             append(append([]byte(nil), data...), 0),
+		"wrong kind":         mut(5, 'P'),
 	}
 	for name, d := range cases {
 		if _, err := p.UnmarshalEvaluationKeySet(d); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The tag is rejected by the header read itself — from the header
+	// bytes alone, before anything looks at the payload.
+	for _, tag := range []byte{0, 2} {
+		if _, _, err := ReadEvalKeyInfo(mut(off, tag)[:evalHeaderLen(1)]); err == nil || !strings.Contains(err.Error(), "gadget tag") {
+			t.Errorf("gadget tag %d: header read returned %v", tag, err)
 		}
 	}
 
@@ -253,7 +219,7 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 	tiny := TinyParams.MustBuild()
 	kgT := NewKeyGenerator(tiny, testSeed())
 	skT := kgT.GenSecretKey()
-	ksT := kgT.GenEvaluationKeySet(skT, 2, []int{1}, false, GadgetBV)
+	ksT := kgT.GenEvaluationKeySet(skT, 2, []int{1}, false, GadgetHybrid)
 	dataT, err := tiny.MarshalEvaluationKeySet(ksT)
 	if err != nil {
 		t.Fatal(err)

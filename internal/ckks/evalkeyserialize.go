@@ -10,23 +10,22 @@ import (
 // Evaluation-key wire format. Like the other key blobs (keyserialize.go)
 // it embeds the full ParamSpec, so a server can bootstrap from the bytes
 // alone, and packs residues at PackedWordBits. Unlike public/secret keys
-// it carries a sub-header describing the set's shape — gadget digit count,
-// depth cap, which rotation steps are present — because the receiver must
-// know the blob's geometry before allocating anything.
+// it carries a sub-header describing the set's shape — group size, depth
+// cap, which rotation steps are present — because the receiver must know
+// the blob's geometry before allocating anything.
 //
 // Layout (little-endian), after the 14-byte key header (kind 'E'):
 //
-//	gadget u8 (0 BV, 1 hybrid) | digits u8 | maxLevel u8 |
+//	gadget u8 (1 = hybrid; anything else is rejected — 0 tagged the
+//	  retired digit gadget) | digits u8 (the group size α; must equal
+//	  the spec's specialLimbs) | maxLevel u8 |
 //	flags u8 (bit0 relin, bit1 conjugate) |
 //	domain u8 (must be 0: coefficient) | rotCount u16 |
 //	rotCount × step u32 (strictly ascending, in [1, N/2)) |
 //	packed residues, PackedWordBits each, coefficient domain:
 //	  keys in order relin?, conjugate?, rotations (ascending step);
-//	  BV     — per key: for i < maxLevel, t < digits: K0[i][t] then
-//	           K1[i][t], each with maxLevel limbs;
-//	  hybrid — per key: for j < ⌈maxLevel/α⌉: H0[j] then H1[j], each with
-//	           maxLevel+α limbs over the extended QP basis (digits
-//	           carries α and must equal the spec's specialLimbs).
+//	  per key: for j < ⌈maxLevel/α⌉: H0[j] then H1[j], each with
+//	  maxLevel+α limbs over the extended QP basis.
 //
 // Switching keys live and compute in the NTT domain, but the wire keeps
 // the repo-wide convention that public bytes travel in the coefficient
@@ -35,8 +34,8 @@ import (
 // domain byte exists so a forged blob claiming NTT-domain payload is
 // rejected with a typed error instead of silently mis-interpreted; the
 // gadget byte plays the same role for the decomposition geometry — a
-// hybrid blob replayed at a parameter set without special primes is a
-// typed error, never a panic or a silent mis-parse.
+// blob carrying the retired tag, or replayed at a parameter set without
+// special primes, is a typed error, never a panic or a silent mis-parse.
 const (
 	// KeyKindEval is the evaluation-key discriminator at byte 5.
 	KeyKindEval byte = 'E'
@@ -50,9 +49,9 @@ const (
 )
 
 // EvalKeyInfo describes an evaluation-key blob's geometry — everything
-// needed to compute its exact wire size from the header alone. For
-// GadgetBV, Digits is the digit count T; for GadgetHybrid it carries the
-// group size α (which the embedded spec's SpecialLimbs must match).
+// needed to compute its exact wire size from the header alone. Digits
+// carries the group size α (which the embedded spec's SpecialLimbs must
+// match).
 type EvalKeyInfo struct {
 	Gadget   Gadget
 	Digits   int
@@ -82,37 +81,25 @@ func evalHeaderLen(rotCount int) int {
 // info block — from headers alone, without building Parameters, so
 // wire-facing constructors can reject length-mismatched blobs before
 // paying for prime generation or any payload-proportional allocation.
-// Returns 0 for a geometry the spec cannot host (hybrid info over a spec
-// without special primes) so length checks against it always fail.
+// Returns 0 for a geometry the spec cannot host (a non-hybrid tag, or a
+// spec without special primes) so length checks against it always fail.
 func EvalKeyWireBytes(spec ParamSpec, info EvalKeyInfo) int {
 	n := 1 << uint(spec.LogN)
-	var limbTotal int // packed limbs across one key's polynomials
-	switch info.Gadget {
-	case GadgetHybrid:
-		alpha := spec.SpecialLimbs
-		if alpha < 1 || info.Digits != alpha {
-			return 0
-		}
-		dnum := (info.MaxLevel + alpha - 1) / alpha
-		limbTotal = dnum * 2 * (info.MaxLevel + alpha)
-	default:
-		limbTotal = info.MaxLevel * info.Digits * 2 * info.MaxLevel
+	alpha := spec.SpecialLimbs
+	if info.Gadget != GadgetHybrid || alpha < 1 || info.Digits != alpha {
+		return 0
 	}
+	dnum := (info.MaxLevel + alpha - 1) / alpha
+	limbTotal := dnum * 2 * (info.MaxLevel + alpha) // packed limbs across one key's polynomials
 	return evalHeaderLen(len(info.Steps)) + (info.keyCount()*limbTotal*n*PackedWordBits+7)/8
 }
 
 // EvaluationKeyWireBytes reports the packed wire size of a key set at the
-// given depth with rotCount rotation steps (+ conjugation when conj),
-// built for the given gadget.
-func (p *Parameters) EvaluationKeyWireBytes(maxLevel, rotCount int, conj bool, gadget Gadget) int {
-	steps := make([]int, rotCount)
-	digits := p.digitsPerLimb()
-	if gadget == GadgetHybrid {
-		digits = p.SpecialLimbs
-	}
+// given depth with rotCount rotation steps (+ conjugation when conj).
+func (p *Parameters) EvaluationKeyWireBytes(maxLevel, rotCount int, conj bool) int {
 	return EvalKeyWireBytes(p.Spec(), EvalKeyInfo{
-		Gadget: gadget, Digits: digits, MaxLevel: maxLevel,
-		HasRelin: true, HasConj: conj, Steps: steps,
+		Gadget: GadgetHybrid, Digits: p.SpecialLimbs, MaxLevel: maxLevel,
+		HasRelin: true, HasConj: conj, Steps: make([]int, rotCount),
 	})
 }
 
@@ -120,8 +107,13 @@ func (p *Parameters) EvaluationKeyWireBytes(maxLevel, rotCount int, conj bool, g
 // blob, returning the embedded spec and geometry. It never allocates
 // proportionally to attacker-claimed sizes (the steps slice is bounded by
 // the actual bytes present).
+//
+// On error the returned info holds what was parsed so far. Its Gadget is
+// GadgetHybrid unless the header got as far as a different tag — which is
+// how the public API tells a retired-format blob (ErrGadgetUnsupported)
+// from a corrupt one.
 func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
-	var info EvalKeyInfo
+	info := EvalKeyInfo{Gadget: GadgetHybrid}
 	spec, kind, err := ReadKeySpec(data)
 	if err != nil {
 		return ParamSpec{}, info, err
@@ -140,10 +132,10 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	domain := data[off+4]
 	rotCount := int(binary.LittleEndian.Uint16(data[off+5:]))
 
-	if gadget != byte(GadgetBV) && gadget != byte(GadgetHybrid) {
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown gadget type 0x%02x", gadget)
-	}
 	info.Gadget = Gadget(gadget)
+	if info.Gadget != GadgetHybrid {
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: gadget tag 0x%02x, only 0x%02x (hybrid) is supported", gadget, byte(GadgetHybrid))
+	}
 	if flags&^byte(evalFlagRelin|evalFlagConj) != 0 {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown flag bits 0x%02x", flags)
 	}
@@ -152,11 +144,8 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	if domain != 0 {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: NTT-tagged payload (domain byte 0x%02x); evaluation keys travel in the coefficient domain", domain)
 	}
-	if info.Digits < 1 || info.Digits > 64 {
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: digit count %d out of range", info.Digits)
-	}
-	if info.Gadget == GadgetHybrid && info.Digits != spec.SpecialLimbs {
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: hybrid group size %d does not match the embedded spec's %d special primes",
+	if info.Digits < 1 || info.Digits != spec.SpecialLimbs {
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: group size %d does not match the embedded spec's %d special primes",
 			info.Digits, spec.SpecialLimbs)
 	}
 	if info.MaxLevel < 1 || info.MaxLevel > spec.Limbs {
@@ -208,16 +197,12 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 	if ks.MaxLevel < 1 || ks.MaxLevel > p.MaxLevel() {
 		return nil, fmt.Errorf("ckks: marshal eval keys: depth %d out of range", ks.MaxLevel)
 	}
-	if ks.Gadget == GadgetHybrid && p.SpecialLimbs == 0 {
-		return nil, fmt.Errorf("ckks: marshal eval keys: hybrid set over parameters without special primes")
+	if p.SpecialLimbs == 0 {
+		return nil, fmt.Errorf("ckks: marshal eval keys: parameters without special primes")
 	}
 	steps := ks.Steps()
-	digits := p.digitsPerLimb()
-	if ks.Gadget == GadgetHybrid {
-		digits = p.SpecialLimbs
-	}
 	info := EvalKeyInfo{
-		Gadget: ks.Gadget, Digits: digits, MaxLevel: ks.MaxLevel,
+		Gadget: GadgetHybrid, Digits: p.SpecialLimbs, MaxLevel: ks.MaxLevel,
 		HasRelin: ks.Rlk != nil, HasConj: ks.Conj != nil, Steps: steps,
 	}
 
@@ -234,25 +219,14 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 		}
 		ksks = append(ksks, ks.Rot[s].K)
 	}
-	dnum := 0
-	if ks.Gadget == GadgetHybrid {
-		dnum = p.DnumAt(ks.MaxLevel)
-	}
+	dnum := p.DnumAt(ks.MaxLevel)
 	for _, ksk := range ksks {
-		if ksk.Gadget != ks.Gadget || ksk.Level != ks.MaxLevel {
-			return nil, fmt.Errorf("ckks: marshal eval keys: key shape (gadget %v, level %d) does not match set (gadget %v, level %d)",
-				ksk.Gadget, ksk.Level, ks.Gadget, ks.MaxLevel)
+		if ksk.Level != ks.MaxLevel {
+			return nil, fmt.Errorf("ckks: marshal eval keys: key level %d does not match set level %d", ksk.Level, ks.MaxLevel)
 		}
-		switch ks.Gadget {
-		case GadgetHybrid:
-			if ksk.Alpha != info.Digits || len(ksk.H0) != dnum || len(ksk.H1) != dnum {
-				return nil, fmt.Errorf("ckks: marshal eval keys: hybrid key rows (α %d, %d groups) do not match set geometry (α %d, %d groups)",
-					ksk.Alpha, len(ksk.H0), info.Digits, dnum)
-			}
-		default:
-			if ksk.Digits != info.Digits {
-				return nil, fmt.Errorf("ckks: marshal eval keys: key digits %d do not match set digits %d", ksk.Digits, info.Digits)
-			}
+		if ksk.Alpha != info.Digits || len(ksk.H0) != dnum || len(ksk.H1) != dnum {
+			return nil, fmt.Errorf("ckks: marshal eval keys: key rows (α %d, %d groups) do not match set geometry (α %d, %d groups)",
+				ksk.Alpha, len(ksk.H0), info.Digits, dnum)
 		}
 	}
 
@@ -279,23 +253,11 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 	}
 
 	w := newBitWriter(out[evalHeaderLen(len(steps)):])
-	if ks.Gadget == GadgetHybrid {
-		rqp := p.RingQPAt(ks.MaxLevel)
-		for _, ksk := range ksks {
-			for j := 0; j < dnum; j++ {
-				marshalEvalPoly(rqp, ksk.H0[j], w)
-				marshalEvalPoly(rqp, ksk.H1[j], w)
-			}
-		}
-	} else {
-		rl := p.RingAt(ks.MaxLevel)
-		for _, ksk := range ksks {
-			for i := 0; i < ks.MaxLevel; i++ {
-				for t := 0; t < info.Digits; t++ {
-					marshalEvalPoly(rl, ksk.K0[i][t], w)
-					marshalEvalPoly(rl, ksk.K1[i][t], w)
-				}
-			}
+	rqp := p.RingQPAt(ks.MaxLevel)
+	for _, ksk := range ksks {
+		for j := 0; j < dnum; j++ {
+			marshalEvalPoly(rqp, ksk.H0[j], w)
+			marshalEvalPoly(rqp, ksk.H1[j], w)
 		}
 	}
 	w.flush()
@@ -321,9 +283,9 @@ func unmarshalEvalPoly(rl *ring.Ring, r *bitReader) (*ring.Poly, error) {
 }
 
 // UnmarshalEvaluationKeySet reverses MarshalEvaluationKeySet, validating
-// the embedded spec against p, the geometry against the parameter set's
-// gadget, the blob length before any payload-proportional allocation, and
-// every residue against the modulus chain.
+// the embedded spec against p, the blob length before any
+// payload-proportional allocation, and every residue against the modulus
+// chain.
 func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, error) {
 	spec, info, err := ReadEvalKeyInfo(data)
 	if err != nil {
@@ -332,18 +294,8 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 	if spec != p.Spec() {
 		return nil, fmt.Errorf("ckks: unmarshal eval keys: embedded spec %+v does not match parameters", spec)
 	}
-	switch info.Gadget {
-	case GadgetHybrid:
-		// ReadEvalKeyInfo already pinned Digits == spec.SpecialLimbs; the
-		// spec equality above transfers that to p.
-		if p.SpecialLimbs == 0 {
-			return nil, fmt.Errorf("ckks: unmarshal eval keys: hybrid blob needs special primes, parameters carry none")
-		}
-	default:
-		if info.Digits != p.digitsPerLimb() {
-			return nil, fmt.Errorf("ckks: unmarshal eval keys: %d gadget digits, parameters use %d", info.Digits, p.digitsPerLimb())
-		}
-	}
+	// ReadEvalKeyInfo pinned 1 ≤ Digits == spec.SpecialLimbs; the spec
+	// equality above transfers that to p.
 	if !info.HasRelin {
 		return nil, fmt.Errorf("ckks: unmarshal eval keys: set carries no relinearization key")
 	}
@@ -352,43 +304,24 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 	}
 
 	r := newBitReader(data[evalHeaderLen(len(info.Steps)):])
+	rqp := p.RingQPAt(info.MaxLevel)
+	dnum := p.DnumAt(info.MaxLevel)
 	readKsk := func() (*SwitchingKey, error) {
-		if info.Gadget == GadgetHybrid {
-			rqp := p.RingQPAt(info.MaxLevel)
-			dnum := p.DnumAt(info.MaxLevel)
-			ksk := &SwitchingKey{Gadget: GadgetHybrid, Alpha: info.Digits, Level: info.MaxLevel}
-			ksk.H0 = make([]*ring.Poly, dnum)
-			ksk.H1 = make([]*ring.Poly, dnum)
-			for j := 0; j < dnum; j++ {
-				if ksk.H0[j], err = unmarshalEvalPoly(rqp, r); err != nil {
-					return nil, err
-				}
-				if ksk.H1[j], err = unmarshalEvalPoly(rqp, r); err != nil {
-					return nil, err
-				}
+		ksk := &SwitchingKey{Alpha: info.Digits, Level: info.MaxLevel}
+		ksk.H0 = make([]*ring.Poly, dnum)
+		ksk.H1 = make([]*ring.Poly, dnum)
+		for j := 0; j < dnum; j++ {
+			if ksk.H0[j], err = unmarshalEvalPoly(rqp, r); err != nil {
+				return nil, err
 			}
-			return ksk, nil
-		}
-		rl := p.RingAt(info.MaxLevel)
-		ksk := &SwitchingKey{Gadget: GadgetBV, Digits: info.Digits, Level: info.MaxLevel}
-		ksk.K0 = make([][]*ring.Poly, info.MaxLevel)
-		ksk.K1 = make([][]*ring.Poly, info.MaxLevel)
-		for i := 0; i < info.MaxLevel; i++ {
-			ksk.K0[i] = make([]*ring.Poly, info.Digits)
-			ksk.K1[i] = make([]*ring.Poly, info.Digits)
-			for t := 0; t < info.Digits; t++ {
-				if ksk.K0[i][t], err = unmarshalEvalPoly(rl, r); err != nil {
-					return nil, err
-				}
-				if ksk.K1[i][t], err = unmarshalEvalPoly(rl, r); err != nil {
-					return nil, err
-				}
+			if ksk.H1[j], err = unmarshalEvalPoly(rqp, r); err != nil {
+				return nil, err
 			}
 		}
 		return ksk, nil
 	}
 
-	ks := &EvaluationKeySet{Rot: make(map[int]*RotationKey), MaxLevel: info.MaxLevel, Gadget: info.Gadget}
+	ks := &EvaluationKeySet{Rot: make(map[int]*RotationKey), MaxLevel: info.MaxLevel}
 	rlk, err := readKsk()
 	if err != nil {
 		return nil, err

@@ -2,16 +2,17 @@ package ckks
 
 // Scheme-layer tests of hybrid (P·Q) key switching: correctness of
 // MulRelin / rotations / conjugation over the raised modulus, depth-capped
-// keys, hoisting bit-identity, the noise advantage over the BV gadget, and
-// the geometry accessors. The BV coverage in keyswitch_test.go and
-// evalkeys_test.go is unchanged — both gadgets stay first-class.
+// keys, hoisting bit-identity, the switch noise against its analytic
+// bound, and the geometry accessors.
 
 import (
+	"math"
 	"math/cmplx"
 	"strings"
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
 
 func TestHybridGeometry(t *testing.T) {
@@ -53,7 +54,7 @@ func TestHybridGeometry(t *testing.T) {
 		t.Fatal("QP ring does not share the base rings' NTT tables")
 	}
 	// Q chain unchanged by the special primes: a spec with SpecialLimbs=0
-	// derives the identical Q primes (ciphertext bytes are gadget-blind).
+	// derives the identical Q primes.
 	bare := TestParams
 	bare.SpecialLimbs = 0
 	pb := bare.MustBuild()
@@ -84,43 +85,79 @@ func TestHybridMulRelin(t *testing.T) {
 	for i := range want {
 		want[i] = m1[i] * m2[i]
 	}
-	// The hybrid gadget's switching noise ≈ σ·√(βαN)·(Q_grp/P) sits orders
-	// of magnitude under the BV budget (5e-2); 1e-3 still leaves slack over
-	// the rescale noise floor (~2e-4 at Δ=2^30).
+	// The switching noise ≈ σ·√(βαN)·(Q_grp/P) is negligible at scale Δ²;
+	// 1e-3 leaves slack over the rescale noise floor (~2e-4 at Δ=2^30).
 	if e := maxErr(want, got); e > 1e-3 {
 		t.Fatalf("hybrid ct x ct multiply error %g", e)
 	}
 }
 
-// TestHybridNoiseBeatsBV: same circuit, same seed — the hybrid product
-// decodes at least as precisely as the BV product (the raised modulus
-// removes the 2^w digit amplification).
-func TestHybridNoiseBeatsBV(t *testing.T) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	sk, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
-	dec := NewDecryptor(p, sk)
-	ev := NewEvaluator(p)
+// TestHybridNoiseUnderAnalyticBound: the key switch's own error — isolated
+// exactly with the secret key, as the decrypted result minus its algebraic
+// reference (Dec(a)·Dec(b) for MulRelin, σ_g(Dec(ct)) for a rotation) —
+// sits under the analytic bound of keyswitch.go: a per-coefficient
+// deviation of σ·√(β·α·N)·Q_grp/P from the Σ D_j·e_j/P term plus
+// √((h+1)/12) from the ModDown rounding (r0 + r1·s), taken to a worst-slot
+// error as 6·√N·deviation/scale. The error is measured where the switch
+// injects it, at the working scale (Δ² for the product): Rescale divides
+// noise and scale alike, so this is the switch's share of the rescaled
+// product's slot error.
+func TestHybridNoiseUnderAnalyticBound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec ParamSpec
+	}{{"Test", TestParams}, {"PN13", PN13}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := tc.spec.MustBuild()
+			defer p.Close()
+			kg := NewKeyGenerator(p, testSeed())
+			sk, pk := kg.GenKeyPair()
+			enc := NewEncoder(p)
+			encryptor := NewEncryptor(p, pk, testSeed())
+			dec := NewDecryptor(p, sk)
+			ev := NewEvaluator(p)
+			rl, level, n := p.Ring(), p.MaxLevel(), float64(p.N())
 
-	m1 := randMsg(p, 0, 143)
-	m2 := randMsg(p, 0, 144)
-	want := make([]complex128, len(m1))
-	for i := range want {
-		want[i] = m1[i] * m2[i]
-	}
-	run := func(rlk *RelinearizationKey) float64 {
-		prod := ev.Rescale(ev.MulRelin(
-			encryptor.Encrypt(enc.Encode(m1)),
-			encryptor.Encrypt(enc.Encode(m2)), rlk))
-		return maxErr(want, enc.Decode(dec.Decrypt(prod)))
-	}
-	errBV := run(kg.GenRelinearizationKey(sk))
-	errHy := run(kg.GenRelinearizationKeyHybridAt(p.MaxLevel()))
-	t.Logf("worst-slot error: bv %.3g, hybrid %.3g", errBV, errHy)
-	if errHy > errBV {
-		t.Fatalf("hybrid noise %g exceeds BV %g", errHy, errBV)
+			qOverP := 0.0 // max over groups of Q_j/P
+			for j := 0; j < p.DnumAt(level); j++ {
+				ratio := 1.0
+				lo, hi := p.groupRange(level, j)
+				for i := lo; i < hi; i++ {
+					ratio *= float64(rl.Basis.Moduli[i].Q)
+				}
+				for _, pr := range p.SpecialPrimes() {
+					ratio /= float64(pr)
+				}
+				qOverP = math.Max(qOverP, ratio)
+			}
+			sw := prng.GaussianSigma * math.Sqrt(float64(p.DnumAt(level)*p.Alpha())*n) * qOverP
+			deviation := math.Sqrt(sw*sw + float64(p.HW+1)/12)
+
+			check := func(op string, got *Ciphertext, ref *ring.Poly) {
+				t.Helper()
+				noise := dec.Decrypt(got)
+				rl.Sub(noise.Value, ref, noise.Value)
+				worst := maxErr(enc.Decode(noise), make([]complex128, p.Slots()))
+				bound := 6 * math.Sqrt(n) * deviation / got.Scale
+				t.Logf("%s: worst-slot switch error %.3g, analytic bound %.3g (margin %.1f×)", op, worst, bound, bound/worst)
+				if worst == 0 || worst > bound {
+					t.Fatalf("%s: switch error %g outside (0, %g]", op, worst, bound)
+				}
+			}
+
+			ct1 := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 143)))
+			ct2 := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 144)))
+			m1, m2 := dec.Decrypt(ct1).Value, dec.Decrypt(ct2).Value
+
+			g := p.GaloisElement(1)
+			check("Rotate", ev.RotateGalois(ct1, kg.GenRotationKeyHybridAt(g, level)), automorphism(rl, m1, g))
+
+			rl.NTT(m1)
+			rl.NTT(m2)
+			rl.MulCoeffs(m1, m2, m1)
+			rl.INTT(m1)
+			check("MulRelin", ev.MulRelin(ct1, ct2, kg.GenRelinearizationKeyHybridAt(level)), m1)
+		})
 	}
 }
 
@@ -157,7 +194,7 @@ func TestHybridRotationAndConjugate(t *testing.T) {
 
 // TestHybridDepthCapped: a depth-capped hybrid key works at and below its
 // depth (including a level that does not divide α — a short last group)
-// and panics above it, mirroring the BV contract.
+// and panics above it.
 func TestHybridDepthCapped(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
@@ -233,29 +270,7 @@ func TestHybridRotateHoistedMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestHybridMixedGadgetPanics: feeding a hoisted decomposition to a key of
-// the other gadget is an internal invariant violation (loud panic), and a
-// mixed RotateHoisted batch is rejected before any work.
-func TestHybridMixedGadgetPanics(t *testing.T) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	sk, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
-	ev := NewEvaluator(p)
-	ct := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 164)))
-
-	bv := kg.GenRotationKeyAt(sk, p.GaloisElement(1), p.MaxLevel())
-	hy := kg.GenRotationKeyHybridAt(p.GaloisElement(2), p.MaxLevel())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mixed-gadget RotateHoisted must panic")
-		}
-	}()
-	ev.RotateHoisted(ct, []*RotationKey{bv, hy})
-}
-
-// TestHybridKeySetRejectsForeignSecret: GenEvaluationKeySet's hybrid path
+// TestHybridKeySetRejectsForeignSecret: GenEvaluationKeySet
 // derives the secret from the generator's seed; handing it a secret key
 // from a different seed would silently build keys for the wrong key pair,
 // so it must panic loudly instead.

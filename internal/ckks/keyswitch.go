@@ -1,197 +1,78 @@
 package ckks
 
 import (
-	"fmt"
-
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
 
-// Key switching via gadget (digit) decomposition — the server-side
-// machinery that makes ciphertext-ciphertext multiplication and slot
-// rotations possible. ABC-FHE itself never executes these (it is a client
-// accelerator), but the ciphertexts it produces are consumed by servers
-// that do — so the server half of the protocol is a first-class citizen
-// here, reachable through the public Server role.
+// Key switching — the server-side machinery that makes
+// ciphertext-ciphertext multiplication and slot rotations possible.
+// ABC-FHE itself never executes these (it is a client accelerator), but
+// the ciphertexts it produces are consumed by servers that do — so the
+// server half of the protocol is a first-class citizen here, reachable
+// through the public Server role.
 //
-// Construction (BV-style, no special modulus): to switch a polynomial c
-// from key f to key s, write c in the combined CRT × base-2^w gadget
-//
-//	c = Σ_{i<L} Σ_{t<T} d_{i,t} · (2^{wt} · u_i)   with  d_{i,t} < 2^w,
-//
-// where u_i is the CRT basis element (u_i ≡ 1 mod q_i, ≡ 0 mod q_j). The
-// switching key encrypts each gadget element times f:
-//
-//	ksk_{i,t} = (-a·s + e + 2^{wt}·u_i·f,  a)
-//
-// and the switch computes (Σ d_{i,t}·ksk0, Σ d_{i,t}·ksk1). Noise grows by
-// ≈ 2^w·sqrt(L·T·N)·σ — kept below the scale by choosing w; production
-// systems use a raised modulus instead (documented trade-off).
-//
-// Hot-path structure: the inner loop (digit decompose → NTT → fused
-// multiply-accumulate) draws every scratch polynomial from the lanes
-// pools and dispatches limb-wise through the engine, so the steady state
-// allocates only the returned ciphertext and scales with workers like
-// encrypt/decode. Rotations run *hoisted*: the digit decomposition (and
-// its NTTs) is computed once per input ciphertext, and each Galois
-// element is applied to the decomposed digits as an NTT-domain gather
-// permutation (ring.MulPermAdd) — rotating one ciphertext by many steps
-// pays the decomposition once (see Evaluator.RotateHoisted).
-
-// Two gadgets are implemented:
-//
-//   - GadgetBV — the digit decomposition above: T·L rows per key,
-//     quadratic in depth. Kept for compatibility and as the fallback for
-//     parameter sets without special primes.
-//   - GadgetHybrid — hybrid key switching with special primes (the P·Q
-//     construction every bootstrappable stack uses): the Q chain splits
-//     into dnum = ⌈L/α⌉ groups of α limbs, the modulus is raised to Q·P
-//     (P = p_0…p_{k-1}, k = α special primes), and the key holds one row
-//     per *group* over the extended basis:
+// One construction is implemented: hybrid key switching with special
+// primes (the P·Q construction every bootstrappable stack uses). To switch
+// a polynomial c from key f to key s, the Q chain splits into
+// dnum = ⌈L/α⌉ groups of α limbs, the modulus is raised to Q·P
+// (P = p_0…p_{k-1}, k = α special primes), and the key holds one row per
+// *group* over the extended basis:
 //
 //	ksk_j = (-a_j·s + e_j + P·δ_j·f,  a_j)  over  R_{Q·P},
 //
-//     where δ_j is 1 on group-j limbs and 0 elsewhere (the RNS form of
-//     P·Q̂_j·[Q̂_j^{-1}]_{Q_j}). The switch ModUps each group's residues to
-//     the QP basis (rns.Extender), accumulates Σ_j D_j(c)·ksk_j there, and
-//     ModDowns by P with rounding — the P factor cancels, leaving c·f plus
-//     noise ≈ β·α·√N·σ·(Q_grp/P) ≲ σ·√(βαN), *independent of the digit
-//     width*. Keys shrink from T·L rows of L limbs to ⌈L/α⌉ rows of L+k
-//     limbs (≈ T·α/(1+k/L) ≈ 17× at the paper chains), and the hot path
-//     runs β·(L+k) NTTs instead of T·L².
+// where δ_j is 1 on group-j limbs and 0 elsewhere (the RNS form of
+// P·Q̂_j·[Q̂_j^{-1}]_{Q_j}). The switch ModUps each group's residues to
+// the QP basis (rns.Extender), accumulates Σ_j D_j(c)·ksk_j there, and
+// ModDowns by P with rounding — the P factor cancels, leaving c·f plus
+// noise ≈ β·α·√N·σ·(Q_grp/P) ≲ σ·√(βαN) plus the ModDown rounding term.
+// A depth-D key is ⌈D/α⌉ rows of D+k limbs — linear in depth — and the
+// hot path runs β·(L+k) NTTs. DESIGN.md "Why hybrid only" records why
+// this is the only construction.
+//
+// Hot-path structure: every scratch polynomial comes from the lanes pools
+// and each stage dispatches limb-wise through the engine, so the steady
+// state allocates only the returned ciphertext and scales with workers
+// like encrypt/decode. Rotations run *hoisted*: the decomposition (and
+// its NTTs) is computed once per input ciphertext, and each Galois
+// element is applied to the raised digits as an NTT-domain gather
+// permutation (ring.MulPermAdd) — rotating one ciphertext by many steps
+// pays the decomposition once (see Evaluator.RotateHoisted).
 
-// DecompLogBase is the BV gadget digit width (w). 8 keeps switching noise
-// ≈2^15 at the test parameters — comfortably below every scale in use
-// (the hybrid gadget replaces the digit trade-off with the raised modulus).
-const DecompLogBase = 8
-
-// Gadget selects the key-switching decomposition a switching key was
-// built for. The byte values are the wire encoding (evalkeyserialize.go).
+// Gadget is the key-switching construction tag of the evaluation-key wire
+// format (evalkeyserialize.go). GadgetHybrid is its only value: tag 0
+// belonged to the retired digit gadget and is rejected on read.
 type Gadget byte
 
-const (
-	// GadgetBV is the base-2^w CRT digit gadget (PR 4's construction).
-	GadgetBV Gadget = 0
-	// GadgetHybrid is hybrid key switching with special primes (P·Q).
-	GadgetHybrid Gadget = 1
-)
+// GadgetHybrid is hybrid key switching with special primes (P·Q).
+const GadgetHybrid Gadget = 1
 
-func (g Gadget) String() string {
-	switch g {
-	case GadgetBV:
-		return "bv"
-	case GadgetHybrid:
-		return "hybrid"
-	}
-	return fmt.Sprintf("gadget(%d)", byte(g))
-}
-
-// SwitchingKey holds the gadget encryptions for one target polynomial.
+// SwitchingKey holds the key-switching rows for one target polynomial.
 // Level is the depth the key supports: the key can switch any ciphertext
 // at level ≤ Level (prefix views) — depth-capped keys are how
 // evaluation-key blobs stay proportional to the depth the server actually
 // computes at.
-//
-// BV keys carry K0[i][t]/K1[i][t] (Level limbs each; quadratic in depth:
-// Level²·Digits·2 polynomial limbs). Hybrid keys carry H0[j]/H1[j] — one
-// row per decomposition group, Level+Alpha limbs each over the extended
-// basis (q_0..q_{Level-1}, p_0..p_{α-1}), linear in depth.
 type SwitchingKey struct {
-	Gadget Gadget
-
-	// K0[i][t], K1[i][t]: the two halves of ksk_{i,t}, NTT domain, Level
-	// limbs (BV only).
-	K0, K1 [][]*ring.Poly
-	Digits int // BV digit count T
-
 	// H0[j], H1[j]: the two halves of the group-j row, NTT domain,
-	// Level+Alpha limbs over the QP basis (hybrid only).
+	// Level+Alpha limbs over the extended basis
+	// (q_0..q_{Level-1}, p_0..p_{α-1}).
 	H0, H1 []*ring.Poly
-	Alpha  int // hybrid group size α (== Parameters.SpecialLimbs)
+	Alpha  int // group size α (== Parameters.SpecialLimbs)
 
 	Level int
-}
-
-// digitsPerLimb is ceil(LimbBits / DecompLogBase).
-func (p *Parameters) digitsPerLimb() int {
-	return (p.LimbBits + DecompLogBase - 1) / DecompLogBase
-}
-
-// GenSwitchingKey builds the full-depth key that moves ciphertext mass
-// from key f to the generator's secret s. f must be in the NTT domain with
-// at least MaxLevel limbs.
-func (kg *KeyGenerator) GenSwitchingKey(sk *SecretKey, f *ring.Poly, streamBase uint64) *SwitchingKey {
-	return kg.GenSwitchingKeyAt(sk, f, kg.params.MaxLevel(), streamBase)
-}
-
-// GenSwitchingKeyAt is GenSwitchingKey capped at `depth` limbs: the key
-// can switch ciphertexts at any level ≤ depth. Sampling streams are
-// consumed limb-sequentially, so a depth-capped key is the limb prefix of
-// the full-depth key over the same stream base.
-func (kg *KeyGenerator) GenSwitchingKeyAt(sk *SecretKey, f *ring.Poly, depth int, streamBase uint64) *SwitchingKey {
-	p := kg.params
-	if depth < 1 || depth > p.MaxLevel() {
-		panic("ckks: switching-key depth out of range")
-	}
-	r := p.RingAt(depth)
-	T := p.digitsPerLimb()
-	skd := &ring.Poly{Coeffs: sk.S.Coeffs[:depth], IsNTT: true}
-
-	ksk := &SwitchingKey{Gadget: GadgetBV, Digits: T, Level: depth}
-	ksk.K0 = make([][]*ring.Poly, depth)
-	ksk.K1 = make([][]*ring.Poly, depth)
-
-	stream := streamBase
-	for i := 0; i < depth; i++ {
-		ksk.K0[i] = make([]*ring.Poly, T)
-		ksk.K1[i] = make([]*ring.Poly, T)
-		for t := 0; t < T; t++ {
-			stream += 2
-			a := r.NewPoly()
-			r.UniformPoly(prng.NewSource(kg.seed, stream), a)
-			a.IsNTT = true
-
-			e := r.GetPolyUninit() // sampler fully overwrites
-			r.GaussianPoly(prng.NewSource(kg.seed, stream+1), e)
-			r.NTT(e)
-
-			b := r.NewPoly()
-			r.MulCoeffs(a, skd, b)
-			r.Neg(b, b)
-			r.Add(b, e, b)
-			r.PutPoly(e)
-
-			// + 2^{wt}·u_i·f : u_i is 1 on limb i and 0 elsewhere, so the
-			// gadget term only touches limb i.
-			shift := uint64(1) << uint(DecompLogBase*t)
-			m := r.Basis.Moduli[i]
-			fi := f.Coeffs[i]
-			bi := b.Coeffs[i]
-			sc := shift % m.Q
-			for j := range bi {
-				bi[j] = m.Add(bi[j], m.Mul(fi[j], sc))
-			}
-			ksk.K0[i][t] = b
-			ksk.K1[i][t] = a
-		}
-	}
-	return ksk
 }
 
 // genHybridSwitchingKey builds the hybrid key that moves polynomial mass
 // multiplied by fQP back to the secret: one row per decomposition group
 // over the extended basis. sQP and fQP must be NTT-domain polynomials over
 // RingQPAt(depth). Streams are consumed two per row from streamBase, so
-// regeneration from the same seed is byte-identical (and hybrid bases are
-// disjoint from the BV windows — a BV and a hybrid key derived from the
-// same owner seed must never share mask/error streams, or their difference
-// would expose the gadget term).
+// regeneration from the same seed is byte-identical.
 func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, streamBase uint64) *SwitchingKey {
 	p := kg.params
 	rqp := p.RingQPAt(depth)
 	beta := p.DnumAt(depth)
 	ksk := &SwitchingKey{
-		Gadget: GadgetHybrid, Alpha: p.SpecialLimbs, Level: depth,
+		Alpha: p.SpecialLimbs, Level: depth,
 		H0: make([]*ring.Poly, beta), H1: make([]*ring.Poly, beta),
 	}
 	stream := streamBase
@@ -227,60 +108,24 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 	return ksk
 }
 
-// hoistedDigits is a ciphertext's c1 in gadget-decomposed, NTT-domain form
-// — the expensive half of a key switch, computed once and reusable across
-// any number of Galois elements. All storage is pooled: release with
-// releaseDigits. BV: dig[i·digits+t] is digit t of limb i (level limbs
-// each). Hybrid: dig[j] is group j raised to the QP basis (level+α limbs).
+// hoistedDigits is a ciphertext's c1 in decomposed, NTT-domain form — the
+// expensive half of a key switch, computed once and reusable across any
+// number of Galois elements: dig[j] is group j raised to the QP basis
+// (level+α limbs). All storage is pooled: release with releaseDigits.
 type hoistedDigits struct {
-	dig    []*ring.Poly
-	level  int
-	digits int
-	gadget Gadget
-}
-
-// hoistDigits decomposes c (coefficient domain, `level` limbs) into its
-// gadget digits and transforms each — digits·level NTTs, paid once per
-// input ciphertext however many switches consume it. The whole pass is one
-// limb-major lane dispatch: lane k extracts and transforms row k of every
-// digit (rows are disjoint, so any worker count computes the same bytes).
-func (p *Parameters) hoistDigits(c *ring.Poly, level, digits int) *hoistedDigits {
-	rl := p.RingAt(level)
-	h := &hoistedDigits{gadget: GadgetBV, level: level, digits: digits, dig: make([]*ring.Poly, level*digits)}
-	for idx := range h.dig {
-		h.dig[idx] = rl.GetPolyUninit() // every row fully overwritten below
-	}
-	mask := uint64(1)<<DecompLogBase - 1
-	rl.Engine().Run(level, func(k int) {
-		q := rl.Basis.Moduli[k].Q
-		fwd := rl.Tables[k]
-		for i := 0; i < level; i++ {
-			src := c.Coeffs[i]
-			for t := 0; t < digits; t++ {
-				shift := uint(DecompLogBase * t)
-				row := h.dig[i*digits+t].Coeffs[k]
-				for j, v := range src {
-					row[j] = ((v >> shift) & mask) % q
-				}
-				fwd.Forward(row)
-			}
-		}
-	})
-	for _, d := range h.dig {
-		d.IsNTT = true
-	}
-	return h
+	dig   []*ring.Poly
+	level int
 }
 
 // hoistHybrid decomposes c (coefficient domain, `level` limbs) into its
 // β = ⌈level/α⌉ group digits, each raised to the extended QP basis
 // (rns.Extender fast base conversion, chunked across the lanes) and
-// transformed — β·(level+k) NTTs, against the BV gadget's digits·level²
-// (paid once per input ciphertext however many switches consume it).
+// transformed — β·(level+k) NTTs, paid once per input ciphertext however
+// many switches consume it.
 func (p *Parameters) hoistHybrid(c *ring.Poly, level int) *hoistedDigits {
 	rqp := p.RingQPAt(level)
 	beta := p.DnumAt(level)
-	h := &hoistedDigits{gadget: GadgetHybrid, level: level, dig: make([]*ring.Poly, beta)}
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
 	for j := 0; j < beta; j++ {
 		lo, hi := p.groupRange(level, j)
 		d := rqp.GetPolyUninit() // the extension writes every word
@@ -291,15 +136,12 @@ func (p *Parameters) hoistHybrid(c *ring.Poly, level int) *hoistedDigits {
 	return h
 }
 
-// hoistFor runs the decomposition matching the switching key's gadget.
-func (p *Parameters) hoistFor(c *ring.Poly, level int, ksk *SwitchingKey) *hoistedDigits {
-	if ksk.Gadget == GadgetHybrid {
-		if p.ringQ.Backend().Specialized() {
-			return p.hoistHybridFused(c, level)
-		}
-		return p.hoistHybrid(c, level)
+// hoistFor runs the decomposition on the pipeline the backend selects.
+func (p *Parameters) hoistFor(c *ring.Poly, level int) *hoistedDigits {
+	if p.useFused() {
+		return p.hoistHybridFused(c, level)
 	}
-	return p.hoistDigits(c, level, ksk.Digits)
+	return p.hoistHybrid(c, level)
 }
 
 // releaseDigits returns the decomposition's pooled storage.
@@ -311,27 +153,15 @@ func (p *Parameters) releaseDigits(h *hoistedDigits) {
 }
 
 // applyInto accumulates the key switch of the hoisted digits into
-// (acc0, acc1) — NTT domain, h.level limbs — dispatching on the key's
-// gadget. σ (perm, nil ⇒ identity) is applied to the digits in both
-// constructions (the hoisting identity holds for any ring automorphism).
+// (acc0, acc1) — NTT domain, h.level limbs: Σ_j σ(D_j)·ksk_j over the
+// extended QP basis (one fused limb-major lane dispatch — key limbs are
+// addressed through the depth-capped key's geometry, so a level-ℓ switch
+// reads rows 0..ℓ-1 and the P tail of each Level-limb key row), then
+// ModDown both halves by P with rounding into the Q-basis accumulators.
+// σ (perm, nil ⇒ identity) is applied to the digits: because σ is a ring
+// automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the same result
+// as decomposing σ(c), with the decomposition (and its NTTs) paid once.
 func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly) {
-	if h.gadget != ksk.Gadget {
-		panic("ckks: hoisted decomposition does not match the switching key's gadget")
-	}
-	if ksk.Gadget == GadgetHybrid {
-		p.applyHybridInto(h, ksk, perm, acc0, acc1)
-		return
-	}
-	p.applyHoistedInto(h, ksk, perm, acc0, acc1)
-}
-
-// applyHybridInto is the hybrid half of applyInto: accumulate
-// Σ_j σ(D_j)·ksk_j over the extended QP basis (one fused limb-major lane
-// dispatch — key limbs are addressed through the depth-capped key's
-// geometry, so a level-ℓ switch reads rows 0..ℓ-1 and the P tail of each
-// Level-limb key row), then ModDown both halves by P with rounding into
-// the Q-basis accumulators.
-func (p *Parameters) applyHybridInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly) {
 	if h.level > ksk.Level {
 		panic("ckks: ciphertext level exceeds switching-key depth")
 	}
@@ -369,37 +199,6 @@ func (p *Parameters) modDownInto(acc *ring.Poly, level int, out *ring.Poly) {
 	rq.PutPoly(scratch)
 }
 
-// applyHoistedInto accumulates the key switch of the hoisted digits into
-// (acc0, acc1) — NTT domain, h.level limbs:
-//
-//	acc0 += Σ σ(d_{i,t})·K0[i][t],   acc1 += Σ σ(d_{i,t})·K1[i][t]
-//
-// where σ is the NTT-domain gather permutation (nil ⇒ identity). σ applied
-// to the *digits* is the hoisting identity: because u_i is a constant and
-// σ a ring automorphism, Σ σ(d)·2^{wt}u_i·σ(f) = σ(Σ d·2^{wt}u_i·f) =
-// σ(c·f) — the same result as decomposing σ(c), with the decomposition
-// (and its NTTs) paid once. One limb-major lane dispatch covers the whole
-// double loop (the per-limb fused gather-multiply-accumulate is
-// ring.MulPermAdd's kernel, inlined here so the digit loop stays inside
-// the lane task instead of paying a dispatch per digit).
-func (p *Parameters) applyHoistedInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly) {
-	if h.level > ksk.Level {
-		panic("ckks: ciphertext level exceeds switching-key depth")
-	}
-	rl := p.RingAt(h.level)
-	rl.Engine().Run(h.level, func(k int) {
-		a0, a1 := acc0.Coeffs[k], acc1.Coeffs[k]
-		for i := 0; i < h.level; i++ {
-			for t := 0; t < ksk.Digits; t++ {
-				d := h.dig[i*h.digits+t].Coeffs[k]
-				k0 := ksk.K0[i][t].Coeffs[k]
-				k1 := ksk.K1[i][t].Coeffs[k]
-				rl.MulAddPairRow(k, perm, d, k0, k1, a0, a1)
-			}
-		}
-	})
-}
-
 // ---------------------------------------------------------------------
 // Relinearization
 // ---------------------------------------------------------------------
@@ -407,21 +206,11 @@ func (p *Parameters) applyHoistedInto(h *hoistedDigits, ksk *SwitchingKey, perm 
 // RelinearizationKey switches s² mass back to s.
 type RelinearizationKey struct{ K *SwitchingKey }
 
-// relinStreamBase seeds the BV relinearization key's sampling streams.
-// The hybrid keys draw from disjoint windows (1<<52 / 1<<53): BV and
-// hybrid keys over the same owner seed coexist on the wire (the gadget
-// cross-compatibility deployment), and sharing a stream base would give
-// two published key equations the same mask and error — their difference
-// would hand an attacker the gadget term (P−2^wt)·s² in the clear.
-const (
-	relinStreamBase       = 1 << 50
-	hybridRelinStreamBase = 1 << 52
-)
-
-// GenRelinearizationKey derives the full-depth relinearization key.
-func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
-	return kg.GenRelinearizationKeyAt(sk, kg.params.MaxLevel())
-}
+// hybridRelinStreamBase seeds the relinearization key's sampling streams
+// (rotation keys draw from per-element windows at 2^53, see
+// hybridRotationStreamBase). The values are part of the key derivation:
+// changing them changes every exported key.
+const hybridRelinStreamBase = 1 << 52
 
 // GenRelinearizationKeyHybridAt derives the hybrid relinearization key
 // capped at `depth` limbs. The secret is re-derived from the generator's
@@ -439,18 +228,6 @@ func (kg *KeyGenerator) GenRelinearizationKeyHybridAt(depth int) *Relinearizatio
 	rlk := &RelinearizationKey{K: kg.genHybridSwitchingKey(s, s2, depth, hybridRelinStreamBase)}
 	rqp.PutPoly(s2)
 	rqp.PutPoly(s)
-	return rlk
-}
-
-// GenRelinearizationKeyAt derives the relinearization key capped at
-// `depth` limbs (usable for MulRelin at levels ≤ depth).
-func (kg *KeyGenerator) GenRelinearizationKeyAt(sk *SecretKey, depth int) *RelinearizationKey {
-	r := kg.params.RingAt(depth)
-	skd := &ring.Poly{Coeffs: sk.S.Coeffs[:depth], IsNTT: true}
-	s2 := r.GetPolyUninit() // MulCoeffs fully overwrites
-	r.MulCoeffs(skd, skd, s2)
-	rlk := &RelinearizationKey{K: kg.GenSwitchingKeyAt(sk, s2, depth, relinStreamBase)}
-	r.PutPoly(s2)
 	return rlk
 }
 
@@ -505,12 +282,12 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	// the hybrid switch fused (closing INTTs folded into its last stage);
 	// the staged path is the portable reference.
 	rl.INTT(c2)
-	if ev.params.useFused(rlk.K) {
+	if ev.params.useFused() {
 		ev.params.switchHybridFused(c2, level, rlk.K, nil, c0, c1, true)
 		rl.PutPoly(c2)
 		return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
 	}
-	h := ev.params.hoistFor(c2, level, rlk.K)
+	h := ev.params.hoistFor(c2, level)
 	rl.PutPoly(c2)
 	ev.params.applyInto(h, rlk.K, nil, c0, c1)
 	ev.params.releaseDigits(h)
@@ -563,40 +340,11 @@ type RotationKey struct {
 	Perm []int32
 }
 
-// rotationStreamBase seeds a BV rotation key's sampling streams; Galois
+// hybridRotationStreamBase seeds a rotation key's sampling streams; Galois
 // elements are < 2N ≤ 2^18 and each switching key consumes well under 2^20
 // streams, so the per-element windows are disjoint (and disjoint from the
-// relinearization base at 2^50). hybridRotationStreamBase is the hybrid
-// sibling — a separate window at 2^53 for the same reason the
-// relinearization bases are split (see relinStreamBase).
-func rotationStreamBase(g int) uint64       { return 1<<51 + uint64(g)<<20 }
+// relinearization base at 2^52).
 func hybridRotationStreamBase(g int) uint64 { return 1<<53 + uint64(g)<<20 }
-
-// GenRotationKey derives the full-depth key for Galois element g: it
-// switches s(X^g) mass back to s.
-func (kg *KeyGenerator) GenRotationKey(sk *SecretKey, g int) *RotationKey {
-	return kg.GenRotationKeyAt(sk, g, kg.params.MaxLevel())
-}
-
-// GenRotationKeyAt derives the rotation key for Galois element g capped at
-// `depth` limbs.
-func (kg *KeyGenerator) GenRotationKeyAt(sk *SecretKey, g, depth int) *RotationKey {
-	r := kg.params.RingAt(depth)
-	skd := &ring.Poly{Coeffs: sk.S.Coeffs[:depth], IsNTT: true}
-	sCoeff := r.GetPolyCopy(skd)
-	r.INTT(sCoeff)
-	sg := r.GetPolyUninit() // automorphism writes every index
-	r.AutomorphismCoeff(sCoeff, g, sg)
-	r.NTT(sg)
-	rk := &RotationKey{
-		G:    g,
-		K:    kg.GenSwitchingKeyAt(sk, sg, depth, rotationStreamBase(g)),
-		Perm: kg.params.Ring().GaloisPermNTT(g),
-	}
-	r.PutPoly(sCoeff)
-	r.PutPoly(sg)
-	return rk
-}
 
 // GenRotationKeyHybridAt derives the hybrid rotation key for Galois
 // element g capped at `depth` limbs: it switches s(X^g) mass back to s
@@ -630,10 +378,10 @@ func (kg *KeyGenerator) GenRotationKeyHybridAt(g, depth int) *RotationKey {
 // key switch runs on hoisted digits (the single-rotation degenerate case
 // of RotateHoisted); σ(c0) is applied in the coefficient domain.
 func (ev *Evaluator) RotateGalois(ct *Ciphertext, rk *RotationKey) *Ciphertext {
-	if ev.params.useFused(rk.K) {
+	if ev.params.useFused() {
 		return ev.rotateFused(ct, rk)
 	}
-	h := ev.params.hoistFor(ct.C1, ct.Level, rk.K)
+	h := ev.params.hoistFor(ct.C1, ct.Level)
 	out := ev.rotateFromDigits(ct, h, rk)
 	ev.params.releaseDigits(h)
 	return out
@@ -663,19 +411,16 @@ func (ev *Evaluator) rotateFused(ct *Ciphertext, rk *RotationKey) *Ciphertext {
 }
 
 // RotateHoisted rotates one ciphertext by every key in rks, paying the
-// digit decomposition (T·L NTTs) once: each additional rotation costs only
+// decomposition (β·(L+k) NTTs) once: each additional rotation costs only
 // the O(N)-per-limb gather-multiply-accumulate and the closing transforms.
 // Results are index-aligned with rks.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rks []*RotationKey) []*Ciphertext {
 	if len(rks) == 0 {
 		return nil
 	}
-	h := ev.params.hoistFor(ct.C1, ct.Level, rks[0].K)
+	h := ev.params.hoistFor(ct.C1, ct.Level)
 	out := make([]*Ciphertext, len(rks))
 	for i, rk := range rks {
-		if rk.K.Gadget != rks[0].K.Gadget || rk.K.Digits != rks[0].K.Digits || rk.K.Alpha != rks[0].K.Alpha {
-			panic("ckks: hoisted rotation keys disagree on gadget geometry")
-		}
 		out[i] = ev.rotateFromDigits(ct, h, rk)
 	}
 	ev.params.releaseDigits(h)

@@ -1,7 +1,7 @@
 package ckks
 
 // Fused hybrid key switching — the fast backend's pipeline. The staged
-// path (hoistHybrid → applyHybridInto → modDownInto) pays one lane
+// path (hoistHybrid → applyInto → modDownInto) pays one lane
 // dispatch per stage: β ModUps, β NTT sweeps, the MAC, then per half an
 // INTT sweep, a ModUp, an NTT sweep and the divide — ~13–16 barriers, and
 // a β-polynomial hoisted-digit buffer of (level+k)·N words between the
@@ -39,12 +39,11 @@ import (
 	"repro/internal/rns"
 )
 
-// useFused reports whether key switches against ksk should run the fused
-// pipeline: hybrid gadget on the specialized backend. The portable
-// backend keeps the staged path — it is the oracle fused output is
-// checked against.
-func (p *Parameters) useFused(ksk *SwitchingKey) bool {
-	return ksk.Gadget == GadgetHybrid && p.ringQ.Backend().Specialized()
+// useFused reports whether key switches should run the fused pipeline:
+// only on the specialized backend. The portable backend keeps the staged
+// path — it is the oracle fused output is checked against.
+func (p *Parameters) useFused() bool {
+	return p.ringQ.Backend().Specialized()
 }
 
 // fusedChunks mirrors lanes.RunChunks' oversubscribed carve so the chunk
@@ -235,7 +234,7 @@ func (p *Parameters) hoistHybridFused(c *ring.Poly, level int) *hoistedDigits {
 		}
 	})
 
-	h := &hoistedDigits{gadget: GadgetHybrid, level: level, dig: make([]*ring.Poly, beta)}
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
 	for j := 0; j < beta; j++ {
 		h.dig[j] = rqp.GetPolyUninit() // every row fully overwritten below
 	}

@@ -220,7 +220,7 @@ func (enc *Encoder) NewLinearTransform(diags map[int][]complex128, level, n1 int
 
 // LinearTransform evaluates lt on ct (coefficient domain, at exactly
 // lt.Level) using rotation keys from rot (keyed by normalized step; every
-// step in lt.Rotations() must be present and share one gadget geometry).
+// step in lt.Rotations() must be present).
 // The result lands lt.Rescales levels below at ≈ the input scale. Misuse
 // panics; the public Server role validates and returns typed errors.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot map[int]*RotationKey) *Ciphertext {
@@ -251,7 +251,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			panic("ckks: missing baby-step rotation key")
 		}
 		if h == nil {
-			h = p.hoistFor(ct.C1, level, rk.K)
+			h = p.hoistFor(ct.C1, level)
 		}
 		b0, b1 := rl.GetPoly(), rl.GetPoly()
 		b0.IsNTT, b1.IsNTT = true, true
@@ -295,7 +295,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		// switched half accumulates directly (applyInto adds), σ_g of the
 		// acc0 half is a pure NTT-domain gather.
 		rl.INTT(acc1) // the decomposition reads the coefficient domain
-		hg := p.hoistFor(acc1, level, rk.K)
+		hg := p.hoistFor(acc1, level)
 		p.applyInto(hg, rk.K, rk.Perm, final0, final1)
 		p.releaseDigits(hg)
 		tmp := rl.GetPolyUninit()

@@ -28,7 +28,7 @@ func ltReference(slots int, diags map[int][]complex128, v []complex128) []comple
 
 // TestLinearTransformAgainstReference: BSGS evaluation must match the
 // plaintext mat×vec on random sparse and banded matrices, at explicit and
-// auto-selected block sizes, under both gadgets.
+// auto-selected block sizes.
 func TestLinearTransformAgainstReference(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
@@ -52,25 +52,21 @@ func TestLinearTransformAgainstReference(t *testing.T) {
 		return out
 	}
 
-	// BV switching noise at TestParams is ~5e-2 per rotation (see
-	// TestRotation), so the many-rotation cases run on the hybrid gadget;
-	// the BV case keeps a budget proportional to its key-switch count.
+	const tol = 5e-2
 	cases := []struct {
-		name   string
-		idx    []int
-		n1     int
-		gadget Gadget
-		tol    float64
+		name string
+		idx  []int
+		n1   int
 	}{
-		{"sparse-auto-bv", []int{0, 1, slots - 1, 64, 200}, 0, GadgetBV, 2e-1},
-		{"banded-n1=8-hybrid", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 8, GadgetHybrid, 5e-2},
-		{"negative-and-dup-hybrid", []int{-1, slots - 1, 0, 17}, 0, GadgetHybrid, 5e-2},
+		{"sparse-auto-hybrid", []int{0, 1, slots - 1, 64, 200}, 0},
+		{"banded-n1=8-hybrid", []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}, 8},
+		{"negative-and-dup-hybrid", []int{-1, slots - 1, 0, 17}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			diags := randDiags(tc.idx)
 			lt := enc.NewLinearTransform(diags, p.MaxLevel(), tc.n1)
-			ks := kg.GenEvaluationKeySet(sk, p.MaxLevel(), lt.Rotations(), false, tc.gadget)
+			ks := kg.GenEvaluationKeySet(sk, p.MaxLevel(), lt.Rotations(), false, GadgetHybrid)
 
 			msg := randMsg(p, 0, uint64(100+len(tc.idx)))
 			ct := encryptor.Encrypt(enc.Encode(msg))
@@ -80,8 +76,8 @@ func TestLinearTransformAgainstReference(t *testing.T) {
 			}
 			got := enc.Decode(dec.Decrypt(out))
 			want := ltReference(slots, diags, msg)
-			if e := maxErr(want, got); e > tc.tol {
-				t.Fatalf("BSGS transform error %g (budget %g)", e, tc.tol)
+			if e := maxErr(want, got); e > tol {
+				t.Fatalf("BSGS transform error %g (budget %g)", e, tol)
 			}
 		})
 	}

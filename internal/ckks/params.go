@@ -43,8 +43,8 @@ type Parameters struct {
 
 	// SpecialLimbs is the length k of the special-prime chain P used by
 	// hybrid key switching (also the decomposition group size α: the Q
-	// chain splits into dnum = ⌈Limbs/α⌉ groups). 0 disables the hybrid
-	// gadget; the BV digit gadget remains available either way.
+	// chain splits into dnum = ⌈Limbs/α⌉ groups). 0 leaves the set without
+	// key switching: no evaluation keys can be generated or imported.
 	SpecialLimbs int
 
 	ringQ    *ring.Ring
@@ -180,7 +180,7 @@ func (s ParamSpec) Build() (*Parameters, error) {
 	}
 	// One downward scan yields the Q chain followed by the P chain, so
 	// adding special primes never changes the Q primes a spec without them
-	// would get (ciphertext bytes are gadget-independent).
+	// would get.
 	all, err := genNTTPrimes(s.Limbs+s.SpecialLimbs, s.LimbBits, s.LogN)
 	if err != nil {
 		return nil, err

@@ -30,17 +30,27 @@ func fuzzSeedCorpus(t testing.TB) [][]byte {
 	seeded, _ := p.MarshalSeeded(sct)
 	pkData, _ := p.MarshalPublicKey(pk)
 	skData, _ := p.MarshalSecretKey(sk, seed)
-	evkData, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true, GadgetBV))
-	evkHybrid, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true, GadgetHybrid))
+	evkData, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1}, true, GadgetHybrid))
 
-	corpus := [][]byte{nil, []byte("ABCF"), word, packed, seeded, pkData, skData, evkData, evkHybrid}
-	for _, d := range [][]byte{packed, pkData, evkData, evkHybrid} {
+	evkRetired := retiredGadgetTag(evkData)
+
+	corpus := [][]byte{nil, []byte("ABCF"), word, packed, seeded, pkData, skData, evkData, evkRetired}
+	for _, d := range [][]byte{packed, pkData, evkData, evkRetired} {
 		corpus = append(corpus, d[:len(d)/2])
 		flipped := append([]byte(nil), d...)
 		flipped[len(flipped)/3] ^= 0x40
 		corpus = append(corpus, flipped)
 	}
 	return corpus
+}
+
+// retiredGadgetTag forges the gadget byte of a valid evaluation-key blob
+// to 0 — the tag of the retired digit gadget, which every parser must
+// reject from the header alone.
+func retiredGadgetTag(evk []byte) []byte {
+	d := append([]byte(nil), evk...)
+	d[keyHeaderLen()] = 0
+	return d
 }
 
 // fuzzParse runs data through every untrusted-bytes entry point. Successful
@@ -109,10 +119,10 @@ func FuzzUnmarshalEvaluationKeys(f *testing.F) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
 	sk := kg.GenSecretKey()
-	// Both gadgets: the sub-header geometry (and the payload shape it
-	// implies) differs, so each needs its own corpus entries.
-	for _, gadget := range []Gadget{GadgetBV, GadgetHybrid} {
-		evk, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1, 3}, true, gadget))
+	valid, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1, 3}, true, GadgetHybrid))
+	// The valid blob and its retired-tag forgery: the second must fail at
+	// the tag whatever else the header says.
+	for _, evk := range [][]byte{valid, retiredGadgetTag(valid)} {
 		f.Add(evk)
 		// Reach every sub-header branch: bit-flip the key header, the eval
 		// sub-header and the rotation-step table byte by byte.

@@ -24,7 +24,9 @@ const Float64Mantissa = 52
 
 // RoundMantissa rounds x to `mant` explicit mantissa bits with
 // round-to-nearest-even. mant ≥ 52 returns x unchanged. Zeros, infinities
-// and NaNs pass through.
+// and NaNs pass through. A finite input never rounds to an infinity: a
+// top-binade value whose round-up would carry past the largest exponent
+// saturates to ±MaxFloat64.
 func RoundMantissa(x float64, mant int) float64 {
 	if mant >= Float64Mantissa {
 		return x
@@ -43,6 +45,9 @@ func RoundMantissa(x float64, mant int) float64 {
 	b &^= mask
 	if frac > half || (frac == half && (b>>drop)&1 == 1) {
 		b += uint64(1) << drop // may carry into the exponent: correct rounding
+		if (b>>52)&0x7FF == 0x7FF {
+			return math.Copysign(math.MaxFloat64, x)
+		}
 	}
 	return math.Float64frombits(b)
 }

@@ -526,6 +526,19 @@ func TestServeRegisterRejectsAndLifecycle(t *testing.T) {
 	if got := post(append(append([]byte{}, evk...), 0x00)); got != http.StatusBadRequest {
 		t.Errorf("trailing byte: HTTP %d, want 400", got)
 	}
+	// A gadget tag other than hybrid (0 marked the retired digit gadget)
+	// is refused by the header gate, with the payload left unread.
+	for _, tag := range []byte{0, 2} {
+		forged := append([]byte{}, evk...)
+		forged[14] = tag // the gadget byte follows the 14-byte key header
+		body := bytes.NewReader(forged)
+		rec := httptest.NewRecorder()
+		h.ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", body))
+		if read := len(forged) - body.Len(); rec.Code != http.StatusBadRequest || read > registerGatePrefix {
+			t.Errorf("gadget tag %d: HTTP %d after reading %d of %d bytes, want 400 within the %d-byte gate",
+				tag, rec.Code, read, len(forged), registerGatePrefix)
+		}
+	}
 
 	// Admission: a service whose whole budget is smaller than the blob
 	// must reject from the header with 413.

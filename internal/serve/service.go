@@ -195,7 +195,6 @@ type sessionResponse struct {
 	Shared    bool   `json:"shared"` // another session already registered this blob
 	Slots     int    `json:"slots"`
 	MaxLevel  int    `json:"max_level"`
-	Gadget    string `json:"gadget"`
 	Rotations []int  `json:"rotations"`
 	Conjugate bool   `json:"conjugate"`
 }
@@ -320,17 +319,9 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Shared:    shared,
 		Slots:     sp.srv.Slots(),
 		MaxLevel:  info.MaxLevel,
-		Gadget:    gadgetName(info.Gadget),
 		Rotations: info.Steps,
 		Conjugate: info.HasConj,
 	})
-}
-
-func gadgetName(g ckks.Gadget) string {
-	if g == ckks.GadgetHybrid {
-		return "hybrid"
-	}
-	return "bv"
 }
 
 func (s *Service) session(id string) *session {

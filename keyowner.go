@@ -46,7 +46,7 @@ func NewKeyOwner(preset Preset, seedLo, seedHi uint64, opts ...Option) (*KeyOwne
 	}
 	seed := prng.SeedFromUint64s(seedLo, seedHi)
 	sk, pk := ckks.NewKeyGenerator(params, seed).GenKeyPair()
-	return newKeyOwner(params, sk, pk, seed, true), nil
+	return newKeyOwner(params, sk, pk, seed), nil
 }
 
 // NewKeyOwnerFromSecretKey rebuilds a key owner on another machine from
@@ -64,12 +64,12 @@ func NewKeyOwnerFromSecretKey(secretKey []byte, opts ...Option) (*KeyOwner, erro
 		return nil, wireErr(err)
 	}
 	pk := ckks.NewKeyGenerator(params, seed).GenPublicKey(sk)
-	return newKeyOwner(params, sk, pk, seed, true), nil
+	return newKeyOwner(params, sk, pk, seed), nil
 }
 
-func newKeyOwner(params *ckks.Parameters, sk *ckks.SecretKey, pk *ckks.PublicKey, seed [16]byte, owns bool) *KeyOwner {
+func newKeyOwner(params *ckks.Parameters, sk *ckks.SecretKey, pk *ckks.PublicKey, seed [16]byte) *KeyOwner {
 	return &KeyOwner{
-		party:     party{params: params, ownsParams: owns},
+		party:     party{params: params},
 		encoder:   ckks.NewEncoder(params),
 		decryptor: ckks.NewDecryptor(params, sk),
 		secret:    sk,
@@ -91,39 +91,18 @@ func (o *KeyOwner) ExportSecretKey() ([]byte, error) {
 	return o.params.MarshalSecretKey(o.secret, o.seed)
 }
 
-// GadgetType selects the key-switching decomposition an exported
-// evaluation-key set is built for.
-type GadgetType int
-
-const (
-	// GadgetAuto (the default) selects hybrid key switching whenever the
-	// preset carries special primes — every shipped preset does — and
-	// falls back to the BV digit gadget otherwise.
-	GadgetAuto GadgetType = iota
-	// GadgetHybrid forces hybrid (P·Q) key switching: ⌈D/α⌉ key rows over
-	// the raised modulus, linear in depth — the construction every
-	// bootstrappable stack uses. Errors when the preset has no special
-	// primes.
-	GadgetHybrid
-	// GadgetBV forces the PR 4 digit-decomposition gadget (quadratic in
-	// depth). Kept for compatibility with servers that imported BV blobs.
-	GadgetBV
-)
-
 // EvalKeyConfig selects what KeyOwner.ExportEvaluationKeys generates.
 //
-// Key size depends on the gadget: the default hybrid gadget costs
+// The keys are built for hybrid (P·Q) key switching and cost
 // (1 + rotations) · ⌈D/α⌉ · 2 packed polynomials of D+α limbs — linear in
-// depth D — while GadgetBV is quadratic ((1 + rotations) · D² · digits ·
-// 2). Either way, export keys no deeper than the circuit the server runs
+// depth D. Export keys no deeper than the circuit the server runs
 // (MaxLevel) and only the rotation steps it needs (Rotations;
 // InnerSumRotations builds the power-of-two ladder an inner sum or dot
 // product consumes).
 type EvalKeyConfig struct {
 	// MaxLevel caps the depth of every key in the set; key-gated server
 	// operations work on ciphertexts at level ≤ MaxLevel. 0 means full
-	// depth — fine with the hybrid gadget, hundreds of MB per rotation at
-	// the paper-scale presets under GadgetBV.
+	// depth.
 	//
 	// Depth accounting for polynomial evaluation: Server.EvalPoly runs its
 	// relinearized products down to PolyEval.KeyLevel() — the compiled
@@ -138,29 +117,6 @@ type EvalKeyConfig struct {
 	Rotations []int
 	// Conjugate additionally generates the complex-conjugation key.
 	Conjugate bool
-	// Gadget selects the decomposition (GadgetAuto ⇒ hybrid on every
-	// shipped preset).
-	Gadget GadgetType
-}
-
-// resolveGadget maps the public gadget selector onto the scheme layer's.
-func resolveGadget(g GadgetType, params *ckks.Parameters) (ckks.Gadget, error) {
-	switch g {
-	case GadgetAuto:
-		if params.SpecialLimbs > 0 {
-			return ckks.GadgetHybrid, nil
-		}
-		return ckks.GadgetBV, nil
-	case GadgetHybrid:
-		if params.SpecialLimbs == 0 {
-			return 0, fmt.Errorf("%w: hybrid key switching needs special primes; this parameter set has none",
-				ErrGadgetUnsupported)
-		}
-		return ckks.GadgetHybrid, nil
-	case GadgetBV:
-		return ckks.GadgetBV, nil
-	}
-	return 0, fmt.Errorf("%w: unknown gadget selector %d", ErrGadgetUnsupported, g)
 }
 
 // ExportEvaluationKeys generates and serializes an evaluation-key set for
@@ -183,12 +139,12 @@ func (o *KeyOwner) ExportEvaluationKeys(cfg EvalKeyConfig) ([]byte, error) {
 		return nil, fmt.Errorf("%w: evaluation-key depth %d not in [1, %d]",
 			ErrLevelOutOfRange, maxLevel, o.params.MaxLevel())
 	}
-	gadget, err := resolveGadget(cfg.Gadget, o.params)
-	if err != nil {
-		return nil, err
+	if o.params.SpecialLimbs == 0 {
+		return nil, fmt.Errorf("%w: key switching needs special primes; this parameter set has none",
+			ErrGadgetUnsupported)
 	}
 	ks := ckks.NewKeyGenerator(o.params, o.seed).
-		GenEvaluationKeySet(o.secret, maxLevel, cfg.Rotations, cfg.Conjugate, gadget)
+		GenEvaluationKeySet(o.secret, maxLevel, cfg.Rotations, cfg.Conjugate, ckks.GadgetHybrid)
 	return o.params.MarshalEvaluationKeySet(ks)
 }
 

@@ -20,16 +20,10 @@ import (
 //   - Server — keyless: expands compressed uploads and evaluates.
 //
 // All constructors and methods return typed errors (see errors.go) on
-// misuse; panics are reserved for internal invariants. The legacy Client
-// remains as a deprecated facade composed of the three roles.
+// misuse; panics are reserved for internal invariants.
 
 // Option configures a party at construction.
 type Option func(*config)
-
-// ClientOption is the pre-role name for Option.
-//
-// Deprecated: use Option.
-type ClientOption = Option
 
 type config struct {
 	workers int
@@ -91,11 +85,17 @@ func paramsFromKeyBlob(blob []byte, wantKind byte, opts []Option) (*ckks.Paramet
 // header and the geometry sub-header, range-validate both, and verify the
 // blob length they imply, all before any payload-proportional work. The
 // geometry is attacker-controlled too: a forged header claiming a huge
-// depth or rotation table is rejected here, never allocated for.
+// depth or rotation table is rejected here, never allocated for. A header
+// that is well-formed up to a gadget tag other than hybrid — the retired
+// digit-gadget format — is ErrGadgetUnsupported as well as malformed.
 func readEvalKeyBlob(blob []byte) (ckks.ParamSpec, ckks.EvalKeyInfo, error) {
 	spec, info, err := ckks.ReadEvalKeyInfo(blob)
 	if err != nil {
-		return ckks.ParamSpec{}, ckks.EvalKeyInfo{}, wireErr(err)
+		err = wireErr(err)
+		if info.Gadget != ckks.GadgetHybrid {
+			err = fmt.Errorf("%w: %w", ErrGadgetUnsupported, err)
+		}
+		return ckks.ParamSpec{}, ckks.EvalKeyInfo{}, err
 	}
 	if err := spec.Validate(); err != nil {
 		return ckks.ParamSpec{}, ckks.EvalKeyInfo{}, wireErr(err)
@@ -113,8 +113,7 @@ func readEvalKeyBlob(blob []byte) (ckks.ParamSpec, ckks.EvalKeyInfo, error) {
 // SerializeCiphertext, rejection rules in the deserializer) applies to
 // every role by construction.
 type party struct {
-	params     *ckks.Parameters
-	ownsParams bool // false when a Client facade shares its params
+	params *ckks.Parameters
 }
 
 // Slots returns the number of complex message slots (N/2).
@@ -132,11 +131,7 @@ func (p *party) Workers() int { return p.params.Workers() }
 // concurrently — serving-layer teardown reaches it from multiple paths
 // (drain, deferred cleanup, signal handlers), and a second Close is a
 // no-op.
-func (p *party) Close() {
-	if p.ownsParams {
-		p.params.Close()
-	}
-}
+func (p *party) Close() { p.params.Close() }
 
 // SerializeCiphertext encodes ct in the packed 44-bit wire format — the
 // exact byte stream the accelerator's DRAM/wire accounting charges.

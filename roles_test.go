@@ -281,69 +281,6 @@ func TestEncryptorWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestFacadeMatchesRoles: the deprecated Client is a composition of the
-// three roles — its ciphertexts must be byte-identical to a standalone
-// Encryptor built from the owner's exported key with the same seed.
-func TestFacadeMatchesRoles(t *testing.T) {
-	client, err := NewClient(Test, 31337, 42424)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := NewKeyOwner(Test, 31337, 42424)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkBytes, err := owner.ExportPublicKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same seed as the facade's embedded encryptor.
-	device, err := NewEncryptor(pkBytes, 31337, 42424)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	msg := testMsgs(client.Slots(), 1)[0]
-	fromFacade, err := client.SerializeCiphertext(client.EncodeEncrypt(msg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := device.EncodeEncrypt(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDevice, err := device.SerializeCiphertext(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fromFacade, fromDevice) {
-		t.Fatal("facade ciphertext differs from the role-built device's")
-	}
-
-	// And the standalone owner decrypts the facade's ciphertext.
-	back, err := owner.DeserializeCiphertext(fromFacade)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := owner.DecryptDecode(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range msg {
-		if cmplx.Abs(got[i]-msg[i]) > 1e-4 {
-			t.Fatalf("slot %d error %g", i, cmplx.Abs(got[i]-msg[i]))
-		}
-	}
-
-	// The facade's roles are exposed and share one parameter set.
-	if client.KeyOwner() == nil || client.Encryptor() == nil || client.Server() == nil {
-		t.Fatal("facade roles not exposed")
-	}
-	if client.KeyOwner().params != client.Encryptor().params {
-		t.Fatal("facade roles must share parameters")
-	}
-}
-
 // TestSeededUploadsNoStreamReuse: two KeyOwner instances over the same
 // key material (restart/migration) must never reuse a (seed, stream)
 // pair — otherwise c0 − c0' would equal the plaintext difference with no

@@ -38,7 +38,7 @@ func NewServer(preset Preset, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newServer(params, true), nil
+	return newServer(params), nil
 }
 
 // NewServerFromEvaluationKeys bootstraps a server from nothing but an
@@ -56,7 +56,7 @@ func NewServerFromEvaluationKeys(evalKeys []byte, opts ...Option) (*Server, *Eva
 	if err != nil {
 		return nil, nil, wireErr(err)
 	}
-	srv := newServer(params, true)
+	srv := newServer(params)
 	evk, err := srv.ImportEvaluationKeys(evalKeys)
 	if err != nil {
 		srv.Close() // release the private lane engine WithWorkers installed
@@ -65,9 +65,9 @@ func NewServerFromEvaluationKeys(evalKeys []byte, opts ...Option) (*Server, *Eva
 	return srv, evk, nil
 }
 
-func newServer(params *ckks.Parameters, owns bool) *Server {
+func newServer(params *ckks.Parameters) *Server {
 	return &Server{
-		party:   party{params: params, ownsParams: owns},
+		party:   party{params: params},
 		eval:    ckks.NewEvaluator(params),
 		encoder: ckks.NewEncoder(params),
 	}
@@ -86,16 +86,6 @@ type EvaluationKeys struct {
 // operations are limited to ciphertexts at level ≤ MaxLevel.
 func (k *EvaluationKeys) MaxLevel() int { return k.set.MaxLevel }
 
-// Gadget reports which key-switching decomposition the imported set was
-// built for (GadgetHybrid or GadgetBV — an imported set is never
-// GadgetAuto).
-func (k *EvaluationKeys) Gadget() GadgetType {
-	if k.set.Gadget == ckks.GadgetHybrid {
-		return GadgetHybrid
-	}
-	return GadgetBV
-}
-
 // RotationSteps lists the rotation steps the set carries, ascending.
 func (k *EvaluationKeys) RotationSteps() []int { return k.set.Steps() }
 
@@ -104,10 +94,12 @@ func (k *EvaluationKeys) HasConjugate() bool { return k.set.Conj != nil }
 
 // ImportEvaluationKeys parses an evaluation-key blob (from
 // KeyOwner.ExportEvaluationKeys), validating the embedded parameter spec
-// against the server's, the geometry against the gadget, and every
-// residue against the modulus chain. A blob from a different preset, a
-// truncated or bit-flipped blob, or one whose domain byte claims
-// NTT-tagged payload all return ErrMalformedWire.
+// against the server's and every residue against the modulus chain. A
+// blob from a different preset, a truncated or bit-flipped blob, or one
+// whose domain byte claims NTT-tagged payload all return
+// ErrMalformedWire; a blob whose gadget tag is not the hybrid one (the
+// retired digit-gadget format carried tag 0) additionally returns
+// ErrGadgetUnsupported, from the header alone.
 func (s *Server) ImportEvaluationKeys(data []byte) (*EvaluationKeys, error) {
 	if _, _, err := readEvalKeyBlob(data); err != nil {
 		return nil, err
@@ -625,11 +617,6 @@ func (s *Server) SlotsToCoeffs(re, im *Ciphertext, dft *HomomorphicDFT, evk *Eva
 	}
 	return s.eval.SlotsToCoeffs(re, im, dft.dft, rot), nil
 }
-
-// Evaluator exposes the low-level keyless evaluator (plaintext operands,
-// panicking misuse semantics) for call sites that have already validated
-// their inputs.
-func (s *Server) Evaluator() *ckks.Evaluator { return s.eval }
 
 // Slots, MaxLevel, Workers, Close, SerializeCiphertext,
 // DeserializeCiphertext, CiphertextWireBytes and CompressedWireBytes are
