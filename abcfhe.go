@@ -18,8 +18,8 @@
 //     but bytes — packed wire formats for ciphertexts, compressed
 //     uploads, and keys.
 //   - Accelerator: the modeled ABC-FHE chip — cycle-level latency,
-//     throughput, and the 28 nm area/power composition — plus every
-//     experiment of the paper's evaluation section (see Experiments).
+//     throughput, and the 28 nm area/power composition (cmd/abcbench
+//     regenerates the paper's tables and figures from the same model).
 //
 // Misuse of the public surface (bad lengths, wrong levels, malformed
 // bytes, unknown presets) returns typed errors (see errors.go); panics
@@ -31,7 +31,6 @@ package abcfhe
 import (
 	"fmt"
 
-	"repro/internal/bench"
 	"repro/internal/ckks"
 	"repro/internal/core"
 	"repro/internal/fftfp"
@@ -117,23 +116,6 @@ func (a *Accelerator) EncodeEncryptMS() float64 { return a.sys.EncodeEncrypt().T
 
 // DecodeDecryptMS returns the simulated decode+decrypt latency (ms).
 func (a *Accelerator) DecodeDecryptMS() float64 { return a.sys.DecodeDecrypt().TimeMS }
-
-// ---------------------------------------------------------------------
-// Experiments
-// ---------------------------------------------------------------------
-
-// Experiments lists the reproducible tables/figures of the paper.
-func Experiments() []string { return bench.IDs() }
-
-// RunExperiment regenerates one table/figure and returns its rendered
-// text. fast trades fidelity (smaller rings) for speed.
-func RunExperiment(id string, fast bool) (string, error) {
-	r, err := bench.Run(id, bench.Options{Fast: fast})
-	if err != nil {
-		return "", err
-	}
-	return r.Render(), nil
-}
 
 // FP55MantissaBits is the custom floating-point mantissa width the RFE
 // uses (paper Fig. 3c: ≥43 bits keeps bootstrapping precision above the

@@ -96,20 +96,6 @@ func TestAcceleratorSummary(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistry(t *testing.T) {
-	ids := Experiments()
-	if len(ids) != 16 {
-		t.Fatalf("expected 16 experiments, have %v", ids)
-	}
-	out, err := RunExperiment("table1", true)
-	if err != nil || out == "" {
-		t.Fatalf("table1: %v", err)
-	}
-	if _, err := RunExperiment("nope", true); err == nil {
-		t.Fatal("unknown experiment must error")
-	}
-}
-
 func TestSerializationAPI(t *testing.T) {
 	owner, device, _ := threeParties(t, Test, 5, 6)
 	msg := testMsgs(8, 1)[0]

@@ -16,18 +16,21 @@
 //	abc-fhe decrypt  -sk sk.key -in ct.bin                  # key owner
 //
 // The eval subcommand bootstraps its server from the evaluation-key blob
-// alone (the parameter spec is embedded) and supports ops mul, rotate,
-// conjugate, innersum, dot, c2s, s2c, evalpoly and evalmod — the
-// encrypted-compute surface of the Server role. c2s (CoeffsToSlots) emits
-// two ciphertexts (-out the real coefficient half, -out2 the imaginary
-// one); s2c inverts it, taking the pair back via -a/-b. Both need an
-// evaluation-key blob exported with `evalkeys -dft-levels N`. evalpoly
-// applies the polynomial whose monomial coefficients -coeffs lists (one
-// per line, degree order) over the interval the -lo/-hi flags give, via
-// the BSGS Chebyshev schedule; evalmod applies the sine-surrogate
-// modular reduction (-degree, -range) — the bootstrap stage that follows
-// c2s. Message files hold one complex value per line: "re" or
-// "re im".
+// alone (the parameter spec is embedded) and runs one row of the
+// evaluation-op table in internal/evalop — the encrypted-compute surface
+// of the Server role, the same rows `abc-fhe serve` exposes under
+// /v1/eval/{op}; `abc-fhe eval -h` lists them. A row's operands are
+// files: ciphertexts via -a/-b, text values via -weights (dot) or -coeffs
+// (evalpoly). c2s (CoeffsToSlots) emits two ciphertexts (-out the real
+// coefficient half, -out2 the imaginary one); s2c inverts it, taking the
+// pair back via -a/-b. Both need an evaluation-key blob exported with
+// `evalkeys -dft-levels N`. evalpoly applies the polynomial whose
+// monomial coefficients -coeffs lists (one per line, degree order) over
+// the interval the -lo/-hi flags give, via the BSGS Chebyshev schedule;
+// evalmod applies the sine-surrogate modular reduction (-degree, -range)
+// — the bootstrap stage that follows c2s; expand regenerates a full
+// ciphertext from a seeded compressed upload (-a). Message files hold one
+// complex value per line: "re" or "re im".
 //
 // Demo usage:
 //
@@ -45,12 +48,14 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	abcfhe "repro"
+	"repro/internal/evalop"
 )
 
 func main() {
@@ -237,37 +242,67 @@ func runEvalKeys(args []string) error {
 	return nil
 }
 
-// runEval is the server role on files: bootstrap from the evaluation-key
-// blob (no preset flag — the spec is embedded), apply one key-gated
-// operation, write the resulting ciphertext.
+// runEval is the server role on files, and the CLI driver of the evalop
+// table: bootstrap from the evaluation-key blob (no preset flag — the
+// spec is embedded), read the row's operands from the files its flags
+// name, forward the explicitly-set flags as the row's parameters, run it
+// and write the resulting ciphertext(s).
 func runEval(args []string) error {
 	fs := flag.NewFlagSet("eval", flag.ContinueOnError)
 	evkPath := fs.String("evk", "evk.bin", "evaluation-key blob from `abc-fhe evalkeys`")
-	op := fs.String("op", "", "operation: mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod")
-	aPath := fs.String("a", "", "first ciphertext file")
-	bPath := fs.String("b", "", "second ciphertext file (mul; the imaginary half for s2c)")
-	by := fs.Int("by", 0, "rotation step (rotate)")
-	span := fs.Int("span", 0, "inner-sum span, a power of two (innersum)")
-	weights := fs.String("weights", "", "plaintext weight file, one value per line (dot)")
-	coeffsPath := fs.String("coeffs", "", "monomial coefficient file, one value per line in degree order (evalpoly)")
-	lo := fs.Float64("lo", -1, "approximation interval lower bound (evalpoly)")
-	hi := fs.Float64("hi", 1, "approximation interval upper bound (evalpoly)")
-	level := fs.Int("level", 0, "input level the polynomial is compiled at (evalpoly, evalmod; 0 = minimum feasible)")
-	degree := fs.Int("degree", 0, "sine-surrogate Taylor degree (evalmod; 0 = 15)")
-	modRange := fs.Float64("range", 0, "sine-surrogate modulus analogue (evalmod; 0 = 8)")
-	dftLevels := fs.Int("dft-levels", 1, "butterfly groups per direction (c2s, s2c) — match `evalkeys -dft-levels`")
+	opName := fs.String("op", "", "operation: "+evalop.Names())
+	fs.String("a", "", "first ciphertext file (expand: the compressed upload)")
+	fs.String("b", "", "second ciphertext file (mul; the imaginary half for s2c)")
+	fs.Int("by", 0, "rotation step (rotate)")
+	fs.Int("span", 0, "inner-sum span, a power of two (innersum)")
+	fs.String("weights", "", "plaintext weight file, one value per line (dot)")
+	fs.String("coeffs", "", "monomial coefficient file, one value per line in degree order (evalpoly)")
+	fs.Float64("lo", -1, "approximation interval lower bound (evalpoly)")
+	fs.Float64("hi", 1, "approximation interval upper bound (evalpoly)")
+	fs.Int("level", 0, "input level the polynomial is compiled at (evalpoly, evalmod; 0 = minimum feasible)")
+	fs.Int("degree", 0, "sine-surrogate Taylor degree (evalmod; 0 = 15)")
+	fs.Float64("range", 0, "sine-surrogate modulus analogue (evalmod; 0 = 8)")
+	fs.Int("dft-levels", 1, "butterfly groups per direction (c2s, s2c) — match `evalkeys -dft-levels`")
 	out2Path := fs.String("out2", "ct.out2.bin", "second output ciphertext file (c2s imaginary half)")
 	dropLevel := fs.Int("drop-level", 0, "DropLevel the inputs first (0 = keep; use the evalkeys depth)")
-	rescale := fs.Int("rescale", 0, "Rescale the result n times (a mul consumes 1, or 2 on double-scale presets)")
+	fs.Int("rescale", 0, "Rescale the result n times (a mul consumes 1, or 2 on double-scale presets)")
 	outPath := fs.String("out", "ct.out.bin", "output ciphertext file")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
 	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *aPath == "" {
-		return fmt.Errorf("eval: -a ciphertext file required")
+	op := evalop.Lookup(*opName)
+	if op == nil {
+		return fmt.Errorf("eval: unknown -op %q (%s)", *opName, evalop.Names())
 	}
+
+	// Each operand is the file its like-named flag points at.
+	parts := make([][]byte, len(op.Operands))
+	flags := make([]string, len(op.Operands))
+	for i, o := range op.Operands {
+		flags[i] = "-" + o.Name
+	}
+	for i, o := range op.Operands {
+		path := fs.Lookup(o.Name).Value.String()
+		if path == "" {
+			return fmt.Errorf("eval: -op %s needs %s", op.Name, strings.Join(flags, " and "))
+		}
+		var err error
+		if parts[i], err = os.ReadFile(path); err != nil {
+			return err
+		}
+	}
+	// The row's parameters are the flags the user set, under their own
+	// names; only -dft-levels travels as `levels`.
+	params := url.Values{}
+	fs.Visit(func(f *flag.Flag) {
+		name := f.Name
+		if name == "dft-levels" {
+			name = "levels"
+		}
+		params.Set(name, f.Value.String())
+	})
 
 	evkBytes, err := os.ReadFile(*evkPath)
 	if err != nil {
@@ -279,152 +314,33 @@ func runEval(args []string) error {
 		return err
 	}
 	defer server.Close()
+	eng := evalop.NewEngine(server)
 
-	loadCt := func(path string) (*abcfhe.Ciphertext, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ct, err := server.DeserializeCiphertext(data)
-		if err != nil {
-			return nil, err
-		}
-		if *dropLevel > 0 {
-			return server.DropLevel(ct, *dropLevel)
-		}
-		return ct, nil
-	}
-	a, err := loadCt(*aPath)
+	in, err := eng.Decode(op, parts)
 	if err != nil {
 		return err
 	}
-
-	var out *abcfhe.Ciphertext
-	switch *op {
-	case "mul":
-		if *bPath == "" {
-			return fmt.Errorf("eval: -op mul needs -b")
-		}
-		b, err := loadCt(*bPath)
-		if err != nil {
-			return err
-		}
-		out, err = server.Mul(a, b, evk)
-		if err != nil {
-			return err
-		}
-	case "rotate":
-		if out, err = server.Rotate(a, *by, evk); err != nil {
-			return err
-		}
-	case "conjugate":
-		if out, err = server.Conjugate(a, evk); err != nil {
-			return err
-		}
-	case "innersum":
-		if out, err = server.InnerSum(a, *span, evk); err != nil {
-			return err
-		}
-	case "dot":
-		if *weights == "" {
-			return fmt.Errorf("eval: -op dot needs -weights")
-		}
-		w, err := readMessageFile(*weights)
-		if err != nil {
-			return err
-		}
-		if out, err = server.DotPlain(a, w, evk); err != nil {
-			return err
-		}
-	case "c2s":
-		// CoeffsToSlots consumes the input at its current level (use
-		// -drop-level to start shallower) and emits the two real-valued
-		// coefficient halves as separate ciphertexts.
-		dft, err := server.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{
-			StartLevel: a.Level, Levels: *dftLevels})
-		if err != nil {
-			return err
-		}
-		re, im, err := server.CoeffsToSlots(a, dft, evk)
-		if err != nil {
-			return err
-		}
-		imData, err := server.SerializeCiphertext(im)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*out2Path, imData, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("eval c2s: level-%d imaginary half, %d bytes -> %s\n", im.Level, len(imData), *out2Path)
-		out = re
-	case "s2c":
-		if *bPath == "" {
-			return fmt.Errorf("eval: -op s2c needs -b (the imaginary half from c2s)")
-		}
-		b, err := loadCt(*bPath)
-		if err != nil {
-			return err
-		}
-		// Recover the schedule from the inputs: the pair sits at the DFT's
-		// mid level, so scan start levels for the one whose midpoint lands
-		// there (StartLevel − Levels·rescales, preset-dependent).
-		var dft *abcfhe.HomomorphicDFT
-		for start := a.Level + 1; start <= server.MaxLevel(); start++ {
-			d, err := server.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{
-				StartLevel: start, Levels: *dftLevels})
-			if err == nil && d.MidLevel() == a.Level {
-				dft = d
-				break
+	if *dropLevel > 0 {
+		for i, ct := range in.Cts {
+			if in.Cts[i], err = server.DropLevel(ct, *dropLevel); err != nil {
+				return err
 			}
 		}
-		if dft == nil {
-			return fmt.Errorf("eval: no %d-level DFT has its midpoint at level %d (wrong -dft-levels, or inputs too shallow)", *dftLevels, a.Level)
-		}
-		if out, err = server.SlotsToCoeffs(a, b, dft, evk); err != nil {
-			return err
-		}
-	case "evalpoly":
-		if *coeffsPath == "" {
-			return fmt.Errorf("eval: -op evalpoly needs -coeffs")
-		}
-		coeffs, err := readMessageFile(*coeffsPath)
-		if err != nil {
-			return err
-		}
-		pe, err := server.NewPolyEval(coeffs, *lo, *hi, *level)
-		if err != nil {
-			return err
-		}
-		if out, err = server.EvalPoly(a, pe, evk); err != nil {
-			return err
-		}
-	case "evalmod":
-		em, err := server.NewEvalMod(abcfhe.EvalModConfig{
-			Degree: *degree, Range: *modRange, Level: *level})
-		if err != nil {
-			return err
-		}
-		if out, err = server.EvalMod(a, em, evk); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("eval: unknown -op %q (mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod)", *op)
 	}
-	for i := 0; i < *rescale; i++ {
-		if out, err = server.Rescale(out); err != nil {
-			return err
-		}
-	}
-
-	data, err := server.SerializeCiphertext(out)
+	run, err := eng.Compile(op, params, in)
 	if err != nil {
 		return err
 	}
-	if err := os.WriteFile(*outPath, data, 0o644); err != nil {
+	cts, wire, err := run(evk)
+	if err != nil {
 		return err
 	}
-	fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", *op, out.Level, len(data), *outPath)
+	for i, path := range []string{*outPath, *out2Path}[:len(wire)] {
+		if err := os.WriteFile(path, wire[i], 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", op.Name, cts[i].Level, len(wire[i]), path)
+	}
 	return nil
 }
 
@@ -563,36 +479,16 @@ func runDecrypt(args []string) error {
 	return w.Flush()
 }
 
-// readMessageFile parses one complex value per line: "re" or "re im",
-// whitespace-separated. Blank lines and #-comments are skipped.
+// readMessageFile reads a message file: one complex value per line, "re"
+// or "re im" (evalop.ParseComplexLines has the grammar).
 func readMessageFile(path string) ([]complex128, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var msg []complex128
-	for lineNo, line := range strings.Split(string(raw), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) > 2 {
-			return nil, fmt.Errorf("%s:%d: want \"re\" or \"re im\", got %q", path, lineNo+1, line)
-		}
-		var re, im float64
-		if re, err = strconv.ParseFloat(fields[0], 64); err != nil {
-			return nil, fmt.Errorf("%s:%d: %v", path, lineNo+1, err)
-		}
-		if len(fields) == 2 {
-			if im, err = strconv.ParseFloat(fields[1], 64); err != nil {
-				return nil, fmt.Errorf("%s:%d: %v", path, lineNo+1, err)
-			}
-		}
-		msg = append(msg, complex(re, im))
-	}
-	if len(msg) == 0 {
-		return nil, fmt.Errorf("%s: no values", path)
+	msg, err := evalop.ParseComplexLines(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return msg, nil
 }

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ckks"
@@ -345,13 +346,17 @@ func TestEvalPolyBackendWorkerInvariance(t *testing.T) {
 	}
 }
 
+// StartLevel 19: the c2s outputs land at MidLevel 15, exactly the
+// degree-15 EvalMod's preferred-schedule level.
+const pn15EvalModStartLevel, pn15EvalModLevels = 19, 2
+
 // pn15EvalModRun executes the bootstrap nonlinear stage at PN15 under one
 // (backend, workers) configuration: encrypt, CoeffsToSlots, EvalMod on
 // both coefficient halves, compare each against fftfp.SinSurrogate
 // applied to the decrypted CoeffsToSlots outputs (so the measurement
 // isolates EvalMod's own noise), and return the result blobs plus the
 // worst-slot error across both halves.
-func pn15EvalModRun(t *testing.T, backend string, workers int) (blobs map[string][]byte, worst float64) {
+func pn15EvalModRun(t *testing.T, backend string, workers int, evk *EvaluationKeys) (blobs map[string][]byte, worst float64) {
 	t.Helper()
 	opts := []Option{WithWorkers(workers), WithBackend(backend)}
 	owner, device, server := threeParties(t, PN15, 0x9F25, 0x9F26, opts...)
@@ -360,26 +365,11 @@ func pn15EvalModRun(t *testing.T, backend string, workers int) (blobs map[string
 	defer server.Close()
 	slots := server.Slots()
 
-	// StartLevel 19: the c2s outputs land at MidLevel 15, exactly the
-	// degree-15 EvalMod's preferred-schedule level.
-	const startLevel, levels = 19, 2
-	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: startLevel, Levels: levels})
+	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: pn15EvalModStartLevel, Levels: pn15EvalModLevels})
 	if err != nil {
 		t.Fatal(err)
 	}
 	em, err := server.NewEvalMod(EvalModConfig{Level: dft.MidLevel()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
-		MaxLevel:  startLevel,
-		Rotations: HomomorphicDFTRotations(slots, levels),
-		Conjugate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evk, err := server.ImportEvaluationKeys(evkBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,14 +430,16 @@ func TestPN15EvalModRoundTrip(t *testing.T) {
 	// schedule's scale bookkeeping or the key-switch noise path land here.
 	const pn15EvalModFloorBits = 20.0
 
-	ref, errPortable := pn15EvalModRun(t, "portable", 1)
+	evk := pn15DFTKeys(t, 0x9F25, 0x9F26, pn15EvalModStartLevel, pn15EvalModLevels)
+	ref, errPortable := pn15EvalModRun(t, "portable", 1, evk)
 	bits := -math.Log2(errPortable)
 	t.Logf("PN15 C2S→EvalMod worst-slot error %.3g (%.1f bits)", errPortable, bits)
 	if bits < pn15EvalModFloorBits {
 		t.Fatalf("EvalMod precision %.1f bits, floor %g", bits, pn15EvalModFloorBits)
 	}
 
-	got, errFast := pn15EvalModRun(t, "fast", 8)
+	runtime.GC() // the portable leg's tables and plans go before the fast leg's arrive
+	got, errFast := pn15EvalModRun(t, "fast", 8, evk)
 	if errFast != errPortable {
 		t.Fatalf("EvalMod error differs across backends: %g vs %g", errFast, errPortable)
 	}

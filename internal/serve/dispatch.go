@@ -2,16 +2,16 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"log"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	abcfhe "repro"
+	"repro/internal/evalop"
 )
-
-// runFunc executes one evaluation against the session's (possibly nil,
-// for key-free ops) evaluation keys and returns the response parts.
-type runFunc func(evk *abcfhe.EvaluationKeys) ([][]byte, error)
 
 // request is one queued operation. done is buffered so a worker never
 // blocks on a handler whose client already disconnected.
@@ -19,7 +19,7 @@ type request struct {
 	op        string
 	needsKeys bool
 	ctx       context.Context
-	run       runFunc
+	run       evalop.Run // against the session's keys (nil for key-free ops)
 	done      chan result
 	enqueued  time.Time
 }
@@ -169,8 +169,7 @@ func (d *dispatcher) runBatch(s *session, batch []*request) {
 		case r.needsKeys && keyErr != nil:
 			res = result{err: keyErr}
 		default:
-			parts, err := r.run(keys)
-			res = result{parts: parts, err: err}
+			res = d.runOne(r, keys)
 		}
 		// Latency is enqueue→completion: queue wait is part of what the
 		// client experienced, and what capacity planning needs.
@@ -181,4 +180,22 @@ func (d *dispatcher) runBatch(s *session, batch []*request) {
 	if release != nil {
 		release()
 	}
+}
+
+// runOne is the seam every request's compute enters through. The scheme
+// layers panic on states they consider impossible and lanes re-raises a
+// lane's panic on its caller, i.e. here, on a bare worker goroutine — so
+// a panic is turned into this request's error (HTTP 500), counted, and
+// logged with its stack; the worker, the rest of the batch and the key
+// release carry on.
+func (d *dispatcher) runOne(r *request, keys *abcfhe.EvaluationKeys) (res result) {
+	defer func() {
+		if p := recover(); p != nil {
+			d.m.panics.Add(1)
+			log.Printf("serve: panic in op %s: %v\n%s", r.op, p, debug.Stack())
+			res = result{err: fmt.Errorf("serve: internal error in op %s: %v", r.op, p)}
+		}
+	}()
+	_, parts, err := r.run(keys)
+	return result{parts: parts, err: err}
 }

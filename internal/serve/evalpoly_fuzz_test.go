@@ -4,10 +4,10 @@ package serve
 // coefficient vector arrives as attacker-controlled text and the
 // interval/degree/range/scaling knobs as attacker-controlled query
 // strings, all parsed on the HTTP goroutine. The contract is errors
-// only — no panics anywhere in parse → compile — and every compilation
+// only — no panics anywhere in decode → compile — and every compilation
 // the surface accepts must actually run to a serialized result with
 // full-depth keys (on the Test preset an accepted plan's KeyLevel is
-// always covered, so a runFunc failure would mean the compile-time
+// always covered, so a run failure would mean the compile-time
 // validation let an inconsistent plan through).
 
 import (
@@ -16,7 +16,7 @@ import (
 	"testing"
 
 	abcfhe "repro"
-	"repro/internal/ckks"
+	"repro/internal/evalop"
 )
 
 type fuzzEvalEnv struct {
@@ -43,15 +43,11 @@ func evalPolyFuzzEnv(t testing.TB) fuzzEvalEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, _, err := ckks.ReadEvalKeyInfo(evkBlob)
-		if err != nil {
-			t.Fatal(err)
-		}
 		srv, keys, err := abcfhe.NewServerFromEvaluationKeys(evkBlob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp, err := newSpecServer(srv, spec)
+		sp, err := newSpecServer(srv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,20 +73,25 @@ func evalPolyFuzzEnv(t testing.TB) fuzzEvalEnv {
 	return fuzzEnv
 }
 
-// tryEvalPolyRequest drives one fuzzed request through the same build →
-// run path the HTTP handler uses.
-func tryEvalPolyRequest(t *testing.T, env fuzzEvalEnv, op string, q url.Values, parts [][]byte) {
+// tryEvalPolyRequest drives one fuzzed request through the same table
+// row, decode → compile → run, the HTTP handler uses.
+func tryEvalPolyRequest(t *testing.T, env fuzzEvalEnv, name string, q url.Values, parts [][]byte) {
 	t.Helper()
-	run, err := opTable[op].build(env.sp, q, parts)
+	op := evalop.Lookup(name)
+	in, err := env.sp.eng.Decode(op, parts)
 	if err != nil {
-		return // rejected at parse/compile time: exactly the contract
+		return // rejected at parse time: exactly the contract
 	}
-	out, err := run(env.keys)
+	run, err := env.sp.eng.Compile(op, q, in)
 	if err != nil {
-		t.Fatalf("%s: accepted compilation failed at run time: %v", op, err)
+		return // rejected at compile time: likewise
+	}
+	_, out, err := run(env.keys)
+	if err != nil {
+		t.Fatalf("%s: accepted compilation failed at run time: %v", name, err)
 	}
 	if len(out) != 1 || len(out[0]) == 0 {
-		t.Fatalf("%s: accepted compilation returned %d parts", op, len(out))
+		t.Fatalf("%s: accepted compilation returned %d parts", name, len(out))
 	}
 }
 
@@ -120,7 +121,7 @@ func FuzzEvalPolyCoeffs(f *testing.F) {
 
 // TestEvalPolyRequestHardening is the deterministic slice of
 // FuzzEvalPolyCoeffs that runs on every push: the seed corpus shapes
-// driven straight through the build/run path.
+// driven straight through the decode/compile/run path.
 func TestEvalPolyRequestHardening(t *testing.T) {
 	env := evalPolyFuzzEnv(t)
 	cases := []struct {

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	abcfhe "repro"
 )
@@ -85,37 +83,4 @@ func ReadFrames(r io.Reader, maxParts int, maxPart int64) ([][]byte, error) {
 		return nil, fmt.Errorf("%w: trailing bytes after %d frames", abcfhe.ErrMalformedWire, count)
 	}
 	return parts, nil
-}
-
-// parseComplexLines parses the CLI message-file format ("re" or "re im"
-// per line, # comments) from a request part — the dot endpoint's weight
-// vector travels this way so files feed both the CLI and the service
-// unchanged.
-func parseComplexLines(data []byte) ([]complex128, error) {
-	var vals []complex128
-	for ln, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) > 2 {
-			return nil, fmt.Errorf("%w: weights line %d: want \"re\" or \"re im\"", abcfhe.ErrInvalidConstant, ln+1)
-		}
-		re, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			return nil, fmt.Errorf("%w: weights line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
-		}
-		im := 0.0
-		if len(fields) == 2 {
-			if im, err = strconv.ParseFloat(fields[1], 64); err != nil {
-				return nil, fmt.Errorf("%w: weights line %d: %v", abcfhe.ErrInvalidConstant, ln+1, err)
-			}
-		}
-		vals = append(vals, complex(re, im))
-	}
-	if len(vals) == 0 {
-		return nil, fmt.Errorf("%w: empty weight vector", abcfhe.ErrInvalidConstant)
-	}
-	return vals, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -48,6 +49,7 @@ type metrics struct {
 	mu              sync.Mutex
 	ops             map[string]*opMetrics
 	throttled       uint64
+	panics          atomic.Uint64 // run panics turned into 500s (dispatcher.runOne)
 	batches         uint64
 	batchedRequests uint64
 	sessionsOpened  uint64
@@ -142,6 +144,7 @@ func (m *metrics) writeTo(w io.Writer, cs CacheStats, g gauges) {
 	}
 
 	fmt.Fprintf(w, "abcfhe_serve_throttled_total %d\n", m.throttled)
+	fmt.Fprintf(w, "abcfhe_serve_panics_total %d\n", m.panics.Load())
 	fmt.Fprintf(w, "abcfhe_serve_batches_total %d\n", m.batches)
 	fmt.Fprintf(w, "abcfhe_serve_batched_requests_total %d\n", m.batchedRequests)
 	fmt.Fprintf(w, "abcfhe_serve_sessions_opened_total %d\n", m.sessionsOpened)

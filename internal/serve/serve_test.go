@@ -23,6 +23,7 @@ import (
 	"time"
 
 	abcfhe "repro"
+	"repro/internal/evalop"
 )
 
 func mustMsgs(t *testing.T, slots, n int) [][]complex128 {
@@ -251,6 +252,14 @@ func TestServeEndToEndByteIdentity(t *testing.T) {
 		}
 	}
 
+	// The table is the endpoint list: a row added without a case here
+	// would be an endpoint nobody checked against the direct call.
+	for _, row := range evalop.All() {
+		if _, ok := requests[row.Name]; !ok {
+			t.Errorf("table row %q has no byte-identity case", row.Name)
+		}
+	}
+
 	m := h.metrics()
 	if m["abcfhe_serve_cache_hits_total"] == 0 {
 		t.Error("metrics: no cache hits recorded after successful evals")
@@ -376,12 +385,12 @@ func TestDispatcherBackpressureAndCoalescing(t *testing.T) {
 	mk := func(st chan struct{}) *request {
 		return &request{
 			op: "test", ctx: context.Background(), done: make(chan result, 1), enqueued: time.Now(),
-			run: func(*abcfhe.EvaluationKeys) ([][]byte, error) {
+			run: func(*abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, [][]byte, error) {
 				if st != nil {
 					close(st)
 				}
 				<-block
-				return [][]byte{[]byte("ok")}, nil
+				return nil, [][]byte{[]byte("ok")}, nil
 			},
 		}
 	}
@@ -420,6 +429,72 @@ func TestDispatcherBackpressureAndCoalescing(t *testing.T) {
 	}
 	if got := d.inflight.Load(); got != 0 {
 		t.Errorf("inflight=%d after drain, want 0", got)
+	}
+}
+
+// TestDispatcherRecoversRunPanic: a run that panics (the scheme layers do,
+// on states they consider impossible) costs that request a 500 and
+// nothing else — the requests batched around it complete, the counter
+// moves, the batch's key pin is released, and the worker is still there
+// for the session's next request.
+func TestDispatcherRecoversRunPanic(t *testing.T) {
+	m := newMetrics()
+	h := newCacheHarness(t, 10) // room for exactly one size-10 entry
+	if err := h.register("h", 10, true); err != nil {
+		t.Fatal(err)
+	}
+	d := newDispatcher(h.c, m, time.Now, 4, 1)
+	defer d.close()
+	s := &session{id: "s", hash: "h"}
+
+	block := make(chan struct{})
+	mk := func(boom, needsKeys bool) *request {
+		return &request{
+			op: "test", needsKeys: needsKeys, ctx: context.Background(), done: make(chan result, 1), enqueued: time.Now(),
+			run: func(*abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, [][]byte, error) {
+				<-block
+				if boom {
+					panic("ring: impossible state")
+				}
+				return nil, [][]byte{[]byte("ok")}, nil
+			},
+		}
+	}
+	// The first request holds the worker so the other two coalesce behind
+	// it; the panicking one sits between two good ones.
+	reqs := []*request{mk(false, true), mk(true, true), mk(false, true)}
+	for _, r := range reqs {
+		if err := d.enqueue(s, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(block)
+	for i, want := range []int{http.StatusOK, http.StatusInternalServerError, http.StatusOK} {
+		res := <-reqs[i].done
+		got := http.StatusOK
+		if res.err != nil {
+			got = httpStatus(res.err)
+		}
+		if got != want {
+			t.Errorf("request %d: status %d (err %v), want %d", i+1, got, res.err, want)
+		}
+	}
+	if got := m.panics.Load(); got != 1 {
+		t.Errorf("panics counter = %d, want 1", got)
+	}
+
+	// A key-free follow-up runs as a later batch on the same worker, so
+	// once it is done the panicking batch's key release has run: the
+	// one-entry budget can evict "h" for a newcomer only if it is unpinned.
+	after := mk(false, false)
+	if err := d.enqueue(s, after); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-after.done; res.err != nil {
+		t.Errorf("request after the panic: %v", res.err)
+	}
+	if err := h.register("g", 10, true); err != nil {
+		t.Errorf("keys still pinned after the panicking batch: %v", err)
 	}
 }
 

@@ -45,6 +45,7 @@ import (
 
 	abcfhe "repro"
 	"repro/internal/ckks"
+	"repro/internal/evalop"
 )
 
 // Config sizes a Service. Zero values select the documented defaults.
@@ -275,7 +276,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, err)
 			return
 		}
-		sp, err = newSpecServer(srv, spec)
+		sp, err = newSpecServer(srv)
 		if err != nil {
 			srv.Close()
 			writeErr(w, err)
@@ -301,7 +302,7 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if err := s.cache.Register(hash, int64(want), spool, decoded, sp.importKeys); err != nil {
+	if err := s.cache.Register(hash, int64(want), spool, decoded, sp.srv.ImportEvaluationKeys); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -367,44 +368,73 @@ func (s *Service) handleUnregister(w http.ResponseWriter, r *http.Request) {
 // evaluation
 // ---------------------------------------------------------------------
 
+// specServer is the shared evaluation engine for one parameter set: all
+// sessions whose key blobs embed the same ParamSpec evaluate on one
+// abcfhe.Server (stateless per-op, race-audited in
+// server_concurrency_test.go) and share its pre-encoded DFT pipelines.
+type specServer struct {
+	srv     *abcfhe.Server
+	eng     *evalop.Engine
+	maxPart int64 // per-frame byte cap: a full-depth ciphertext + slack
+}
+
+func newSpecServer(srv *abcfhe.Server) (*specServer, error) {
+	ctMax, err := srv.CiphertextWireBytes(srv.MaxLevel())
+	if err != nil {
+		return nil, err
+	}
+	maxPart := int64(ctMax) + 64
+	if maxPart < 1<<20 { // dot's plaintext weight vector travels as text
+		maxPart = 1 << 20
+	}
+	return &specServer{srv: srv, eng: evalop.NewEngine(srv), maxPart: maxPart}, nil
+}
+
+// handleEval is the HTTP driver of the evalop table. Framing, operand
+// decoding and compilation happen here on the HTTP goroutine (malformed
+// input fails fast with 4xx, before the request occupies queue
+// capacity); only the compiled, key-gated run goes to a dispatch worker.
 func (s *Service) handleEval(w http.ResponseWriter, r *http.Request) {
 	sess := s.session(r.URL.Query().Get("session"))
 	if sess == nil {
 		writeErr(w, ErrUnknownSession)
 		return
 	}
-	op := r.PathValue("op")
-	spec, ok := opTable[op]
-	if !ok {
-		writeErr(w, fmt.Errorf("%w: unknown op %q (mul, rotate, conjugate, innersum, dot, c2s, s2c, evalpoly, evalmod, expand)",
-			abcfhe.ErrMalformedWire, op))
+	op := evalop.Lookup(r.PathValue("op"))
+	if op == nil {
+		writeErr(w, fmt.Errorf("%w: unknown op %q (%s)", abcfhe.ErrMalformedWire, r.PathValue("op"), evalop.Names()))
 		return
 	}
-	sp := sess.sp
-	bodyCap := int64(spec.maxParts)*(sp.maxPart+4) + 4
-	parts, err := ReadFrames(http.MaxBytesReader(w, r.Body, bodyCap), spec.maxParts, sp.maxPart)
+	sp, want := sess.sp, len(op.Operands)
+	bodyCap := int64(want)*(sp.maxPart+4) + 4
+	parts, err := ReadFrames(http.MaxBytesReader(w, r.Body, bodyCap), want, sp.maxPart)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if len(parts) < spec.minParts {
+	if len(parts) < want {
 		writeErr(w, fmt.Errorf("%w: op %s wants %d frame parts, got %d",
-			abcfhe.ErrMalformedWire, op, spec.minParts, len(parts)))
+			abcfhe.ErrMalformedWire, op.Name, want, len(parts)))
 		return
 	}
 	inBytes := 0
 	for _, p := range parts {
 		inBytes += len(p)
 	}
-	run, err := spec.build(sp, r.URL.Query(), parts)
+	in, err := sp.eng.Decode(op, parts)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	run, err := sp.eng.Compile(op, r.URL.Query(), in)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
 
 	req := &request{
-		op:        op,
-		needsKeys: spec.needsKeys,
+		op:        op.Name,
+		needsKeys: op.NeedsKeys,
 		ctx:       r.Context(),
 		run:       run,
 		done:      make(chan result, 1),

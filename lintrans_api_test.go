@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -318,11 +319,51 @@ func TestLinearTransformBackendWorkerInvariance(t *testing.T) {
 	}
 }
 
+// pn15DFTKeys exports the PN15 homomorphic-DFT key set (depth startLevel,
+// the `levels`-group rotation ladder, conjugation) from the owner seeded
+// (seedLo, seedHi) and imports it once. Key material is independent of
+// backend and worker count, so both legs of a PN15 round trip evaluate
+// against this one decoded set: a second export+import would put a
+// second multi-GB generated set, blob and decoded set through the heap,
+// which is what used to OOM the suite. The blob is unreachable once this
+// returns; the collection here keeps it from overlapping the first leg.
+func pn15DFTKeys(t *testing.T, seedLo, seedHi uint64, startLevel, levels int) *EvaluationKeys {
+	t.Helper()
+	owner, err := NewKeyOwner(PN15, seedLo, seedHi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	server, err := NewServer(PN15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
+		MaxLevel:  startLevel,
+		Rotations: HomomorphicDFTRotations(owner.Slots(), levels),
+		Conjugate: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC() // the generated set is garbage; don't let it overlap the decode
+	evk, err := server.ImportEvaluationKeys(evkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evkBytes = nil
+	runtime.GC()
+	return evk
+}
+
+const pn15DFTStartLevel, pn15DFTLevels = 10, 2
+
 // pn15DFTRun executes the PN15 homomorphic-DFT round trip under one
 // (backend, workers) configuration: encrypt, CoeffsToSlots, check the
 // coefficient extraction against the plaintext IFFT, SlotsToCoeffs,
 // return the three result blobs and the round-trip worst-slot error.
-func pn15DFTRun(t *testing.T, backend string, workers int) (blobs map[string][]byte, roundTripErr float64) {
+func pn15DFTRun(t *testing.T, backend string, workers int, evk *EvaluationKeys) (blobs map[string][]byte, roundTripErr float64) {
 	t.Helper()
 	opts := []Option{WithWorkers(workers), WithBackend(backend)}
 	owner, device, server := threeParties(t, PN15, 0x9F15, 0x9F16, opts...)
@@ -331,20 +372,7 @@ func pn15DFTRun(t *testing.T, backend string, workers int) (blobs map[string][]b
 	defer server.Close()
 	slots := server.Slots()
 
-	const startLevel, levels = 10, 2
-	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: startLevel, Levels: levels})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
-		MaxLevel:  startLevel,
-		Rotations: HomomorphicDFTRotations(slots, levels),
-		Conjugate: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	evk, err := server.ImportEvaluationKeys(evkBytes)
+	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: pn15DFTStartLevel, Levels: pn15DFTLevels})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,14 +421,16 @@ func TestPN15HomomorphicDFTRoundTrip(t *testing.T) {
 	// key-switch noise path all show up here first.
 	const pn15DFTFloorBits = 38.0
 
-	ref, errPortable := pn15DFTRun(t, "portable", 1)
+	evk := pn15DFTKeys(t, 0x9F15, 0x9F16, pn15DFTStartLevel, pn15DFTLevels)
+	ref, errPortable := pn15DFTRun(t, "portable", 1, evk)
 	bits := -math.Log2(errPortable)
 	t.Logf("PN15 C2S→S2C worst-slot error %.3g (%.1f bits)", errPortable, bits)
 	if bits < pn15DFTFloorBits {
 		t.Fatalf("round-trip precision %.1f bits, floor %g", bits, pn15DFTFloorBits)
 	}
 
-	got, errFast := pn15DFTRun(t, "fast", 8)
+	runtime.GC() // the portable leg's tables and transforms go before the fast leg's arrive
+	got, errFast := pn15DFTRun(t, "fast", 8, evk)
 	if errFast != errPortable {
 		t.Fatalf("round-trip error differs across backends: %g vs %g", errFast, errPortable)
 	}
