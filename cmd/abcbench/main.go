@@ -13,14 +13,14 @@
 //
 // Benchmark-regression gate (the CI `bench-check` step):
 //
-//	abcbench -check -out BENCH_8.json -budget bench_budget.json
+//	abcbench -check
 //
-// runs the MulRelin (max level on PN15, under both the portable and fast
-// execution backends), Rotate, DecryptDecode and EncodeEncrypt benchmarks,
-// appends the JSON report to the out file, and exits non-zero when
-// allocs/op or evaluation-key blob bytes regress past the committed
-// budgets — or when the fast backend's fused key switch stops beating the
-// portable staged path.
+// runs the client-pipeline, key-switch (MulRelin and Rotate at max level
+// on PN15), linear-transform and polynomial-evaluation benchmarks on the
+// fast backend, appends the JSON report to -out (BENCH.json), and exits
+// non-zero when allocs/op or evaluation-key blob bytes regress past the
+// budgets committed in -budget (bench_budget.json) — or when the BSGS
+// linear transform stops beating naive per-diagonal rotations.
 package main
 
 import (
@@ -39,7 +39,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	check := flag.Bool("check", false, "run the benchmark-regression gate instead of experiments")
-	checkOut := flag.String("out", "BENCH_8.json", "bench-check: report output path (appended to, not overwritten)")
+	checkOut := flag.String("out", "BENCH.json", "bench-check: report output path (appended to, not overwritten)")
 	checkBudget := flag.String("budget", "bench_budget.json", "bench-check: committed budget file")
 	flag.Parse()
 

@@ -1,15 +1,13 @@
 // Benchmark-regression gate (the `abcbench -check` mode CI runs): execute
-// the key-switch and client-pipeline benchmarks under both execution
-// backends, append a machine-readable report to BENCH_8.json, and fail
-// when an allocation count or evaluation-key blob size regresses past the
+// the key-switch and client-pipeline benchmarks on the default (fast)
+// backend, append a machine-readable report to BENCH.json, and fail when
+// an allocation count or evaluation-key blob size regresses past the
 // budgets committed in bench_budget.json.
 //
-// Wall-clock numbers are recorded but only gated *relatively* — the fast
-// backend's fused pipeline must beat the portable staged one on the same
-// op (the claim the backend seam exists for), and the BSGS linear
-// transform must beat naive per-diagonal rotations. Absolute ns/op budgets
-// would flap with CI hardware, while allocs/op and wire bytes are
-// deterministic.
+// Wall-clock numbers are recorded but only gated *relatively*, on one
+// structural claim: the BSGS linear transform must beat naive per-diagonal
+// rotations. Absolute ns/op budgets would flap with CI hardware, while
+// allocs/op and wire bytes are deterministic.
 
 package bench
 
@@ -29,7 +27,7 @@ import (
 	"repro/internal/prng"
 )
 
-// BenchRecord is one row of a BENCH_8.json report.
+// BenchRecord is one row of a BENCH.json report.
 type BenchRecord struct {
 	Op          string  `json:"op"`
 	NsPerOp     float64 `json:"ns_per_op,omitempty"`
@@ -38,7 +36,7 @@ type BenchRecord struct {
 	BlobBytes   int64   `json:"evk_blob_bytes,omitempty"`
 }
 
-// BenchReport is one gate run. BENCH_8.json holds an array of these —
+// BenchReport is one gate run. BENCH.json holds an array of these —
 // RunBenchCheck appends rather than overwrites, so a committed baseline
 // survives CI re-runs and speedups stay comparable across PRs.
 type BenchReport struct {
@@ -233,7 +231,7 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	report := BenchReport{
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
-		Backends:  []string{lanes.Portable.Name(), lanes.Fast.Name()},
+		Backends:  []string{lanes.Fast.Name()},
 	}
 	add := func(r BenchRecord) {
 		report.Records = append(report.Records, r)
@@ -277,33 +275,18 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 		}
 	})))
 
-	// --- Rotations (Test preset, max level), both backends.
-	// Key material and ciphertext bytes are backend-independent, so one
-	// key serves both measurements; only the execution strategy flips.
-	// The portable run keeps the historical op name for budget continuity;
-	// the fast run exercises the fused key-switch pipeline. Each op runs
-	// once before its benchmark: ops near or above benchtime report a
-	// b.N=1 round, and an unwarmed round would charge the one-time pool
-	// population to allocs/op — the budgets gate the steady state.
+	// --- Rotation (Test preset, max level). Each op runs once before its
+	// benchmark: ops near or above benchtime report a b.N=1 round, and an
+	// unwarmed round would charge the one-time pool population to
+	// allocs/op — the budgets gate the steady state.
 	ctT := encryptorT.Encrypt(encT.Encode(msgT))
-	g1 := pTest.GaloisElement(1)
-	rotHy := kgT.GenRotationKeyHybridAt(g1, pTest.MaxLevel())
-	pTest.SetBackend(lanes.Portable)
+	rotHy := kgT.GenRotationKeyHybridAt(pTest.GaloisElement(1), pTest.MaxLevel())
 	evT.RotateGalois(ctT, rotHy)
-	rotPort := testing.Benchmark(func(b *testing.B) {
+	add(record("RotateHybrid", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			evT.RotateGalois(ctT, rotHy)
 		}
-	})
-	add(record("RotateHybrid", rotPort))
-	pTest.SetBackend(lanes.Fast)
-	evT.RotateGalois(ctT, rotHy)
-	rotFused := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			evT.RotateGalois(ctT, rotHy)
-		}
-	})
-	add(record("RotateHybridFused", rotFused))
+	})))
 
 	// --- BSGS linear transform vs naive per-diagonal rotation (Test
 	// preset, fast backend): the structural claim the blocked baby-step/
@@ -349,8 +332,7 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	})
 	add(record("LinearTransformNaive", naiveBench))
 
-	// --- The headline: MulRelin at max level on PN15 under both backends
-	// (staged portable vs fused fast) ---
+	// --- Paper scale: PN15 at max level ---
 	p15 := ckks.PN15.MustBuild()
 	p15.SetBackend(lanes.Fast)
 	kg15 := ckks.NewKeyGenerator(p15, gateSeed())
@@ -361,27 +343,16 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	msg15 := benchMsg(p15)
 	ct15 := encryptor15.Encrypt(enc15.Encode(msg15))
 
-	// The PN15 hoisted rotation first — the op the fused pipeline's hoist
-	// stage exists for, at a geometry where kernel time (not dispatch
-	// overhead) dominates.
+	// The single-shot rotation first, at a geometry where kernel time (not
+	// dispatch overhead) dominates.
 	fmt.Fprintln(w, "generating PN15 hybrid rotation key (max depth)…")
 	rot15 := kg15.GenRotationKeyHybridAt(p15.GaloisElement(1), p15.MaxLevel())
-	p15.SetBackend(lanes.Portable)
 	ev15.RotateGalois(ct15, rot15)
-	rot15Port := testing.Benchmark(func(b *testing.B) {
+	add(record("RotateHybridPN15", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev15.RotateGalois(ct15, rot15)
 		}
-	})
-	add(record("RotateHybridPN15", rot15Port))
-	p15.SetBackend(lanes.Fast)
-	ev15.RotateGalois(ct15, rot15)
-	rot15Fused := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev15.RotateGalois(ct15, rot15)
-		}
-	})
-	add(record("RotateHybridFusedPN15", rot15Fused))
+	})))
 	rot15 = nil
 	runtime.GC()
 
@@ -404,22 +375,12 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 
 	fmt.Fprintln(w, "generating PN15 hybrid relinearization key (max depth)…")
 	rlkHy := kg15.GenRelinearizationKeyHybridAt(p15.MaxLevel())
-	p15.SetBackend(lanes.Portable)
 	ev15.MulRelin(ct15, ct15, rlkHy)
-	hyPortBench := testing.Benchmark(func(b *testing.B) {
+	add(record("MulRelinHybridPN15", testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ev15.MulRelin(ct15, ct15, rlkHy)
 		}
-	})
-	add(record("MulRelinHybridPN15", hyPortBench))
-	p15.SetBackend(lanes.Fast)
-	ev15.MulRelin(ct15, ct15, rlkHy)
-	hyFusedBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev15.MulRelin(ct15, ct15, rlkHy)
-		}
-	})
-	add(record("MulRelinHybridPN15Fused", hyFusedBench))
+	})))
 
 	// --- Polynomial evaluation at paper scale (fast backend, reusing the
 	// max-depth relinearization key): the BSGS Chebyshev schedule on a
@@ -468,23 +429,8 @@ func RunBenchCheck(outPath, budgetPath string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "report appended -> %s\n", outPath)
 
-	// --- Relative gates ---
+	// --- Relative gate ---
 	var failures []string
-	if hyFusedBench.NsPerOp() >= hyPortBench.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused MulRelin on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op)",
-			hyFusedBench.NsPerOp(), hyPortBench.NsPerOp()))
-	}
-	if rotFused.NsPerOp() >= rotPort.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused Rotate on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op)",
-			rotFused.NsPerOp(), rotPort.NsPerOp()))
-	}
-	if rot15Fused.NsPerOp() >= rot15Port.NsPerOp() {
-		failures = append(failures, fmt.Sprintf(
-			"fused Rotate on the fast backend (%d ns/op) does not beat the portable staged path (%d ns/op) on PN15",
-			rot15Fused.NsPerOp(), rot15Port.NsPerOp()))
-	}
 	if bsgsBench.NsPerOp() >= naiveBench.NsPerOp() {
 		failures = append(failures, fmt.Sprintf(
 			"BSGS linear transform (%d ns/op) does not beat naive per-diagonal rotations (%d ns/op)",

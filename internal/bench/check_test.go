@@ -12,17 +12,14 @@ func testReport() BenchReport {
 	return BenchReport{Records: []BenchRecord{
 		{Op: "EncodeEncrypt", AllocsPerOp: 51},
 		{Op: "DecryptDecode", AllocsPerOp: 23},
-		{Op: "RotateHybrid", AllocsPerOp: 49},
-		{Op: "RotateHybridFused", AllocsPerOp: 89},
-		{Op: "LinearTransformBSGS", AllocsPerOp: 355},
-		{Op: "LinearTransformNaive", AllocsPerOp: 727},
-		{Op: "RotateHybridPN15", AllocsPerOp: 72},
-		{Op: "RotateHybridFusedPN15", AllocsPerOp: 299},
-		{Op: "MulRelinHybridPN15", AllocsPerOp: 92},
-		{Op: "MulRelinHybridPN15Fused", AllocsPerOp: 319},
-		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 3444},
-		{Op: "EvalPolyPN15", AllocsPerOp: 1128},
-		{Op: "EvalModPN15", AllocsPerOp: 1779},
+		{Op: "RotateHybrid", AllocsPerOp: 88},
+		{Op: "LinearTransformBSGS", AllocsPerOp: 437},
+		{Op: "LinearTransformNaive", AllocsPerOp: 716},
+		{Op: "RotateHybridPN15", AllocsPerOp: 298},
+		{Op: "MulRelinHybridPN15", AllocsPerOp: 318},
+		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 6666},
+		{Op: "EvalPolyPN15", AllocsPerOp: 1088},
+		{Op: "EvalModPN15", AllocsPerOp: 1812},
 		{Op: "EvkBlobHybridPN15", BlobBytes: 242221089},
 	}}
 }

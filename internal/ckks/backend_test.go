@@ -2,11 +2,13 @@ package ckks
 
 // Backend-seam tests: the portable and fast backends must produce
 // byte-identical ciphertexts for every operation (the lanes.Backend
-// contract), and the fused hybrid key-switch pipeline must match the
-// staged path exactly — fused vs staged under one backend isolates the
-// fusion, portable vs fast over whole ops covers the kernels.
+// contract), and the key-switch schedule must match its spec-shaped
+// staged reference exactly — schedule vs reference under one backend
+// isolates the scheduling, portable vs fast over whole ops covers the
+// kernels.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/lanes"
@@ -35,8 +37,8 @@ func requireSameCT(t *testing.T, r *ring.Ring, what string, a, b *Ciphertext) {
 }
 
 // TestBackendEquivalence: the full client+server pipeline — encrypt,
-// hybrid MulRelin (fused on fast), hybrid rotation (fused), hoisted
-// rotations, rescale — is byte-identical across backends.
+// hybrid MulRelin, hybrid rotation, hoisted rotations, rescale — is
+// byte-identical across backends.
 func TestBackendEquivalence(t *testing.T) {
 	pPort, pFast := backendPair()
 	msg1 := randMsg(pPort, 0, 301)
@@ -77,133 +79,234 @@ func TestBackendEquivalence(t *testing.T) {
 	requireSameCT(t, r, "hoisted rotation[1]", a.hoist1, b.hoist1)
 }
 
-// stagedSwitch runs the pre-fusion pipeline explicitly (hoist → apply →
-// closing INTTs), regardless of the ring's backend.
-func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (*ring.Poly, *ring.Poly) {
-	rl := p.RingAt(level)
-	out0 := rl.NewPoly()
-	out1 := rl.NewPoly()
-	out0.IsNTT, out1.IsNTT = true, true
-	h := p.hoistHybrid(c, level)
-	p.applyInto(h, ksk, perm, out0, out1)
-	p.releaseDigits(h)
-	rl.INTT(out0)
-	rl.INTT(out1)
-	return out0, out1
+// stagedSwitch is the spec-shaped reference for a hybrid key switch,
+// written out of whole-polynomial ring ops only and independent of every
+// production scheduling function: per group ModUpInto → NTT → per-limb MAC
+// into zeroed QP accumulators, then per half INTT of the P rows →
+// ModUpInto (P → Q_ℓ) → NTT → rounding divide, and the closing INTT. It
+// also returns the NTT-domain digits it decomposed c into.
+func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (out [2]*ring.Poly, digits []*ring.Poly) {
+	k := p.SpecialLimbs
+	rl, rqp := p.RingAt(level), p.RingQPAt(level)
+	s := [2]*ring.Poly{rqp.NewPoly(), rqp.NewPoly()}
+	for j := 0; j < p.DnumAt(level); j++ {
+		lo, hi := p.groupRange(level, j)
+		d := rqp.NewPoly()
+		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
+		rqp.NTT(d)
+		digits = append(digits, d)
+		for m := 0; m < level+k; m++ {
+			km := m // the key's P tail sits after all ksk.Level of its Q rows
+			if m >= level {
+				km = ksk.Level + (m - level)
+			}
+			rqp.MulAddPairRow(m, perm, d.Coeffs[m], ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], s[0].Coeffs[m], s[1].Coeffs[m])
+		}
+	}
+	for h, acc := range s {
+		accP := &ring.Poly{Coeffs: acc.Coeffs[level:], IsNTT: true}
+		p.ringP.INTT(accP)
+		ext := rl.NewPoly()
+		rl.ModUpInto(p.modDownExtender(level), accP.Coeffs, ext)
+		rl.NTT(ext)
+		out[h] = rl.NewPoly()
+		out[h].IsNTT = true
+		for i := 0; i < level; i++ {
+			rl.SubMulAddRow(i, p.pInvModQ[i], acc.Coeffs[i], ext.Coeffs[i], out[h].Coeffs[i])
+		}
+		rl.INTT(out[h])
+	}
+	return out, digits
 }
 
-// TestFusedMatchesStaged: switchHybridFused equals the staged pipeline
-// byte for byte — full depth and a level with a short last group, with
-// and without a hoisting permutation, against a depth-capped key (the
-// km key-row mapping) and a full-depth one.
-func TestFusedMatchesStaged(t *testing.T) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	rlkFull := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
-	perm := p.Ring().GaloisPermNTT(p.GaloisElement(1))
+// switchCase is one cell of the reference table: a backend-bound
+// parameter set, a switching key (full depth, or capped at 3 so the key's
+// P tail does not sit at the ciphertext's level — the km row mapping) and
+// a level the key can switch.
+type switchCase struct {
+	name  string
+	p     *Parameters
+	ksk   *SwitchingKey
+	level int
+}
 
-	for _, level := range []int{p.MaxLevel(), 3} { // 3 % α=2 ≠ 0: short group
-		rl := p.RingAt(level)
-		c := rl.NewPoly()
-		rl.UniformPoly(prng.NewSource(testSeed(), 9000+uint64(level)), c)
-		for _, tc := range []struct {
-			name string
-			perm []int32
-		}{{"identity", nil}, {"permuted", perm}} {
-			s0, s1 := stagedSwitch(p, c, level, rlkFull.K, tc.perm)
-			f0 := rl.NewPoly()
-			f1 := rl.NewPoly()
-			f0.IsNTT, f1.IsNTT = true, true
-			p.switchHybridFused(c, level, rlkFull.K, tc.perm, f0, f1, true)
-			if !rl.Equal(s0, f0) || !rl.Equal(s1, f1) {
-				t.Fatalf("level %d %s: fused switch diverges from staged", level, tc.name)
-			}
-			if f0.IsNTT || f1.IsNTT {
-				t.Fatalf("level %d: closeNTT must land in the coefficient domain", level)
+// switchCases spans {portable, fast} × {full-depth, depth-capped key} ×
+// every level the key supports (α = 2, so odd levels end in a short group).
+func switchCases() []switchCase {
+	var cases []switchCase
+	pPort, pFast := backendPair()
+	for _, p := range []*Parameters{pPort, pFast} {
+		kg := NewKeyGenerator(p, testSeed())
+		for _, depth := range []int{p.MaxLevel(), 3} {
+			ksk := kg.GenRelinearizationKeyHybridAt(depth).K
+			for level := 1; level <= depth; level++ {
+				name := fmt.Sprintf("%s depth %d level %d", p.Backend().Name(), depth, level)
+				cases = append(cases, switchCase{name, p, ksk, level})
 			}
 		}
 	}
+	return cases
 }
 
-// TestFusedHoistMatchesStaged: the two-dispatch hoist produces the same
-// digit polynomials as the staged per-group hoist.
+// requireSwitchMatchesStaged checks both production routes against the
+// reference on one input: the single-shot switch and hoist → applyInto,
+// each closed either inside the divide stage or by a separate INTT.
+func requireSwitchMatchesStaged(t *testing.T, tc switchCase, c *ring.Poly, perm []int32, what string) {
+	t.Helper()
+	p, level := tc.p, tc.level
+	rl, rqp := p.RingAt(level), p.RingQPAt(level)
+	want, digits := stagedSwitch(p, c, level, tc.ksk, perm)
+	check := func(route string, got0, got1 *ring.Poly) {
+		t.Helper()
+		if got0.IsNTT || got1.IsNTT {
+			t.Fatalf("%s %s: %s must land in the coefficient domain", tc.name, what, route)
+		}
+		if !rl.Equal(want[0], got0) || !rl.Equal(want[1], got1) {
+			t.Fatalf("%s %s: %s diverges from the staged reference", tc.name, what, route)
+		}
+	}
+	fresh := func() (*ring.Poly, *ring.Poly) {
+		a, b := rl.NewPoly(), rl.NewPoly()
+		a.IsNTT, b.IsNTT = true, true
+		return a, b
+	}
+
+	f0, f1 := fresh()
+	p.switchInto(c, level, tc.ksk, perm, f0, f1, true)
+	check("single-shot switch", f0, f1)
+	g0, g1 := fresh()
+	p.switchInto(c, level, tc.ksk, perm, g0, g1, false)
+	rl.INTT(g0)
+	rl.INTT(g1)
+	check("single-shot switch → INTT", g0, g1)
+
+	h := p.hoist(c, level)
+	for j, d := range digits {
+		if !rqp.Equal(d, h.dig[j]) {
+			t.Fatalf("%s %s: hoisted digit %d diverges from ModUp → NTT", tc.name, what, j)
+		}
+	}
+	a0, a1 := fresh()
+	p.applyInto(h, tc.ksk, perm, a0, a1, true)
+	check("hoist → applyInto", a0, a1)
+	b0, b1 := fresh()
+	p.applyInto(h, tc.ksk, perm, b0, b1, false)
+	rl.INTT(b0)
+	rl.INTT(b1)
+	check("hoist → applyInto → INTT", b0, b1)
+	p.releaseDigits(h)
+}
+
+// TestFusedMatchesStaged: the single-shot switch and the hoisted route
+// equal the staged reference byte for byte — every level, with and without
+// a hoisting permutation, full-depth and depth-capped keys, both backends.
+func TestFusedMatchesStaged(t *testing.T) {
+	for _, tc := range switchCases() {
+		rl := tc.p.RingAt(tc.level)
+		c := rl.NewPoly()
+		rl.UniformPoly(prng.NewSource(testSeed(), 9000+uint64(tc.level)), c)
+		requireSwitchMatchesStaged(t, tc, c, nil, "identity")
+		requireSwitchMatchesStaged(t, tc, c, tc.p.Ring().GaloisPermNTT(tc.p.GaloisElement(1)), "permuted")
+	}
+}
+
+// TestFusedHoistMatchesStaged: one hoisted decomposition serves several
+// Galois elements — each apply equals the reference switch under that
+// element, and the digits are left intact for the next.
 func TestFusedHoistMatchesStaged(t *testing.T) {
-	p := testParams
-	for _, level := range []int{p.MaxLevel(), 3} {
+	for _, tc := range switchCases() {
+		p, level := tc.p, tc.level
 		rl := p.RingAt(level)
 		c := rl.NewPoly()
 		rl.UniformPoly(prng.NewSource(testSeed(), 9100+uint64(level)), c)
-		hs := p.hoistHybrid(c, level)
-		hf := p.hoistHybridFused(c, level)
-		rqp := p.RingQPAt(level)
-		for j := range hs.dig {
-			if !rqp.Equal(hs.dig[j], hf.dig[j]) {
-				t.Fatalf("level %d group %d: fused hoist diverges", level, j)
+		h := p.hoist(c, level)
+		for _, step := range []int{1, 2, 5} {
+			perm := p.Ring().GaloisPermNTT(p.GaloisElement(step))
+			want, _ := stagedSwitch(p, c, level, tc.ksk, perm)
+			got0, got1 := rl.NewPoly(), rl.NewPoly()
+			got0.IsNTT, got1.IsNTT = true, true
+			p.applyInto(h, tc.ksk, perm, got0, got1, true)
+			if !rl.Equal(want[0], got0) || !rl.Equal(want[1], got1) {
+				t.Fatalf("%s step %d: apply over shared digits diverges from the staged reference", tc.name, step)
 			}
 		}
-		p.releaseDigits(hs)
-		p.releaseDigits(hf)
+		p.releaseDigits(h)
 	}
 }
 
-// TestFusedSwitchAllocs: the fused pipeline's steady state draws all
-// polynomial scratch from the pools — per call it may allocate only the
-// small orchestration slices and the per-dispatch job headers, never a
-// digit buffer (β·(L+k)·N words) or accumulator storage.
+// TestFusedSwitchAllocs: the schedule's steady state draws all polynomial
+// scratch from the pools — per call it may allocate only the small
+// orchestration slices and the per-dispatch job headers, never a digit
+// buffer (β·(L+k)·N words) or accumulator storage — on either backend,
+// single-shot or hoisted.
 func TestFusedSwitchAllocs(t *testing.T) {
-	p := TestParams.MustBuild()
-	p.SetBackend(lanes.Fast)
-	kg := NewKeyGenerator(p, testSeed())
-	rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
-	level := p.MaxLevel()
-	rl := p.RingAt(level)
-	c := rl.NewPoly()
-	rl.UniformPoly(prng.NewSource(testSeed(), 9200), c)
-	out0 := rl.NewPoly()
-	out1 := rl.NewPoly()
+	pPort, pFast := backendPair()
+	for _, p := range []*Parameters{pPort, pFast} {
+		kg := NewKeyGenerator(p, testSeed())
+		rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
+		level := p.MaxLevel()
+		rl := p.RingAt(level)
+		c := rl.NewPoly()
+		rl.UniformPoly(prng.NewSource(testSeed(), 9200), c)
+		out0 := rl.NewPoly()
+		out1 := rl.NewPoly()
 
-	run := func() {
-		out0.IsNTT, out1.IsNTT = true, true
-		p.switchHybridFused(c, level, rlk.K, nil, out0, out1, true)
-	}
-	for i := 0; i < 3; i++ {
-		run() // warm the pools
-	}
-	// 5 dispatches × (job + closure), the β-sized bookkeeping slices, and
-	// one slab-header box per pooled row returned (~77 small objects at
-	// the test geometry). The budget is about what must NOT appear: any
-	// O(N) storage — a digit buffer or accumulator allocation would blow
-	// past it immediately at real ring degrees.
-	if allocs := testing.AllocsPerRun(10, run); allocs > 96 {
-		t.Fatalf("fused switch allocates %.0f objects/op, budget 96", allocs)
+		// Per route: dispatches × (job + closure), the β-sized bookkeeping,
+		// pooled-poly wrappers and one slab-header box per pooled row
+		// returned. The budgets are about what must NOT appear: any O(N)
+		// storage — a digit buffer or accumulator allocation would blow
+		// past them immediately at real ring degrees.
+		for _, route := range []struct {
+			name   string
+			budget float64
+			run    func()
+		}{
+			{"single-shot switch", 96, func() {
+				out0.IsNTT, out1.IsNTT = true, true
+				p.switchInto(c, level, rlk.K, nil, out0, out1, true)
+			}},
+			{"hoist → applyInto", 96, func() {
+				out0.IsNTT, out1.IsNTT = true, true
+				h := p.hoist(c, level)
+				p.applyInto(h, rlk.K, nil, out0, out1, true)
+				p.releaseDigits(h)
+			}},
+		} {
+			for i := 0; i < 3; i++ {
+				route.run() // warm the pools
+			}
+			allocs := testing.AllocsPerRun(10, route.run)
+			t.Logf("%s %s: %.0f allocs/op", p.Backend().Name(), route.name, allocs)
+			if allocs > route.budget {
+				t.Fatalf("%s %s allocates %.0f objects/op, budget %.0f", p.Backend().Name(), route.name, allocs, route.budget)
+			}
+		}
 	}
 }
 
-// FuzzFusedHybridSwitch: for arbitrary inputs and levels, fused and
-// staged hybrid switching agree byte for byte.
+// FuzzFusedHybridSwitch: for arbitrary inputs and levels, both production
+// routes agree with the staged reference byte for byte on both backends.
 func FuzzFusedHybridSwitch(f *testing.F) {
-	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
-	perm := p.Ring().GaloisPermNTT(p.GaloisElement(2))
+	pPort, pFast := backendPair()
+	var keys [2]*SwitchingKey
+	for i, p := range []*Parameters{pPort, pFast} {
+		keys[i] = NewKeyGenerator(p, testSeed()).GenRelinearizationKeyHybridAt(p.MaxLevel()).K
+	}
+	perm := pPort.Ring().GaloisPermNTT(pPort.GaloisElement(2))
 	f.Add(uint64(1), uint64(2), uint8(4), false)
 	f.Add(uint64(3), uint64(4), uint8(3), true)
 	f.Fuzz(func(t *testing.T, seedLo, seedHi uint64, levelByte uint8, permute bool) {
-		level := 1 + int(levelByte)%p.MaxLevel()
-		rl := p.RingAt(level)
-		c := rl.NewPoly()
-		rl.UniformPoly(prng.NewSource(prng.SeedFromUint64s(seedLo, seedHi), 11), c)
+		level := 1 + int(levelByte)%pPort.MaxLevel()
 		var pm []int32
 		if permute {
 			pm = perm
 		}
-		s0, s1 := stagedSwitch(p, c, level, rlk.K, pm)
-		f0 := rl.NewPoly()
-		f1 := rl.NewPoly()
-		f0.IsNTT, f1.IsNTT = true, true
-		p.switchHybridFused(c, level, rlk.K, pm, f0, f1, true)
-		if !rl.Equal(s0, f0) || !rl.Equal(s1, f1) {
-			t.Fatalf("level %d permute=%v: fused switch diverges from staged", level, permute)
+		for i, p := range []*Parameters{pPort, pFast} {
+			rl := p.RingAt(level)
+			c := rl.NewPoly()
+			rl.UniformPoly(prng.NewSource(prng.SeedFromUint64s(seedLo, seedHi), 11), c)
+			tc := switchCase{p.Backend().Name(), p, keys[i], level}
+			requireSwitchMatchesStaged(t, tc, c, pm, fmt.Sprintf("level %d permute=%v", level, permute))
 		}
 	})
 }

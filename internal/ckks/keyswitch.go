@@ -1,8 +1,10 @@
 package ckks
 
 import (
+	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/internal/ring"
+	"repro/internal/rns"
 )
 
 // Key switching — the server-side machinery that makes
@@ -30,14 +32,47 @@ import (
 // hot path runs β·(L+k) NTTs. DESIGN.md "Why hybrid only" records why
 // this is the only construction.
 //
-// Hot-path structure: every scratch polynomial comes from the lanes pools
-// and each stage dispatches limb-wise through the engine, so the steady
-// state allocates only the returned ciphertext and scales with workers
-// like encrypt/decode. Rotations run *hoisted*: the decomposition (and
-// its NTTs) is computed once per input ciphertext, and each Galois
-// element is applied to the raised digits as an NTT-domain gather
-// permutation (ring.MulPermAdd) — rotating one ciphertext by many steps
-// pays the decomposition once (see Evaluator.RotateHoisted).
+// One schedule runs every switch, on every backend — lanes.Backend picks
+// the inner loop each stage kernel binds and nothing in this file reads
+// it. All scratch is pooled and each stage is one lane dispatch over
+// (limb or coefficient-chunk) tasks:
+//
+//	1. reduce   β·C chunk tasks: per group, ReduceRange computes the HPS
+//	            y_i rows and the overflow estimate v once (reduceGroups).
+//	2. mac      level+k limb tasks: per extended-basis limb, for each
+//	            group — CombineLimb, forward NTT of that row, multiply-
+//	            accumulate into both halves; the first group writes
+//	            through the set-variant MAC so the accumulators start
+//	            uninitialized.
+//	3. intt-P   2k limb tasks: both halves' P rows back to coefficients.
+//	4. reduce-P 2·C chunk tasks: ReduceRange of each half's P residues.
+//	5. divide   2·level limb tasks: CombineLimb (P → Q_ℓ), forward NTT,
+//	            fused (acc − ext)·P⁻¹ accumulate, and optionally the
+//	            closing inverse NTT of the output limb (modDownPair runs
+//	            3–5 for both halves at once).
+//
+// Three entry points share those stages. switchInto is the single-shot
+// switch for a decomposition consumed once (MulRelin, RotateGalois, the
+// giant steps of LinearTransform): stage 2 reuses one pooled row per limb
+// across groups, so the β·(level+k)·N digit buffer never exists. hoist
+// splits stage 2 where many Galois elements reuse the digits (RotateHoisted,
+// LinearTransform's baby steps): combine+NTT lands in pooled digit
+// polynomials once, and each applyInto runs the MAC over them — the
+// Galois element applied as an NTT-domain gather — and closes through the
+// same modDownPair.
+//
+// The whole-polynomial, spec-shaped form of this arithmetic (ModUpInto →
+// NTT → MAC → INTT of the P rows → ModUpInto → NTT → divide) lives on as
+// the test-only reference stagedSwitch in backend_test.go. Byte identity
+// with it holds stage by stage: ReduceRange + CombineLimb reproduce
+// ExtendRange's arithmetic in the same order (including the float64 v
+// accumulation, TestReduceCombineMatchesExtend), the per-limb NTT is the
+// kernel the whole-polynomial sweep runs, and the MAC accumulates groups
+// in ascending order with the same per-element a0-then-a1 sequence. Chunk
+// and task boundaries are execution details — every kernel is pure per-
+// coefficient arithmetic over disjoint outputs (TestFusedMatchesStaged,
+// TestFusedHoistMatchesStaged and FuzzFusedHybridSwitch assert the
+// equality at every level on both backends).
 
 // Gadget is the key-switching construction tag of the evaluation-key wire
 // format (evalkeyserialize.go). GadgetHybrid is its only value: tag 0
@@ -117,31 +152,143 @@ type hoistedDigits struct {
 	level int
 }
 
-// hoistHybrid decomposes c (coefficient domain, `level` limbs) into its
-// β = ⌈level/α⌉ group digits, each raised to the extended QP basis
-// (rns.Extender fast base conversion, chunked across the lanes) and
-// transformed — β·(level+k) NTTs, paid once per input ciphertext however
-// many switches consume it.
-func (p *Parameters) hoistHybrid(c *ring.Poly, level int) *hoistedDigits {
-	rqp := p.RingQPAt(level)
-	beta := p.DnumAt(level)
-	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta)}
-	for j := 0; j < beta; j++ {
-		lo, hi := p.groupRange(level, j)
-		d := rqp.GetPolyUninit() // the extension writes every word
-		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
-		rqp.NTT(d)
-		h.dig[j] = d
-	}
-	return h
+// reducedGroup is stage 1's view of one decomposition group: its source
+// rows, the extender from the group's primes to the QP basis, and the
+// stage's output — the HPS y_i rows of the residues and the overflow
+// estimate v. y and v are pooled.
+type reducedGroup struct {
+	src [][]uint64
+	ext *rns.Extender
+	y   *lanes.Matrix
+	v   []uint64
 }
 
-// hoistFor runs the decomposition on the pipeline the backend selects.
-func (p *Parameters) hoistFor(c *ring.Poly, level int) *hoistedDigits {
-	if p.useFused() {
-		return p.hoistHybridFused(c, level)
+// runGroupChunks runs fn over (group, coefficient-range) tasks as one
+// lane dispatch, carving [0, n) the way lanes.RunChunks does (~4 chunks
+// per worker, capped at n) so the reduce stages load-balance alike.
+func runGroupChunks(eng *lanes.Engine, groups, n int, fn func(g, lo, hi int)) {
+	chunks := eng.Workers()
+	if chunks > 1 {
+		chunks *= 4
 	}
-	return p.hoistHybrid(c, level)
+	if chunks > n {
+		chunks = n
+	}
+	size := (n + chunks - 1) / chunks
+	eng.Run(groups*chunks, func(t int) {
+		lo := (t % chunks) * size
+		if hi := min(lo+size, n); lo < hi {
+			fn(t/chunks, lo, hi)
+		}
+	})
+}
+
+// reduceGroups is stage 1: the source reduction of every decomposition
+// group of c (coefficient domain, `level` limbs), chunked over
+// coefficients. Release the result with releaseGroups.
+func (p *Parameters) reduceGroups(c *ring.Poly, level int) []reducedGroup {
+	if c.IsNTT {
+		panic("ckks: key switch expects a coefficient-domain input")
+	}
+	n := p.N()
+	// Tables first, outside the lane tasks (they take p.hybridMu).
+	grp := make([]reducedGroup, p.DnumAt(level))
+	for j := range grp {
+		lo, hi := p.groupRange(level, j)
+		grp[j] = reducedGroup{
+			src: c.Coeffs[lo:hi], ext: p.groupExtender(level, j),
+			y: lanes.GetMatrix(hi-lo, n), v: lanes.GetSlab(n),
+		}
+	}
+	runGroupChunks(p.RingQPAt(level).Engine(), len(grp), n, func(j, lo, hi int) {
+		g := grp[j]
+		g.ext.ReduceRange(g.src, g.y.Rows, g.v, lo, hi)
+	})
+	return grp
+}
+
+// releaseGroups returns stage 1's pooled storage.
+func releaseGroups(grp []reducedGroup) {
+	for _, g := range grp {
+		lanes.PutMatrix(g.y)
+		lanes.PutSlab(g.v)
+	}
+}
+
+// keyLimb maps extended-basis limb m of a level-`level` switch to its row
+// in the depth-capped key: the Q part aligns, the P tail sits at k.Level.
+func (k *SwitchingKey) keyLimb(level, m int) int {
+	if m >= level {
+		return k.Level + (m - level)
+	}
+	return m
+}
+
+// switchInto key-switches c (coefficient domain, `level` limbs) against
+// ksk in one shot, accumulating the switched halves into acc0/acc1 (NTT
+// domain, level limbs). perm is the automorphism gather applied to the
+// digits (nil ⇒ identity, see applyInto). With closeNTT the output limbs
+// are inverse-NTT'd inside the divide stage and acc0/acc1 land in the
+// coefficient domain.
+func (p *Parameters) switchInto(c *ring.Poly, level int, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
+	if level > ksk.Level {
+		panic("ckks: ciphertext level exceeds switching-key depth")
+	}
+	n := p.N()
+	rqp := p.RingQPAt(level)
+	grp := p.reduceGroups(c, level)
+
+	// Stage 2: each task owns one pooled digit row, reused across groups.
+	s0 := rqp.GetPolyUninit()
+	s1 := rqp.GetPolyUninit()
+	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
+		km := ksk.keyLimb(level, m)
+		a0, a1 := s0.Coeffs[m], s1.Coeffs[m]
+		row := lanes.GetSlab(n)
+		for j, g := range grp {
+			g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, n)
+			rqp.ForwardLimb(m, row)
+			macRow(rqp, m, j, perm, row, ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], a0, a1)
+		}
+		lanes.PutSlab(row)
+	})
+	releaseGroups(grp)
+	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
+}
+
+// macRow is one group's share of the stage-2 MAC on one limb: group 0
+// lands through the set variant, so the QP accumulators can start
+// uninitialized (set == add-to-zero).
+func macRow(rqp *ring.Ring, m, j int, perm []int32, d, k0, k1, a0, a1 []uint64) {
+	if j == 0 {
+		rqp.MulPairRow(m, perm, d, k0, k1, a0, a1)
+	} else {
+		rqp.MulAddPairRow(m, perm, d, k0, k1, a0, a1)
+	}
+}
+
+// hoist decomposes c (coefficient domain, `level` limbs) into its
+// β = ⌈level/α⌉ group digits, each raised to the extended QP basis and
+// transformed — β·(level+k) NTTs, paid once per input ciphertext however
+// many applyInto calls consume it.
+func (p *Parameters) hoist(c *ring.Poly, level int) *hoistedDigits {
+	n := p.N()
+	rqp := p.RingQPAt(level)
+	grp := p.reduceGroups(c, level)
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, len(grp))}
+	for j := range h.dig {
+		h.dig[j] = rqp.GetPolyUninit() // every row fully overwritten below
+		h.dig[j].IsNTT = true
+	}
+	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
+		for j, g := range grp {
+			row := h.dig[j].Coeffs[m]
+			g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, n)
+			rqp.ForwardLimb(m, row)
+		}
+	})
+	releaseGroups(grp)
+	return h
 }
 
 // releaseDigits returns the decomposition's pooled storage.
@@ -154,49 +301,81 @@ func (p *Parameters) releaseDigits(h *hoistedDigits) {
 
 // applyInto accumulates the key switch of the hoisted digits into
 // (acc0, acc1) — NTT domain, h.level limbs: Σ_j σ(D_j)·ksk_j over the
-// extended QP basis (one fused limb-major lane dispatch — key limbs are
-// addressed through the depth-capped key's geometry, so a level-ℓ switch
-// reads rows 0..ℓ-1 and the P tail of each Level-limb key row), then
-// ModDown both halves by P with rounding into the Q-basis accumulators.
+// extended QP basis (key limbs are addressed through the depth-capped
+// key's geometry, so a level-ℓ switch reads rows 0..ℓ-1 and the P tail of
+// each Level-limb key row), then the paired ModDown by P into the Q-basis
+// accumulators, landing in the coefficient domain when closeNTT is set.
 // σ (perm, nil ⇒ identity) is applied to the digits: because σ is a ring
 // automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the same result
 // as decomposing σ(c), with the decomposition (and its NTTs) paid once.
-func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly) {
-	if h.level > ksk.Level {
+func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
+	level := h.level
+	if level > ksk.Level {
 		panic("ckks: ciphertext level exceeds switching-key depth")
 	}
-	level, k := h.level, p.SpecialLimbs
 	rqp := p.RingQPAt(level)
-	s0 := rqp.GetPoly() // accumulators start at zero
-	s1 := rqp.GetPoly()
-	s0.IsNTT, s1.IsNTT = true, true
-	rqp.Engine().Run(level+k, func(m int) {
-		km := m // key-row limb index: Q part aligns, P tail sits at ksk.Level
-		if m >= level {
-			km = ksk.Level + (m - level)
-		}
-		a0, a1 := s0.Coeffs[m], s1.Coeffs[m]
+	s0 := rqp.GetPolyUninit()
+	s1 := rqp.GetPolyUninit()
+	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
+		km := ksk.keyLimb(level, m)
 		for j, dj := range h.dig {
-			d := dj.Coeffs[m]
-			k0 := ksk.H0[j].Coeffs[km]
-			k1 := ksk.H1[j].Coeffs[km]
-			rqp.MulAddPairRow(m, perm, d, k0, k1, a0, a1)
+			macRow(rqp, m, j, perm, dj.Coeffs[m], ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], s0.Coeffs[m], s1.Coeffs[m])
 		}
 	})
-	p.modDownInto(s0, level, acc0)
-	p.modDownInto(s1, level, acc1)
-	rqp.PutPoly(s0)
-	rqp.PutPoly(s1)
+	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
 }
 
-// modDownInto adds round(acc/P) to out (both NTT domain): the closing
-// basis reduction of a hybrid switch. acc (level+k limbs over QP) is
-// consumed.
-func (p *Parameters) modDownInto(acc *ring.Poly, level int, out *ring.Poly) {
-	rq := p.RingAt(level)
-	scratch := rq.GetPolyUninit() // ModUp inside fully overwrites
-	ring.ModDownNTTInto(rq, p.ringP, p.modDownExtender(level), p.pInvModQ, acc, scratch, out)
-	rq.PutPoly(scratch)
+// modDownPair closes a switch (stages 3–5): it adds round(s0/P) to acc0
+// and round(s1/P) to acc1 (NTT domain, level limbs), both halves per
+// dispatch. s0/s1 are NTT-domain accumulators over the QP basis; they are
+// consumed and returned to the pool. With closeNTT each output limb is
+// inverse-NTT'd as its divide finishes.
+func (p *Parameters) modDownPair(s0, s1 *ring.Poly, level int, acc0, acc1 *ring.Poly, closeNTT bool) {
+	n, k := p.N(), p.SpecialLimbs
+	rq, rqp := p.RingAt(level), p.RingQPAt(level)
+	eng := rq.Engine()
+	mext := p.modDownExtender(level)
+	halves := [2]*ring.Poly{s0, s1}
+	outs := [2]*ring.Poly{acc0, acc1}
+
+	// Stage 3: both halves' P residues back to the coefficient domain.
+	eng.Run(2*k, func(t int) {
+		p.ringP.InverseLimb(t%k, halves[t/k].Coeffs[level+t%k])
+	})
+
+	// Stage 4: source reduction of the P → Q_ℓ conversion.
+	var yP [2]*lanes.Matrix
+	var vP [2][]uint64
+	for h := range yP {
+		yP[h] = lanes.GetMatrix(k, n)
+		vP[h] = lanes.GetSlab(n)
+	}
+	runGroupChunks(eng, 2, n, func(h, lo, hi int) {
+		mext.ReduceRange(halves[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
+	})
+
+	// Stage 5: per-limb combine → NTT → rounding divide into the caller's
+	// accumulators.
+	eng.Run(2*level, func(t int) {
+		h, i := t/level, t%level
+		row := lanes.GetSlab(n)
+		mext.CombineLimb(i, yP[h].Rows, vP[h], row, 0, n)
+		rq.ForwardLimb(i, row)
+		rq.SubMulAddRow(i, p.pInvModQ[i], halves[h].Coeffs[i], row, outs[h].Coeffs[i])
+		lanes.PutSlab(row)
+		if closeNTT {
+			rq.InverseLimb(i, outs[h].Coeffs[i])
+		}
+	})
+	if closeNTT {
+		acc0.IsNTT, acc1.IsNTT = false, false
+	}
+	for h := range yP {
+		lanes.PutMatrix(yP[h])
+		lanes.PutSlab(vP[h])
+	}
+	rqp.PutPoly(s0)
+	rqp.PutPoly(s1)
 }
 
 // ---------------------------------------------------------------------
@@ -277,23 +456,12 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	rl.PutPoly(b0)
 	rl.PutPoly(b1)
 
-	// Key-switch c2 (the decomposition reads the coefficient domain), then
-	// accumulate directly into the result halves. The fast backend runs
-	// the hybrid switch fused (closing INTTs folded into its last stage);
-	// the staged path is the portable reference.
+	// Key-switch c2 (the decomposition reads the coefficient domain)
+	// straight into the result halves, closing INTTs folded into the
+	// switch's last stage.
 	rl.INTT(c2)
-	if ev.params.useFused() {
-		ev.params.switchHybridFused(c2, level, rlk.K, nil, c0, c1, true)
-		rl.PutPoly(c2)
-		return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
-	}
-	h := ev.params.hoistFor(c2, level)
+	ev.params.switchInto(c2, level, rlk.K, nil, c0, c1, true)
 	rl.PutPoly(c2)
-	ev.params.applyInto(h, rlk.K, nil, c0, c1)
-	ev.params.releaseDigits(h)
-
-	rl.INTT(c0)
-	rl.INTT(c1)
 	return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
 }
 
@@ -375,61 +543,33 @@ func (kg *KeyGenerator) GenRotationKeyHybridAt(g, depth int) *RotationKey {
 
 // RotateGalois applies the automorphism X → X^g and key-switches back to
 // s. With g = GaloisElement(k) this rotates the message slots by k. The
-// key switch runs on hoisted digits (the single-rotation degenerate case
-// of RotateHoisted); σ(c0) is applied in the coefficient domain.
+// decomposition is consumed once, so the switch runs single-shot.
 func (ev *Evaluator) RotateGalois(ct *Ciphertext, rk *RotationKey) *Ciphertext {
-	if ev.params.useFused() {
-		return ev.rotateFused(ct, rk)
-	}
-	h := ev.params.hoistFor(ct.C1, ct.Level)
-	out := ev.rotateFromDigits(ct, h, rk)
-	ev.params.releaseDigits(h)
-	return out
-}
-
-// rotateFused is RotateGalois on the fused pipeline: the hoisted digits
-// are never materialized (single-rotation case — nothing reuses them),
-// the permuted switch lands directly in the result halves, and the
-// closing INTTs ride the divide stage.
-func (ev *Evaluator) rotateFused(ct *Ciphertext, rk *RotationKey) *Ciphertext {
-	level := ct.Level
-	if level > rk.K.Level {
-		panic("ckks: ciphertext level exceeds rotation-key depth")
-	}
-	rl := ev.ringAt(level)
-	out0 := rl.NewPoly() // returned — caller-owned, never pooled
-	out1 := rl.NewPoly()
-	out0.IsNTT, out1.IsNTT = true, true
-	ev.params.switchHybridFused(ct.C1, level, rk.K, rk.Perm, out0, out1, true)
-
-	c0g := rl.GetPolyUninit() // automorphism writes every index
-	rl.AutomorphismCoeff(ct.C0, rk.G, c0g)
-	rl.Add(out0, c0g, out0)
-	rl.PutPoly(c0g)
-
-	return &Ciphertext{C0: out0, C1: out1, Level: level, Scale: ct.Scale}
+	return ev.rotate(ct, nil, rk)
 }
 
 // RotateHoisted rotates one ciphertext by every key in rks, paying the
 // decomposition (β·(L+k) NTTs) once: each additional rotation costs only
-// the O(N)-per-limb gather-multiply-accumulate and the closing transforms.
+// the O(N)-per-limb gather-multiply-accumulate and the closing ModDown.
 // Results are index-aligned with rks.
 func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rks []*RotationKey) []*Ciphertext {
 	if len(rks) == 0 {
 		return nil
 	}
-	h := ev.params.hoistFor(ct.C1, ct.Level)
+	h := ev.params.hoist(ct.C1, ct.Level)
 	out := make([]*Ciphertext, len(rks))
 	for i, rk := range rks {
-		out[i] = ev.rotateFromDigits(ct, h, rk)
+		out[i] = ev.rotate(ct, h, rk)
 	}
 	ev.params.releaseDigits(h)
 	return out
 }
 
-// rotateFromDigits finishes one rotation from a hoisted decomposition of
-// ct.C1: permuted key-switch accumulate, closing INTTs, and σ(c0).
-func (ev *Evaluator) rotateFromDigits(ct *Ciphertext, h *hoistedDigits, rk *RotationKey) *Ciphertext {
+// rotate finishes one rotation of ct: the permuted key switch of ct.C1 —
+// from its hoisted decomposition h, or single-shot when h is nil — lands
+// directly in the result halves in the coefficient domain, then σ(c0) is
+// added there.
+func (ev *Evaluator) rotate(ct *Ciphertext, h *hoistedDigits, rk *RotationKey) *Ciphertext {
 	level := ct.Level
 	if level > rk.K.Level {
 		panic("ckks: ciphertext level exceeds rotation-key depth")
@@ -438,9 +578,11 @@ func (ev *Evaluator) rotateFromDigits(ct *Ciphertext, h *hoistedDigits, rk *Rota
 	out0 := rl.NewPoly() // returned — caller-owned, never pooled
 	out1 := rl.NewPoly()
 	out0.IsNTT, out1.IsNTT = true, true
-	ev.params.applyInto(h, rk.K, rk.Perm, out0, out1)
-	rl.INTT(out0)
-	rl.INTT(out1)
+	if h == nil {
+		ev.params.switchInto(ct.C1, level, rk.K, rk.Perm, out0, out1, true)
+	} else {
+		ev.params.applyInto(h, rk.K, rk.Perm, out0, out1, true)
+	}
 
 	c0g := rl.GetPolyUninit() // automorphism writes every index
 	rl.AutomorphismCoeff(ct.C0, rk.G, c0g)

@@ -251,11 +251,11 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			panic("ckks: missing baby-step rotation key")
 		}
 		if h == nil {
-			h = p.hoistFor(ct.C1, level)
+			h = p.hoist(ct.C1, level)
 		}
 		b0, b1 := rl.GetPoly(), rl.GetPoly()
 		b0.IsNTT, b1.IsNTT = true, true
-		p.applyInto(h, rk.K, rk.Perm, b0, b1)
+		p.applyInto(h, rk.K, rk.Perm, b0, b1, false)
 		tmp := rl.GetPolyUninit() // PermuteNTT writes every index
 		rl.PermuteNTT(c0n, rk.Perm, tmp)
 		rl.Add(b0, tmp, b0)
@@ -292,12 +292,11 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 			rl.MulCoeffsAdd(t.poly, babies[t.baby].b1, acc1)
 		}
 		// Rotate the block accumulator by g and fold into the result: the
-		// switched half accumulates directly (applyInto adds), σ_g of the
-		// acc0 half is a pure NTT-domain gather.
+		// switched half accumulates directly (switchInto adds; single-shot,
+		// this decomposition is used once), σ_g of the acc0 half is a pure
+		// NTT-domain gather.
 		rl.INTT(acc1) // the decomposition reads the coefficient domain
-		hg := p.hoistFor(acc1, level)
-		p.applyInto(hg, rk.K, rk.Perm, final0, final1)
-		p.releaseDigits(hg)
+		p.switchInto(acc1, level, rk.K, rk.Perm, final0, final1, false)
 		tmp := rl.GetPolyUninit()
 		rl.PermuteNTT(acc0, rk.Perm, tmp)
 		rl.Add(final0, tmp, final0)

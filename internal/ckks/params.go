@@ -302,7 +302,7 @@ func (p *Parameters) Workers() int { return p.ringQ.Engine().Workers() }
 // SetBackend rebinds every limb kernel of this parameter set to b — the
 // execution-strategy sibling of SetWorkers. The portable backend is the
 // spec-shaped reference; the fast backend runs fixed-width Barrett and
-// lazy-reduction inner loops plus the fused hybrid key-switch pipeline.
+// lazy-reduction inner loops.
 // Outputs are byte-identical under either (and at any worker count); call
 // before sharing the parameters across goroutines.
 func (p *Parameters) SetBackend(b lanes.Backend) { p.setBackendAll(b) }

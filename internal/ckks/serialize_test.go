@@ -2,9 +2,18 @@ package ckks
 
 import (
 	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// quickConfig fixes and logs the property tests' input stream, so a run is
+// a function of the commit.
+func quickConfig(t *testing.T, maxCount int) *quick.Config {
+	const seed = 0xABCF
+	t.Logf("quick.Check seed %#x", seed)
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
 
 func roundTripCt(t *testing.T, packed bool) {
 	t.Helper()
@@ -123,7 +132,7 @@ func TestBitPackingQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 300)); err != nil {
 		t.Error(err)
 	}
 }

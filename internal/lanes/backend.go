@@ -30,9 +30,10 @@ type Backend interface {
 	Name() string
 	// Specialized reports whether kernels should bind their fixed-width
 	// fast implementations: 44-bit Barrett/Montgomery inner loops with
-	// lazy reduction, hoisted slice headers and bounds-check elimination
-	// — and whether multi-stage pipelines (hybrid key switching) may run
-	// fused. False selects the spec-shaped portable reference path.
+	// lazy reduction, hoisted slice headers and bounds-check elimination.
+	// False selects the spec-shaped portable reference kernels. Only
+	// kernel packages read it: the pipelines that schedule kernels (the
+	// hybrid key switch included) are the same under every backend.
 	Specialized() bool
 }
 
@@ -48,14 +49,14 @@ func (b *backend) Name() string      { return b.name }
 func (b *backend) Specialized() bool { return b.fast }
 
 var (
-	// Portable is the reference path: canonical [0, q) residues
-	// everywhere, generic 128-bit reduction, one dispatch per kernel
-	// stage. It is the oracle the fast path is tested against.
+	// Portable is the reference kernel set: canonical [0, q) residues
+	// everywhere, generic 128-bit reduction. It is the oracle the fast
+	// kernels are tested against.
 	Portable Backend = &backend{name: "portable"}
 
-	// Fast is the specialized path: hand-unrolled lazy-reduction NTT
-	// butterflies, Barrett multiply-accumulate rows, bounds-check-free
-	// inner loops, and the fused hybrid key-switch pipeline.
+	// Fast is the specialized kernel set: hand-unrolled lazy-reduction
+	// NTT butterflies, Barrett multiply-accumulate rows, bounds-check-free
+	// inner loops.
 	Fast Backend = &backend{name: "fast", fast: true}
 )
 

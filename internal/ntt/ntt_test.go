@@ -8,6 +8,14 @@ import (
 	"repro/internal/prng"
 )
 
+// quickConfig fixes and logs the property tests' input stream, so a run is
+// a function of the commit.
+func quickConfig(t *testing.T, maxCount int) *quick.Config {
+	const seed = 0xABCF
+	t.Logf("quick.Check seed %#x", seed)
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
+}
+
 // Test moduli: (N, q) pairs with q ≡ 1 mod 2N.
 var testCfgs = []struct {
 	n int
@@ -105,7 +113,7 @@ func TestNTTLinearityQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 50)); err != nil {
 		t.Error(err)
 	}
 }
@@ -314,7 +322,7 @@ func TestForwardLazyQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Error(err)
 	}
 }
@@ -363,7 +371,7 @@ func TestInverseLazyQuick(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 100)); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,13 +1,12 @@
 package ring
 
-// RNS basis-extension kernels on polynomials — the ring-level half of
-// hybrid (P·Q) key switching. ModUpInto raises a group of coefficient-
-// domain limbs to an extended basis (Q_ℓ ∪ P); ModDownNTTInto divides an
-// extended-basis accumulator by P with rounding, landing back in Q_ℓ.
-// Both dispatch through the lane engine: ModUp chunks the coefficient
-// range (every chunk computes disjoint outputs), ModDown fans out
-// limb-wise like every other kernel here — bit-identical at any worker
-// count.
+// RNS basis extension on whole polynomials — the spec-shaped form of the
+// ModUp that hybrid (P·Q) key switching runs per limb (ckks/keyswitch.go
+// schedules rns.Extender's ReduceRange/CombineLimb halves directly).
+// ModUpInto raises a group of coefficient-domain limbs to an extended
+// basis (Q_ℓ ∪ P), chunking the coefficient range across the lane engine
+// (every chunk computes disjoint outputs — bit-identical at any worker
+// count). The key-switch reference test and the benchmark probes call it.
 
 import (
 	"repro/internal/rns"
@@ -27,35 +26,4 @@ func (r *Ring) ModUpInto(ext *rns.Extender, srcRows [][]uint64, dst *Poly) {
 		ext.ExtendRange(srcRows, dst.Coeffs, lo, hi)
 	})
 	dst.IsNTT = false
-}
-
-// ModDownNTTInto completes a hybrid key switch: acc holds an NTT-domain
-// accumulator over the extended basis (ringQ.K() limbs of Q_ℓ followed by
-// ringP.K() limbs of P), and out (NTT domain, ringQ.K() limbs) receives
-//
-//	out += round(acc / P)  mod Q_ℓ
-//
-// computed as (acc_Q − ModUp_centered([acc]_P)) · P^{-1} limb-wise, with
-// pInv[i] = P^{-1} mod q_i. The centered ModUp makes the division
-// round-to-nearest (±1 at float boundaries — noise, not signal). acc's P
-// rows are consumed (INTT'd in place); treat acc as dead afterwards.
-// scratch must be a pooled ringQ-shaped polynomial the caller owns; its
-// contents are fully overwritten.
-func ModDownNTTInto(ringQ, ringP *Ring, ext *rns.Extender, pInv []uint64, acc, scratch, out *Poly) {
-	lq, kp := ringQ.K(), ringP.K()
-	if len(acc.Coeffs) != lq+kp || len(out.Coeffs) != lq || len(pInv) < lq {
-		panic("ring: ModDownNTTInto shape mismatch")
-	}
-	// [acc]_P back to the coefficient domain.
-	accP := &Poly{Coeffs: acc.Coeffs[lq:], IsNTT: true}
-	ringP.INTT(accP)
-
-	// Centered extension P → Q_ℓ, then into the NTT domain.
-	ringQ.ModUpInto(ext, accP.Coeffs, scratch)
-	ringQ.NTT(scratch)
-
-	// out += (acc_Q − ext) · P^{-1}, fused per limb.
-	ringQ.Engine().Run(lq, func(i int) {
-		ringQ.SubMulAddRow(i, pInv[i], acc.Coeffs[i], scratch.Coeffs[i], out.Coeffs[i])
-	})
 }

@@ -16,7 +16,7 @@ package ring
 // byte-identical across backends; only the cycle count differs. The
 // key-switch pair kernels (MulAddPairRow / MulPairRow) fuse both
 // ciphertext halves into one pass over the digit row, which is what the
-// fused hybrid pipeline in internal/ckks binds its QP MAC stage to.
+// key-switch schedule in internal/ckks binds its QP MAC stage to.
 
 import (
 	"math/bits"
@@ -95,9 +95,9 @@ func mulPermAddRowFast(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64
 //	a0[j] += d[perm[j]]·k0[j],  a1[j] += d[perm[j]]·k1[j]
 //
 // (perm nil ⇒ identity), dispatching on the ring's backend. This is the
-// key-switch MAC kernel — element order and accumulation order match the
-// historical inner loop exactly, so staged and fused pipelines produce
-// the same bytes. The limb index addresses the ring's own basis.
+// key-switch MAC kernel — element order and accumulation order are what
+// the staged test reference in internal/ckks pins, per backend. The limb
+// index addresses the ring's own basis.
 func (r *Ring) MulAddPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
 	m := r.Basis.Moduli[limb]
 	if r.Backend().Specialized() {

@@ -144,7 +144,7 @@ func TestCombineFastQuick(t *testing.T) {
 		got := b.CombineCenteredFloatScratch(limbs, 0x1p30, scratch)
 		return got == float64(v)/0x1p30
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, quickConfig(t, 2000)); err != nil {
 		t.Error(err)
 	}
 }

@@ -41,8 +41,8 @@ func WithWorkers(n int) Option {
 
 // WithBackend selects the execution backend the party's limb kernels run
 // on: "fast" (the default — fixed-width Barrett/Montgomery inner loops
-// with lazy reduction, plus the fused hybrid key-switch pipeline) or
-// "portable" (the spec-shaped reference path). Backends never change
+// with lazy reduction) or "portable" (the spec-shaped reference
+// kernels). Backends never change
 // results — ciphertexts are byte-identical under either — only how the
 // inner loops execute. The process default can also be set via the
 // ABCFHE_BACKEND environment variable; this option overrides it. An
