@@ -14,9 +14,11 @@ import (
 )
 
 // backendRun drives the full three-party pipeline under one (backend,
-// workers) configuration and returns the serialized bytes of every
-// intermediate ciphertext.
-func backendRun(t *testing.T, backend string, workers int) map[string][]byte {
+// workers) configuration and returns the serialized bytes of every key
+// blob and every intermediate ciphertext. compressed is one seeded upload
+// shared by all configurations (an owner draws its stream base at random,
+// so a fresh upload per run could not be compared).
+func backendRun(t *testing.T, backend string, workers int, compressed []byte) map[string][]byte {
 	t.Helper()
 	opts := []Option{WithWorkers(workers), WithBackend(backend)}
 	owner, device, server := threeParties(t, Test, 0xBACC, 0xE57, opts...)
@@ -46,7 +48,15 @@ func backendRun(t *testing.T, backend string, workers int) map[string][]byte {
 		t.Fatal(err)
 	}
 
-	out := map[string][]byte{}
+	pkBytes, err := owner.ExportPublicKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	skBytes, err := owner.ExportSecretKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{"public key": pkBytes, "secret key": skBytes, "evaluation keys": evkBytes}
 	record := func(name string, ct *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
@@ -59,6 +69,8 @@ func backendRun(t *testing.T, backend string, workers int) map[string][]byte {
 		out[name] = blob
 	}
 	record("encrypt", ct1, nil)
+	expanded, err := server.ExpandCompressedUpload(compressed)
+	record("expand", expanded, err)
 
 	mul, err := server.Mul(ct1, ct2, evk)
 	record("mul", mul, err)
@@ -90,13 +102,22 @@ func TestBackendWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps 6 full pipelines")
 	}
-	ref := backendRun(t, "portable", 1)
+	uploader, err := NewKeyOwner(Test, 0xBACC, 0xE57)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uploader.Close()
+	compressed, err := uploader.EncodeEncryptCompressed(testMsgs(uploader.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := backendRun(t, "portable", 1, compressed)
 	for _, backend := range []string{"portable", "fast"} {
 		for _, workers := range []int{1, 2, 8} {
 			if backend == "portable" && workers == 1 {
 				continue
 			}
-			got := backendRun(t, backend, workers)
+			got := backendRun(t, backend, workers, compressed)
 			for name, want := range ref {
 				if !bytes.Equal(got[name], want) {
 					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)

@@ -114,6 +114,18 @@ func TestInvalidCiphertextErrors(t *testing.T) {
 		t.Errorf("zero scale: %v", err)
 	}
 
+	// A hand-built residue above the 44-bit wire word must not ship as
+	// silently corrupt bytes.
+	wide := *ct
+	wideC1 := *ct.C1
+	wideC1.Coeffs = append([][]uint64(nil), ct.C1.Coeffs...)
+	wideC1.Coeffs[1] = append([]uint64(nil), ct.C1.Coeffs[1]...)
+	wideC1.Coeffs[1][3] = 1 << 44
+	wide.C1 = &wideC1
+	if _, err := device.SerializeCiphertext(&wide); !errors.Is(err, ErrInvalidCiphertext) {
+		t.Errorf("residue above 44 bits: %v", err)
+	}
+
 	// A flipped wire domain byte must stop at the public deserializers —
 	// the decrypt pipeline would double-NTT and panic the ring layer, and
 	// evaluation would relabel the data as coefficient-domain, laundering

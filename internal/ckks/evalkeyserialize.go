@@ -171,17 +171,14 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	return spec, info, nil
 }
 
-// marshalEvalPoly writes one switching-key polynomial (NTT domain, depth
-// limbs) in the coefficient domain through pooled scratch.
-func marshalEvalPoly(rl *ring.Ring, poly *ring.Poly, w *bitWriter) {
-	c := rl.GetPolyCopy(poly)
-	rl.INTT(c)
-	for i := range c.Coeffs {
-		for _, v := range c.Coeffs[i] {
-			w.write(v, PackedWordBits)
-		}
+// kskRows lists a switching key's residue rows in wire order: per group
+// H0[j] then H1[j], each over the extended basis.
+func kskRows(ksk *SwitchingKey) [][]uint64 {
+	polys := make([]*ring.Poly, 0, 2*len(ksk.H0))
+	for j := range ksk.H0 {
+		polys = append(polys, ksk.H0[j], ksk.H1[j])
 	}
-	rl.PutPoly(c)
+	return polyRows(ksk.Level+ksk.Alpha, polys...)
 }
 
 // MarshalEvaluationKeySet serializes ks in the packed evaluation-key wire
@@ -252,34 +249,17 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 		binary.LittleEndian.PutUint32(out[evalHeaderLen(i):], uint32(s))
 	}
 
-	w := newBitWriter(out[evalHeaderLen(len(steps)):])
+	// One lane dispatch per key: each row task copies its NTT-domain row to
+	// a pooled slab, inverse-transforms the copy and packs it.
 	rqp := p.RingQPAt(ks.MaxLevel)
-	for _, ksk := range ksks {
-		for j := 0; j < dnum; j++ {
-			marshalEvalPoly(rqp, ksk.H0[j], w)
-			marshalEvalPoly(rqp, ksk.H1[j], w)
+	body := out[evalHeaderLen(len(steps)):]
+	keyBytes := packedBytes(2*dnum*rqp.K(), p.N())
+	for i, ksk := range ksks {
+		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], kskRows(ksk), true); err != nil {
+			return nil, err
 		}
 	}
-	w.flush()
 	return out, nil
-}
-
-// unmarshalEvalPoly reads one depth-limb polynomial, validates every
-// residue, and transforms it back to the NTT domain the keys compute in.
-func unmarshalEvalPoly(rl *ring.Ring, r *bitReader) (*ring.Poly, error) {
-	poly := rl.NewPoly()
-	for i := range poly.Coeffs {
-		q := rl.Basis.Moduli[i].Q
-		for j := range poly.Coeffs[i] {
-			c := r.read(PackedWordBits)
-			if c >= q {
-				return nil, fmt.Errorf("ckks: unmarshal eval keys: residue %d ≥ q_%d", c, i)
-			}
-			poly.Coeffs[i][j] = c
-		}
-	}
-	rl.NTT(poly)
-	return poly, nil
 }
 
 // UnmarshalEvaluationKeySet reverses MarshalEvaluationKeySet, validating
@@ -303,21 +283,25 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 		return nil, fmt.Errorf("ckks: unmarshal eval keys: blob length %d does not match header geometry", len(data))
 	}
 
-	r := newBitReader(data[evalHeaderLen(len(info.Steps)):])
+	// One lane dispatch per key, in wire order: each row task unpacks,
+	// range-checks and only then forward-transforms its row, and at most one
+	// rejected key is ever allocated.
+	body := data[evalHeaderLen(len(info.Steps)):]
 	rqp := p.RingQPAt(info.MaxLevel)
 	dnum := p.DnumAt(info.MaxLevel)
+	keyBytes := packedBytes(2*dnum*rqp.K(), p.N())
 	readKsk := func() (*SwitchingKey, error) {
 		ksk := &SwitchingKey{Alpha: info.Digits, Level: info.MaxLevel}
 		ksk.H0 = make([]*ring.Poly, dnum)
 		ksk.H1 = make([]*ring.Poly, dnum)
 		for j := 0; j < dnum; j++ {
-			if ksk.H0[j], err = unmarshalEvalPoly(rqp, r); err != nil {
-				return nil, err
-			}
-			if ksk.H1[j], err = unmarshalEvalPoly(rqp, r); err != nil {
-				return nil, err
-			}
+			ksk.H0[j], ksk.H1[j] = rqp.NewPoly(), rqp.NewPoly()
+			ksk.H0[j].IsNTT, ksk.H1[j].IsNTT = true, true
 		}
+		if err := unpackRows(rqp, body[:keyBytes], kskRows(ksk), true); err != nil {
+			return nil, fmt.Errorf("ckks: unmarshal eval keys: %w", err)
+		}
+		body = body[keyBytes:]
 		return ksk, nil
 	}
 

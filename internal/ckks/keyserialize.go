@@ -137,15 +137,9 @@ func (p *Parameters) marshalKey(kind byte, seed []byte, polys ...*ring.Poly) ([]
 		return nil, err
 	}
 	copy(out[keyHeaderLen():], seed)
-	w := newBitWriter(out[keyHeaderLen()+len(seed):])
-	for _, poly := range polys {
-		for i := 0; i < p.Limbs; i++ {
-			for _, c := range poly.Coeffs[i] {
-				w.write(c, PackedWordBits)
-			}
-		}
+	if err := packRows(p.Ring(), out[keyHeaderLen()+len(seed):], polyRows(p.Limbs, polys...), false); err != nil {
+		return nil, err
 	}
-	w.flush()
 	return out, nil
 }
 
@@ -171,22 +165,13 @@ func (p *Parameters) unmarshalKey(data []byte, kind byte, seedLen, nPolys int) (
 			len(data)-keyHeaderLen(), seedLen+payload)
 	}
 	seed := data[keyHeaderLen() : keyHeaderLen()+seedLen]
-	r := newBitReader(data[keyHeaderLen()+seedLen:])
 	polys := make([]*ring.Poly, nPolys)
 	for k := range polys {
-		poly := p.Ring().NewPoly()
-		for i := 0; i < p.Limbs; i++ {
-			q := p.Ring().Basis.Moduli[i].Q
-			for j := range poly.Coeffs[i] {
-				c := r.read(PackedWordBits)
-				if c >= q {
-					return nil, nil, fmt.Errorf("ckks: unmarshal key: residue %d ≥ q_%d", c, i)
-				}
-				poly.Coeffs[i][j] = c
-			}
-		}
-		poly.IsNTT = true
-		polys[k] = poly
+		polys[k] = p.Ring().NewPoly()
+		polys[k].IsNTT = true
+	}
+	if err := unpackRows(p.Ring(), data[keyHeaderLen()+seedLen:], polyRows(p.Limbs, polys...), false); err != nil {
+		return nil, nil, fmt.Errorf("ckks: unmarshal key: %w", err)
 	}
 	return seed, polys, nil
 }

@@ -3,6 +3,7 @@ package ckks
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/prng"
@@ -145,6 +146,9 @@ func (p *Parameters) MarshalSeeded(sct *SeededCiphertext) ([]byte, error) {
 	if p.LimbBits > PackedWordBits {
 		return nil, fmt.Errorf("ckks: packed encoding needs limbs ≤ %d bits", PackedWordBits)
 	}
+	if sct.Level < 1 || sct.Level > p.MaxLevel() {
+		return nil, fmt.Errorf("ckks: marshal seeded: bad level %d", sct.Level)
+	}
 	n := p.N()
 	payload := (sct.Level*n*PackedWordBits + 7) / 8
 	out := make([]byte, headerLen()+16+8+payload)
@@ -153,17 +157,13 @@ func (p *Parameters) MarshalSeeded(sct *SeededCiphertext) ([]byte, error) {
 	out[5] = encPacked | 0x80 // high bit marks the seeded form
 	out[6] = byte(p.LogN)
 	out[7] = byte(sct.Level)
-	binary.LittleEndian.PutUint64(out[8:], mathFloat64bits(sct.Scale))
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(sct.Scale))
 	copy(out[headerLen():], sct.Seed[:])
 	binary.LittleEndian.PutUint64(out[headerLen()+16:], sct.Stream)
 
-	w := newBitWriter(out[headerLen()+24:])
-	for i := 0; i < sct.Level; i++ {
-		for _, c := range sct.C0.Coeffs[i] {
-			w.write(c, PackedWordBits)
-		}
+	if err := packRows(p.RingAt(sct.Level), out[headerLen()+24:], polyRows(sct.Level, sct.C0), false); err != nil {
+		return nil, err
 	}
-	w.flush()
 	return out, nil
 }
 
@@ -181,6 +181,9 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 	if int(data[6]) != p.LogN {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: logN mismatch")
 	}
+	if data[16] != 0 { // c0 travels in the coefficient domain; MarshalSeeded writes 0
+		return nil, fmt.Errorf("ckks: unmarshal seeded: domain byte %d, want 0", data[16])
+	}
 	level := int(data[7])
 	if level < 1 || level > p.MaxLevel() {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: bad level %d", level)
@@ -190,7 +193,7 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 	if len(data) != headerLen()+24+payload {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: bad payload length")
 	}
-	scale := mathFloat64frombits(binary.LittleEndian.Uint64(data[8:]))
+	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 	if !validWireScale(scale) {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: invalid scale %g", scale)
 	}
@@ -203,16 +206,8 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 
 	rl := p.RingAt(level)
 	sct.C0 = rl.NewPoly()
-	r := newBitReader(data[headerLen()+24:])
-	for i := 0; i < level; i++ {
-		q := rl.Basis.Moduli[i].Q
-		for j := range sct.C0.Coeffs[i] {
-			c := r.read(PackedWordBits)
-			if c >= q {
-				return nil, fmt.Errorf("ckks: unmarshal seeded: residue ≥ q_%d", i)
-			}
-			sct.C0.Coeffs[i][j] = c
-		}
+	if err := unpackRows(rl, data[headerLen()+24:], sct.C0.Coeffs, false); err != nil {
+		return nil, fmt.Errorf("ckks: unmarshal seeded: %w", err)
 	}
 	return sct, nil
 }
@@ -222,8 +217,3 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 func (p *Parameters) SeededWireBytes(level int) int {
 	return headerLen() + 24 + (level*p.N()*PackedWordBits+7)/8
 }
-
-// tiny indirection so serialize.go and seeded.go do not both import math
-// for two functions.
-func mathFloat64bits(f float64) uint64     { return floatBits(f) }
-func mathFloat64frombits(b uint64) float64 { return floatFromBits(b) }

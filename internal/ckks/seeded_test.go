@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/prng"
@@ -33,6 +34,30 @@ func TestSeededExpandDeterministic(t *testing.T) {
 	b := p.Expand(sct)
 	if !p.Ring().AtLevel(sct.Level).Equal(a.C1, b.C1) {
 		t.Fatal("expansion must be deterministic in the seed")
+	}
+}
+
+// TestSeededMarshalWorkerInvariance: the compressed blob's bytes do not
+// depend on the lane count its rows were packed across (the root
+// TestBackendWorkerInvariance cannot pin this one — a KeyOwner draws its
+// upload stream base at random).
+func TestSeededMarshalWorkerInvariance(t *testing.T) {
+	var ref []byte
+	for _, w := range []int{1, 2, 8} {
+		p := TestParams.MustBuild()
+		p.SetWorkers(w)
+		sk := NewKeyGenerator(p, testSeed()).GenSecretKey()
+		sct := NewSeededEncryptor(p, sk, testSeed()).Encrypt(NewEncoder(p).Encode(randMsg(p, 0, 33)))
+		data, err := p.MarshalSeeded(sct)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = data
+		} else if !bytes.Equal(data, ref) {
+			t.Fatalf("seeded blob differs at workers=%d", w)
+		}
 	}
 }
 
@@ -87,6 +112,11 @@ func TestSeededUnmarshalValidation(t *testing.T) {
 	}
 	if _, err := p.UnmarshalSeeded(data[:20]); err == nil {
 		t.Fatal("short payload must be rejected")
+	}
+	bad = append([]byte(nil), data...)
+	bad[16] = 1 // no marshaler writes a domain byte here; re-marshal would not be canonical
+	if _, err := p.UnmarshalSeeded(bad); err == nil {
+		t.Fatal("nonzero domain byte must be rejected")
 	}
 	// A full ciphertext must not parse as seeded.
 	kg := NewKeyGenerator(p, testSeed())

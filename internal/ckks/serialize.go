@@ -4,17 +4,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"repro/internal/ring"
 )
 
 // Wire format for ciphertexts and plaintexts. Two encodings are provided:
 //
 //   - word: 8 bytes per coefficient (fast, alignment-friendly), and
-//   - packed: ceil(44 bits)/coefficient bit-packing — the format the
-//     accelerator streams over LPDDR5, so the serialized size matches the
-//     DRAM traffic the simulator charges (2·L·N·44/8 bytes per
-//     ciphertext; see internal/sim and the cross-check test).
+//   - packed: 44 bits per coefficient — the format the accelerator
+//     streams over LPDDR5, so the serialized size matches the DRAM traffic
+//     the simulator charges (2·L·N·44/8 bytes per ciphertext; see
+//     internal/sim and the cross-check test). Coded by pack44.go in blocks
+//     of 16 coefficients = 88 bytes = 11 words; N ≥ 16 byte-aligns every
+//     limb row, so rows are coded in parallel across the lanes, residues
+//     are validated in the unpack pass, and the marshalers reject a
+//     residue that does not fit 44 bits.
 //
 // Layout (both encodings, little-endian):
 //
@@ -75,24 +77,15 @@ func (p *Parameters) MarshalCiphertext(ct *Ciphertext, packed bool) ([]byte, err
 	}
 
 	body := out[headerLen():]
+	rows := polyRows(ct.Level, ct.C0, ct.C1)
 	if packed {
-		w := newBitWriter(body)
-		for _, poly := range []*ring.Poly{ct.C0, ct.C1} {
-			for i := 0; i < ct.Level; i++ {
-				for _, c := range poly.Coeffs[i] {
-					w.write(c, PackedWordBits)
-				}
-			}
+		if err := packRows(p.RingAt(ct.Level), body, rows, false); err != nil {
+			return nil, err
 		}
-		w.flush()
 	} else {
-		off := 0
-		for _, poly := range []*ring.Poly{ct.C0, ct.C1} {
-			for i := 0; i < ct.Level; i++ {
-				for _, c := range poly.Coeffs[i] {
-					binary.LittleEndian.PutUint64(body[off:], c)
-					off += 8
-				}
+		for i, row := range rows {
+			for j, c := range row {
+				binary.LittleEndian.PutUint64(body[(i*n+j)*8:], c)
 			}
 		}
 	}
@@ -119,6 +112,9 @@ func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	if !validWireScale(scale) {
 		return nil, fmt.Errorf("ckks: unmarshal: invalid scale %g", scale)
 	}
+	if data[16] > 1 { // no marshaler emits it; accepting it would break canonical re-marshal
+		return nil, fmt.Errorf("ckks: unmarshal: unknown domain byte %d", data[16])
+	}
 	isNTT := data[16] == 1
 
 	n := p.N()
@@ -140,34 +136,20 @@ func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	rl := p.RingAt(level)
 	ct := &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: level, Scale: scale}
 	body := data[headerLen():]
+	rows := polyRows(level, ct.C0, ct.C1)
 	if enc == encPacked {
-		r := newBitReader(body)
-		for _, poly := range []*ring.Poly{ct.C0, ct.C1} {
-			for i := 0; i < level; i++ {
-				for j := range poly.Coeffs[i] {
-					poly.Coeffs[i][j] = r.read(PackedWordBits)
-				}
-			}
+		if err := unpackRows(rl, body, rows, false); err != nil {
+			return nil, fmt.Errorf("ckks: unmarshal: %w", err)
 		}
 	} else {
-		off := 0
-		for _, poly := range []*ring.Poly{ct.C0, ct.C1} {
-			for i := 0; i < level; i++ {
-				for j := range poly.Coeffs[i] {
-					poly.Coeffs[i][j] = binary.LittleEndian.Uint64(body[off:])
-					off += 8
-				}
-			}
-		}
-	}
-	// Validate residues against the level's moduli.
-	for _, poly := range []*ring.Poly{ct.C0, ct.C1} {
-		for i := 0; i < level; i++ {
-			q := rl.Basis.Moduli[i].Q
-			for _, c := range poly.Coeffs[i] {
+		for i, row := range rows {
+			q := rl.Basis.Moduli[i%level].Q
+			for j := range row {
+				c := binary.LittleEndian.Uint64(body[(i*n+j)*8:])
 				if c >= q {
-					return nil, fmt.Errorf("ckks: unmarshal: residue %d ≥ q_%d", c, i)
+					return nil, fmt.Errorf("ckks: unmarshal: residue %d ≥ q_%d", c, i%level)
 				}
+				row[j] = c
 			}
 		}
 	}
@@ -181,70 +163,6 @@ func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 func (p *Parameters) CiphertextWireBytes(level int) int {
 	return headerLen() + (2*level*p.N()*PackedWordBits+7)/8
 }
-
-// --- bit packing ---------------------------------------------------------
-
-type bitWriter struct {
-	buf  []byte
-	acc  uint64
-	bits uint
-	off  int
-}
-
-func newBitWriter(buf []byte) *bitWriter { return &bitWriter{buf: buf} }
-
-func (w *bitWriter) write(v uint64, width uint) {
-	w.acc |= v << w.bits
-	w.bits += width
-	for w.bits >= 8 {
-		w.buf[w.off] = byte(w.acc)
-		w.off++
-		w.acc >>= 8
-		w.bits -= 8
-	}
-	// Keep the tail of v that did not fit into acc before the shifts.
-	if width > 64-w.bits {
-		// Cannot happen for width ≤ 44 with bits < 8 after draining, but
-		// guard the invariant for future widths.
-		panic("ckks: bit accumulator overflow")
-	}
-}
-
-func (w *bitWriter) flush() {
-	if w.bits > 0 {
-		w.buf[w.off] = byte(w.acc)
-		w.off++
-		w.acc, w.bits = 0, 0
-	}
-}
-
-type bitReader struct {
-	buf  []byte
-	acc  uint64
-	bits uint
-	off  int
-}
-
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
-func (r *bitReader) read(width uint) uint64 {
-	for r.bits < width {
-		var b byte
-		if r.off < len(r.buf) {
-			b = r.buf[r.off]
-			r.off++
-		}
-		r.acc |= uint64(b) << r.bits
-		r.bits += 8
-	}
-	v := r.acc & ((uint64(1) << width) - 1)
-	r.acc >>= width
-	r.bits -= width
-	return v
-}
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // validWireScale is the shared hardening predicate for scale fields read
 // from untrusted bytes: finite and strictly positive (NaN fails the

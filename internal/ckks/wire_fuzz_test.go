@@ -35,7 +35,7 @@ func fuzzSeedCorpus(t testing.TB) [][]byte {
 	evkRetired := retiredGadgetTag(evkData)
 
 	corpus := [][]byte{nil, []byte("ABCF"), word, packed, seeded, pkData, skData, evkData, evkRetired}
-	for _, d := range [][]byte{packed, pkData, evkData, evkRetired} {
+	for _, d := range [][]byte{word, packed, seeded, pkData, skData, evkData, evkRetired} {
 		corpus = append(corpus, d[:len(d)/2])
 		flipped := append([]byte(nil), d...)
 		flipped[len(flipped)/3] ^= 0x40
@@ -69,8 +69,12 @@ func fuzzParse(t *testing.T, data []byte) {
 		}
 	}
 	if sct, err := p.UnmarshalSeeded(data); err == nil {
-		if _, err := p.MarshalSeeded(sct); err != nil {
+		again, err := p.MarshalSeeded(sct)
+		if err != nil {
 			t.Fatalf("accepted seeded ciphertext does not re-marshal: %v", err)
+		}
+		if !bytes.Equal(data, again) {
+			t.Fatal("seeded ciphertext re-marshal not canonical")
 		}
 	}
 	if pk, err := p.UnmarshalPublicKey(data); err == nil {

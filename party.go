@@ -140,7 +140,11 @@ func (p *party) SerializeCiphertext(ct *Ciphertext) ([]byte, error) {
 	if err := validateCoeffCiphertext(p.params, ct); err != nil {
 		return nil, err
 	}
-	return p.params.MarshalCiphertext(ct, true)
+	data, err := p.params.MarshalCiphertext(ct, true)
+	if err != nil { // a residue the 44-bit word cannot represent
+		return nil, fmt.Errorf("%w: %w", ErrInvalidCiphertext, err)
+	}
+	return data, nil
 }
 
 // DeserializeCiphertext reverses SerializeCiphertext, validating every
