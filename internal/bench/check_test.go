@@ -7,19 +7,20 @@ import (
 	"testing"
 )
 
-// testReport mirrors the ops the gate measures, at the measured values.
+// testReport mirrors the ops the gate measures, at the largest measured
+// values (GOMAXPROCS=4; see bench_budget.json).
 func testReport() BenchReport {
 	return BenchReport{Records: []BenchRecord{
-		{Op: "EncodeEncrypt", AllocsPerOp: 51},
-		{Op: "DecryptDecode", AllocsPerOp: 23},
-		{Op: "RotateHybrid", AllocsPerOp: 88},
-		{Op: "LinearTransformBSGS", AllocsPerOp: 437},
-		{Op: "LinearTransformNaive", AllocsPerOp: 716},
-		{Op: "RotateHybridPN15", AllocsPerOp: 298},
-		{Op: "MulRelinHybridPN15", AllocsPerOp: 318},
-		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 6666},
-		{Op: "EvalPolyPN15", AllocsPerOp: 1088},
-		{Op: "EvalModPN15", AllocsPerOp: 1812},
+		{Op: "EncodeEncrypt", AllocsPerOp: 47},
+		{Op: "DecryptDecode", AllocsPerOp: 15},
+		{Op: "RotateHybrid", AllocsPerOp: 28},
+		{Op: "LinearTransformBSGS", AllocsPerOp: 236},
+		{Op: "LinearTransformNaive", AllocsPerOp: 305},
+		{Op: "RotateHybridPN15", AllocsPerOp: 40},
+		{Op: "MulRelinHybridPN15", AllocsPerOp: 62},
+		{Op: "CoeffsToSlotsPN15", AllocsPerOp: 2877},
+		{Op: "EvalPolyPN15", AllocsPerOp: 816},
+		{Op: "EvalModPN15", AllocsPerOp: 1211},
 		{Op: "EvkBlobHybridPN15", BlobBytes: 242221089},
 	}}
 }

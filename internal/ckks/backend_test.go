@@ -9,6 +9,7 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/lanes"
@@ -100,7 +101,17 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 			if m >= level {
 				km = ksk.Level + (m - level)
 			}
-			rqp.MulAddPairRow(m, perm, d.Coeffs[m], ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], s[0].Coeffs[m], s[1].Coeffs[m])
+			// The spec MAC, one reduced term at a time — no production row
+			// kernel, so the oracle shares no inner loop with what it checks.
+			ql, dm := rqp.Basis.Moduli[m], d.Coeffs[m]
+			for x := range dm {
+				dx := dm[x]
+				if perm != nil {
+					dx = dm[perm[x]]
+				}
+				s[0].Coeffs[m][x] = ql.Add(s[0].Coeffs[m][x], ql.Mul(dx, ksk.H0[j].Coeffs[km][x]))
+				s[1].Coeffs[m][x] = ql.Add(s[1].Coeffs[m][x], ql.Mul(dx, ksk.H1[j].Coeffs[km][x]))
+			}
 		}
 	}
 	for h, acc := range s {
@@ -207,6 +218,50 @@ func TestFusedMatchesStaged(t *testing.T) {
 		rl.UniformPoly(prng.NewSource(testSeed(), 9000+uint64(tc.level)), c)
 		requireSwitchMatchesStaged(t, tc, c, nil, "identity")
 		requireSwitchMatchesStaged(t, tc, c, tc.p.Ring().GaloisPermNTT(tc.p.GaloisElement(1)), "permuted")
+	}
+}
+
+// TestFusedMatchesStagedWideLimbs is the reference table's one cell past
+// the 36-bit presets: 61-bit limbs — the widest the spec admits, where a
+// 128-bit accumulator has the least room — and α = 1 over nine limbs, so
+// β = 9 and the MAC flushes its lazy block twice before the short tail.
+func TestFusedMatchesStagedWideLimbs(t *testing.T) {
+	spec := ParamSpec{LogN: 8, LimbBits: 61, Limbs: 9, LogScale: 40, HW: 32, SpecialLimbs: 1}
+	for _, b := range []lanes.Backend{lanes.Portable, lanes.Fast} {
+		p := spec.MustBuild()
+		p.SetBackend(b)
+		level := p.MaxLevel()
+		tc := switchCase{b.Name() + " 61-bit β=9", p, NewKeyGenerator(p, testSeed()).GenRelinearizationKeyHybridAt(level).K, level}
+		rl := p.RingAt(level)
+		c := rl.NewPoly()
+		rl.UniformPoly(prng.NewSource(testSeed(), 9300), c)
+		requireSwitchMatchesStaged(t, tc, c, nil, "identity")
+		requireSwitchMatchesStaged(t, tc, c, p.Ring().GaloisPermNTT(p.GaloisElement(1)), "permuted")
+	}
+}
+
+// TestOwnLimbCombineIsCopy pins the equality raiseLimb's copy relies on,
+// next to the code that relies on it: at every level, for every group,
+// converting the group's residues to one of its own limbs returns the
+// source row — whatever the float overflow estimate v rounded to.
+func TestOwnLimbCombineIsCopy(t *testing.T) {
+	p := TestParams.MustBuild()
+	n := p.N()
+	row := make([]uint64, n)
+	for level := 1; level <= p.MaxLevel(); level++ {
+		rl := p.RingAt(level)
+		c := rl.NewPoly()
+		rl.UniformPoly(prng.NewSource(testSeed(), 9400+uint64(level)), c)
+		grp := p.reduceGroups(c, level)
+		for j, g := range grp {
+			for i, src := range g.src {
+				g.ext.CombineLimb(g.lo+i, g.y.Rows, g.v, row, 0, n)
+				if !slices.Equal(row, src) {
+					t.Fatalf("level %d group %d: CombineLimb on own limb %d differs from the source row", level, j, g.lo+i)
+				}
+			}
+		}
+		releaseGroups(grp)
 	}
 }
 

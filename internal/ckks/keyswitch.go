@@ -39,11 +39,11 @@ import (
 //
 //	1. reduce   β·C chunk tasks: per group, ReduceRange computes the HPS
 //	            y_i rows and the overflow estimate v once (reduceGroups).
-//	2. mac      level+k limb tasks: per extended-basis limb, for each
-//	            group — CombineLimb, forward NTT of that row, multiply-
-//	            accumulate into both halves; the first group writes
-//	            through the set-variant MAC so the accumulators start
-//	            uninitialized.
+//	2. mac      level+k limb tasks: per extended-basis limb, raise every
+//	            group's digit row (a copy of the source row on the
+//	            group's own limbs, CombineLimb elsewhere) and forward-NTT
+//	            it, then one MulPairRows over all β rows and both key
+//	            halves writes the limb's accumulator rows once.
 //	3. intt-P   2k limb tasks: both halves' P rows back to coefficients.
 //	4. reduce-P 2·C chunk tasks: ReduceRange of each half's P residues.
 //	5. divide   2·level limb tasks: CombineLimb (P → Q_ℓ), forward NTT,
@@ -53,26 +53,26 @@ import (
 //
 // Three entry points share those stages. switchInto is the single-shot
 // switch for a decomposition consumed once (MulRelin, RotateGalois, the
-// giant steps of LinearTransform): stage 2 reuses one pooled row per limb
-// across groups, so the β·(level+k)·N digit buffer never exists. hoist
-// splits stage 2 where many Galois elements reuse the digits (RotateHoisted,
-// LinearTransform's baby steps): combine+NTT lands in pooled digit
-// polynomials once, and each applyInto runs the MAC over them — the
-// Galois element applied as an NTT-domain gather — and closes through the
-// same modDownPair.
+// giant steps of LinearTransform): stage 2 holds β pooled rows per
+// in-flight limb task (workers·β·N words), so the β·(level+k)·N digit
+// buffer never exists. hoist splits stage 2 where many Galois elements
+// reuse the digits (RotateHoisted, LinearTransform's baby steps): raise+NTT
+// lands in pooled digit polynomials once, and each applyInto runs the MAC
+// over them — the Galois element applied as an NTT-domain gather — and
+// closes through the same modDownPair.
 //
 // The whole-polynomial, spec-shaped form of this arithmetic (ModUpInto →
 // NTT → MAC → INTT of the P rows → ModUpInto → NTT → divide) lives on as
 // the test-only reference stagedSwitch in backend_test.go. Byte identity
-// with it holds stage by stage: ReduceRange + CombineLimb reproduce
-// ExtendRange's arithmetic in the same order (including the float64 v
-// accumulation, TestReduceCombineMatchesExtend), the per-limb NTT is the
-// kernel the whole-polynomial sweep runs, and the MAC accumulates groups
-// in ascending order with the same per-element a0-then-a1 sequence. Chunk
-// and task boundaries are execution details — every kernel is pure per-
-// coefficient arithmetic over disjoint outputs (TestFusedMatchesStaged,
-// TestFusedHoistMatchesStaged and FuzzFusedHybridSwitch assert the
-// equality at every level on both backends).
+// with it holds stage by stage: ReduceRange shares ExtendRange's float64 v
+// accumulation order, CombineLimb and the MAC sum mod.LazyTerms products
+// in 128 bits per Barrett reduction and so write the canonical residue of
+// the sums the reference reduces term by term (reducing late cannot change
+// a residue), and the per-limb NTT is the kernel the whole-polynomial
+// sweep runs. Chunk and task boundaries are execution details — every
+// kernel is pure per-coefficient arithmetic over disjoint outputs
+// (TestFusedMatchesStaged, TestFusedHoistMatchesStaged and
+// FuzzFusedHybridSwitch: every level, both backends).
 
 // Gadget is the key-switching construction tag of the evaluation-key wire
 // format (evalkeyserialize.go). GadgetHybrid is its only value: tag 0
@@ -146,21 +146,39 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 // hoistedDigits is a ciphertext's c1 in decomposed, NTT-domain form — the
 // expensive half of a key switch, computed once and reusable across any
 // number of Galois elements: dig[j] is group j raised to the QP basis
-// (level+α limbs). All storage is pooled: release with releaseDigits.
+// (level+α limbs), and rows[m·β : (m+1)·β] lists limb m's β digit rows —
+// the shape MulPairRows takes, built once so no apply allocates per limb
+// task. All polynomial storage is pooled: release with releaseDigits.
 type hoistedDigits struct {
 	dig   []*ring.Poly
+	rows  [][]uint64
 	level int
 }
 
 // reducedGroup is stage 1's view of one decomposition group: its source
 // rows, the extender from the group's primes to the QP basis, and the
 // stage's output — the HPS y_i rows of the residues and the overflow
-// estimate v. y and v are pooled.
+// estimate v. y and v are pooled. lo is the group's first limb.
 type reducedGroup struct {
 	src [][]uint64
+	lo  int
 	ext *rns.Extender
 	y   *lanes.Matrix
 	v   []uint64
+}
+
+// raiseLimb writes limb m of the group's lift to the QP basis into row and
+// forward-NTTs it — one digit row, ready for the MAC. The group's own limbs
+// copy instead of converting: the HPS lift is x̄ + u·G with G ≡ 0 on every
+// source prime, so there the residue is the source residue whatever v
+// rounds to (TestOwnLimbCombineIsCopy).
+func (g *reducedGroup) raiseLimb(rqp *ring.Ring, m int, row []uint64) {
+	if i := m - g.lo; i >= 0 && i < len(g.src) {
+		copy(row, g.src[i])
+	} else {
+		g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, len(row))
+	}
+	rqp.ForwardLimb(m, row)
 }
 
 // runGroupChunks runs fn over (group, coefficient-range) tasks as one
@@ -196,7 +214,7 @@ func (p *Parameters) reduceGroups(c *ring.Poly, level int) []reducedGroup {
 	for j := range grp {
 		lo, hi := p.groupRange(level, j)
 		grp[j] = reducedGroup{
-			src: c.Coeffs[lo:hi], ext: p.groupExtender(level, j),
+			src: c.Coeffs[lo:hi], lo: lo, ext: p.groupExtender(level, j),
 			y: lanes.GetMatrix(hi-lo, n), v: lanes.GetSlab(n),
 		}
 	}
@@ -238,33 +256,19 @@ func (p *Parameters) switchInto(c *ring.Poly, level int, ksk *SwitchingKey, perm
 	rqp := p.RingQPAt(level)
 	grp := p.reduceGroups(c, level)
 
-	// Stage 2: each task owns one pooled digit row, reused across groups.
+	// Stage 2: each in-flight task holds its limb's β digit rows.
 	s0 := rqp.GetPolyUninit()
 	s1 := rqp.GetPolyUninit()
 	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
-		km := ksk.keyLimb(level, m)
-		a0, a1 := s0.Coeffs[m], s1.Coeffs[m]
-		row := lanes.GetSlab(n)
-		for j, g := range grp {
-			g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, n)
-			rqp.ForwardLimb(m, row)
-			macRow(rqp, m, j, perm, row, ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], a0, a1)
+		dig := lanes.GetMatrix(len(grp), n)
+		for j := range grp {
+			grp[j].raiseLimb(rqp, m, dig.Rows[j])
 		}
-		lanes.PutSlab(row)
+		rqp.MulPairRows(m, perm, dig.Rows, ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m])
+		lanes.PutMatrix(dig)
 	})
 	releaseGroups(grp)
 	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
-}
-
-// macRow is one group's share of the stage-2 MAC on one limb: group 0
-// lands through the set variant, so the QP accumulators can start
-// uninitialized (set == add-to-zero).
-func macRow(rqp *ring.Ring, m, j int, perm []int32, d, k0, k1, a0, a1 []uint64) {
-	if j == 0 {
-		rqp.MulPairRow(m, perm, d, k0, k1, a0, a1)
-	} else {
-		rqp.MulAddPairRow(m, perm, d, k0, k1, a0, a1)
-	}
 }
 
 // hoist decomposes c (coefficient domain, `level` limbs) into its
@@ -272,19 +276,20 @@ func macRow(rqp *ring.Ring, m, j int, perm []int32, d, k0, k1, a0, a1 []uint64) 
 // transformed — β·(level+k) NTTs, paid once per input ciphertext however
 // many applyInto calls consume it.
 func (p *Parameters) hoist(c *ring.Poly, level int) *hoistedDigits {
-	n := p.N()
 	rqp := p.RingQPAt(level)
 	grp := p.reduceGroups(c, level)
-	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, len(grp))}
+	beta, limbs := len(grp), level+p.SpecialLimbs
+	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta), rows: make([][]uint64, limbs*beta)}
 	for j := range h.dig {
 		h.dig[j] = rqp.GetPolyUninit() // every row fully overwritten below
 		h.dig[j].IsNTT = true
+		for m, row := range h.dig[j].Coeffs {
+			h.rows[m*beta+j] = row
+		}
 	}
-	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
-		for j, g := range grp {
-			row := h.dig[j].Coeffs[m]
-			g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, n)
-			rqp.ForwardLimb(m, row)
+	rqp.Engine().Run(limbs, func(m int) {
+		for j := range grp {
+			grp[j].raiseLimb(rqp, m, h.dig[j].Coeffs[m])
 		}
 	})
 	releaseGroups(grp)
@@ -316,11 +321,9 @@ func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32
 	rqp := p.RingQPAt(level)
 	s0 := rqp.GetPolyUninit()
 	s1 := rqp.GetPolyUninit()
+	beta := len(h.dig)
 	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
-		km := ksk.keyLimb(level, m)
-		for j, dj := range h.dig {
-			macRow(rqp, m, j, perm, dj.Coeffs[m], ksk.H0[j].Coeffs[km], ksk.H1[j].Coeffs[km], s0.Coeffs[m], s1.Coeffs[m])
-		}
+		rqp.MulPairRows(m, perm, h.rows[m*beta:(m+1)*beta], ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m])
 	})
 	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
 }

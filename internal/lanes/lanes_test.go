@@ -244,3 +244,18 @@ func TestFloatSlabPool(t *testing.T) {
 	}
 	PutFloatSlab(nil) // must be a no-op
 }
+
+// TestPoolsSteadyStateAllocFree: once a size class is warm, a Get/Put
+// round trip allocates nothing — no fresh sync.Pool per Put, no fresh
+// slice-header box per returned slab, no boxed map key.
+func TestPoolsSteadyStateAllocFree(t *testing.T) {
+	const n = 1 << 12 // past the runtime's preallocated small-integer boxes
+	PutSlab(GetSlab(n))
+	PutMatrix(GetMatrix(3, n))
+	if a := testing.AllocsPerRun(100, func() { PutSlab(GetSlab(n)) }); a != 0 {
+		t.Errorf("slab round trip allocates %.0f objects", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { PutMatrix(GetMatrix(3, n)) }); a != 0 {
+		t.Errorf("matrix round trip allocates %.0f objects", a)
+	}
+}

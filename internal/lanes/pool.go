@@ -12,6 +12,16 @@ type shape struct{ rows, cols int }
 
 var matrixPools sync.Map // shape → *sync.Pool of *Matrix
 
+// poolFor returns pools[key]. Load comes first: LoadOrStore alone would
+// build (and discard) a sync.Pool on every call.
+func poolFor[K comparable](pools *sync.Map, key K) *sync.Pool {
+	pl, ok := pools.Load(key)
+	if !ok {
+		pl, _ = pools.LoadOrStore(key, &sync.Pool{})
+	}
+	return pl.(*sync.Pool)
+}
+
 // Matrix is a pooled rows×cols uint64 matrix over one contiguous backing
 // slab — the storage layout of an RNS polynomial (one row per limb).
 type Matrix struct {
@@ -24,11 +34,7 @@ type Matrix struct {
 // call Zero when the caller needs the all-zero polynomial.
 func GetMatrix(rows, cols int) *Matrix {
 	key := shape{rows, cols}
-	pl, ok := matrixPools.Load(key)
-	if !ok {
-		pl, _ = matrixPools.LoadOrStore(key, &sync.Pool{})
-	}
-	if m, ok := pl.(*sync.Pool).Get().(*Matrix); ok {
+	if m, ok := poolFor(&matrixPools, key).Get().(*Matrix); ok {
 		return m
 	}
 	backing := make([]uint64, rows*cols)
@@ -45,8 +51,7 @@ func PutMatrix(m *Matrix) {
 	if m == nil {
 		return
 	}
-	pl, _ := matrixPools.LoadOrStore(m.key, &sync.Pool{})
-	pl.(*sync.Pool).Put(m)
+	poolFor(&matrixPools, m.key).Put(m)
 }
 
 // Zero clears the whole matrix (single memclr over the backing slab).
@@ -61,20 +66,25 @@ func (m *Matrix) Zero() {
 // overwrite), Put recycles it. The zero value is ready to use. Packages
 // with their own element types (e.g. fftfp's complex slots) declare their
 // own instance instead of copying the pattern.
+//
+// A sync.Pool holds pointers, so a pooled slab travels in a *[]T box; Get
+// empties the box into boxes and Put refills one from there, so in steady
+// state neither allocates.
 type SlabPool[T any] struct {
-	pools sync.Map // int → *sync.Pool of *[]T
+	pools sync.Map  // int → *sync.Pool of *[]T
+	boxes sync.Pool // emptied *[]T
 }
 
 // Get returns a pooled []T of exactly length n, contents unspecified.
 func (p *SlabPool[T]) Get(n int) []T {
-	pl, ok := p.pools.Load(n)
+	box, ok := poolFor(&p.pools, n).Get().(*[]T)
 	if !ok {
-		pl, _ = p.pools.LoadOrStore(n, &sync.Pool{})
+		return make([]T, n)
 	}
-	if s, ok := pl.(*sync.Pool).Get().(*[]T); ok {
-		return *s
-	}
-	return make([]T, n)
+	s := *box
+	*box = nil
+	p.boxes.Put(box)
+	return s
 }
 
 // Put recycles a slab obtained from Get. nil is a no-op.
@@ -82,8 +92,12 @@ func (p *SlabPool[T]) Put(s []T) {
 	if s == nil {
 		return
 	}
-	pl, _ := p.pools.LoadOrStore(len(s), &sync.Pool{})
-	pl.(*sync.Pool).Put(&s)
+	box, ok := p.boxes.Get().(*[]T)
+	if !ok {
+		box = new([]T)
+	}
+	*box = s
+	poolFor(&p.pools, len(s)).Put(box)
 }
 
 var (

@@ -28,6 +28,39 @@ import (
 // the arithmetic supports anything below 2^62.
 const MaxModulusBits = 62
 
+// LazyTerms is how many products of two residues may be summed in 128 bits
+// per Barrett reduction: every q is below 2^MaxModulusBits, so LazyTerms·q
+// ≤ 2^64 and that many products, each < q², sum below q·2^64 — the
+// reduction's domain (rns.Extender.CombineLimb, ring.MulPairRows).
+const LazyTerms = 1 << (64 - MaxModulusBits)
+
+// MulAdd128 adds a·b to the 128-bit accumulator (hi, lo). The caller keeps
+// the sum inside 128 bits (see LazyTerms).
+func MulAdd128(hi, lo, a, b uint64) (uint64, uint64) {
+	phi, plo := bits.Mul64(a, b)
+	lo, carry := bits.Add64(lo, plo, 0)
+	return hi + phi + carry, lo
+}
+
+// Reduce128 is BarrettReduce128 for the row kernels: (hi·2^64 + lo) mod q
+// for values < q·2^64, the constant ⌊2^128/q⌋ = bhi·2^64 + blo passed in so
+// loops keep it in registers. Dropping the lo·blo partial product (which
+// lets the function inline) leaves the quotient estimate short by at most
+// 2, so two conditional subtractions land on the canonical residue.
+func Reduce128(hi, lo, q, bhi, blo uint64) uint64 {
+	c1hi, c1lo := bits.Mul64(lo, bhi)
+	c2hi, c2lo := bits.Mul64(hi, blo)
+	_, carry := bits.Add64(c1lo, c2lo, 0)
+	r := lo - (hi*bhi+c1hi+c2hi+carry)*q
+	if r >= q {
+		r -= q
+	}
+	if r >= q {
+		r -= q
+	}
+	return r
+}
+
 // Modulus bundles a prime q with every precomputed constant needed for fast
 // reduction. A Modulus is immutable after creation and safe for concurrent
 // use.

@@ -2,6 +2,7 @@ package mod
 
 import (
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -193,6 +194,37 @@ func TestMulStrategiesAgreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig(t, 2000)); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReduce128LazySums: the inlinable reduction with the dropped partial
+// product agrees with the method and with hardware division over its whole
+// domain [0, q·2^64) — random values, the domain's top edge, and the
+// largest LazyTerms-long sum of products, at 36-, 61- and 62-bit moduli.
+func TestReduce128LazySums(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xABCF))
+	for _, q := range []uint64{0xFFFF00001, 1<<61 - 1, 1<<62 - 57, 3} {
+		m := NewModulus(q)
+		check := func(hi, lo uint64) {
+			t.Helper()
+			_, want := bits.Div64(hi, lo, q)
+			if got := Reduce128(hi, lo, q, m.BHi, m.BLo); got != want || m.BarrettReduce128(hi, lo) != want {
+				t.Fatalf("q=%d hi=%d lo=%d: Reduce128 %d, method %d, division %d", q, hi, lo, got, m.BarrettReduce128(hi, lo), want)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(rng.Uint64()%q, rng.Uint64())
+		}
+		check(q-1, ^uint64(0))
+		check(0, 0)
+		var hi, lo uint64
+		for i := 0; i < LazyTerms; i++ {
+			hi, lo = MulAdd128(hi, lo, q-1, q-1)
+		}
+		if hi >= q {
+			t.Fatalf("q=%d: %d products of q−1 leave the reduction's domain", q, LazyTerms)
+		}
+		check(hi, lo)
 	}
 }
 

@@ -14,9 +14,9 @@ package ring
 // Both bindings produce canonical [0, q) residues — Barrett and the
 // 128-bit division reduce to the same representative — so results are
 // byte-identical across backends; only the cycle count differs. The
-// key-switch pair kernels (MulAddPairRow / MulPairRow) fuse both
-// ciphertext halves into one pass over the digit row, which is what the
-// key-switch schedule in internal/ckks binds its QP MAC stage to.
+// key-switch MAC (MulPairRows) takes every group's digit row of a limb
+// and both key halves in one pass, which is what the key-switch schedule
+// in internal/ckks binds its QP MAC stage to.
 
 import (
 	"math/bits"
@@ -25,24 +25,11 @@ import (
 )
 
 // barrett is mod.Modulus.BarrettMul with the constants hoisted into
-// locals so the inliner folds it into the row loops: (a·b) mod q for
-// a, b < q, via the precomputed ⌊2^128/q⌋ = bhi·2^64 + blo.
+// locals, so a row loop passes three registers instead of a Modulus:
+// (a·b) mod q for a, b < q, via the precomputed ⌊2^128/q⌋ = bhi·2^64 + blo.
 func barrett(a, b, q, bhi, blo uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
-	mhi, _ := bits.Mul64(lo, blo)
-	c1hi, c1lo := bits.Mul64(lo, bhi)
-	c2hi, c2lo := bits.Mul64(hi, blo)
-	mid, carry1 := bits.Add64(c1lo, c2lo, 0)
-	_, carry2 := bits.Add64(mid, mhi, 0)
-	qhat := hi*bhi + c1hi + c2hi + carry1 + carry2
-	r := lo - qhat*q
-	if r >= q {
-		r -= q
-	}
-	if r >= q {
-		r -= q
-	}
-	return r
+	return mod.Reduce128(hi, lo, q, bhi, blo)
 }
 
 // mulRowFast sets oi = ai ⊙ bi with Barrett reduction.
@@ -90,112 +77,85 @@ func mulPermAddRowFast(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64
 	}
 }
 
-// MulAddPairRow accumulates one digit row into both ciphertext halves:
-//
-//	a0[j] += d[perm[j]]·k0[j],  a1[j] += d[perm[j]]·k1[j]
-//
-// (perm nil ⇒ identity), dispatching on the ring's backend. This is the
-// key-switch MAC kernel — element order and accumulation order are what
-// the staged test reference in internal/ckks pins, per backend. The limb
-// index addresses the ring's own basis.
-func (r *Ring) MulAddPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
-	m := r.Basis.Moduli[limb]
-	if r.Backend().Specialized() {
-		mulAddPairRowFast(m, perm, d, k0, k1, a0, a1)
-		return
-	}
-	if perm == nil {
-		for j := range a0 {
-			a0[j] = m.Add(a0[j], m.Mul(d[j], k0[j]))
-			a1[j] = m.Add(a1[j], m.Mul(d[j], k1[j]))
-		}
-		return
-	}
-	for j := range a0 {
-		dp := d[perm[j]]
-		a0[j] = m.Add(a0[j], m.Mul(dp, k0[j]))
-		a1[j] = m.Add(a1[j], m.Mul(dp, k1[j]))
-	}
-}
+var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out for four terms
 
-func mulAddPairRowFast(m mod.Modulus, perm []int32, d, k0, k1, a0, a1 []uint64) {
-	q, bhi, blo := m.Q, m.BHi, m.BLo
-	k0 = k0[:len(a0)]
-	k1 = k1[:len(a0)]
-	a1 = a1[:len(a0)]
-	if perm == nil {
-		d = d[:len(a0)]
-		for j := range a0 {
-			dj := d[j]
-			v0 := a0[j] + barrett(dj, k0[j], q, bhi, blo)
-			if v0 >= q {
-				v0 -= q
-			}
-			v1 := a1[j] + barrett(dj, k1[j], q, bhi, blo)
-			if v1 >= q {
-				v1 -= q
-			}
-			a0[j] = v0
-			a1[j] = v1
-		}
-		return
-	}
-	perm = perm[:len(a0)]
-	for j := range a0 {
-		dj := d[perm[j]]
-		v0 := a0[j] + barrett(dj, k0[j], q, bhi, blo)
-		if v0 >= q {
-			v0 -= q
-		}
-		v1 := a1[j] + barrett(dj, k1[j], q, bhi, blo)
-		if v1 >= q {
-			v1 -= q
-		}
-		a0[j] = v0
-		a1[j] = v1
-	}
-}
-
-// MulPairRow is the set variant of MulAddPairRow — a0/a1 are overwritten
-// rather than accumulated, letting the first group of a key-switch MAC
-// land on uninitialized pooled storage without a memclr pass. Writing
-// d·k equals adding it to zero, so the bytes match a zeroed accumulator.
-func (r *Ring) MulPairRow(limb int, perm []int32, d, k0, k1, a0, a1 []uint64) {
+// MulPairRows is the key-switch MAC of one limb over every decomposition
+// group at once:
+//
+//	a0[j] = Σ_g d[g][perm[j]]·k0[g].Coeffs[km][j]
+//	a1[j] = Σ_g d[g][perm[j]]·k1[g].Coeffs[km][j]
+//
+// (perm nil ⇒ identity; g ranges over len(d), the key may hold more rows).
+// d[g] is group g's digit row for this limb of the ring's own basis, km the
+// limb's row in the depth-capped key; a0/a1 are written, never read.
+//
+// The portable binding is the spec: add each reduced product in group
+// order. The fast binding sums mod.LazyTerms groups' products per half in
+// a 128-bit (hi, lo) pair and Barrett-reduces once per block, later blocks
+// adding onto the first's output; as in rns.Extender.CombineLimb the block
+// is written out so its row pointers stay in registers. Each output is the
+// canonical residue of the same sum either way — the bytes cannot differ.
+func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km int, a0, a1 []uint64) {
 	m := r.Basis.Moduli[limb]
-	fast := r.Backend().Specialized()
-	q, bhi, blo := m.Q, m.BHi, m.BLo
-	k0 = k0[:len(a0)]
-	k1 = k1[:len(a0)]
-	a1 = a1[:len(a0)]
-	if perm == nil {
-		d = d[:len(a0)]
-		if fast {
-			for j := range a0 {
-				dj := d[j]
-				a0[j] = barrett(dj, k0[j], q, bhi, blo)
-				a1[j] = barrett(dj, k1[j], q, bhi, blo)
+	if !r.Backend().Specialized() {
+		for j := range a0 {
+			pj := j
+			if perm != nil {
+				pj = int(perm[j])
 			}
-			return
-		}
-		for j := range a0 {
-			a0[j] = m.Mul(d[j], k0[j])
-			a1[j] = m.Mul(d[j], k1[j])
-		}
-		return
-	}
-	perm = perm[:len(a0)]
-	if fast {
-		for j := range a0 {
-			dj := d[perm[j]]
-			a0[j] = barrett(dj, k0[j], q, bhi, blo)
-			a1[j] = barrett(dj, k1[j], q, bhi, blo)
+			s0, s1 := uint64(0), uint64(0)
+			for g, dg := range d {
+				s0 = m.Add(s0, m.Mul(dg[pj], k0[g].Coeffs[km][j]))
+				s1 = m.Add(s1, m.Mul(dg[pj], k1[g].Coeffs[km][j]))
+			}
+			a0[j], a1[j] = s0, s1
 		}
 		return
 	}
-	for j := range a0 {
-		dp := d[perm[j]]
-		a0[j] = m.Mul(dp, k0[j])
-		a1[j] = m.Mul(dp, k1[j])
+	q, bhi, blo := m.Q, m.BHi, m.BLo
+	a1 = a1[:len(a0)]
+	for g := 0; g < len(d); g += mod.LazyTerms {
+		n := len(d) - g // groups left; this block takes the first LazyTerms
+		slot := func(i int) (dg, k0g, k1g []uint64) {
+			if i >= n {
+				i = 0 // never read: aliases the block's first rows
+			}
+			return d[g+i], k0[g+i].Coeffs[km][:len(a0)], k1[g+i].Coeffs[km][:len(a0)]
+		}
+		d0, p0, q0 := slot(0)
+		d1, p1, q1 := slot(1)
+		d2, p2, q2 := slot(2)
+		d3, p3, q3 := slot(3)
+		for j := range a0 {
+			pj := j
+			if perm != nil {
+				pj = int(perm[j])
+			}
+			x := d0[pj]
+			h0, l0 := bits.Mul64(x, p0[j])
+			h1, l1 := bits.Mul64(x, q0[j])
+			if n > 1 {
+				x = d1[pj]
+				h0, l0 = mod.MulAdd128(h0, l0, x, p1[j])
+				h1, l1 = mod.MulAdd128(h1, l1, x, q1[j])
+			}
+			if n > 2 {
+				x = d2[pj]
+				h0, l0 = mod.MulAdd128(h0, l0, x, p2[j])
+				h1, l1 = mod.MulAdd128(h1, l1, x, q2[j])
+			}
+			if n > 3 {
+				x = d3[pj]
+				h0, l0 = mod.MulAdd128(h0, l0, x, p3[j])
+				h1, l1 = mod.MulAdd128(h1, l1, x, q3[j])
+			}
+			s0 := mod.Reduce128(h0, l0, q, bhi, blo)
+			s1 := mod.Reduce128(h1, l1, q, bhi, blo)
+			if g > 0 {
+				s0, s1 = m.Add(s0, a0[j]), m.Add(s1, a1[j])
+			}
+			a0[j], a1[j] = s0, s1
+		}
 	}
 }
 

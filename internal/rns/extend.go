@@ -181,74 +181,65 @@ func (e *Extender) ReduceRange(src, y [][]uint64, v []uint64, lo, hi int) {
 	}
 }
 
+var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out for four terms
+
 // CombineLimb is the target half: dst[j] = Σ_i y_i·(G/g_i) − v·G − ⌊G/2⌋
 // mod m_t over [lo, hi), from rows produced by ReduceRange. Pure
 // per-coefficient arithmetic over one output row — safe to run one task
 // per target limb, any coefficient partition.
 //
-// This is the hottest loop of the fused key-switch pipeline (every target
-// limb of every group runs it over the whole coefficient range), so it is
-// written as row-major passes with hoisted Barrett constants, and the
-// per-term reduction folds y_i's mod-m_t reduction into the product:
-// y_i·hat_i < g_i·m_t < 2^64·m_t is inside BarrettReduce128's domain, and
-// (y_i mod m_t)·hat_i ≡ y_i·hat_i (mod m_t) with both reductions landing
-// on the canonical representative — the same bytes ExtendRange computes,
-// without its per-term hardware division (TestReduceCombineMatchesExtend).
+// This is the hottest loop of the key-switch schedule, so it multiplies,
+// accumulates, and reduces once: mod.LazyTerms source rows at a time, the
+// products y_i·hat_i < g_i·m_t summed in a 128-bit (hi, lo) pair and
+// Barrett-reduced once per block — one reduction up to α = 4 — with the
+// corr[v] subtraction in the last block's pass. The block is written out
+// term by term because only then do its row pointers stay in registers; a
+// slot past the end is skipped by a loop-invariant branch. The sum is ≡
+// ExtendRange's, so the canonical bytes are the same
+// (TestReduceCombineMatchesExtend, TestCombineLimbLazyBlocks).
 func (e *Extender) CombineLimb(t int, y [][]uint64, v []uint64, dst []uint64, lo, hi int) {
 	if len(y) != len(e.src) {
 		panic("rns: extender row count mismatch")
 	}
-	m := e.dst[t]
-	hat := e.hatDst[t]
-	corr := e.corr[t]
+	m, hat, corr := e.dst[t], e.hatDst[t], e.corr[t]
 	q, bhi, blo := m.Q, m.BHi, m.BLo
 	d := dst[lo:hi]
-	// Row 0 seeds the accumulator in dst (pooled storage may be dirty).
-	y0 := y[0][lo:hi:hi]
-	h0 := hat[0]
-	for j := range d {
-		phi, plo := bits.Mul64(y0[j], h0)
-		d[j] = barrettReduce128(phi, plo, q, bhi, blo)
-	}
-	for i := 1; i < len(y); i++ {
-		yi := y[i][lo:hi:hi]
-		hi64 := hat[i]
+	vv := v[lo:hi:hi]
+	for i := 0; i < len(y); i += mod.LazyTerms {
+		n := len(y) - i // terms left; this block takes the first LazyTerms
+		slot := func(k int) ([]uint64, uint64) {
+			if k >= n {
+				k = 0 // never read: aliases the block's first row
+			}
+			return y[i+k][lo:hi:hi], hat[i+k]
+		}
+		y0, h0 := slot(0)
+		y1, h1 := slot(1)
+		y2, h2 := slot(2)
+		y3, h3 := slot(3)
 		for j := range d {
-			phi, plo := bits.Mul64(yi[j], hi64)
-			s := d[j] + barrettReduce128(phi, plo, q, bhi, blo)
-			if s >= q {
-				s -= q
+			ahi, alo := bits.Mul64(y0[j], h0)
+			if n > 1 {
+				ahi, alo = mod.MulAdd128(ahi, alo, y1[j], h1)
+			}
+			if n > 2 {
+				ahi, alo = mod.MulAdd128(ahi, alo, y2[j], h2)
+			}
+			if n > 3 {
+				ahi, alo = mod.MulAdd128(ahi, alo, y3[j], h3)
+			}
+			s := mod.Reduce128(ahi, alo, q, bhi, blo)
+			if i > 0 {
+				s = m.Add(s, d[j])
+			}
+			if n <= mod.LazyTerms { // last block: − corr[v], as a conditional move (m.Sub branches on random data)
+				c := corr[vv[j]]
+				if s < c {
+					s += q
+				}
+				s -= c
 			}
 			d[j] = s
 		}
 	}
-	vv := v[lo:hi:hi]
-	for j := range d {
-		c := corr[vv[j]]
-		s := d[j]
-		if s < c {
-			s += q
-		}
-		d[j] = s - c
-	}
-}
-
-// barrettReduce128 is mod.Modulus.BarrettReduce128 with the constants
-// hoisted into locals so the inliner folds it into the combine loops:
-// (phi·2^64 + plo) mod q for values < q·2^64.
-func barrettReduce128(phi, plo, q, bhi, blo uint64) uint64 {
-	mhi, _ := bits.Mul64(plo, blo)
-	c1hi, c1lo := bits.Mul64(plo, bhi)
-	c2hi, c2lo := bits.Mul64(phi, blo)
-	mid, carry1 := bits.Add64(c1lo, c2lo, 0)
-	_, carry2 := bits.Add64(mid, mhi, 0)
-	qhat := phi*bhi + c1hi + c2hi + carry1 + carry2
-	r := plo - qhat*q
-	if r >= q {
-		r -= q
-	}
-	if r >= q {
-		r -= q
-	}
-	return r
 }

@@ -222,3 +222,113 @@ func TestExtenderRejects(t *testing.T) {
 		t.Error("oversized source basis accepted")
 	}
 }
+
+// TestCombineLimbLazyBlocks drives the multiply-accumulate-then-reduce
+// CombineLimb where the 36-bit presets cannot: at 61-bit primes a block of
+// mod.LazyTerms products comes within a few bits of the reduction's
+// q·2^64 domain, α ∈ {8, 16} flush in blocks shorter than α, and α = 1 is
+// the degenerate sum. Every target — foreign
+// and own — must equal ExtendRange byte for byte and sit u·G from the
+// big-int centered lift for one small u; coefficient 0 pins every source
+// residue at g_i − 1 and coefficient 1 every y_i at g_i − 1, the largest
+// sum the accumulator can see.
+func TestCombineLimbLazyBlocks(t *testing.T) {
+	const n, seed = 64, 0xC0B1
+	t.Logf("seed %#x", seed)
+	all := primes.GenerateNTTPrimes(19, 61, 10)
+	for _, alpha := range []int{1, 8, 16} {
+		srcPrimes := all[:alpha]
+		dstPrimes := []uint64{all[16], all[0], all[17], all[alpha-1], all[18]}
+		e := MustExtender(srcPrimes, dstPrimes)
+		g := big.NewInt(1)
+		src := make([][]uint64, alpha)
+		for i, q := range srcPrimes {
+			g.Mul(g, new(big.Int).SetUint64(q))
+			src[i] = make([]uint64, n)
+			prng.NewSource(prng.SeedFromUint64s(seed, uint64(alpha)), uint64(i)).UniformPoly(src[i], q)
+			src[i][0] = q - 1
+			// y_i = (x_i + ⌊G/2⌋)·invHat_i = g_i − 1  ⇔  x_i = −hat_i − ⌊G/2⌋.
+			m := e.src[i]
+			src[i][1] = m.Sub(m.Neg(m.Inv(e.invHat[i])), e.halfSrc[i])
+		}
+		want := make([][]uint64, len(dstPrimes))
+		got := make([][]uint64, len(dstPrimes))
+		for ti := range want {
+			want[ti] = make([]uint64, n)
+			got[ti] = make([]uint64, n)
+		}
+		e.ExtendRange(src, want, 0, n)
+		y := make([][]uint64, alpha)
+		for i := range y {
+			y[i] = make([]uint64, n)
+		}
+		v := make([]uint64, n)
+		e.ReduceRange(src, y, v, 0, n)
+		for i, q := range srcPrimes {
+			if y[i][1] != q-1 {
+				t.Fatalf("α=%d limb %d: pinned y = %d, want g−1 = %d", alpha, i, y[i][1], q-1)
+			}
+		}
+		for ti := range got {
+			e.CombineLimb(ti, y, v, got[ti], 0, n/2)
+			e.CombineLimb(ti, y, v, got[ti], n/2, n)
+		}
+
+		limb := make([]uint64, alpha)
+		for j := 0; j < n; j++ {
+			for i := range limb {
+				limb[i] = src[i][j]
+			}
+			x := extendOracle(limb, srcPrimes)
+			var u *big.Int
+			for ti, m := range dstPrimes {
+				if got[ti][j] != want[ti][j] {
+					t.Fatalf("α=%d target %d coeff %d: CombineLimb %d, ExtendRange %d", alpha, ti, j, got[ti][j], want[ti][j])
+				}
+				mb := new(big.Int).SetUint64(m)
+				diff := new(big.Int).SetUint64(got[ti][j])
+				diff.Mod(diff.Sub(diff, x), mb)
+				gInv := new(big.Int).ModInverse(new(big.Int).Mod(g, mb), mb)
+				if gInv == nil { // own limb: the residue passes through
+					if diff.Sign() != 0 {
+						t.Fatalf("α=%d target %d coeff %d: source limb not exact", alpha, ti, j)
+					}
+					continue
+				}
+				ui := diff.Mod(diff.Mul(diff, gInv), mb)
+				if ui.Cmp(new(big.Int).Rsh(mb, 1)) > 0 {
+					ui.Sub(ui, mb)
+				}
+				if ui.CmpAbs(big.NewInt(int64(alpha+1))) > 0 {
+					t.Fatalf("α=%d target %d coeff %d: offset %v exceeds α+1", alpha, ti, j, ui)
+				}
+				if u == nil {
+					u = new(big.Int).Set(ui)
+				} else if u.Cmp(ui) != 0 {
+					t.Fatalf("α=%d target %d coeff %d: offset %v inconsistent with %v", alpha, ti, j, ui, u)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkCombineLimb: one target row of the key switch's basis
+// conversion at the PN15 shape — N = 2^15, α = 4 source limbs.
+func BenchmarkCombineLimb(b *testing.B) {
+	const n, alpha = 1 << 15, 4
+	all := primes.GenerateNTTPrimes(alpha+1, 36, 15)
+	e := MustExtender(all[:alpha], all[alpha:])
+	src := make([][]uint64, alpha)
+	y := make([][]uint64, alpha)
+	for i, q := range all[:alpha] {
+		src[i], y[i] = make([]uint64, n), make([]uint64, n)
+		prng.NewSource(prng.SeedFromUint64s(21, uint64(i)), 3).UniformPoly(src[i], q)
+	}
+	v, dst := make([]uint64, n), make([]uint64, n)
+	e.ReduceRange(src, y, v, 0, n)
+	b.SetBytes(8 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.CombineLimb(0, y, v, dst, 0, n)
+	}
+}
