@@ -61,6 +61,22 @@ func Reduce128(hi, lo, q, bhi, blo uint64) uint64 {
 	return r
 }
 
+// ShoupConst is the Shoup companion ⌊w·2^64/q⌋ of a fixed multiplicand
+// w < q, the constant MulShoupLazy takes.
+func ShoupConst(w, q uint64) uint64 {
+	quo, _ := bits.Div64(w, 0, q)
+	return quo
+}
+
+// MulShoupLazy returns w·y mod q in [0, 2q) for any 64-bit y, given ws =
+// ShoupConst(w, q): ws falls short of w·2^64/q by less than one and y <
+// 2^64, so hi(y·ws) undershoots ⌊w·y/q⌋ by at most one. One high and two
+// low multiplies; the lazy NTT butterflies (internal/ntt) run on it.
+func MulShoupLazy(y, w, ws, q uint64) uint64 {
+	hi, _ := bits.Mul64(y, ws)
+	return w*y - hi*q
+}
+
 // Modulus bundles a prime q with every precomputed constant needed for fast
 // reduction. A Modulus is immutable after creation and safe for concurrent
 // use.
@@ -78,15 +94,23 @@ type Modulus struct {
 	ROne    uint64
 }
 
+// CheckModulus returns the reason NewModulus would panic on q, or nil.
+func CheckModulus(q uint64) error {
+	if q < 3 || q&1 == 0 {
+		return fmt.Errorf("mod: modulus %d must be an odd integer ≥ 3", q)
+	}
+	if bits.Len64(q) > MaxModulusBits {
+		return fmt.Errorf("mod: modulus %d exceeds %d bits", q, MaxModulusBits)
+	}
+	return nil
+}
+
 // NewModulus precomputes all reduction constants for the odd modulus q.
 // It panics if q is even, zero, one, or ≥ 2^62; primality is the caller's
 // concern (see internal/primes).
 func NewModulus(q uint64) Modulus {
-	if q < 3 || q&1 == 0 {
-		panic(fmt.Sprintf("mod: modulus %d must be an odd integer ≥ 3", q))
-	}
-	if bits.Len64(q) > MaxModulusBits {
-		panic(fmt.Sprintf("mod: modulus %d exceeds %d bits", q, MaxModulusBits))
+	if err := CheckModulus(q); err != nil {
+		panic(err.Error())
 	}
 	m := Modulus{Q: q, Bits: bits.Len64(q)}
 
@@ -247,15 +271,4 @@ func (m Modulus) FromCentered(v int64) uint64 {
 		r += int64(m.Q)
 	}
 	return uint64(r)
-}
-
-// MRedMulLazy is MRedMul without the final conditional subtraction: the
-// result lies in [0, 2q). Used by lazy-reduction NTT butterflies, which
-// absorb the slack in the 44-bit datapath headroom (see internal/ntt).
-func (m Modulus) MRedMulLazy(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	w := lo * m.QInv
-	mh, ml := bits.Mul64(w, m.Q)
-	_, carry := bits.Add64(lo, ml, 0)
-	return hi + mh + carry
 }

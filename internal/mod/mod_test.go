@@ -228,6 +228,33 @@ func TestReduce128LazySums(t *testing.T) {
 	}
 }
 
+// TestMulShoupLazy: the Shoup product lands in [0, 2q) on the residue of
+// w·y for any 64-bit y — the top edge 2^64 − 1, w ∈ {0, 1, q − 1} and
+// random operands — at 36-, 61- and 62-bit moduli, against Mul.
+func TestMulShoupLazy(t *testing.T) {
+	const seed = 0x5400F
+	t.Logf("operand seed %#x", seed)
+	rng := rand.New(rand.NewSource(seed))
+	for _, q := range []uint64{0xFFFF00001, 1<<61 - 1, 1<<62 - 57} {
+		m := NewModulus(q)
+		check := func(y, w uint64) {
+			t.Helper()
+			got := MulShoupLazy(y, w, ShoupConst(w, q), q)
+			if want := m.Mul(w, y%q); got >= 2*q || got%q != want {
+				t.Fatalf("q=%d y=%d w=%d: MulShoupLazy %d, want %d mod q below 2q", q, y, w, got, want)
+			}
+		}
+		for _, w := range []uint64{0, 1, q - 1} {
+			for _, y := range []uint64{0, 1, q - 1, 4*q - 1, ^uint64(0)} {
+				check(y, w)
+			}
+		}
+		for i := 0; i < 20000; i++ {
+			check(rng.Uint64(), rng.Uint64()%q)
+		}
+	}
+}
+
 // Property: modular ring axioms — distributivity and associativity.
 func TestRingAxiomsQuick(t *testing.T) {
 	m := NewModulus(1152921504606584833)

@@ -1,187 +1,196 @@
 package ntt
 
-// Lazy-reduction transforms: the software analogue of what the RFE's
-// 44-bit datapath headroom buys in hardware. Limb primes are ≤ 36 bits
-// while the datapath is 44 bits wide (paper §III), so butterfly outputs
-// can stay in extended ranges across stages, skipping the conditional
-// corrections; a single final pass normalizes into [0, q). These are the
-// kernels the fast lanes backend binds NTT Forward/Inverse to — the
-// portable Forward/Inverse in ntt.go remain the spec-shaped oracle, and
-// both produce byte-identical canonical output (asserted by
-// TestForwardLazyMatchesForward / TestInverseLazyMatchesInverse).
+// Lazy-reduction transforms, the kernels the fast lanes backend binds NTT
+// Forward/Inverse to: the software analogue of the RFE's datapath headroom
+// (paper §III). Butterfly outputs stay in extended ranges across stages;
+// the portable Forward/Inverse in ntt.go stay the strict radix-2
+// Montgomery oracle, and both produce byte-identical canonical output.
 //
-// The forward direction is the classic Harvey formulation ("Faster
-// arithmetic for number-theoretic transforms"): with inputs in [0, 4q),
-// compute
+// Every product is a Shoup product by a twiddle of the one table
+// (mod.MulShoupLazy), in [0, 2q) for any 64-bit input. The forward runs
+// Harvey's butterfly on [0, 4q): u' = u − (u ≥ 2q ? 2q : 0), v' = w·v
+// lazily, out = (u' + v', u' − v' + 2q), which needs 4q < 2^64 (mod caps q
+// below 2^62). The inverse (Gentleman–Sande) stays in [0, 2q) and reads the
+// table mirrored, ψ^{-brev(h+i)} = −W[2h−1−i]: (u + v, (v − u + 2q)·W[…]).
 //
-//	u' = u - (u ≥ 2q ? 2q : 0)        — one conditional subtraction
-//	v' = MRed(v, w)                   — result in [0, 2q) (lazy Montgomery)
-//	out0 = u' + v'          ∈ [0, 4q)
-//	out1 = u' - v' + 2q     ∈ [0, 4q)
-//
-// Correct whenever 4q < 2^64 (true for every limb width mod accepts).
-// The inverse (Gentleman–Sande) keeps values in [0, 2q): the sum side
-// takes one conditional subtraction of 2q, the difference side is lazily
-// Montgomery-multiplied back into [0, 2q), and the closing N^{-1} scaling
-// reduces canonically.
-//
-// Inner loops are written for the Go compiler's bounds-check elimination:
-// the two butterfly halves are hoisted into equal-length subslices (the
-// `y = y[:len(x)]` reslice is what lets the prover drop the checks on y)
-// and unrolled 2×; Montgomery reduction is inlined via mredLazy so each
-// butterfly compiles to straight-line multiply/add/csel code.
+// Two stages run per sweep (radix-4), four coefficients and three twiddle
+// pairs per iteration; an odd stage count adds one radix-2 sweep at the
+// widest stride. The closing pass is fused into the last stage (forward:
+// canonicalise; inverse: scale by N^{-1} and W[1]·N^{-1}), so N = 2^16
+// takes 9 sweeps of the row instead of 17. DESIGN.md has the bounds.
 
-import "math/bits"
+import "repro/internal/mod"
 
-// mredLazy is Montgomery multiplication without the final conditional
-// subtraction: a·b·2^{-64} mod q, returned in [0, 2q) for a·b < q·2^64.
-// Small enough for the inliner, and built on the Mul64/Add64 intrinsics.
-func mredLazy(a, b, q, qInv uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	w := lo * qInv
-	mh, ml := bits.Mul64(w, q)
-	_, carry := bits.Add64(lo, ml, 0)
-	return hi + mh + carry
+// ct is the forward butterfly on [0, 4q): (u + w·v, u − w·v).
+func ct(u, v, w, ws, q uint64) (uint64, uint64) {
+	if u >= 2*q {
+		u -= 2 * q
+	}
+	v = mod.MulShoupLazy(v, w, ws, q)
+	return u + v, u - v + 2*q
+}
+
+// gs is the inverse butterfly on [0, 2q) with the mirrored twiddle w:
+// (u + v, (v − u)·w).
+func gs(u, v, w, ws, q uint64) (uint64, uint64) {
+	s := u + v
+	if s >= 2*q {
+		s -= 2 * q
+	}
+	return s, mod.MulShoupLazy(v-u+2*q, w, ws, q)
+}
+
+// canon maps [0, 4q) onto [0, q).
+func canon(v, q uint64) uint64 {
+	if v >= 2*q {
+		v -= 2 * q
+	}
+	if v >= q {
+		v -= q
+	}
+	return v
 }
 
 // ForwardLazy computes the forward negacyclic NTT with lazy reduction.
-// Input in [0, q), output in [0, q) — byte-identical to Forward (the
-// final sweep normalizes the [0, 4q) intermediates canonically).
+// Input in [0, q), output in [0, q), byte-identical to Forward.
 func (t *Table) ForwardLazy(a []uint64) {
-	if len(a) != t.N {
+	n := t.N
+	if len(a) != n {
 		panic("ntt: length mismatch")
 	}
-	m := t.Mod
-	q := m.Q
-	qInv := m.QInv
-	twoQ := 2 * q
-	psi := t.PsiRev
-	n := t.N
-
-	// All stages with tt ≥ 2: subsliced, 2×-unrolled butterflies.
-	for mm, tt := 1, n>>1; tt > 1; mm, tt = mm<<1, tt>>1 {
+	q := t.Mod.Q
+	w, ws := t.W, t.WShoup
+	mm, tt := 1, n>>1  // the next stage: mm groups, butterflies tt apart
+	if t.LogN&1 == 1 { // one radix-2 sweep at the widest stride
+		x, y := a[:tt], a[tt:]
+		for j := range x {
+			x[j], y[j] = ct(x[j], y[j], w[1], ws[1], q)
+		}
+		if n == 2 {
+			a[0], a[1] = canon(a[0], q), canon(a[1], q)
+			return
+		}
+		mm, tt = 2, tt>>1
+	}
+	for ; tt > 2; mm, tt = mm<<2, tt>>2 {
+		h := tt >> 1
 		for i := 0; i < mm; i++ {
-			s := psi[mm+i]
-			j1 := 2 * i * tt
-			x := a[j1 : j1+tt : j1+tt]
-			y := a[j1+tt : j1+2*tt : j1+2*tt]
-			y = y[:len(x)]
-			for j := 0; j+1 < len(x); j += 2 {
-				u0, u1 := x[j], x[j+1]
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u1 >= twoQ {
-					u1 -= twoQ
-				}
-				v0 := mredLazy(y[j], s, q, qInv)
-				v1 := mredLazy(y[j+1], s, q, qInv)
-				x[j] = u0 + v0
-				x[j+1] = u1 + v1
-				y[j] = u0 - v0 + twoQ
-				y[j+1] = u1 - v1 + twoQ
-			}
+			x := a[2*i*tt : 2*(i+1)*tt]
+			k := 2 * (mm + i)
+			fwd4(x[:h], x[h:tt], x[tt:tt+h], x[tt+h:],
+				w[mm+i], ws[mm+i], w[k], ws[k], w[k+1], ws[k+1], q)
 		}
 	}
-
-	// Last stage (tt == 1): adjacent pairs, one twiddle per butterfly —
-	// subslicing per pair would cost more than the bounds checks it saves.
-	if n >= 2 {
-		h := n >> 1
-		for i, j := 0, 0; i < h; i, j = i+1, j+2 {
-			s := psi[h+i]
-			u := a[j]
-			if u >= twoQ {
-				u -= twoQ
-			}
-			v := mredLazy(a[j+1], s, q, qInv)
-			a[j] = u + v
-			a[j+1] = u - v + twoQ
-		}
+	// Stages tt = 2 and 1 on blocks of four adjacent coefficients, with
+	// the canonicalisation fused into the last butterflies.
+	w1, ws1 := w[mm:2*mm], ws[mm:2*mm]
+	w2, ws2 := w[2*mm:4*mm], ws[2*mm:4*mm]
+	for i := range w1 {
+		x := a[4*i : 4*i+4 : 4*i+4]
+		a0, a2 := ct(x[0], x[2], w1[i], ws1[i], q)
+		a1, a3 := ct(x[1], x[3], w1[i], ws1[i], q)
+		a0, a1 = ct(a0, a1, w2[2*i], ws2[2*i], q)
+		a2, a3 = ct(a2, a3, w2[2*i+1], ws2[2*i+1], q)
+		x[0], x[1], x[2], x[3] = canon(a0, q), canon(a1, q), canon(a2, q), canon(a3, q)
 	}
+}
 
-	// Normalize [0, 4q) → [0, q): canonical, matching Forward's output.
-	for j := range a {
-		v := a[j]
-		if v >= twoQ {
-			v -= twoQ
-		}
-		if v >= q {
-			v -= q
-		}
-		a[j] = v
+// fwd4 runs two forward stages over one block: (x0, x2) and (x1, x3)
+// under w1, then (x0, x1) under w2 and (x2, x3) under w3.
+func fwd4(x0, x1, x2, x3 []uint64, w1, ws1, w2, ws2, w3, ws3, q uint64) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for j := range x0 {
+		a0, a2 := ct(x0[j], x2[j], w1, ws1, q)
+		a1, a3 := ct(x1[j], x3[j], w1, ws1, q)
+		x0[j], x1[j] = ct(a0, a1, w2, ws2, q)
+		x2[j], x3[j] = ct(a2, a3, w3, ws3, q)
 	}
 }
 
 // InverseLazy computes the inverse negacyclic NTT (including the N^{-1}
-// scaling) with lazy reduction. Input in [0, q), output in [0, q) —
-// byte-identical to Inverse; intermediates roam [0, 2q).
+// scaling) with lazy reduction. Input in [0, q), output in [0, q),
+// byte-identical to Inverse.
 func (t *Table) InverseLazy(a []uint64) {
-	if len(a) != t.N {
+	n := t.N
+	if len(a) != n {
 		panic("ntt: length mismatch")
 	}
-	m := t.Mod
-	q := m.Q
-	qInv := m.QInv
-	twoQ := 2 * q
-	psiInv := t.PsiInvRev
-
-	// First stage (tt == 1): adjacent pairs.
-	n := t.N
-	if n >= 2 {
-		h := n >> 1
-		for i, j := 0, 0; i < h; i, j = i+1, j+2 {
-			s := psiInv[h+i]
-			u, v := a[j], a[j+1]
-			uv := u + v
-			if uv >= twoQ {
-				uv -= twoQ
-			}
-			a[j] = uv
-			a[j+1] = mredLazy(u-v+twoQ, s, q, qInv)
+	q := t.Mod.Q
+	w, ws := t.W, t.WShoup
+	h, tt := n>>1, 1 // the next stage: h groups, butterflies tt apart
+	if n > 4 {
+		// Stages tt = 1 and 2 on blocks of four adjacent coefficients.
+		for i := 0; i < n>>2; i++ {
+			x := a[4*i : 4*i+4 : 4*i+4]
+			ka, kb, kc := n-1-2*i, n-2-2*i, n>>1-1-i
+			a0, a1 := gs(x[0], x[1], w[ka], ws[ka], q)
+			a2, a3 := gs(x[2], x[3], w[kb], ws[kb], q)
+			x[0], x[2] = gs(a0, a2, w[kc], ws[kc], q)
+			x[1], x[3] = gs(a1, a3, w[kc], ws[kc], q)
+		}
+		h, tt = n>>3, 4
+	}
+	for ; h > 2; h, tt = h>>2, tt<<2 {
+		for i := 0; i < h>>1; i++ {
+			x := a[4*i*tt : 4*(i+1)*tt]
+			ka, kb, kc := 2*h-1-2*i, 2*h-2-2*i, h-1-i
+			inv4(x[:tt], x[tt:2*tt], x[2*tt:3*tt], x[3*tt:],
+				w[ka], ws[ka], w[kb], ws[kb], w[kc], ws[kc], q)
 		}
 	}
-
-	// Remaining stages (tt ≥ 2): subsliced, 2×-unrolled.
-	tt := 2
-	for mm := n >> 1; mm > 1; mm >>= 1 {
-		h := mm >> 1
-		j1 := 0
-		for i := 0; i < h; i++ {
-			s := psiInv[h+i]
-			x := a[j1 : j1+tt : j1+tt]
-			y := a[j1+tt : j1+2*tt : j1+2*tt]
-			y = y[:len(x)]
-			for j := 0; j+1 < len(x); j += 2 {
-				u0, u1 := x[j], x[j+1]
-				v0, v1 := y[j], y[j+1]
-				uv0 := u0 + v0
-				uv1 := u1 + v1
-				if uv0 >= twoQ {
-					uv0 -= twoQ
-				}
-				if uv1 >= twoQ {
-					uv1 -= twoQ
-				}
-				x[j] = uv0
-				x[j+1] = uv1
-				y[j] = mredLazy(u0-v0+twoQ, s, q, qInv)
-				y[j+1] = mredLazy(u1-v1+twoQ, s, q, qInv)
-			}
-			j1 += 2 * tt
-		}
-		tt <<= 1
+	// The last stage (h = 1, one group) carries the N^{-1} scaling.
+	if h == 2 {
+		t.inv4Last(a[:tt], a[tt:2*tt], a[2*tt:3*tt], a[3*tt:])
+	} else {
+		t.inv2Last(a[:tt], a[tt:])
 	}
+}
 
-	// Closing N^{-1} scaling: inputs in [0, 2q), outputs canonical — the
-	// single conditional correction suffices because a·NInv < 2q·q keeps
-	// the lazy result under 2q.
-	nInv := t.NInv
-	for j := range a {
-		v := mredLazy(a[j], nInv, q, qInv)
-		if v >= q {
-			v -= q
-		}
-		a[j] = v
+// inv4 runs two inverse stages over one block: (x0, x1) under wa and
+// (x2, x3) under wb, then (x0, x2) and (x1, x3) under wc.
+func inv4(x0, x1, x2, x3 []uint64, wa, wsa, wb, wsb, wc, wsc, q uint64) {
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for j := range x0 {
+		a0, a1 := gs(x0[j], x1[j], wa, wsa, q)
+		a2, a3 := gs(x2[j], x3[j], wb, wsb, q)
+		x0[j], x2[j] = gs(a0, a2, wc, wsc, q)
+		x1[j], x3[j] = gs(a1, a3, wc, wsc, q)
 	}
+}
+
+// inv4Last is inv4 for the closing block (h = 2, then h = 1): twiddles
+// W[3] and W[2], then the scaled last stage.
+func (t *Table) inv4Last(x0, x1, x2, x3 []uint64) {
+	q, wa, wsa, wb, wsb := t.Mod.Q, t.W[3], t.WShoup[3], t.W[2], t.WShoup[2]
+	c, cs, c1, cs1 := t.nInv, t.nInvShoup, t.w1NInv, t.w1NInvShoup
+	x1, x2, x3 = x1[:len(x0)], x2[:len(x0)], x3[:len(x0)]
+	for j := range x0 {
+		a0, a1 := gs(x0[j], x1[j], wa, wsa, q)
+		a2, a3 := gs(x2[j], x3[j], wb, wsb, q)
+		x0[j], x2[j] = gsLast(a0, a2, c, cs, c1, cs1, q)
+		x1[j], x3[j] = gsLast(a1, a3, c, cs, c1, cs1, q)
+	}
+}
+
+// inv2Last is the scaled last stage alone (odd stage counts).
+func (t *Table) inv2Last(x, y []uint64) {
+	q, c, cs, c1, cs1 := t.Mod.Q, t.nInv, t.nInvShoup, t.w1NInv, t.w1NInvShoup
+	y = y[:len(x)]
+	for j := range x {
+		x[j], y[j] = gsLast(x[j], y[j], c, cs, c1, cs1, q)
+	}
+}
+
+// gsLast is the last inverse butterfly with c = N^{-1} and c1 = W[1]·N^{-1}
+// folded in: ((u + v)·c, (v − u)·c1), canonical.
+func gsLast(u, v, c, cs, c1, cs1, q uint64) (uint64, uint64) {
+	x := mod.MulShoupLazy(u+v, c, cs, q)
+	y := mod.MulShoupLazy(v-u+2*q, c1, cs1, q)
+	if x >= q {
+		x -= q
+	}
+	if y >= q {
+		y -= q
+	}
+	return x, y
 }

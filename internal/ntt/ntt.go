@@ -1,5 +1,10 @@
 package ntt
 
+// The reference kernels: strict radix-2 Montgomery butterflies, the portable
+// backend and the oracle of the lazy Shoup kernels (lazy.go), with which
+// they share no multiplication routine. Each group converts its twiddle
+// from the plain table with one MForm (the inverse from the mirror).
+
 // Forward computes the in-place negacyclic NTT of a (length N, natural
 // order in, natural order out — the bit-reversal is internal). After
 // Forward, coefficient-wise multiplication corresponds to negacyclic
@@ -17,7 +22,7 @@ func (t *Table) Forward(a []uint64) {
 	q := m.Q
 	for mm, tt := 1, t.N>>1; mm < t.N; mm, tt = mm<<1, tt>>1 {
 		for i := 0; i < mm; i++ {
-			s := t.PsiRev[mm+i]
+			s := m.MForm(t.W[mm+i])
 			j1 := 2 * i * tt
 			for j := j1; j < j1+tt; j++ {
 				u := a[j]
@@ -50,7 +55,7 @@ func (t *Table) Inverse(a []uint64) {
 		h := mm >> 1
 		j1 := 0
 		for i := 0; i < h; i++ {
-			s := t.PsiInvRev[h+i]
+			s := m.MForm(q - t.W[2*h-1-i]) // ψ^{-brev(h+i)}, the mirror
 			for j := j1; j < j1+tt; j++ {
 				u := a[j]
 				v := a[j+tt]

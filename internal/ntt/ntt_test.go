@@ -1,10 +1,12 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/primes"
 	"repro/internal/prng"
 )
 
@@ -26,6 +28,7 @@ var testCfgs = []struct {
 	{256, 7681},         // Kyber-era prime
 	{1024, 132120577},   // 27-bit
 	{4096, 68718428161}, // 36-bit CKKS limb
+	{64, primes.GenerateNTTPrimes(1, 61, 6)[0]}, // 61-bit: the widest limbs
 }
 
 func randPoly(n int, q uint64, seed int64) []uint64 {
@@ -126,14 +129,14 @@ func TestOTFGenMatchesTables(t *testing.T) {
 			mm := 1 << uint(s)
 			fw := gen.StageForward(s)
 			for i := 0; i < mm; i++ {
-				if fw[i] != tbl.PsiRev[mm+i] {
+				if fw[i] != tbl.Mod.MForm(tbl.W[mm+i]) {
 					t.Fatalf("N=%d q=%d stage %d: OTF forward twiddle %d mismatch",
 						cfg.n, cfg.q, s, i)
 				}
 			}
 			inv := gen.StageInverse(s)
 			for i := 0; i < mm; i++ {
-				if inv[i] != tbl.PsiInvRev[mm+i] {
+				if inv[i] != tbl.Mod.MForm(cfg.q-tbl.W[2*mm-1-i]) {
 					t.Fatalf("N=%d q=%d stage %d: OTF inverse twiddle %d mismatch",
 						cfg.n, cfg.q, s, i)
 				}
@@ -327,14 +330,27 @@ func TestForwardLazyQuick(t *testing.T) {
 	}
 }
 
-func BenchmarkNTTForwardLazy65536(b *testing.B) {
-	tbl := MustTable(65536, 68718428161)
-	a := randPoly(65536, tbl.Mod.Q, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.ForwardLazy(a)
+// benchLazySizes times one lazy kernel over the client's ring degrees,
+// N = 2^13 … 2^16, on a 36-bit limb prime; MB/s counts one row of 8·N
+// bytes per transform.
+func benchLazySizes(b *testing.B, run func(*Table, []uint64)) {
+	for logN := 13; logN <= 16; logN++ {
+		n := 1 << logN
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			tbl := MustTable(n, 68718428161)
+			a := randPoly(n, tbl.Mod.Q, 1)
+			b.SetBytes(int64(8 * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(tbl, a)
+			}
+		})
 	}
 }
+
+func BenchmarkNTTForwardLazy(b *testing.B) { benchLazySizes(b, (*Table).ForwardLazy) }
+
+func BenchmarkNTTInverseLazy(b *testing.B) { benchLazySizes(b, (*Table).InverseLazy) }
 
 func TestInverseLazyMatchesInverse(t *testing.T) {
 	for _, cfg := range testCfgs {
@@ -399,14 +415,5 @@ func BenchmarkNTTInverse65536(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tbl.Inverse(a)
-	}
-}
-
-func BenchmarkNTTInverseLazy65536(b *testing.B) {
-	tbl := MustTable(65536, 68718428161)
-	a := randPoly(65536, tbl.Mod.Q, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.InverseLazy(a)
 	}
 }

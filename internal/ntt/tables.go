@@ -2,14 +2,14 @@
 // Z_q[X]/(X^N+1) — the workhorse of both our CKKS client (internal/ckks)
 // and the functional model of ABC-FHE's pipelined NTT lanes (PNLs).
 //
-// Two implementations are provided and cross-checked:
+// Three bit-identical implementations are cross-checked:
 //
-//   - a table-based reference (merged-ψ Cooley–Tukey forward /
-//     Gentleman–Sande inverse, the standard software formulation), and
-//   - a streaming lane model that mirrors the hardware: stage-by-stage
-//     processing with twiddles produced by an on-the-fly generator from a
-//     compact seed set (paper §III/IV: "unified OTF TF Gen"), bit-identical
-//     to the reference.
+//   - the radix-2 Montgomery reference (merged-ψ Cooley–Tukey forward /
+//     Gentleman–Sande inverse, ntt.go) and the radix-4 Shoup kernels of
+//     the fast backend (lazy.go), both on one table of 2N words per prime;
+//   - a streaming lane model that mirrors the hardware, its twiddles from
+//     an on-the-fly generator over a compact seed set (paper §III/IV:
+//     "unified OTF TF Gen").
 //
 // The merged-ψ trick (paper Eq. 2–3, citing Roy et al. [30] and
 // Pöppelmann et al. [27]) folds the negacyclic pre/post-processing by
@@ -35,13 +35,19 @@ type Table struct {
 	Psi    uint64 // primitive 2N-th root of unity (plain form)
 	PsiInv uint64 // ψ^{-1}
 
-	// PsiRev[i] = ψ^{brev(i, logN)} in Montgomery form; the forward CT
-	// butterfly at step m uses PsiRev[m+i]. PsiInvRev likewise for ψ^{-1}
-	// (Gentleman–Sande inverse).
-	PsiRev    []uint64
-	PsiInvRev []uint64
+	// W[i] = ψ^{brev(i, logN)} in plain form and WShoup[i] its Shoup
+	// companion ⌊W[i]·2^64/q⌋: the only twiddle table, 2N words per prime.
+	// The forward CT butterfly at step m uses W[m+i]; the inverse reads it
+	// mirrored, ψ^{-brev(h+i)} = −W[2h−1−i] (ψ^N = −1 and brev(h+(h−1−i))
+	// = N − brev(h+i)), so no ψ^{-1} table exists.
+	W      []uint64
+	WShoup []uint64
 
-	NInv uint64 // N^{-1} mod q in Montgomery form
+	NInv uint64 // N^{-1} mod q in Montgomery form (the Montgomery kernels)
+
+	// Closing factors of InverseLazy, each with its Shoup companion:
+	// N^{-1} and W[1]·N^{-1}, plain form.
+	nInv, nInvShoup, w1NInv, w1NInvShoup uint64
 
 	// Lazily-built Galois tables (galois.go); guarded by galoisOnce.
 	galoisOnce sync.Once
@@ -49,37 +55,41 @@ type Table struct {
 }
 
 // NewTable builds transform tables for degree N (a power of two ≥ 2) over
-// prime q, which must satisfy q ≡ 1 (mod 2N).
+// prime q, which must satisfy q ≡ 1 (mod 2N). Every rejected (N, q) is an
+// error, never a panic.
 func NewTable(n int, q uint64) (*Table, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("ntt: N=%d is not a power of two ≥ 2", n)
 	}
-	m := mod.NewModulus(q)
+	if err := mod.CheckModulus(q); err != nil {
+		return nil, fmt.Errorf("ntt: %w", err)
+	}
 	if (q-1)%uint64(2*n) != 0 {
 		return nil, fmt.Errorf("ntt: q=%d is not ≡ 1 mod 2N=%d", q, 2*n)
 	}
+	m := mod.NewModulus(q)
 	psi, err := m.MinimalPrimitiveRoot(uint64(2 * n))
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
-		N:    n,
-		LogN: bits.Len(uint(n)) - 1,
-		Mod:  m,
-		Psi:  psi,
+		N:      n,
+		LogN:   bits.Len(uint(n)) - 1,
+		Mod:    m,
+		Psi:    psi,
+		PsiInv: m.Inv(psi),
+		W:      make([]uint64, n),
+		WShoup: make([]uint64, n),
 	}
-	t.PsiInv = m.Inv(psi)
-	t.PsiRev = make([]uint64, n)
-	t.PsiInvRev = make([]uint64, n)
-	pow, powInv := uint64(1), uint64(1)
+	pow := uint64(1)
 	for i := 0; i < n; i++ {
-		r := int(brev(uint(i), t.LogN))
-		t.PsiRev[r] = m.MForm(pow)
-		t.PsiInvRev[r] = m.MForm(powInv)
+		r := brev(uint(i), t.LogN)
+		t.W[r], t.WShoup[r] = pow, mod.ShoupConst(pow, q)
 		pow = m.Mul(pow, psi)
-		powInv = m.Mul(powInv, t.PsiInv)
 	}
-	t.NInv = m.MForm(m.Inv(uint64(n)))
+	nInv := m.Inv(uint64(n))
+	t.NInv, t.nInv, t.w1NInv = m.MForm(nInv), nInv, m.Mul(t.W[1], nInv)
+	t.nInvShoup, t.w1NInvShoup = mod.ShoupConst(nInv, q), mod.ShoupConst(t.w1NInv, q)
 	return t, nil
 }
 
