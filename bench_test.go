@@ -1,80 +1,68 @@
 package abcfhe
 
-// One testing.B benchmark per table/figure of the paper's evaluation
-// (regenerating the experiment end to end), plus micro-benchmarks of the
-// client primitives the accelerator targets. Run with:
+// BenchmarkOps times the client and server ops through the public roles,
+// one sub-benchmark per preset × worker count × op:
 //
-//	go test -bench=. -benchmem
+//	go test -run=NONE -bench=Ops -benchmem .
+//	go test -run=NONE -bench='Ops/PN15/.*/EncodeEncrypt$' -benchtime=3x .
 //
-// The experiment benchmarks use reduced problem sizes (Options.Fast) so a
-// full -bench=. sweep completes in minutes; `go run ./cmd/abcbench` runs
-// the paper-scale versions.
+// The allocation ceilings of these ops are TestAllocationBudgets in
+// internal/ckks; the repo benchmark (benchmark/) is where wall-clock is
+// tracked end to end. `go run ./cmd/abcbench` regenerates the paper's
+// tables and figures.
 
 import (
 	"fmt"
 	"runtime"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/prng"
-	"repro/internal/sim"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Run(id, bench.Options{Fast: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+// opBenchmarks lists the ops timed per preset and worker count. Workers 0
+// stands for GOMAXPROCS: the PN15 EncodeEncrypt pair is the software
+// version of the paper's Fig. 5b lane sweep, and DecryptDecode runs at
+// every preset at the paper's 2-limb return level.
+var opBenchmarks = []struct {
+	preset  Preset
+	workers int
+	ops     []string
+}{
+	{Test, 0, []string{"EncodeEncrypt", "EncodeEncryptBatch8", "DecryptDecode", "DecryptDecodeBatch8",
+		"Mul", "Rotate", "RotateMany/hoisted", "RotateMany/sequential", "InnerSum8"}},
+	{PN13, 0, []string{"DecryptDecode", "DecryptDecodeBatch8"}},
+	{PN14, 0, []string{"DecryptDecode"}},
+	{PN15, 1, []string{"EncodeEncrypt"}},
+	{PN15, 0, []string{"EncodeEncrypt", "DecryptDecode"}},
+	{PN16, 0, []string{"DecryptDecode"}},
 }
 
-// Fig. 1: client/server execution-time breakdown (ResNet20-FHE).
-func BenchmarkFig1(b *testing.B) { benchExperiment(b, "fig1") }
+// opFixture is one preset's three parties and a full-slot message, built
+// by the first op that runs so a -bench filter matching none of a row's
+// ops costs no key generation.
+type opFixture struct {
+	owner  *KeyOwner
+	device *Encryptor
+	server *Server
+	msg    []complex128
+	evk    *EvaluationKeys // built on first use by a key-switching op
+}
 
-// Fig. 2: client-side operation analysis (27.0 vs 2.9 MOPs).
-func BenchmarkFig2(b *testing.B) { benchExperiment(b, "fig2") }
-
-// Fig. 3c: precision vs floating-point mantissa width (FP55 selection).
-func BenchmarkFig3c(b *testing.B) { benchExperiment(b, "fig3c") }
-
-// Fig. 4: twiddle scheduling and multiplier design-space exploration.
-func BenchmarkFig4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// Table I: modular multiplier area/pipeline comparison.
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-
-// Table II: chip area/power breakdown (+7 nm scaling).
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-
-// Fig. 5a: latency and speed-up vs CPU and prior accelerators.
-func BenchmarkFig5a(b *testing.B) { benchExperiment(b, "fig5a") }
-
-// Fig. 5b: PNL lane sweep against the LPDDR5 ceiling.
-func BenchmarkFig5b(b *testing.B) { benchExperiment(b, "fig5b") }
-
-// Fig. 6a: RFE area ablation (TF scheduling, MontMul, reconfigurability).
-func BenchmarkFig6a(b *testing.B) { benchExperiment(b, "fig6a") }
-
-// Fig. 6b: on-chip generation ablation across polynomial degrees.
-func BenchmarkFig6b(b *testing.B) { benchExperiment(b, "fig6b") }
-
-// §IV-B: on-chip memory accounting (>99.9% reduction claim).
-func BenchmarkMemClaim(b *testing.B) { benchExperiment(b, "memclaim") }
-
-// §IV-A: NTT-friendly prime census (443-prime claim).
-func BenchmarkPrimeCensus(b *testing.B) { benchExperiment(b, "primes") }
-
-// ---------------------------------------------------------------------
-// Micro-benchmarks: the client primitives themselves.
-// ---------------------------------------------------------------------
-
-// benchParties wires the three roles (see threeParties) for the client
-// micro-benchmarks and builds one full-slot message.
-func benchParties(b *testing.B, preset Preset, opts ...Option) (*KeyOwner, *Encryptor, *Server, []complex128) {
+func (f *opFixture) build(b *testing.B, preset Preset, workers int) {
 	b.Helper()
-	owner, device, server := threeParties(b, preset, 7, 8, opts...)
-	return owner, device, server, benchMsg(device.Slots())
+	if f.owner != nil {
+		return
+	}
+	f.owner, f.device, f.server = threeParties(b, preset, 7, 8, WithWorkers(workers))
+	f.msg = benchMsg(f.device.Slots())
+}
+
+func (f *opFixture) close() {
+	if f.owner != nil {
+		f.owner.Close()
+		f.device.Close()
+		f.server.Close()
+	}
 }
 
 func benchMsg(slots int) []complex128 {
@@ -86,233 +74,157 @@ func benchMsg(slots int) []complex128 {
 	return msg
 }
 
-// benchReply encrypts msg and drops it to the paper's 2-limb return level.
-func benchReply(b *testing.B, device *Encryptor, server *Server, msg []complex128) *Ciphertext {
+// encrypt returns a fresh max-level encryption of the fixture's message.
+func (f *opFixture) encrypt(b *testing.B) *Ciphertext {
 	b.Helper()
-	ct, err := device.EncodeEncrypt(msg)
+	ct, err := f.device.EncodeEncrypt(f.msg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	low, err := server.DropLevel(ct, 2)
+	return ct
+}
+
+// reply encrypts the message and drops it to the paper's 2-limb return
+// level.
+func (f *opFixture) reply(b *testing.B) *Ciphertext {
+	b.Helper()
+	low, err := f.server.DropLevel(f.encrypt(b), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return low
 }
 
-func BenchmarkClientEncodeEncrypt(b *testing.B) {
-	_, device, _, msg := benchParties(b, Test)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := device.EncodeEncrypt(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkClientDecryptDecode(b *testing.B) {
-	owner, device, server, msg := benchParties(b, Test)
-	low := benchReply(b, device, server, msg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := owner.DecryptDecode(low); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Per-preset decode benchmarks at the paper's 2-limb return level. Run
-// with -benchmem: the allocs/op column is the regression canary for the
-// allocation-free Combine-CRT path (the Test preset sat at ~9.7k allocs/op
-// on the old big.Int combine; the fast path runs at ~20).
-func BenchmarkDecryptDecode(b *testing.B) {
-	for _, preset := range []Preset{Test, PN13, PN14, PN15, PN16} {
-		b.Run(string(preset), func(b *testing.B) {
-			owner, device, server, msg := benchParties(b, preset)
-			low := benchReply(b, device, server, msg)
-			out := make([]complex128, owner.Slots())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := owner.DecryptDecodeInto(low, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Batch decode: message-level fan-out over reused slot buffers.
-func BenchmarkDecryptDecodeBatch(b *testing.B) {
-	for _, preset := range []Preset{Test, PN13} {
-		b.Run(fmt.Sprintf("%s/8msgs", preset), func(b *testing.B) {
-			owner, device, server, msg := benchParties(b, preset)
-			cts := make([]*Ciphertext, 8)
-			out := make([][]complex128, len(cts))
-			for i := range cts {
-				cts[i] = benchReply(b, device, server, msg)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := owner.DecryptDecodeBatchInto(cts, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Extension: decode lane sweep with allocation accounting.
-func BenchmarkDecodeExperiment(b *testing.B) { benchExperiment(b, "decode") }
-
-func BenchmarkAcceleratorModel(b *testing.B) {
-	cfg := sim.PaperConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.EncodeEncrypt(1)
-		cfg.DecodeDecrypt(1)
-	}
-}
-
-// Lane scaling: PN15 EncodeEncrypt with the serial path vs the full
-// GOMAXPROCS worker pool — the software version of the paper's Fig. 5b
-// lane sweep. On a host with ≥4 cores the pooled run is expected to be
-// ≥2x faster; on a single-core host both sub-benchmarks coincide.
-func BenchmarkPN15EncodeEncryptLanes(b *testing.B) {
-	workerCounts := []int{1, runtime.GOMAXPROCS(0)}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			owner, device, server, msg := benchParties(b, PN15, WithWorkers(w))
-			defer owner.Close()
-			defer device.Close()
-			defer server.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := device.EncodeEncrypt(msg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// Batch pipeline: amortizes per-message overheads on top of limb-level
-// parallelism (message-level fan-out keeps lanes busy between ops).
-func BenchmarkClientEncodeEncryptBatch8(b *testing.B) {
-	_, device, _, msg := benchParties(b, Test)
-	msgs := make([][]complex128, 8)
-	for i := range msgs {
-		msgs[i] = msg
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := device.EncodeEncryptBatch(msgs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchEvalServer builds the key-gated server surface once for the
-// evaluation benchmarks: Test-preset parties, depth-4 keys with the
-// rotation ladder for an 8-slot inner sum.
-func benchEvalServer(b *testing.B) (*Server, *EvaluationKeys, *Ciphertext) {
+// keys imports depth-4 evaluation keys with the rotation ladder of an
+// 8-slot inner sum.
+func (f *opFixture) keys(b *testing.B) *EvaluationKeys {
 	b.Helper()
-	owner, err := NewKeyOwner(Test, 7, 8)
+	if f.evk != nil {
+		return f.evk
+	}
+	blob, err := f.owner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: 4, Rotations: InnerSumRotations(8)})
 	if err != nil {
 		b.Fatal(err)
 	}
-	pkBytes, _ := owner.ExportPublicKey()
-	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{
-		MaxLevel:  4,
-		Rotations: InnerSumRotations(8),
-	})
-	if err != nil {
+	if f.evk, err = f.server.ImportEvaluationKeys(blob); err != nil {
 		b.Fatal(err)
 	}
-	device, err := NewEncryptor(pkBytes, 9, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, evk, err := NewServerFromEvaluationKeys(evkBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ct, err := device.EncodeEncrypt(benchMsg(device.Slots()))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return server, evk, ct
+	return f.evk
 }
 
-// Key-switch hot paths with allocation accounting — the allocs/op column
-// is the regression canary for the pool-backed digit decomposition (the
-// hard budget is TestEvalAllocationBudget; these report real numbers per
-// worker configuration).
-func BenchmarkServerMulRelin(b *testing.B) {
-	server, evk, ct := benchEvalServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.Mul(ct, ct, evk); err != nil {
-			b.Fatal(err)
+// opLoops holds each op's timed loop. Set-up before b.ResetTimer is not
+// charged.
+var opLoops = map[string]func(b *testing.B, f *opFixture){
+	"EncodeEncrypt": func(b *testing.B, f *opFixture) {
+		for i := 0; i < b.N; i++ {
+			f.encrypt(b)
 		}
-	}
-}
-
-func BenchmarkServerRotate(b *testing.B) {
-	server, evk, ct := benchEvalServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.Rotate(ct, 1, evk); err != nil {
-			b.Fatal(err)
+	},
+	// Batch pipeline: message-level fan-out on top of limb-level
+	// parallelism keeps the lanes busy between ops.
+	"EncodeEncryptBatch8": func(b *testing.B, f *opFixture) {
+		msgs := make([][]complex128, 8)
+		for i := range msgs {
+			msgs[i] = f.msg
 		}
-	}
-}
-
-// Hoisted vs sequential multi-rotation: RotateMany shares one digit
-// decomposition (and its NTTs) across all steps; the sequential loop pays
-// it per step.
-func BenchmarkServerRotateMany(b *testing.B) {
-	steps := []int{1, 2, 4}
-	b.Run("hoisted", func(b *testing.B) {
-		server, evk, ct := benchEvalServer(b)
-		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := server.RotateMany(ct, steps, evk); err != nil {
+			if _, err := f.device.EncodeEncryptBatch(msgs); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		server, evk, ct := benchEvalServer(b)
-		b.ReportAllocs()
+	},
+	"DecryptDecode": func(b *testing.B, f *opFixture) {
+		low := f.reply(b)
+		out := make([]complex128, f.owner.Slots())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, k := range steps {
-				if _, err := server.Rotate(ct, k, evk); err != nil {
+			if _, err := f.owner.DecryptDecodeInto(low, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
+	"DecryptDecodeBatch8": func(b *testing.B, f *opFixture) {
+		cts := make([]*Ciphertext, 8)
+		for i := range cts {
+			cts[i] = f.reply(b)
+		}
+		out := make([][]complex128, len(cts))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.owner.DecryptDecodeBatchInto(cts, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
+	"Mul": func(b *testing.B, f *opFixture) {
+		evk, ct := f.keys(b), f.encrypt(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.server.Mul(ct, ct, evk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
+	"Rotate": func(b *testing.B, f *opFixture) {
+		evk, ct := f.keys(b), f.encrypt(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.server.Rotate(ct, 1, evk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
+	// RotateMany shares one digit decomposition (and its NTTs) across all
+	// steps; the sequential loop pays it per step.
+	"RotateMany/hoisted": func(b *testing.B, f *opFixture) {
+		evk, ct := f.keys(b), f.encrypt(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.server.RotateMany(ct, []int{1, 2, 4}, evk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
+	"RotateMany/sequential": func(b *testing.B, f *opFixture) {
+		evk, ct := f.keys(b), f.encrypt(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, k := range []int{1, 2, 4} {
+				if _, err := f.server.Rotate(ct, k, evk); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-	})
+	},
+	"InnerSum8": func(b *testing.B, f *opFixture) {
+		evk, ct := f.keys(b), f.encrypt(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.server.InnerSum(ct, 8, evk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	},
 }
 
-func BenchmarkServerInnerSum8(b *testing.B) {
-	server, evk, ct := benchEvalServer(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.InnerSum(ct, 8, evk); err != nil {
-			b.Fatal(err)
+func BenchmarkOps(b *testing.B) {
+	for _, row := range opBenchmarks {
+		workers := row.workers
+		if workers == 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		b.Run(fmt.Sprintf("%s/workers=%d", row.preset, workers), func(b *testing.B) {
+			f := &opFixture{}
+			defer f.close()
+			for _, op := range row.ops {
+				b.Run(op, func(b *testing.B) {
+					f.build(b, row.preset, workers)
+					b.ReportAllocs()
+					b.ResetTimer()
+					opLoops[op](b, f)
+				})
+			}
+		})
 	}
 }
-
-// Extension: seeded-ciphertext bandwidth ablation.
-func BenchmarkSeededAblation(b *testing.B) { benchExperiment(b, "seeded") }
-
-// Extension: architecture design-space sweep.
-func BenchmarkArchSweep(b *testing.B) { benchExperiment(b, "archsweep") }

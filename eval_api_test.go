@@ -576,42 +576,3 @@ func TestEvalWorkerDeterminism(t *testing.T) {
 		t.Fatal("key-switch outputs differ across worker counts")
 	}
 }
-
-// TestEvalAllocationBudget pins the pool-backed property of the hot
-// paths: a steady-state Mul or Rotate allocates only the returned
-// ciphertext and O(digit-table) bookkeeping, never per-coefficient
-// storage. Measured at one worker, where kernels dispatch inline — at
-// higher worker counts the lane engine adds ~1 small allocation per
-// kernel dispatch (the shared job), which is engine overhead, not buffer
-// churn (the same accounting the encrypt/decode budgets use).
-func TestEvalAllocationBudget(t *testing.T) {
-	_, device, server, evk := evalParties(t, Test, WithWorkers(1))
-	msg := testMsgs(device.Slots(), 1)[0]
-	ct, err := device.EncodeEncrypt(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	low, err := server.DropLevel(ct, evk.MaxLevel())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// ~97 measured for Mul (≈25 pooled-poly wrappers, ~20 lane closures,
-	// the returned pair, small bookkeeping); 128 leaves headroom without
-	// letting a per-coefficient or per-digit buffer regression through
-	// (one fresh digit buffer per op would add level·digits·N words).
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := server.Mul(low, low, evk); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 128 {
-		t.Fatalf("Mul allocates %v/op, budget 128", n)
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		if _, err := server.Rotate(low, 1, evk); err != nil {
-			t.Fatal(err)
-		}
-	}); n > 128 {
-		t.Fatalf("Rotate allocates %v/op, budget 128", n)
-	}
-}

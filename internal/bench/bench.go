@@ -1,8 +1,7 @@
 // Package bench regenerates every table and figure of the paper's
 // evaluation section. Each experiment is a named generator returning a
 // Result whose rows place our reproduced values next to the paper's
-// published ones; cmd/abcbench renders them, and the root-level
-// bench_test.go wraps each in a testing.B benchmark.
+// published ones; cmd/abcbench renders them.
 package bench
 
 import (

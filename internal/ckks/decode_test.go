@@ -268,36 +268,6 @@ func TestDecodeScratchPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocationBudget pins the headline number: a steady-state
-// DecryptDecode on the Test preset must stay within the ~2× envelope of
-// EncodeEncrypt's allocation count (acceptance bar: ≤150 allocs/op,
-// down from ~9.7k on the big.Int path).
-func TestDecodeAllocationBudget(t *testing.T) {
-	p := TestParams.MustBuild()
-	p.SetWorkers(1) // deterministic allocation accounting
-	defer p.Close()
-	kg := NewKeyGenerator(p, testSeed())
-	sk, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
-	dec := NewDecryptor(p, sk)
-	ev := NewEvaluator(p)
-
-	low := ev.DropLevel(encryptor.Encrypt(enc.Encode(randMsg(p, 0, 35))), 2)
-	out := make([]complex128, p.Slots())
-	decode := func() {
-		pt := dec.Decrypt(low)
-		enc.DecodeInto(pt, out)
-		p.PutPlaintext(pt)
-	}
-	decode() // warm the pools
-	if n := testing.AllocsPerRun(50, decode); n > 150 {
-		t.Fatalf("DecryptDecode allocates %.0f/op, budget 150", n)
-	} else {
-		t.Logf("DecryptDecode: %.0f allocs/op", n)
-	}
-}
-
 // BenchmarkDecodeLevels tracks the combine cost across decode levels of
 // the Test preset (level 2 is the paper's server-return configuration).
 func BenchmarkDecodeLevels(b *testing.B) {

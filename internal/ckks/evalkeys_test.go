@@ -78,6 +78,14 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 			t.Fatal("conjugation key or depth lost")
 		}
 	})
+
+	// The paper-scale blob (PN15, full depth, relinearization plus three
+	// rotation keys) is pinned exactly: any wire-format growth must update
+	// this number deliberately.
+	p15 := PN15.MustBuild()
+	if got := p15.EvaluationKeyWireBytes(p15.MaxLevel(), 3, false); got != 242221089 {
+		t.Fatalf("PN15 full-depth 3-rotation blob is %d bytes, want 242221089", got)
+	}
 }
 
 // TestDepthCappedMulRelin: a relinearization key generated at a reduced

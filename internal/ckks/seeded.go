@@ -16,8 +16,7 @@ import (
 // client transmits only (c0, seed) and the server regenerates c1 from the
 // 16-byte seed, halving the client→server ciphertext traffic (and with
 // it the DRAM write stream that bounds ABC-FHE's encode throughput at 8
-// lanes; see the "seeded" ablation in cmd/abcbench-adjacent tooling and
-// examples/seeded).
+// lanes; see the ablation `abcbench -exp seeded` and examples/seeded).
 //
 // Construction (secret-key encryption, the standard seeded form):
 //
