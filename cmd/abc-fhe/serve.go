@@ -26,7 +26,7 @@ func runServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8791", "listen address (host:port; :0 picks a free port)")
 	cacheBytes := fs.Int64("cache-bytes", 1<<30, "evaluation-key cache budget in bytes (oversized blobs get 413)")
 	maxInflight := fs.Int("max-inflight", 256, "accepted-but-unfinished request bound; excess gets 429 + Retry-After")
-	workers := fs.Int("workers", 2, "concurrent dispatch batches (each op also fans across lanes)")
+	workers := fs.Int("workers", 2, "concurrent evaluations (each op also fans across lanes)")
 	lanes := fs.Int("lanes", 0, "software PNL lanes per op (0 = GOMAXPROCS, 1 = serial)")
 	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	spoolDir := fs.String("spool-dir", "", "directory for evicted key blobs (default: private temp dir)")

@@ -272,7 +272,7 @@ func run(args []string) error {
 			resp.Body.Close()
 			for _, line := range strings.Split(string(data), "\n") {
 				if strings.HasPrefix(line, "abcfhe_serve_cache_") || strings.HasPrefix(line, "abcfhe_serve_throttled_") ||
-					strings.HasPrefix(line, "abcfhe_serve_batch") {
+					strings.HasPrefix(line, "abcfhe_serve_queue_depth ") || strings.HasPrefix(line, "abcfhe_serve_inflight ") {
 					fmt.Println(line)
 				}
 			}

@@ -22,7 +22,7 @@ type loadFunc func(blob []byte) (*abcfhe.EvaluationKeys, error)
 // entry is one content-addressed evaluation-key blob. `sessions` counts
 // registered sessions referencing the blob (a bookkeeping refcount that
 // controls entry lifetime, NOT residency); `pins` counts in-flight
-// dispatch batches holding the decoded keys. Only pins protect an entry
+// requests holding the decoded keys. Only pins protect an entry
 // from eviction — a registered-but-idle session's keys are exactly the
 // resource the byte budget exists to reclaim.
 type entry struct {
@@ -146,7 +146,7 @@ func (c *KeyCache) Register(hash string, size int64, spool string, keys *abcfhe.
 
 // Unregister drops one session reference. At zero references the entry
 // is removed (and its spool file deleted) — immediately when unpinned,
-// or deferred to the last release when a batch is still in flight.
+// or deferred to the last release while a request still holds a pin.
 func (c *KeyCache) Unregister(hash string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -166,8 +166,8 @@ func (c *KeyCache) Unregister(hash string) {
 	}
 }
 
-// Acquire pins the entry's decoded keys for the duration of a dispatch
-// batch and returns them with a release func. A cold entry is reloaded
+// Acquire pins the entry's decoded keys for the duration of one
+// request's run and returns them with a release func. A cold entry is reloaded
 // from its spooled blob after reserving budget (evicting LRU unpinned
 // entries as needed); if every resident byte is pinned, Acquire fails
 // with ErrCachePressure rather than overshooting the budget.

@@ -12,7 +12,7 @@ var (
 	ErrCacheAdmission = errors.New("serve: evaluation-key blob exceeds the cache byte budget")
 
 	// ErrCachePressure means the blob fits the budget but every resident
-	// entry is pinned by an in-flight batch, so nothing can be evicted to
+	// entry is pinned by an in-flight request, so nothing can be evicted to
 	// make room right now (HTTP 503 + Retry-After; transient).
 	ErrCachePressure = errors.New("serve: evaluation-key cache is fully pinned; retry")
 

@@ -42,20 +42,18 @@ type opMetrics struct {
 }
 
 // metrics is the service's instrument panel: per-op counters and
-// latency histograms, batching and backpressure counters, and byte
+// latency histograms, backpressure and panic counters, and byte
 // traffic. Cache counters live in KeyCache; gauges (queue depth,
 // sessions) are sampled at scrape time by the service.
 type metrics struct {
-	mu              sync.Mutex
-	ops             map[string]*opMetrics
-	throttled       uint64
-	panics          atomic.Uint64 // run panics turned into 500s (dispatcher.runOne)
-	batches         uint64
-	batchedRequests uint64
-	sessionsOpened  uint64
-	sessionsClosed  uint64
-	bytesIn         uint64
-	bytesOut        uint64
+	mu             sync.Mutex
+	ops            map[string]*opMetrics
+	throttled      uint64
+	panics         atomic.Uint64 // run panics turned into 500s (dispatcher.runOne)
+	sessionsOpened uint64
+	sessionsClosed uint64
+	bytesIn        uint64
+	bytesOut       uint64
 }
 
 func newMetrics() *metrics {
@@ -81,13 +79,6 @@ func (m *metrics) observe(op string, d time.Duration, err error) {
 func (m *metrics) throttle() {
 	m.mu.Lock()
 	m.throttled++
-	m.mu.Unlock()
-}
-
-func (m *metrics) batch(n int) {
-	m.mu.Lock()
-	m.batches++
-	m.batchedRequests += uint64(n)
 	m.mu.Unlock()
 }
 
@@ -145,8 +136,6 @@ func (m *metrics) writeTo(w io.Writer, cs CacheStats, g gauges) {
 
 	fmt.Fprintf(w, "abcfhe_serve_throttled_total %d\n", m.throttled)
 	fmt.Fprintf(w, "abcfhe_serve_panics_total %d\n", m.panics.Load())
-	fmt.Fprintf(w, "abcfhe_serve_batches_total %d\n", m.batches)
-	fmt.Fprintf(w, "abcfhe_serve_batched_requests_total %d\n", m.batchedRequests)
 	fmt.Fprintf(w, "abcfhe_serve_sessions_opened_total %d\n", m.sessionsOpened)
 	fmt.Fprintf(w, "abcfhe_serve_sessions_closed_total %d\n", m.sessionsClosed)
 	fmt.Fprintf(w, "abcfhe_serve_request_bytes_total %d\n", m.bytesIn)

@@ -307,7 +307,7 @@ func TestServeEvictionReloadIdentity(t *testing.T) {
 		refKeys = append(refKeys, k)
 	}
 
-	// Budget: exactly two blobs. Workers=1 keeps at most one batch (one
+	// Budget: exactly two blobs. Workers=1 keeps at most one request (one
 	// pin) in flight, so rotation across three sessions always evicts
 	// rather than hitting pressure.
 	h := newTestHarness(t, Config{CacheBytes: 2 * int64(len(blobs[0])), MaxInflight: 8, Workers: 1})
@@ -369,61 +369,70 @@ func TestServeEvictionReloadIdentity(t *testing.T) {
 	}
 }
 
-// TestDispatcherBackpressureAndCoalescing is the deterministic
-// admission-control test: with the single worker blocked inside a
-// request, further enqueues fill the in-flight budget exactly, the
-// next one gets ErrOverloaded, and the queued requests coalesce into
-// one batch.
-func TestDispatcherBackpressureAndCoalescing(t *testing.T) {
+// testRequest builds a dispatcher request on key blob hash whose run
+// calls enter (when non-nil), waits for block to close, then panics when
+// boom is set and returns "ok" otherwise.
+func testRequest(hash string, needsKeys, boom bool, enter func(), block <-chan struct{}) *request {
+	return &request{
+		op: "test", hash: hash, needsKeys: needsKeys, ctx: context.Background(),
+		done: make(chan result, 1), enqueued: time.Now(),
+		run: func(*abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, [][]byte, error) {
+			if enter != nil {
+				enter()
+			}
+			<-block
+			if boom {
+				panic("ring: impossible state")
+			}
+			return nil, [][]byte{[]byte("ok")}, nil
+		},
+	}
+}
+
+// status is the HTTP status a handler would write for res.
+func status(res result) int {
+	if res.err != nil {
+		return httpStatus(res.err)
+	}
+	return http.StatusOK
+}
+
+// TestDispatcherBackpressure is the deterministic admission-control
+// test: with the single worker blocked inside a request, further
+// enqueues fill the in-flight budget exactly and the next one gets
+// ErrOverloaded.
+func TestDispatcherBackpressure(t *testing.T) {
 	m := newMetrics()
 	d := newDispatcher(NewKeyCache(1, nil), m, time.Now, 3, 1)
 	defer d.close()
-	s := &session{id: "s", hash: "h"}
 
 	block := make(chan struct{})
 	started := make(chan struct{})
-	mk := func(st chan struct{}) *request {
-		return &request{
-			op: "test", ctx: context.Background(), done: make(chan result, 1), enqueued: time.Now(),
-			run: func(*abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, [][]byte, error) {
-				if st != nil {
-					close(st)
-				}
-				<-block
-				return nil, [][]byte{[]byte("ok")}, nil
-			},
-		}
-	}
-
-	r1 := mk(started)
-	if err := d.enqueue(s, r1); err != nil {
+	r1 := testRequest("h", false, false, func() { close(started) }, block)
+	if err := d.enqueue(r1); err != nil {
 		t.Fatal(err)
 	}
 	<-started // the worker is now inside r1
-	r2, r3 := mk(nil), mk(nil)
-	if err := d.enqueue(s, r2); err != nil {
+	r2, r3 := testRequest("h", false, false, nil, block), testRequest("h", false, false, nil, block)
+	if err := d.enqueue(r2); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.enqueue(s, r3); err != nil {
+	if err := d.enqueue(r3); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.enqueue(s, mk(nil)); !errors.Is(err, ErrOverloaded) {
+	if err := d.enqueue(testRequest("h", false, false, nil, block)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("4th enqueue: err = %v, want ErrOverloaded", err)
 	}
 
 	close(block)
 	for i, r := range []*request{r1, r2, r3} {
-		res := <-r.done
-		if res.err != nil {
+		if res := <-r.done; res.err != nil {
 			t.Fatalf("request %d: %v", i+1, res.err)
 		}
 	}
 	m.mu.Lock()
-	batches, batched, throttled := m.batches, m.batchedRequests, m.throttled
+	throttled := m.throttled
 	m.mu.Unlock()
-	if batches != 2 || batched != 3 {
-		t.Errorf("batches=%d batchedRequests=%d, want 2 and 3 (r2+r3 coalesced)", batches, batched)
-	}
 	if throttled != 1 {
 		t.Errorf("throttled=%d, want 1", throttled)
 	}
@@ -432,11 +441,85 @@ func TestDispatcherBackpressureAndCoalescing(t *testing.T) {
 	}
 }
 
+// TestDispatcherRunsSameSessionConcurrently: two requests on one
+// session's keys occupy two workers at once — each pins the cache entry
+// for itself, and neither waits for the other to finish.
+func TestDispatcherRunsSameSessionConcurrently(t *testing.T) {
+	h := newCacheHarness(t, 10)
+	if err := h.register("h", 10, true); err != nil {
+		t.Fatal(err)
+	}
+	d := newDispatcher(h.c, newMetrics(), time.Now, 4, 2)
+	defer d.close()
+
+	block := make(chan struct{})
+	entered := make(chan struct{}, 2)
+	enter := func() { entered <- struct{}{} }
+	reqs := []*request{testRequest("h", true, false, enter, block), testRequest("h", true, false, enter, block)}
+	for _, r := range reqs {
+		if err := d.enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	timeout := time.After(10 * time.Second)
+	for i := range reqs {
+		select {
+		case <-entered:
+		case <-timeout:
+			close(block)
+			t.Fatalf("only %d of 2 same-session requests running after 10 s", i)
+		}
+	}
+	close(block)
+	for i, r := range reqs {
+		if res := <-r.done; res.err != nil {
+			t.Errorf("request %d: %v", i+1, res.err)
+		}
+	}
+}
+
+// TestDispatcherUnregisterWhileQueued: a request admitted before its
+// session was unregistered, and still queued behind a busy worker when
+// that happened, gets 404 instead of running on keys nobody owns. The
+// request ahead of it holds the only pin, so the entry is dead rather
+// than removed, and goes once that pin is released.
+func TestDispatcherUnregisterWhileQueued(t *testing.T) {
+	h := newCacheHarness(t, 10)
+	if err := h.register("h", 10, true); err != nil {
+		t.Fatal(err)
+	}
+	d := newDispatcher(h.c, newMetrics(), time.Now, 4, 1)
+	defer d.close()
+
+	block := make(chan struct{})
+	started := make(chan struct{})
+	running := testRequest("h", true, false, func() { close(started) }, block)
+	queued := testRequest("h", true, false, nil, block)
+	for _, r := range []*request{running, queued} {
+		if err := d.enqueue(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-started // the only worker holds running's pin; queued waits
+	h.c.Unregister("h")
+	close(block)
+	if got := status(<-running.done); got != http.StatusOK {
+		t.Errorf("running request: status %d, want 200", got)
+	}
+	res := <-queued.done
+	if !errors.Is(res.err, ErrUnknownSession) || status(res) != http.StatusNotFound {
+		t.Errorf("queued request: err %v (status %d), want ErrUnknownSession (404)", res.err, status(res))
+	}
+	if st := h.c.Stats(); st.Entries != 0 || st.ResidentBytes != 0 {
+		t.Errorf("dead entry not removed after its last pin: %+v", st)
+	}
+}
+
 // TestDispatcherRecoversRunPanic: a run that panics (the scheme layers do,
 // on states they consider impossible) costs that request a 500 and
-// nothing else — the requests batched around it complete, the counter
-// moves, the batch's key pin is released, and the worker is still there
-// for the session's next request.
+// nothing else — the requests queued around it complete, the counter
+// moves, its key pin is released, and the worker is still there for
+// the session's next request.
 func TestDispatcherRecoversRunPanic(t *testing.T) {
 	m := newMetrics()
 	h := newCacheHarness(t, 10) // room for exactly one size-10 entry
@@ -445,37 +528,24 @@ func TestDispatcherRecoversRunPanic(t *testing.T) {
 	}
 	d := newDispatcher(h.c, m, time.Now, 4, 1)
 	defer d.close()
-	s := &session{id: "s", hash: "h"}
 
+	// The single worker takes the requests in order; the panicking one
+	// sits between two good ones.
 	block := make(chan struct{})
-	mk := func(boom, needsKeys bool) *request {
-		return &request{
-			op: "test", needsKeys: needsKeys, ctx: context.Background(), done: make(chan result, 1), enqueued: time.Now(),
-			run: func(*abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, [][]byte, error) {
-				<-block
-				if boom {
-					panic("ring: impossible state")
-				}
-				return nil, [][]byte{[]byte("ok")}, nil
-			},
-		}
+	reqs := []*request{
+		testRequest("h", true, false, nil, block),
+		testRequest("h", true, true, nil, block),
+		testRequest("h", true, false, nil, block),
 	}
-	// The first request holds the worker so the other two coalesce behind
-	// it; the panicking one sits between two good ones.
-	reqs := []*request{mk(false, true), mk(true, true), mk(false, true)}
 	for _, r := range reqs {
-		if err := d.enqueue(s, r); err != nil {
+		if err := d.enqueue(r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(block)
 	for i, want := range []int{http.StatusOK, http.StatusInternalServerError, http.StatusOK} {
 		res := <-reqs[i].done
-		got := http.StatusOK
-		if res.err != nil {
-			got = httpStatus(res.err)
-		}
-		if got != want {
+		if got := status(res); got != want {
 			t.Errorf("request %d: status %d (err %v), want %d", i+1, got, res.err, want)
 		}
 	}
@@ -483,18 +553,18 @@ func TestDispatcherRecoversRunPanic(t *testing.T) {
 		t.Errorf("panics counter = %d, want 1", got)
 	}
 
-	// A key-free follow-up runs as a later batch on the same worker, so
-	// once it is done the panicking batch's key release has run: the
-	// one-entry budget can evict "h" for a newcomer only if it is unpinned.
-	after := mk(false, false)
-	if err := d.enqueue(s, after); err != nil {
+	// A key-free follow-up still finds the worker. Every request releases
+	// its pin before answering, so the one-entry budget can now evict "h"
+	// for a newcomer.
+	after := testRequest("h", false, false, nil, block)
+	if err := d.enqueue(after); err != nil {
 		t.Fatal(err)
 	}
 	if res := <-after.done; res.err != nil {
 		t.Errorf("request after the panic: %v", res.err)
 	}
-	if err := h.register("g", 10, true); err != nil {
-		t.Errorf("keys still pinned after the panicking batch: %v", err)
+	if err := h.register("g", 10, true); err != nil || !h.c.IsResident("g") {
+		t.Errorf("keys still pinned after the panicking request (register: %v)", err)
 	}
 }
 

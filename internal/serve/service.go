@@ -12,21 +12,20 @@
 //     identical blobs from different sessions share one cache entry;
 //   - a blob whose size alone exceeds the budget is rejected with
 //     ErrCacheAdmission (HTTP 413) from its header, unread;
-//   - in-flight dispatch batches pin the decoded keys; eviction (back
-//     to the disk spool) happens only at refcount zero, in LRU order,
-//     and a later request transparently reloads;
+//   - in-flight requests pin the decoded keys; eviction (back to the
+//     disk spool) happens only at refcount zero, in LRU order, and a
+//     later request transparently reloads;
 //   - registered-but-idle sessions hold no pin — their keys are exactly
 //     what the budget reclaims.
 //
-// Request flow: per-session queues coalesce same-key operations into
-// one dispatch batch (one cache pin, one worker occupancy, amortized
-// across however many ops accumulated), a bounded worker pool executes
-// batches, and a global max-inflight bound returns 429 + Retry-After
-// instead of queueing without limit. /metrics exposes per-op latency
-// histograms, queue depth, and cache bytes/hits/evictions;
-// /debug/pprof is mounted for live profiling. Shutdown is
-// drain-then-close: stop accepting, let queued work finish, then tear
-// down workers and parties.
+// Request flow: each admitted request takes one worker from a bounded
+// pool and pins its session's keys for its own run only, so two
+// requests on one session run side by side; a global max-inflight bound
+// returns 429 + Retry-After instead of queueing without limit. /metrics
+// exposes per-op latency histograms, queue depth, and cache
+// bytes/hits/evictions; /debug/pprof is mounted for live profiling.
+// Shutdown is drain-then-close: stop accepting, let queued work finish,
+// then tear down workers and parties.
 package serve
 
 import (
@@ -55,8 +54,8 @@ type Config struct {
 	// MaxInflight bounds accepted-but-unfinished requests across all
 	// sessions; excess gets 429 (default 256).
 	MaxInflight int
-	// Workers is the number of concurrent dispatch batches (default 2;
-	// each op additionally fans out across the party's lane engine).
+	// Workers is the number of concurrent evaluations (default 2; each
+	// op additionally fans out across the party's lane engine).
 	Workers int
 	// SpoolDir holds evicted key blobs ("" = a private temp dir,
 	// removed on Close).
@@ -338,11 +337,10 @@ func (s *Service) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"session":     sess.id,
-		"key_hash":    sess.hash,
-		"resident":    s.cache.IsResident(sess.hash),
-		"queue_depth": sess.depth(),
-		"created":     sess.created.UTC().Format(time.RFC3339Nano),
+		"session":  sess.id,
+		"key_hash": sess.hash,
+		"resident": s.cache.IsResident(sess.hash),
+		"created":  sess.created.UTC().Format(time.RFC3339Nano),
 	})
 }
 
@@ -356,9 +354,6 @@ func (s *Service) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, ErrUnknownSession)
 		return
 	}
-	sess.mu.Lock()
-	sess.closed = true
-	sess.mu.Unlock()
 	s.cache.Unregister(sess.hash)
 	s.m.sessionClosed()
 	w.WriteHeader(http.StatusNoContent)
@@ -434,13 +429,14 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request) {
 
 	req := &request{
 		op:        op.Name,
+		hash:      sess.hash,
 		needsKeys: op.NeedsKeys,
 		ctx:       r.Context(),
 		run:       run,
 		done:      make(chan result, 1),
 		enqueued:  s.clock(),
 	}
-	if err := s.disp.enqueue(sess, req); err != nil {
+	if err := s.disp.enqueue(req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -470,11 +466,9 @@ func (s *Service) handleEval(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	g := gauges{sessions: len(s.sessions), specs: len(s.specs)}
-	for _, sess := range s.sessions {
-		g.queueDepth += int64(sess.depth())
-	}
 	s.mu.Unlock()
 	g.inflight = s.disp.inflight.Load()
+	g.queueDepth = int64(len(s.disp.work))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.m.writeTo(w, s.cache.Stats(), g)
 }

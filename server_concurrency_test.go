@@ -163,8 +163,7 @@ func TestServerConcurrentMixedOps(t *testing.T) {
 
 // TestServerConcurrentWithKeyFreeOps mixes the key-free tier (Add, Sub,
 // MulConst, Rescale, expansion of seeded uploads) into the same hammer —
-// the serve layer's per-session queues interleave both tiers on one
-// Server.
+// the serve layer's worker pool interleaves both tiers on one Server.
 func TestServerConcurrentWithKeyFreeOps(t *testing.T) {
 	owner, enc, srv := threeParties(t, Test, 0xFACE, 0xF00D)
 	defer owner.Close()
