@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"errors"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"repro/internal/ckks"
@@ -434,8 +435,9 @@ func TestEvalMisuseMatrix(t *testing.T) {
 }
 
 // TestEvalKeyBlobMisuse: hostile evaluation-key bytes — wrong preset,
-// NTT-tagged domain byte, truncation, bit flips, wrong kind, a gadget tag
-// other than hybrid — all return ErrMalformedWire from both import paths.
+// a flipped domain byte, the retired coefficient-domain layout (domain
+// byte 0), truncation, bit flips, wrong kind, a gadget tag other than
+// hybrid — all return ErrMalformedWire from both import paths.
 // The retired digit-gadget tag (0) is additionally ErrGadgetUnsupported,
 // as is an export over a parameter set without special primes.
 func TestEvalKeyBlobMisuse(t *testing.T) {
@@ -471,7 +473,12 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 		"empty":            nil,
 		"garbage":          []byte("ABCF with nothing useful behind it"),
 		"different preset": otherBlob,
-		"ntt-tagged":       flip(14 + 4), // domain byte in the sub-header
+		"domain flip":      flip(14 + 4), // domain byte in the sub-header
+		"retired domain": func() []byte {
+			d := append([]byte(nil), good...)
+			d[14+4] = 0 // every blob exported before keys travelled in the NTT domain
+			return d
+		}(),
 		"truncated":        good[:len(good)/2],
 		"padded":           append(append([]byte(nil), good...), 0),
 		"public key blob":  func() []byte { d, _ := owner.ExportPublicKey(); return d }(),
@@ -485,10 +492,15 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 	// The bootstrap constructor applies the same gates (a different-preset
 	// blob is fine there — it builds its own params — so only structural
 	// damage applies).
-	for _, name := range []string{"empty", "garbage", "ntt-tagged", "truncated", "padded", "retired gadget", "unknown gadget"} {
+	for _, name := range []string{"empty", "garbage", "domain flip", "retired domain", "truncated", "padded", "retired gadget", "unknown gadget"} {
 		if _, _, err := NewServerFromEvaluationKeys(cases[name]); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("NewServerFromEvaluationKeys(%s): %v", name, err)
 		}
+	}
+	// Old exports are told what they are and what to do about them.
+	if _, err := server.ImportEvaluationKeys(cases["retired domain"]); err == nil ||
+		!strings.Contains(err.Error(), "retired coefficient-domain layout; re-export") {
+		t.Errorf("ImportEvaluationKeys(retired domain): %v", err)
 	}
 
 	// The retired tag is named as such, from the header alone: the same

@@ -73,8 +73,10 @@ func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, maxLevel int, steps [
 	if check := kg.GenSecretKey(); !p.Ring().Equal(check.S, sk.S) {
 		panic("ckks: evaluation keys derive the secret from the generator seed; the provided secret key does not match it")
 	}
+	s := kg.secretQP(maxLevel)
+	defer p.RingQPAt(maxLevel).PutPoly(s)
 	ks := &EvaluationKeySet{
-		Rlk:      kg.GenRelinearizationKeyHybridAt(maxLevel),
+		Rlk:      kg.relinKey(s, maxLevel),
 		Rot:      make(map[int]*RotationKey),
 		MaxLevel: maxLevel,
 	}
@@ -86,10 +88,10 @@ func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, maxLevel int, steps [
 		if _, ok := ks.Rot[k]; ok {
 			continue
 		}
-		ks.Rot[k] = kg.GenRotationKeyHybridAt(p.GaloisElement(k), maxLevel)
+		ks.Rot[k] = kg.rotationKey(s, p.GaloisElement(k), maxLevel)
 	}
 	if conj {
-		ks.Conj = kg.GenRotationKeyHybridAt(p.GaloisElementConjugate(), maxLevel)
+		ks.Conj = kg.rotationKey(s, p.GaloisElementConjugate(), maxLevel)
 	}
 	return ks
 }

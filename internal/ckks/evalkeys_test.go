@@ -16,8 +16,8 @@ func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*Evalua
 
 // TestEvalKeySetRoundTrip pins the wire format: marshal→unmarshal→marshal
 // is byte-identical, the round-tripped keys are poly-equal to the
-// originals (the coefficient-domain wire pass is exact), and generation is
-// deterministic from the seed (canonical re-export).
+// originals (rows travel as they sit in memory, NTT domain), and
+// generation is deterministic from the seed (canonical re-export).
 func TestEvalKeySetRoundTrip(t *testing.T) {
 	p := testParams
 	t.Run("hybrid", func(t *testing.T) {
@@ -55,7 +55,7 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 		}
 
 		// Poly-level equality of a sample: the relin key survives the
-		// coefficient-domain wire pass exactly.
+		// wire exactly.
 		rqp := p.RingQPAt(3)
 		for j := range ks.Rlk.K.H0 {
 			if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
@@ -85,6 +85,31 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 	p15 := PN15.MustBuild()
 	if got := p15.EvaluationKeyWireBytes(p15.MaxLevel(), 3, false); got != 242221089 {
 		t.Fatalf("PN15 full-depth 3-rotation blob is %d bytes, want 242221089", got)
+	}
+}
+
+// TestEvalKeySetWorkerInvariance: the β key rows are generated as parallel
+// lane tasks, each on its own streams, so the exported set is the same
+// bytes at any worker count. PN13 at full depth has β = 4 rows per key.
+func TestEvalKeySetWorkerInvariance(t *testing.T) {
+	var blobs [][]byte
+	for _, w := range []int{1, 8} {
+		p := PN13.MustBuild()
+		p.SetWorkers(w)
+		kg := NewKeyGenerator(p, testSeed())
+		if beta := p.DnumAt(p.MaxLevel()); beta != 4 {
+			t.Fatalf("PN13 full depth has β = %d, want 4", beta)
+		}
+		ks := kg.GenEvaluationKeySet(kg.GenSecretKey(), p.MaxLevel(), []int{1, 5}, true, GadgetHybrid)
+		data, err := p.MarshalEvaluationKeySet(ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, data)
+		p.Close()
+	}
+	if !bytes.Equal(blobs[0], blobs[1]) {
+		t.Fatal("evaluation keys differ between 1 and 8 workers")
 	}
 }
 
@@ -170,8 +195,8 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 }
 
 // TestEvalKeyInfoRejects drives the sub-header validation: a gadget tag
-// other than hybrid (0 tagged the retired digit gadget), forged domain
-// byte (NTT-tagged), unknown flags, bad group sizes, out-of-range depth,
+// other than hybrid (0 tagged the retired digit gadget), a domain byte
+// other than NTT (0 tagged the retired coefficient layout), unknown flags, bad group sizes, out-of-range depth,
 // non-ascending steps, truncations — errors, never panics.
 func TestEvalKeyInfoRejects(t *testing.T) {
 	p := testParams
@@ -188,19 +213,20 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		return d
 	}
 	cases := map[string][]byte{
-		"retired gadget tag": mut(off, 0),
-		"gadget tag 2":       mut(off, 2),
-		"ntt-tagged payload": mut(off+4, 1),
-		"unknown flags":      mut(off+3, 0xF0),
-		"zero group size":    mut(off+1, 0),
-		"huge group size":    mut(off+1, 255),
-		"forged group size":  mut(off+1, byte(p.SpecialLimbs+1)),
-		"zero depth":         mut(off+2, 0),
-		"depth > limbs":      mut(off+2, 200),
-		"step zero":          mut(off+7, 0),
-		"truncated":          data[:len(data)-5],
-		"padded":             append(append([]byte(nil), data...), 0),
-		"wrong kind":         mut(5, 'P'),
+		"retired gadget tag":                 mut(off, 0),
+		"gadget tag 2":                       mut(off, 2),
+		"retired coefficient-domain payload": mut(off+4, 0),
+		"unknown domain":                     mut(off+4, 2),
+		"unknown flags":                      mut(off+3, 0xF0),
+		"zero group size":                    mut(off+1, 0),
+		"huge group size":                    mut(off+1, 255),
+		"forged group size":                  mut(off+1, byte(p.SpecialLimbs+1)),
+		"zero depth":                         mut(off+2, 0),
+		"depth > limbs":                      mut(off+2, 200),
+		"step zero":                          mut(off+7, 0),
+		"truncated":                          data[:len(data)-5],
+		"padded":                             append(append([]byte(nil), data...), 0),
+		"wrong kind":                         mut(5, 'P'),
 	}
 	for name, d := range cases {
 		if _, err := p.UnmarshalEvaluationKeySet(d); err == nil {
@@ -213,6 +239,11 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		if _, _, err := ReadEvalKeyInfo(mut(off, tag)[:evalHeaderLen(1)]); err == nil || !strings.Contains(err.Error(), "gadget tag") {
 			t.Errorf("gadget tag %d: header read returned %v", tag, err)
 		}
+	}
+
+	// The retired layout is named, with the remedy.
+	if _, _, err := ReadEvalKeyInfo(mut(off+4, 0)); err == nil || !strings.Contains(err.Error(), "retired coefficient-domain layout; re-export") {
+		t.Errorf("retired domain byte: header read returned %v", err)
 	}
 
 	// A residue pushed past its modulus: byte 10 of packed word 1 is in

@@ -20,28 +20,34 @@ import (
 //	  retired digit gadget) | digits u8 (the group size α; must equal
 //	  the spec's specialLimbs) | maxLevel u8 |
 //	flags u8 (bit0 relin, bit1 conjugate) |
-//	domain u8 (must be 0: coefficient) | rotCount u16 |
+//	domain u8 (must be 1: NTT, this spec's tables) | rotCount u16 |
 //	rotCount × step u32 (strictly ascending, in [1, N/2)) |
-//	packed residues, PackedWordBits each, coefficient domain:
+//	packed residues, PackedWordBits each, NTT domain:
 //	  keys in order relin?, conjugate?, rotations (ascending step);
 //	  per key: for j < ⌈maxLevel/α⌉: H0[j] then H1[j], each with
 //	  maxLevel+α limbs over the extended QP basis.
 //
-// Switching keys live and compute in the NTT domain, but the wire keeps
-// the repo-wide convention that public bytes travel in the coefficient
-// domain: the marshaler INTTs each polynomial and the unmarshaler
-// transforms back (exact round trip — re-marshal is byte-identical). The
-// domain byte exists so a forged blob claiming NTT-domain payload is
-// rejected with a typed error instead of silently mis-interpreted; the
-// gadget byte plays the same role for the decomposition geometry — a
-// blob carrying the retired tag, or replayed at a parameter set without
-// special primes, is a typed error, never a panic or a silent mis-parse.
+// Switching keys are generated and consumed in the NTT domain, and they
+// travel in it: the rows are packed as they sit in memory and used as
+// unpacked. A coefficient-domain wire cost one INTT per row on export and
+// one NTT per row on import — 26 208 limb transforms per PN14 bootstrap
+// key set. The NTT domain is a function of the embedded spec (its primes
+// fix the tables), so the bytes stay self-describing. Domain byte 0 marks
+// the retired coefficient layout every blob exported before the switch
+// carries: it is rejected with a message that says to re-export, like the
+// retired gadget tag; the gadget byte guards the decomposition geometry —
+// a blob replayed at a parameter set without special primes is a typed
+// error, never a panic or a silent mis-parse.
 const (
 	// KeyKindEval is the evaluation-key discriminator at byte 5.
 	KeyKindEval byte = 'E'
 
 	evalFlagRelin = 1 << 0
 	evalFlagConj  = 1 << 1
+
+	// evalDomainNTT is the only accepted domain byte: residues in the
+	// embedded spec's NTT domain.
+	evalDomainNTT = 1
 
 	// evalMaxRotations bounds the rotation count a header may claim (the
 	// step space itself is < N/2 ≤ 2^16, and the u16 count field matches).
@@ -141,8 +147,12 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	}
 	info.HasRelin = flags&evalFlagRelin != 0
 	info.HasConj = flags&evalFlagConj != 0
-	if domain != 0 {
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: NTT-tagged payload (domain byte 0x%02x); evaluation keys travel in the coefficient domain", domain)
+	switch domain {
+	case evalDomainNTT:
+	case 0:
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: domain byte 0 tags the retired coefficient-domain layout; re-export the keys")
+	default:
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown domain byte 0x%02x, want 0x%02x (NTT)", domain, evalDomainNTT)
 	}
 	if info.Digits < 1 || info.Digits != spec.SpecialLimbs {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: group size %d does not match the embedded spec's %d special primes",
@@ -243,19 +253,18 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 		flags |= evalFlagConj
 	}
 	out[off+3] = flags
-	out[off+4] = 0 // coefficient-domain payload
+	out[off+4] = evalDomainNTT
 	binary.LittleEndian.PutUint16(out[off+5:], uint16(len(steps)))
 	for i, s := range steps {
 		binary.LittleEndian.PutUint32(out[evalHeaderLen(i):], uint32(s))
 	}
 
-	// One lane dispatch per key: each row task copies its NTT-domain row to
-	// a pooled slab, inverse-transforms the copy and packs it.
+	// One lane dispatch per key, one row task per limb row.
 	rqp := p.RingQPAt(ks.MaxLevel)
 	body := out[evalHeaderLen(len(steps)):]
 	keyBytes := packedBytes(2*dnum*rqp.K(), p.N())
 	for i, ksk := range ksks {
-		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], kskRows(ksk), true); err != nil {
+		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], kskRows(ksk)); err != nil {
 			return nil, err
 		}
 	}
@@ -283,9 +292,8 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 		return nil, fmt.Errorf("ckks: unmarshal eval keys: blob length %d does not match header geometry", len(data))
 	}
 
-	// One lane dispatch per key, in wire order: each row task unpacks,
-	// range-checks and only then forward-transforms its row, and at most one
-	// rejected key is ever allocated.
+	// One lane dispatch per key, in wire order: each row task unpacks and
+	// range-checks its row, and at most one rejected key is ever allocated.
 	body := data[evalHeaderLen(len(info.Steps)):]
 	rqp := p.RingQPAt(info.MaxLevel)
 	dnum := p.DnumAt(info.MaxLevel)
@@ -298,7 +306,7 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 			ksk.H0[j], ksk.H1[j] = rqp.NewPoly(), rqp.NewPoly()
 			ksk.H0[j].IsNTT, ksk.H1[j].IsNTT = true, true
 		}
-		if err := unpackRows(rqp, body[:keyBytes], kskRows(ksk), true); err != nil {
+		if err := unpackRows(rqp, body[:keyBytes], kskRows(ksk)); err != nil {
 			return nil, fmt.Errorf("ckks: unmarshal eval keys: %w", err)
 		}
 		body = body[keyBytes:]

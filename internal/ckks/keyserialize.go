@@ -137,7 +137,7 @@ func (p *Parameters) marshalKey(kind byte, seed []byte, polys ...*ring.Poly) ([]
 		return nil, err
 	}
 	copy(out[keyHeaderLen():], seed)
-	if err := packRows(p.Ring(), out[keyHeaderLen()+len(seed):], polyRows(p.Limbs, polys...), false); err != nil {
+	if err := packRows(p.Ring(), out[keyHeaderLen()+len(seed):], polyRows(p.Limbs, polys...)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -170,7 +170,7 @@ func (p *Parameters) unmarshalKey(data []byte, kind byte, seedLen, nPolys int) (
 		polys[k] = p.Ring().NewPoly()
 		polys[k].IsNTT = true
 	}
-	if err := unpackRows(p.Ring(), data[keyHeaderLen()+seedLen:], polyRows(p.Limbs, polys...), false); err != nil {
+	if err := unpackRows(p.Ring(), data[keyHeaderLen()+seedLen:], polyRows(p.Limbs, polys...)); err != nil {
 		return nil, nil, fmt.Errorf("ckks: unmarshal key: %w", err)
 	}
 	return seed, polys, nil

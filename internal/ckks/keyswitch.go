@@ -100,8 +100,10 @@ type SwitchingKey struct {
 // genHybridSwitchingKey builds the hybrid key that moves polynomial mass
 // multiplied by fQP back to the secret: one row per decomposition group
 // over the extended basis. sQP and fQP must be NTT-domain polynomials over
-// RingQPAt(depth). Streams are consumed two per row from streamBase, so
-// regeneration from the same seed is byte-identical.
+// RingQPAt(depth). Row j draws from its own two streams, streamBase+2j+2
+// and +2j+3, so the β rows are independent lane tasks (their limb kernels
+// nest inside the row task) and regeneration from the same seed is
+// byte-identical at any worker count.
 func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, streamBase uint64) *SwitchingKey {
 	p := kg.params
 	rqp := p.RingQPAt(depth)
@@ -110,9 +112,8 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 		Alpha: p.SpecialLimbs, Level: depth,
 		H0: make([]*ring.Poly, beta), H1: make([]*ring.Poly, beta),
 	}
-	stream := streamBase
-	for j := 0; j < beta; j++ {
-		stream += 2
+	rqp.Engine().Run(beta, func(j int) {
+		stream := streamBase + 2*uint64(j) + 2
 		a := rqp.NewPoly()
 		rqp.UniformPoly(prng.NewSource(kg.seed, stream), a)
 		a.IsNTT = true
@@ -139,7 +140,7 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 			}
 		}
 		ksk.H0[j], ksk.H1[j] = b, a
-	}
+	})
 	return ksk
 }
 
@@ -399,17 +400,21 @@ const hybridRelinStreamBase = 1 << 52
 // seed and expanded onto the extended basis (the stored SecretKey carries
 // only Q limbs), so no argument is needed beyond the depth.
 func (kg *KeyGenerator) GenRelinearizationKeyHybridAt(depth int) *RelinearizationKey {
-	p := kg.params
-	if depth < 1 || depth > p.MaxLevel() {
+	if depth < 1 || depth > kg.params.MaxLevel() {
 		panic("ckks: relinearization-key depth out of range")
 	}
-	rqp := p.RingQPAt(depth)
 	s := kg.secretQP(depth)
+	defer kg.params.RingQPAt(depth).PutPoly(s)
+	return kg.relinKey(s, depth)
+}
+
+// relinKey is GenRelinearizationKeyHybridAt over the caller's secretQP(depth).
+func (kg *KeyGenerator) relinKey(s *ring.Poly, depth int) *RelinearizationKey {
+	rqp := kg.params.RingQPAt(depth)
 	s2 := rqp.GetPolyUninit() // MulCoeffs fully overwrites
 	rqp.MulCoeffs(s, s, s2)
 	rlk := &RelinearizationKey{K: kg.genHybridSwitchingKey(s, s2, depth, hybridRelinStreamBase)}
 	rqp.PutPoly(s2)
-	rqp.PutPoly(s)
 	return rlk
 }
 
@@ -472,15 +477,6 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 // Rotations (Galois automorphisms)
 // ---------------------------------------------------------------------
 
-// automorphism applies X → X^g to a coefficient-domain polynomial into a
-// freshly allocated result (see ring.AutomorphismCoeff for the in-place
-// kernel the hot paths use).
-func automorphism(rl *ring.Ring, p *ring.Poly, g int) *ring.Poly {
-	out := rl.NewPoly()
-	rl.AutomorphismCoeff(p, g, out)
-	return out
-}
-
 // GaloisElement returns the automorphism generator for a rotation by k
 // slots: 5^k mod 2N (k may be negative).
 func (p *Parameters) GaloisElement(k int) int {
@@ -522,25 +518,24 @@ func hybridRotationStreamBase(g int) uint64 { return 1<<53 + uint64(g)<<20 }
 // over the raised modulus. Like the hybrid relinearization key, the
 // secret is re-derived from the seed onto the extended basis.
 func (kg *KeyGenerator) GenRotationKeyHybridAt(g, depth int) *RotationKey {
-	p := kg.params
-	if depth < 1 || depth > p.MaxLevel() {
+	if depth < 1 || depth > kg.params.MaxLevel() {
 		panic("ckks: rotation-key depth out of range")
 	}
-	rqp := p.RingQPAt(depth)
 	s := kg.secretQP(depth)
-	sCoeff := rqp.GetPolyCopy(s)
-	rqp.INTT(sCoeff)
-	sg := rqp.GetPolyUninit() // automorphism writes every index
-	rqp.AutomorphismCoeff(sCoeff, g, sg)
-	rqp.NTT(sg)
-	rk := &RotationKey{
-		G:    g,
-		K:    kg.genHybridSwitchingKey(s, sg, depth, hybridRotationStreamBase(g)),
-		Perm: p.Ring().GaloisPermNTT(g),
-	}
-	rqp.PutPoly(sCoeff)
+	defer kg.params.RingQPAt(depth).PutPoly(s)
+	return kg.rotationKey(s, g, depth)
+}
+
+// rotationKey is GenRotationKeyHybridAt over the caller's secretQP(depth).
+// s(X^g) is the NTT-domain gather by the permutation the key stores — the
+// same residues as INTT → X^g → NTT, with no limb transform.
+func (kg *KeyGenerator) rotationKey(s *ring.Poly, g, depth int) *RotationKey {
+	rqp := kg.params.RingQPAt(depth)
+	perm := kg.params.Ring().GaloisPermNTT(g)
+	sg := rqp.GetPolyUninit() // PermuteNTT writes every index
+	rqp.PermuteNTT(s, perm, sg)
+	rk := &RotationKey{G: g, K: kg.genHybridSwitchingKey(s, sg, depth, hybridRotationStreamBase(g)), Perm: perm}
 	rqp.PutPoly(sg)
-	rqp.PutPoly(s)
 	return rk
 }
 

@@ -3,6 +3,8 @@ package ckks
 import (
 	"math/cmplx"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 func TestMulRelin(t *testing.T) {
@@ -170,4 +172,13 @@ func TestAutomorphismInvolution(t *testing.T) {
 	if !rl.Equal(a, b) {
 		t.Fatal("conjugation automorphism is not an involution")
 	}
+}
+
+// automorphism applies X → X^g to a coefficient-domain polynomial into a
+// freshly allocated result — the tests' reference for the NTT-domain
+// gathers.
+func automorphism(rl *ring.Ring, p *ring.Poly, g int) *ring.Poly {
+	out := rl.NewPoly()
+	rl.AutomorphismCoeff(p, g, out)
+	return out
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/lanes"
 	"repro/internal/ring"
 )
 
@@ -94,51 +93,32 @@ func unpackRow(row []uint64, src []byte, q uint64) bool {
 
 // packRows packs rows[i] at dst[i·N·44/8:], one lane task per row. Row i
 // is a residue row of limb i mod r.K() — every packed payload is a
-// sequence of whole polynomials over r. With fromNTT the rows are
-// NTT-domain in memory and travel in the coefficient domain: each task
-// copies its row to a pooled slab and inverse-transforms the copy. A row
-// of the wrong length or holding a residue ≥ 2^44 cannot be represented
-// and is an error naming the lowest such row — found by index after the
-// dispatch, so it is the same at any worker count or schedule.
-func packRows(r *ring.Ring, dst []byte, rows [][]uint64, fromNTT bool) error {
-	n, k := r.N, r.K()
+// sequence of whole polynomials over r, packed in the domain it sits in.
+// A row of the wrong length or holding a residue ≥ 2^44 cannot be
+// represented and is an error naming the lowest such row — found by index
+// after the dispatch, so it is the same at any worker count or schedule.
+func packRows(r *ring.Ring, dst []byte, rows [][]uint64) error {
+	n := r.N
 	rowBytes := packedBytes(1, n)
 	bad := make([]bool, len(rows))
 	r.Engine().Run(len(rows), func(i int) {
-		row := rows[i]
-		if len(row) != n {
-			bad[i] = true
-			return
-		}
-		if fromNTT {
-			row = lanes.GetSlab(n)
-			copy(row, rows[i])
-			r.InverseLimb(i%k, row)
-		}
-		bad[i] = packRow(dst[i*rowBytes:(i+1)*rowBytes], row)>>PackedWordBits != 0
-		if fromNTT {
-			lanes.PutSlab(row)
-		}
+		bad[i] = len(rows[i]) != n || packRow(dst[i*rowBytes:(i+1)*rowBytes], rows[i])>>PackedWordBits != 0
 	})
 	if i := slices.Index(bad, true); i >= 0 {
-		return fmt.Errorf("ckks: marshal: limb row %d (q_%d) is not %d residues below 2^%d", i, i%k, n, PackedWordBits)
+		return fmt.Errorf("ckks: marshal: limb row %d (q_%d) is not %d residues below 2^%d", i, i%r.K(), n, PackedWordBits)
 	}
 	return nil
 }
 
 // unpackRows reverses packRows into rows (each of length r.N), comparing
-// every residue with its limb's modulus in the same pass — before the
-// value is used: with toNTT a row is forward-transformed only after it
-// checked out. The error names the lowest offending row in wire order.
-func unpackRows(r *ring.Ring, src []byte, rows [][]uint64, toNTT bool) error {
+// every residue with its limb's modulus in the same pass. The error names
+// the lowest offending row in wire order.
+func unpackRows(r *ring.Ring, src []byte, rows [][]uint64) error {
 	n, k := r.N, r.K()
 	rowBytes := packedBytes(1, n)
 	bad := make([]bool, len(rows))
 	r.Engine().Run(len(rows), func(i int) {
 		bad[i] = !unpackRow(rows[i], src[i*rowBytes:(i+1)*rowBytes], r.Basis.Moduli[i%k].Q)
-		if toNTT && !bad[i] {
-			r.ForwardLimb(i%k, rows[i])
-		}
 	})
 	if i := slices.Index(bad, true); i >= 0 {
 		q := r.Basis.Moduli[i%k].Q

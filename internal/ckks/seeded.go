@@ -160,7 +160,7 @@ func (p *Parameters) MarshalSeeded(sct *SeededCiphertext) ([]byte, error) {
 	copy(out[headerLen():], sct.Seed[:])
 	binary.LittleEndian.PutUint64(out[headerLen()+16:], sct.Stream)
 
-	if err := packRows(p.RingAt(sct.Level), out[headerLen()+24:], polyRows(sct.Level, sct.C0), false); err != nil {
+	if err := packRows(p.RingAt(sct.Level), out[headerLen()+24:], polyRows(sct.Level, sct.C0)); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -205,7 +205,7 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 
 	rl := p.RingAt(level)
 	sct.C0 = rl.NewPoly()
-	if err := unpackRows(rl, data[headerLen()+24:], sct.C0.Coeffs, false); err != nil {
+	if err := unpackRows(rl, data[headerLen()+24:], sct.C0.Coeffs); err != nil {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: %w", err)
 	}
 	return sct, nil

@@ -79,7 +79,7 @@ func (p *Parameters) MarshalCiphertext(ct *Ciphertext, packed bool) ([]byte, err
 	body := out[headerLen():]
 	rows := polyRows(ct.Level, ct.C0, ct.C1)
 	if packed {
-		if err := packRows(p.RingAt(ct.Level), body, rows, false); err != nil {
+		if err := packRows(p.RingAt(ct.Level), body, rows); err != nil {
 			return nil, err
 		}
 	} else {
@@ -138,7 +138,7 @@ func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
 	body := data[headerLen():]
 	rows := polyRows(level, ct.C0, ct.C1)
 	if enc == encPacked {
-		if err := unpackRows(rl, body, rows, false); err != nil {
+		if err := unpackRows(rl, body, rows); err != nil {
 			return nil, fmt.Errorf("ckks: unmarshal: %w", err)
 		}
 	} else {

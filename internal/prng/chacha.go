@@ -20,8 +20,8 @@ import (
 // repeated into both key halves). 20 rounds.
 type chacha struct {
 	state [16]uint32
-	buf   [64]byte
-	used  int // bytes of buf already consumed; 64 → refill needed
+	ks    [16]uint32 // keystream block, little-endian word order
+	used  int        // words of ks already consumed; 16 → refill needed
 	ctr   uint64
 }
 
@@ -34,7 +34,7 @@ var sigma16 = [4]uint32{0x61707865, 0x3120646e, 0x79622d36, 0x6b206574}
 // per sampled polynomial, mirroring the paper's per-object seeds) never
 // overlap.
 func newChaCha(seed [16]byte, stream uint64) *chacha {
-	c := &chacha{used: 64}
+	c := &chacha{used: 16}
 	c.state[0], c.state[1], c.state[2], c.state[3] = sigma16[0], sigma16[1], sigma16[2], sigma16[3]
 	k0 := binary.LittleEndian.Uint32(seed[0:4])
 	k1 := binary.LittleEndian.Uint32(seed[4:8])
@@ -66,33 +66,38 @@ func quarter(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
 	return a, b, c, d
 }
 
-// block produces the next 64-byte keystream block into c.buf.
+// block produces the next keystream block into c.ks. The working state
+// lives in locals for the 20 rounds, so the compiler keeps it in
+// registers instead of round-tripping an array through memory.
 func (c *chacha) block() {
-	var x [16]uint32
-	copy(x[:], c.state[:])
+	st := &c.state
+	x0, x1, x2, x3 := st[0], st[1], st[2], st[3]
+	x4, x5, x6, x7 := st[4], st[5], st[6], st[7]
+	x8, x9, x10, x11 := st[8], st[9], st[10], st[11]
+	x12, x13, x14, x15 := st[12], st[13], st[14], st[15]
 	for i := 0; i < 10; i++ { // 20 rounds = 10 double-rounds
 		// column round
-		x[0], x[4], x[8], x[12] = quarter(x[0], x[4], x[8], x[12])
-		x[1], x[5], x[9], x[13] = quarter(x[1], x[5], x[9], x[13])
-		x[2], x[6], x[10], x[14] = quarter(x[2], x[6], x[10], x[14])
-		x[3], x[7], x[11], x[15] = quarter(x[3], x[7], x[11], x[15])
+		x0, x4, x8, x12 = quarter(x0, x4, x8, x12)
+		x1, x5, x9, x13 = quarter(x1, x5, x9, x13)
+		x2, x6, x10, x14 = quarter(x2, x6, x10, x14)
+		x3, x7, x11, x15 = quarter(x3, x7, x11, x15)
 		// diagonal round
-		x[0], x[5], x[10], x[15] = quarter(x[0], x[5], x[10], x[15])
-		x[1], x[6], x[11], x[12] = quarter(x[1], x[6], x[11], x[12])
-		x[2], x[7], x[8], x[13] = quarter(x[2], x[7], x[8], x[13])
-		x[3], x[4], x[9], x[14] = quarter(x[3], x[4], x[9], x[14])
+		x0, x5, x10, x15 = quarter(x0, x5, x10, x15)
+		x1, x6, x11, x12 = quarter(x1, x6, x11, x12)
+		x2, x7, x8, x13 = quarter(x2, x7, x8, x13)
+		x3, x4, x9, x14 = quarter(x3, x4, x9, x14)
 	}
-	for i := range x {
-		x[i] += c.state[i]
-	}
-	for i, v := range x {
-		binary.LittleEndian.PutUint32(c.buf[4*i:], v)
+	c.ks = [16]uint32{
+		x0 + st[0], x1 + st[1], x2 + st[2], x3 + st[3],
+		x4 + st[4], x5 + st[5], x6 + st[6], x7 + st[7],
+		x8 + st[8], x9 + st[9], x10 + st[10], x11 + st[11],
+		x12 + st[12], x13 + st[13], x14 + st[14], x15 + st[15],
 	}
 	c.used = 0
 	// 64-bit block counter in words 12/13.
 	c.ctr++
-	c.state[12] = uint32(c.ctr)
-	c.state[13] = uint32(c.ctr >> 32)
+	st[12] = uint32(c.ctr)
+	st[13] = uint32(c.ctr >> 32)
 }
 
 // Source is a deterministic random stream with a 128-bit seed. It is NOT
@@ -117,29 +122,28 @@ func SeedFromUint64s(lo, hi uint64) [16]byte {
 	return s
 }
 
-// Uint64 returns the next 64 bits of keystream.
+// Uint64 returns the next 64 bits of keystream: the next word pair, low
+// word first (the little-endian reading of the block's bytes).
 func (s *Source) Uint64() uint64 {
 	c := s.c
-	if c.used > 64-8 {
-		if c.used < 64 {
-			// Discard the ragged tail so Uint64 always consumes aligned words.
-			c.used = 64
-		}
+	if c.used > 16-2 {
+		// A ragged last word (after an odd number of Uint32 reads) is
+		// discarded, so Uint64 never straddles two blocks.
 		c.block()
 	}
-	v := binary.LittleEndian.Uint64(c.buf[c.used:])
-	c.used += 8
+	v := uint64(c.ks[c.used]) | uint64(c.ks[c.used+1])<<32
+	c.used += 2
 	return v
 }
 
 // Uint32 returns the next 32 bits of keystream.
 func (s *Source) Uint32() uint32 {
 	c := s.c
-	if c.used > 64-4 {
+	if c.used > 16-1 {
 		c.block()
 	}
-	v := binary.LittleEndian.Uint32(c.buf[c.used:])
-	c.used += 4
+	v := c.ks[c.used]
+	c.used++
 	return v
 }
 

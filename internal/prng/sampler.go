@@ -2,6 +2,7 @@ package prng
 
 import (
 	"math"
+	"math/bits"
 )
 
 // GaussianSigma is the error standard deviation used throughout: the
@@ -16,44 +17,40 @@ const GaussianTailCut = 20 // ⌈6·3.2⌉ = 20
 // UniformModQ returns the next uniform residue in [0, q) by rejection
 // sampling on the minimal number of random bits (the same strategy a
 // hardware PRNG uses so the expected consumption is < 2 words per sample).
+// q == 1 consumes no keystream; q == 0 panics.
 func (s *Source) UniformModQ(q uint64) uint64 {
-	if q == 0 {
-		panic("prng: q must be > 0")
-	}
-	// Rejection threshold: largest multiple of q representable in the
-	// masked width.
-	bitsNeeded := 64 - leadingZeros64(q-1)
-	if q == 1 {
-		return 0
-	}
-	mask := ^uint64(0)
-	if bitsNeeded < 64 {
-		mask = (uint64(1) << bitsNeeded) - 1
-	}
-	for {
-		v := s.Uint64() & mask
-		if v < q {
+	mask := uniformMask(q)
+	for q > 1 {
+		if v := s.Uint64() & mask; v < q {
 			return v
 		}
 	}
+	return 0
 }
 
-func leadingZeros64(v uint64) int {
-	n := 0
-	if v == 0 {
-		return 64
+// uniformMask is the rejection mask for residues mod q: the low
+// bitlen(q-1) bits.
+func uniformMask(q uint64) uint64 {
+	if q == 0 {
+		panic("prng: q must be > 0")
 	}
-	for v&(1<<63) == 0 {
-		v <<= 1
-		n++
-	}
-	return n
+	return ^uint64(0) >> bits.LeadingZeros64(q-1)
 }
 
-// UniformPoly fills out with uniform residues mod q.
+// UniformPoly fills out with uniform residues mod q — UniformModQ per
+// entry, with the mask computed once for the row.
 func (s *Source) UniformPoly(out []uint64, q uint64) {
+	mask := uniformMask(q)
+	if q == 1 {
+		clear(out)
+		return
+	}
 	for i := range out {
-		out[i] = s.UniformModQ(q)
+		v := s.Uint64() & mask
+		for v >= q {
+			v = s.Uint64() & mask
+		}
+		out[i] = v
 	}
 }
 

@@ -96,10 +96,12 @@ func (k *EvaluationKeys) HasConjugate() bool { return k.set.Conj != nil }
 // KeyOwner.ExportEvaluationKeys), validating the embedded parameter spec
 // against the server's and every residue against the modulus chain. A
 // blob from a different preset, a truncated or bit-flipped blob, or one
-// whose domain byte claims NTT-tagged payload all return
-// ErrMalformedWire; a blob whose gadget tag is not the hybrid one (the
-// retired digit-gadget format carried tag 0) additionally returns
-// ErrGadgetUnsupported, from the header alone.
+// whose domain byte is not 1 (NTT) — 0 is the retired coefficient layout
+// of blobs exported before keys travelled in the NTT domain, and the
+// error says to re-export — all return ErrMalformedWire; a blob whose
+// gadget tag is not the hybrid one (the retired digit-gadget format
+// carried tag 0) additionally returns ErrGadgetUnsupported, from the
+// header alone.
 func (s *Server) ImportEvaluationKeys(data []byte) (*EvaluationKeys, error) {
 	if _, _, err := readEvalKeyBlob(data); err != nil {
 		return nil, err
