@@ -435,9 +435,10 @@ func TestEvalMisuseMatrix(t *testing.T) {
 }
 
 // TestEvalKeyBlobMisuse: hostile evaluation-key bytes — wrong preset,
-// a flipped domain byte, the retired coefficient-domain layout (domain
-// byte 0), truncation, bit flips, wrong kind, a gadget tag other than
-// hybrid — all return ErrMalformedWire from both import paths.
+// a flipped layout byte, the retired coefficient-domain layout (layout
+// byte 0), the retired full-row layout (layout byte 1, no mask seed),
+// truncation, bit flips, wrong kind, a gadget tag other than hybrid — all
+// return ErrMalformedWire from both import paths.
 // The retired digit-gadget tag (0) is additionally ErrGadgetUnsupported,
 // as is an export over a parameter set without special primes.
 func TestEvalKeyBlobMisuse(t *testing.T) {
@@ -453,6 +454,11 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherBlob, err := otherOwner.ExportEvaluationKeys(EvalKeyConfig{MaxLevel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	imported, err := server.ImportEvaluationKeys(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,12 +479,11 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 		"empty":            nil,
 		"garbage":          []byte("ABCF with nothing useful behind it"),
 		"different preset": otherBlob,
-		"domain flip":      flip(14 + 4), // domain byte in the sub-header
-		"retired domain": func() []byte {
-			d := append([]byte(nil), good...)
-			d[14+4] = 0 // every blob exported before keys travelled in the NTT domain
-			return d
-		}(),
+		"layout flip":      flip(14 + 4), // layout byte in the sub-header
+		// Every blob exported before keys travelled in the NTT domain.
+		"retired domain": retiredLayout(server.params, imported.set, good, 0),
+		// Every blob exported before the masks moved to the seed.
+		"retired full-row": retiredLayout(server.params, imported.set, good, 1),
 		"truncated":        good[:len(good)/2],
 		"padded":           append(append([]byte(nil), good...), 0),
 		"public key blob":  func() []byte { d, _ := owner.ExportPublicKey(); return d }(),
@@ -492,21 +497,29 @@ func TestEvalKeyBlobMisuse(t *testing.T) {
 	// The bootstrap constructor applies the same gates (a different-preset
 	// blob is fine there — it builds its own params — so only structural
 	// damage applies).
-	for _, name := range []string{"empty", "garbage", "domain flip", "retired domain", "truncated", "padded", "retired gadget", "unknown gadget"} {
+	for _, name := range []string{"empty", "garbage", "layout flip", "retired domain", "retired full-row", "truncated", "padded", "retired gadget", "unknown gadget"} {
 		if _, _, err := NewServerFromEvaluationKeys(cases[name]); !errors.Is(err, ErrMalformedWire) {
 			t.Errorf("NewServerFromEvaluationKeys(%s): %v", name, err)
 		}
 	}
-	// Old exports are told what they are and what to do about them.
-	if _, err := server.ImportEvaluationKeys(cases["retired domain"]); err == nil ||
-		!strings.Contains(err.Error(), "retired coefficient-domain layout; re-export") {
-		t.Errorf("ImportEvaluationKeys(retired domain): %v", err)
+	// Old exports are told what they are and what to do about them, on
+	// both import paths.
+	for name, want := range map[string]string{
+		"retired domain":   "retired coefficient-domain layout; re-export",
+		"retired full-row": "retired full-row layout; re-export",
+	} {
+		if _, err := server.ImportEvaluationKeys(cases[name]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ImportEvaluationKeys(%s): %v", name, err)
+		}
+		if _, _, err := NewServerFromEvaluationKeys(cases[name]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("NewServerFromEvaluationKeys(%s): %v", name, err)
+		}
 	}
 
 	// The retired tag is named as such, from the header alone: the same
 	// verdict with the payload cut off.
 	retired := cases["retired gadget"]
-	for name, data := range map[string][]byte{"full blob": retired, "header only": retired[:14+7+4]} {
+	for name, data := range map[string][]byte{"full blob": retired, "header only": retired[:14+5+16+2+4]} {
 		if _, err := server.ImportEvaluationKeys(data); !errors.Is(err, ErrGadgetUnsupported) {
 			t.Errorf("ImportEvaluationKeys(retired gadget, %s): %v", name, err)
 		}

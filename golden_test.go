@@ -3,15 +3,21 @@ package abcfhe
 // Byte-identity pins for deletion PRs (ROADMAP item 4): SHA-256 of the
 // fixed-seed Test-preset key blobs, one ciphertext and the serialized
 // output of every key-switching op, asserted under both backends and
-// worker counts 1 and 8. The hashes were computed at the commit before the
-// BV gadget was removed; a change that claims to preserve behaviour keeps
+// worker counts 1 and 8. A change that claims to preserve behaviour keeps
 // every one of them.
 //
-// "eval-keys-coeff" is that commit's evaluation-key blob, which carried
-// the keys in the coefficient domain; the wire now carries them in the NTT
-// domain ("eval-keys"), so the older pin is checked on a test-only
-// re-encoding of the imported keys into the retired layout — the key
-// content is pinned across the wire change, not just re-pinned.
+// "public-key" and "ciphertext" date from the commit before the BV gadget
+// was removed. The evaluation-key and key-switching-op pins were re-pinned
+// when switching-key masks moved to the public mask seed (the commit after
+// 7ab7bd0): that moved every a_j row, and with them every op output, and
+// nothing else — with the masks drawn from the old stream the re-pinned
+// code reproduced every earlier pin, including 7ab7bd0's full-row blob.
+//
+// "eval-keys" pins the seeded wire blob (mask seed plus b rows).
+// "eval-keys-coeff" pins the imported keys' full content, both halves, on
+// a test-only re-encoding into the retired coefficient-domain layout, so
+// the regenerated mask rows are pinned too, not only the seed that
+// produces them.
 
 import (
 	"crypto/sha256"
@@ -25,13 +31,13 @@ import (
 
 var goldenSHA256 = map[string]string{
 	"public-key":      "84121cb129bbbaface7f81b0e130fe0ebbe4536d921b2754f8bc922f5be04681",
-	"eval-keys":       "08d99e0538ec64bda14a3eeb08c2264433d9405e90b35abfe85b294437ac94a3",
-	"eval-keys-coeff": "f8a740a933085bea1621d2717666de9ef0b16a3807b1fd37cbb591ece89e61e9",
+	"eval-keys":       "4d959206eab40e7208720f09c29332b20cf36b5dafd40777ceaddc3d6835bed4",
+	"eval-keys-coeff": "02d9f16b10718cee0e31f08164ad0b3d3060e8cfdfa3b4ef76d46776687be6ba",
 	"ciphertext":      "8e224cf9b1a59b4a0149e0e3fbd2685994791c90a38e59d469e912d39d179a51",
-	"mul-rescale":     "ed88cc70078f8abd08f08103ff7f36cd37a80663565cd20f635b94360f16aa07",
-	"rotate-1":        "71ab771221090490e90fef77602e6ebd358f581e05bb6d9c283885d5619dc6c1",
-	"conjugate":       "dec99e2f1261cbb7fc3fa6ae6b2f857c50bd58b6c03bad0e7590d71acc40d817",
-	"innersum-4":      "900e64d4772854495bd186a5c22f7afe47ff60fe046a2cef8ac200a11331b5df",
+	"mul-rescale":     "43c19edd56710c3987a2a9ed2f4c0760bc92b037c4bc18d2baeef999d2d0042d",
+	"rotate-1":        "704bb7310ea8942e473fc2c56c70c2e868556ae4a0a65979848bbbaaa825a753",
+	"conjugate":       "6f11500f49edbd6dc686d1eacc0695cdebec2659623597e33bb182acb06dae1c",
+	"innersum-4":      "58a81f9d77713a0bcaca08b393687a4c1aac2aef461c38f04fb970c443ee875d",
 }
 
 func TestGoldenBytes(t *testing.T) {
@@ -77,7 +83,7 @@ func goldenRun(t *testing.T, opts ...Option) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin("eval-keys-coeff", coefficientLayout(server.params, evk.set, evkBytes), nil)
+	pin("eval-keys-coeff", retiredLayout(server.params, evk.set, evkBytes, 0), nil)
 
 	msgs := testMsgs(device.Slots(), 2)
 	cts, err := device.EncodeEncryptBatch(msgs)
@@ -100,19 +106,25 @@ func goldenRun(t *testing.T, opts ...Option) {
 	pinCt("innersum-4", isum, err)
 }
 
-// coefficientLayout re-encodes an imported key set in the retired
-// coefficient-domain wire layout: blob's headers with domain byte 0, then
-// every row in wire order (relin, conjugate, rotations by ascending step;
-// per group H0 then H1) inverse-transformed and packed at 44 bits, least
-// significant bit first.
-func coefficientLayout(p *ckks.Parameters, set *ckks.EvaluationKeySet, blob []byte) []byte {
-	keys := []*ckks.SwitchingKey{set.Rlk.K, set.Conj.K}
+// retiredLayout re-encodes an imported key set in a retired full-row wire
+// layout: the blob's headers without the mask seed and with the given
+// layout byte, then every row in wire order (relin, conjugate, rotations
+// by ascending step; per group H0 then H1) packed at 44 bits, least
+// significant bit first. Layout 0 carried the rows in the coefficient
+// domain, layout 1 as they sit in memory (NTT domain).
+func retiredLayout(p *ckks.Parameters, set *ckks.EvaluationKeySet, blob []byte, layout byte) []byte {
+	keys := []*ckks.SwitchingKey{set.Rlk.K}
+	if set.Conj != nil {
+		keys = append(keys, set.Conj.K)
+	}
 	for _, s := range set.Steps() {
 		keys = append(keys, set.Rot[s].K)
 	}
-	headerLen := 14 + 7 + 4*len(set.Steps())
-	out := append([]byte(nil), blob[:headerLen]...)
-	out[14+4] = 0
+	const sub = 14 + 5 // key header, then gadget, digits, depth, flags, layout
+	out := append([]byte(nil), blob[:sub]...)
+	out[sub-1] = layout
+	// Skip the mask seed; keep the rotation count and steps.
+	out = append(out, blob[sub+16:sub+16+2+4*len(set.Steps())]...)
 	var acc uint64 // the low `pending` bits are not yet written
 	var pending uint
 	rqp := p.RingQPAt(set.MaxLevel)
@@ -120,7 +132,9 @@ func coefficientLayout(p *ckks.Parameters, set *ckks.EvaluationKeySet, blob []by
 		for j := range k.H0 {
 			for _, h := range []*ring.Poly{k.H0[j], k.H1[j]} {
 				c := rqp.CopyPoly(h)
-				rqp.INTT(c)
+				if layout == 0 {
+					rqp.INTT(c)
+				}
 				for _, row := range c.Coeffs {
 					for _, v := range row {
 						acc |= v << pending // pending < 8: fits in 52 bits

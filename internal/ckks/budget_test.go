@@ -20,7 +20,11 @@ import (
 	"repro/internal/fftfp"
 	"repro/internal/lanes"
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
+
+// budgetSink keeps a measured allocation on the heap.
+var budgetSink *ring.Poly
 
 // budgetSeed derives every key and encryption seed of the budget fixtures.
 func budgetSeed() [16]byte { return prng.SeedFromUint64s(0xB5, 0xC4) }
@@ -161,6 +165,41 @@ func TestAllocationBudgets(t *testing.T) {
 			t.Run(r.name+"/workers="+workers, func(t *testing.T) { checkAllocs(t, r.ceiling, 20, r.op) })
 		}
 	}
+
+	// Evaluation-key import at PN13 (relinearization, conjugation and two
+	// rotations at full depth, β = 4), at the default worker count. Import
+	// regenerates every mask row from the blob's seed; a row may cost its
+	// two key polys and nothing else — no sampler state, no scratch. The
+	// depth-α set (β = 1) has the same keys and dispatches, so the
+	// difference between the two readings is exactly the extra rows' polys.
+	t.Run("UnmarshalEvalKeysPN13", func(t *testing.T) {
+		b := newBudgetParty(PN13)
+		defer b.p.Close()
+		importAllocs := func(depth int) (float64, func()) {
+			ks := b.kg.GenEvaluationKeySet(b.sk, depth, []int{1, 5}, true, GadgetHybrid)
+			blob, err := b.p.MarshalEvaluationKeySet(ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op := func() {
+				if _, err := b.p.UnmarshalEvaluationKeySet(blob); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return testing.AllocsPerRun(5, op), op
+		}
+		full, op := importAllocs(b.p.MaxLevel())
+		shallow, _ := importAllocs(b.p.SpecialLimbs)
+		checkAllocs(t, 224, 5, op)
+
+		const keys = 4
+		rows := keys * (b.p.DnumAt(b.p.MaxLevel()) - 1)
+		rqp := b.p.RingQPAt(b.p.MaxLevel())
+		perPoly := testing.AllocsPerRun(5, func() { budgetSink = rqp.NewPoly() })
+		if extra := full - shallow; extra > 2*perPoly*float64(rows) {
+			t.Errorf("%d extra key rows cost %.0f allocs, want ≤ %.0f (two polys of %.0f allocs each)", rows, extra, 2*perPoly*float64(rows), perPoly)
+		}
+	})
 
 	// Paper scale, at the default worker count. Each row builds its own
 	// keys, so the rows peak at one key set — still ≈ 3.5 GB of RSS for

@@ -14,11 +14,18 @@ import "sort"
 // holds ⌈D/α⌉ rows of D+α limbs — linear in depth — so exporting keys no
 // deeper than the server's actual circuit keeps blobs proportional to the
 // work — see EvalKeyInfo and the wire-size helpers in evalkeyserialize.go.
+//
+// MaskSeed is the public seed every key's mask rows H1[j] were drawn from
+// (on the key's own streams, see maskStream). The wire carries it in place
+// of those rows, so a set is marshalled correctly only if its H1 rows are
+// that seed's output — true of every set GenEvaluationKeySet or
+// UnmarshalEvaluationKeySet returns.
 type EvaluationKeySet struct {
 	Rlk      *RelinearizationKey
 	Rot      map[int]*RotationKey // by normalized slot step in [1, Slots)
 	Conj     *RotationKey         // nil unless conjugation was requested
 	MaxLevel int
+	MaskSeed [16]byte
 }
 
 // Steps lists the set's rotation steps in ascending order (the canonical
@@ -79,6 +86,7 @@ func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, maxLevel int, steps [
 		Rlk:      kg.relinKey(s, maxLevel),
 		Rot:      make(map[int]*RotationKey),
 		MaxLevel: maxLevel,
+		MaskSeed: kg.maskSeed,
 	}
 	for _, k := range steps {
 		k = p.NormalizeStep(k)

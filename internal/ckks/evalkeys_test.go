@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"strings"
 	"testing"
+
+	"repro/internal/ring"
 )
 
 func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*EvaluationKeySet, *SecretKey, *PublicKey) {
@@ -14,10 +16,37 @@ func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*Evalua
 	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj, GadgetHybrid), sk, pk
 }
 
+// keySetsEqual reports whether two sets hold the same keys, row for row.
+func keySetsEqual(p *Parameters, a, b *EvaluationKeySet) bool {
+	if a.MaxLevel != b.MaxLevel || a.MaskSeed != b.MaskSeed || len(a.Rot) != len(b.Rot) || (a.Conj == nil) != (b.Conj == nil) {
+		return false
+	}
+	pairs := [][2]*SwitchingKey{{a.Rlk.K, b.Rlk.K}}
+	if a.Conj != nil {
+		pairs = append(pairs, [2]*SwitchingKey{a.Conj.K, b.Conj.K})
+	}
+	for s, rk := range a.Rot {
+		if b.Rot[s] == nil {
+			return false
+		}
+		pairs = append(pairs, [2]*SwitchingKey{rk.K, b.Rot[s].K})
+	}
+	rqp := p.RingQPAt(a.MaxLevel)
+	for _, k := range pairs {
+		for j := range k[0].H0 {
+			if !rqp.Equal(k[0].H0[j], k[1].H0[j]) || !rqp.Equal(k[0].H1[j], k[1].H1[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // TestEvalKeySetRoundTrip pins the wire format: marshal→unmarshal→marshal
 // is byte-identical, the round-tripped keys are poly-equal to the
-// originals (rows travel as they sit in memory, NTT domain), and
-// generation is deterministic from the seed (canonical re-export).
+// originals (b rows travel as they sit in memory, NTT domain; mask rows
+// are regenerated from the seed), and generation is deterministic from
+// the seed (canonical re-export).
 func TestEvalKeySetRoundTrip(t *testing.T) {
 	p := testParams
 	t.Run("hybrid", func(t *testing.T) {
@@ -54,14 +83,10 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 			t.Fatal("evaluation-key generation is not deterministic from the seed")
 		}
 
-		// Poly-level equality of a sample: the relin key survives the
-		// wire exactly.
-		rqp := p.RingQPAt(3)
-		for j := range ks.Rlk.K.H0 {
-			if !rqp.Equal(ks.Rlk.K.H0[j], back.Rlk.K.H0[j]) ||
-				!rqp.Equal(ks.Rlk.K.H1[j], back.Rlk.K.H1[j]) {
-				t.Fatal("relinearization key changed across the wire")
-			}
+		// Poly-level equality: every key survives the wire exactly, its
+		// b rows unpacked and its mask rows regenerated from the seed.
+		if !keySetsEqual(p, ks, back) {
+			t.Fatal("evaluation keys changed across the wire")
 		}
 		// Geometry: steps normalized (−1 ≡ Slots−1), dup dropped, conj
 		// present.
@@ -83,18 +108,22 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 	// rotation keys) is pinned exactly: any wire-format growth must update
 	// this number deliberately.
 	p15 := PN15.MustBuild()
-	if got := p15.EvaluationKeyWireBytes(p15.MaxLevel(), 3, false); got != 242221089 {
-		t.Fatalf("PN15 full-depth 3-rotation blob is %d bytes, want 242221089", got)
+	if got := p15.EvaluationKeyWireBytes(p15.MaxLevel(), 3, false); got != 121110577 {
+		t.Fatalf("PN15 full-depth 3-rotation blob is %d bytes, want 121110577", got)
 	}
 }
 
 // TestEvalKeySetWorkerInvariance: the β key rows are generated as parallel
-// lane tasks, each on its own streams, so the exported set is the same
-// bytes at any worker count. PN13 at full depth has β = 4 rows per key.
+// lane tasks, each on its own streams, and import regenerates the mask
+// rows as one lane task per (key, row), so the exported bytes and the
+// imported keys are the same at any worker count. PN13 at full depth has
+// β = 4 rows per key.
 func TestEvalKeySetWorkerInvariance(t *testing.T) {
 	var blobs [][]byte
+	var sets []*EvaluationKeySet
+	var p *Parameters
 	for _, w := range []int{1, 8} {
-		p := PN13.MustBuild()
+		p = PN13.MustBuild()
 		p.SetWorkers(w)
 		kg := NewKeyGenerator(p, testSeed())
 		if beta := p.DnumAt(p.MaxLevel()); beta != 4 {
@@ -105,11 +134,22 @@ func TestEvalKeySetWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		back, err := p.UnmarshalEvaluationKeySet(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !keySetsEqual(p, ks, back) {
+			t.Fatalf("workers=%d: imported keys differ from the generated ones", w)
+		}
 		blobs = append(blobs, data)
+		sets = append(sets, back)
 		p.Close()
 	}
 	if !bytes.Equal(blobs[0], blobs[1]) {
 		t.Fatal("evaluation keys differ between 1 and 8 workers")
+	}
+	if !keySetsEqual(p, sets[0], sets[1]) {
+		t.Fatal("imported evaluation keys differ between 1 and 8 workers")
 	}
 }
 
@@ -195,9 +235,10 @@ func TestRotateHoistedMatchesSequential(t *testing.T) {
 }
 
 // TestEvalKeyInfoRejects drives the sub-header validation: a gadget tag
-// other than hybrid (0 tagged the retired digit gadget), a domain byte
-// other than NTT (0 tagged the retired coefficient layout), unknown flags, bad group sizes, out-of-range depth,
-// non-ascending steps, truncations — errors, never panics.
+// other than hybrid (0 tagged the retired digit gadget), a layout byte
+// other than seeded (0 tagged the retired coefficient layout, 1 the
+// retired full-row layout), unknown flags, bad group sizes, out-of-range
+// depth, non-ascending steps, truncations — errors, never panics.
 func TestEvalKeyInfoRejects(t *testing.T) {
 	p := testParams
 	ks, _, _ := testEvalKeySet(t, 2, []int{1}, false)
@@ -216,14 +257,16 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		"retired gadget tag":                 mut(off, 0),
 		"gadget tag 2":                       mut(off, 2),
 		"retired coefficient-domain payload": mut(off+4, 0),
-		"unknown domain":                     mut(off+4, 2),
+		"retired full-row layout":            mut(off+4, 1),
+		"real retired full-row blob":         fullRowLayout(t, p, ks),
+		"unknown layout":                     mut(off+4, 3),
 		"unknown flags":                      mut(off+3, 0xF0),
 		"zero group size":                    mut(off+1, 0),
 		"huge group size":                    mut(off+1, 255),
 		"forged group size":                  mut(off+1, byte(p.SpecialLimbs+1)),
 		"zero depth":                         mut(off+2, 0),
 		"depth > limbs":                      mut(off+2, 200),
-		"step zero":                          mut(off+7, 0),
+		"step zero":                          mut(evalHeaderLen(0), 0),
 		"truncated":                          data[:len(data)-5],
 		"padded":                             append(append([]byte(nil), data...), 0),
 		"wrong kind":                         mut(5, 'P'),
@@ -241,9 +284,16 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 		}
 	}
 
-	// The retired layout is named, with the remedy.
+	// The retired layouts are named, with the remedy.
 	if _, _, err := ReadEvalKeyInfo(mut(off+4, 0)); err == nil || !strings.Contains(err.Error(), "retired coefficient-domain layout; re-export") {
-		t.Errorf("retired domain byte: header read returned %v", err)
+		t.Errorf("retired layout byte 0: header read returned %v", err)
+	}
+	// A real full-row blob is named from its first five sub-header bytes.
+	old := fullRowLayout(t, p, ks)
+	for _, d := range [][]byte{old, old[:off+evalSeedOff]} {
+		if _, _, err := ReadEvalKeyInfo(d); err == nil || !strings.Contains(err.Error(), "retired full-row layout; re-export") {
+			t.Errorf("retired layout byte 1 (%d bytes): header read returned %v", len(d), err)
+		}
 	}
 
 	// A residue pushed past its modulus: byte 10 of packed word 1 is in
@@ -266,4 +316,39 @@ func TestEvalKeyInfoRejects(t *testing.T) {
 	if _, err := p.UnmarshalEvaluationKeySet(dataT); err == nil {
 		t.Error("accepted an evaluation-key blob from different parameters")
 	}
+}
+
+// fullRowLayout encodes ks in the retired full-row layout (layout byte
+// 1): the sub-header without the mask seed, then per key H0[j] and H1[j]
+// for every group, packed as they sit in memory.
+func fullRowLayout(t *testing.T, p *Parameters, ks *EvaluationKeySet) []byte {
+	t.Helper()
+	blob, err := p.MarshalEvaluationKeySet(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := keyHeaderLen()
+	out := append([]byte(nil), blob[:off+evalSeedOff]...)
+	out[off+4] = 1
+	out = append(out, blob[off+evalSeedOff+16:evalHeaderLen(len(ks.Rot))]...)
+	keys := []*SwitchingKey{ks.Rlk.K}
+	if ks.Conj != nil {
+		keys = append(keys, ks.Conj.K)
+	}
+	for _, s := range ks.Steps() {
+		keys = append(keys, ks.Rot[s].K)
+	}
+	rqp := p.RingQPAt(ks.MaxLevel)
+	for _, k := range keys {
+		var polys []*ring.Poly
+		for j := range k.H0 {
+			polys = append(polys, k.H0[j], k.H1[j])
+		}
+		body := make([]byte, packedBytes(len(polys)*rqp.K(), p.N()))
+		if err := packRows(rqp, body, polyRows(rqp.K(), polys...)); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, body...)
+	}
+	return out
 }

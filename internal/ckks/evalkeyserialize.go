@@ -20,24 +20,30 @@ import (
 //	  retired digit gadget) | digits u8 (the group size α; must equal
 //	  the spec's specialLimbs) | maxLevel u8 |
 //	flags u8 (bit0 relin, bit1 conjugate) |
-//	domain u8 (must be 1: NTT, this spec's tables) | rotCount u16 |
+//	layout u8 (must be 2: seeded masks, NTT domain) |
+//	maskSeed [16]u8 | rotCount u16 |
 //	rotCount × step u32 (strictly ascending, in [1, N/2)) |
 //	packed residues, PackedWordBits each, NTT domain:
 //	  keys in order relin?, conjugate?, rotations (ascending step);
-//	  per key: for j < ⌈maxLevel/α⌉: H0[j] then H1[j], each with
-//	  maxLevel+α limbs over the extended QP basis.
+//	  per key: H0[j] for j < ⌈maxLevel/α⌉, each with maxLevel+α limbs
+//	  over the extended QP basis.
 //
-// Switching keys are generated and consumed in the NTT domain, and they
-// travel in it: the rows are packed as they sit in memory and used as
-// unpacked. A coefficient-domain wire cost one INTT per row on export and
-// one NTT per row on import — 26 208 limb transforms per PN14 bootstrap
-// key set. The NTT domain is a function of the embedded spec (its primes
-// fix the tables), so the bytes stay self-describing. Domain byte 0 marks
-// the retired coefficient layout every blob exported before the switch
-// carries: it is rejected with a message that says to re-export, like the
-// retired gadget tag; the gadget byte guards the decomposition geometry —
-// a blob replayed at a parameter set without special primes is a typed
-// error, never a panic or a silent mis-parse.
+// Each switching-key row is (b_j, a_j) with a_j uniform. Key generation
+// draws every a_j from the public mask seed (deriveEvalKeyMaskSeed of the
+// owner's seed) on the key's own stream, so the blob carries the 16-byte
+// seed in place of the a_j rows and the receiver regenerates them — half
+// the bytes of a full-row blob, at one UniformPoly per row on import. The
+// b_j rows travel as they sit in memory, in the NTT domain, which is a
+// function of the embedded spec (its primes fix the tables), so the bytes
+// stay self-describing. The errors e_j stay on the owner's secret seed:
+// the blob lets anyone rebuild a_j, never e_j.
+//
+// Layout bytes 0 and 1 mark the retired formats — 0 the coefficient-domain
+// full-row layout, 1 the NTT-domain full-row layout (no seed, a_j rows on
+// the wire) — and are rejected from the header alone with a message that
+// says to re-export, like the retired gadget tag; the gadget byte guards
+// the decomposition geometry — a blob replayed at a parameter set without
+// special primes is a typed error, never a panic or a silent mis-parse.
 const (
 	// KeyKindEval is the evaluation-key discriminator at byte 5.
 	KeyKindEval byte = 'E'
@@ -45,9 +51,9 @@ const (
 	evalFlagRelin = 1 << 0
 	evalFlagConj  = 1 << 1
 
-	// evalDomainNTT is the only accepted domain byte: residues in the
-	// embedded spec's NTT domain.
-	evalDomainNTT = 1
+	// evalLayoutSeeded is the only accepted layout byte: the b rows in
+	// the embedded spec's NTT domain plus the mask seed.
+	evalLayoutSeeded = 2
 
 	// evalMaxRotations bounds the rotation count a header may claim (the
 	// step space itself is < N/2 ≤ 2^16, and the u16 count field matches).
@@ -79,8 +85,11 @@ func (info EvalKeyInfo) keyCount() int {
 	return n
 }
 
+// evalSeedOff is the mask seed's offset within the sub-header.
+const evalSeedOff = 5
+
 func evalHeaderLen(rotCount int) int {
-	return keyHeaderLen() + 1 + 1 + 1 + 1 + 1 + 2 + 4*rotCount
+	return keyHeaderLen() + evalSeedOff + 16 + 2 + 4*rotCount
 }
 
 // EvalKeyWireBytes computes the exact blob size implied by a spec and an
@@ -96,7 +105,7 @@ func EvalKeyWireBytes(spec ParamSpec, info EvalKeyInfo) int {
 		return 0
 	}
 	dnum := (info.MaxLevel + alpha - 1) / alpha
-	limbTotal := dnum * 2 * (info.MaxLevel + alpha) // packed limbs across one key's polynomials
+	limbTotal := dnum * (info.MaxLevel + alpha) // packed limbs across one key's b rows
 	return evalHeaderLen(len(info.Steps)) + (info.keyCount()*limbTotal*n*PackedWordBits+7)/8
 }
 
@@ -127,33 +136,41 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	if kind != KeyKindEval {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: kind 0x%02x, want 0x%02x", kind, KeyKindEval)
 	}
-	if len(data) < evalHeaderLen(0) {
+	// The retired layouts are named from the first five sub-header bytes,
+	// which every layout shares, before the seeded header's length is
+	// checked.
+	off := keyHeaderLen()
+	if len(data) < off+evalSeedOff {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: truncated sub-header")
 	}
-	off := keyHeaderLen()
 	gadget := data[off]
 	info.Digits = int(data[off+1])
 	info.MaxLevel = int(data[off+2])
 	flags := data[off+3]
-	domain := data[off+4]
-	rotCount := int(binary.LittleEndian.Uint16(data[off+5:]))
+	layout := data[off+4]
 
 	info.Gadget = Gadget(gadget)
 	if info.Gadget != GadgetHybrid {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: gadget tag 0x%02x, only 0x%02x (hybrid) is supported", gadget, byte(GadgetHybrid))
 	}
+	switch layout {
+	case evalLayoutSeeded:
+	case 0:
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: layout byte 0 tags the retired coefficient-domain layout; re-export the keys")
+	case 1:
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: layout byte 1 tags the retired full-row layout; re-export the keys")
+	default:
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown layout byte 0x%02x, want 0x%02x (seeded)", layout, evalLayoutSeeded)
+	}
+	if len(data) < evalHeaderLen(0) {
+		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: truncated sub-header")
+	}
+	rotCount := int(binary.LittleEndian.Uint16(data[off+evalSeedOff+16:]))
 	if flags&^byte(evalFlagRelin|evalFlagConj) != 0 {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown flag bits 0x%02x", flags)
 	}
 	info.HasRelin = flags&evalFlagRelin != 0
 	info.HasConj = flags&evalFlagConj != 0
-	switch domain {
-	case evalDomainNTT:
-	case 0:
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: domain byte 0 tags the retired coefficient-domain layout; re-export the keys")
-	default:
-		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: unknown domain byte 0x%02x, want 0x%02x (NTT)", domain, evalDomainNTT)
-	}
 	if info.Digits < 1 || info.Digits != spec.SpecialLimbs {
 		return ParamSpec{}, info, fmt.Errorf("ckks: eval keys: group size %d does not match the embedded spec's %d special primes",
 			info.Digits, spec.SpecialLimbs)
@@ -179,16 +196,6 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 		prev = s
 	}
 	return spec, info, nil
-}
-
-// kskRows lists a switching key's residue rows in wire order: per group
-// H0[j] then H1[j], each over the extended basis.
-func kskRows(ksk *SwitchingKey) [][]uint64 {
-	polys := make([]*ring.Poly, 0, 2*len(ksk.H0))
-	for j := range ksk.H0 {
-		polys = append(polys, ksk.H0[j], ksk.H1[j])
-	}
-	return polyRows(ksk.Level+ksk.Alpha, polys...)
 }
 
 // MarshalEvaluationKeySet serializes ks in the packed evaluation-key wire
@@ -253,18 +260,20 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 		flags |= evalFlagConj
 	}
 	out[off+3] = flags
-	out[off+4] = evalDomainNTT
-	binary.LittleEndian.PutUint16(out[off+5:], uint16(len(steps)))
+	out[off+4] = evalLayoutSeeded
+	copy(out[off+evalSeedOff:], ks.MaskSeed[:])
+	binary.LittleEndian.PutUint16(out[off+evalSeedOff+16:], uint16(len(steps)))
 	for i, s := range steps {
 		binary.LittleEndian.PutUint32(out[evalHeaderLen(i):], uint32(s))
 	}
 
-	// One lane dispatch per key, one row task per limb row.
+	// One lane dispatch per key, one row task per limb row of its b half;
+	// the mask half is the seed above.
 	rqp := p.RingQPAt(ks.MaxLevel)
 	body := out[evalHeaderLen(len(steps)):]
-	keyBytes := packedBytes(2*dnum*rqp.K(), p.N())
+	keyBytes := packedBytes(dnum*rqp.K(), p.N())
 	for i, ksk := range ksks {
-		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], kskRows(ksk)); err != nil {
+		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], polyRows(rqp.K(), ksk.H0...)); err != nil {
 			return nil, err
 		}
 	}
@@ -274,7 +283,7 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 // UnmarshalEvaluationKeySet reverses MarshalEvaluationKeySet, validating
 // the embedded spec against p, the blob length before any
 // payload-proportional allocation, and every residue against the modulus
-// chain.
+// chain. The mask rows are then regenerated from the blob's seed.
 func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, error) {
 	spec, info, err := ReadEvalKeyInfo(data)
 	if err != nil {
@@ -291,37 +300,45 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 	if len(data) != EvalKeyWireBytes(spec, info) {
 		return nil, fmt.Errorf("ckks: unmarshal eval keys: blob length %d does not match header geometry", len(data))
 	}
+	ks := &EvaluationKeySet{Rot: make(map[int]*RotationKey), MaxLevel: info.MaxLevel}
+	copy(ks.MaskSeed[:], data[keyHeaderLen()+evalSeedOff:])
 
 	// One lane dispatch per key, in wire order: each row task unpacks and
-	// range-checks its row, and at most one rejected key is ever allocated.
+	// range-checks one limb row of the key's b half. A rejected blob stops
+	// at its first bad key, before any mask row exists.
 	body := data[evalHeaderLen(len(info.Steps)):]
 	rqp := p.RingQPAt(info.MaxLevel)
 	dnum := p.DnumAt(info.MaxLevel)
-	keyBytes := packedBytes(2*dnum*rqp.K(), p.N())
-	readKsk := func() (*SwitchingKey, error) {
+	keyBytes := packedBytes(dnum*rqp.K(), p.N())
+	type maskedKey struct {
+		ksk  *SwitchingKey
+		base uint64 // the key's sampling window: its mask streams
+	}
+	var keys []maskedKey
+	readKsk := func(base uint64) (*SwitchingKey, error) {
 		ksk := &SwitchingKey{Alpha: info.Digits, Level: info.MaxLevel}
 		ksk.H0 = make([]*ring.Poly, dnum)
 		ksk.H1 = make([]*ring.Poly, dnum)
-		for j := 0; j < dnum; j++ {
-			ksk.H0[j], ksk.H1[j] = rqp.NewPoly(), rqp.NewPoly()
-			ksk.H0[j].IsNTT, ksk.H1[j].IsNTT = true, true
+		for j := range ksk.H0 {
+			ksk.H0[j] = rqp.NewPoly()
+			ksk.H0[j].IsNTT = true
 		}
-		if err := unpackRows(rqp, body[:keyBytes], kskRows(ksk)); err != nil {
+		if err := unpackRows(rqp, body[:keyBytes], polyRows(rqp.K(), ksk.H0...)); err != nil {
 			return nil, fmt.Errorf("ckks: unmarshal eval keys: %w", err)
 		}
 		body = body[keyBytes:]
+		keys = append(keys, maskedKey{ksk, base})
 		return ksk, nil
 	}
 
-	ks := &EvaluationKeySet{Rot: make(map[int]*RotationKey), MaxLevel: info.MaxLevel}
-	rlk, err := readKsk()
+	rlk, err := readKsk(hybridRelinStreamBase)
 	if err != nil {
 		return nil, err
 	}
 	ks.Rlk = &RelinearizationKey{K: rlk}
 	if info.HasConj {
 		g := p.GaloisElementConjugate()
-		k, err := readKsk()
+		k, err := readKsk(hybridRotationStreamBase(g))
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +346,19 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 	}
 	for _, s := range info.Steps {
 		g := p.GaloisElement(s)
-		k, err := readKsk()
+		k, err := readKsk(hybridRotationStreamBase(g))
 		if err != nil {
 			return nil, err
 		}
 		ks.Rot[s] = &RotationKey{G: g, K: k, Perm: p.Ring().GaloisPermNTT(g)}
 	}
+
+	// Regenerate every mask row straight into its NTT-domain poly, one
+	// lane task per (key, row): a row is one serial PRNG stream, so the
+	// rows are the unit of parallelism.
+	rqp.Engine().Run(len(keys)*dnum, func(t int) {
+		k := keys[t/dnum]
+		k.ksk.regenMaskRow(rqp, ks.MaskSeed, k.base, t%dnum)
+	})
 	return ks, nil
 }

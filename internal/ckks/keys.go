@@ -21,14 +21,19 @@ type PublicKey struct {
 // KeyGenerator derives keys deterministically from a 128-bit seed — the
 // property the accelerator's on-chip PRNG exploits: only the seed is
 // stored; key material is regenerated on demand (paper §IV-B).
+//
+// Evaluation keys draw their public masks from a second seed,
+// deriveEvalKeyMaskSeed(seed), which travels with every evaluation-key
+// blob; their errors stay on the secret seed.
 type KeyGenerator struct {
-	params *Parameters
-	seed   [16]byte
+	params   *Parameters
+	seed     [16]byte
+	maskSeed [16]byte // deriveEvalKeyMaskSeed(seed): public
 }
 
 // NewKeyGenerator creates a generator over params with the given seed.
 func NewKeyGenerator(params *Parameters, seed [16]byte) *KeyGenerator {
-	return &KeyGenerator{params: params, seed: seed}
+	return &KeyGenerator{params: params, seed: seed, maskSeed: deriveEvalKeyMaskSeed(seed)}
 }
 
 // Stream identifiers partition the PRNG seed space by purpose so no two
@@ -40,12 +45,13 @@ const (
 	streamEncMask // base for per-encryption streams (first window starts at streamEncMask+16)
 )
 
-// streamUploadSeed and streamUploadErrSeed feed the upload-seed
-// derivations; they sit in the gap below the first per-encryption window
-// (streamEncMask + 16).
+// streamUploadSeed, streamUploadErrSeed and streamEvalKeyMaskSeed feed
+// the public-seed derivations; they sit in the gap below the first
+// per-encryption window (streamEncMask + 16).
 const (
-	streamUploadSeed    uint64 = streamEncMask + 1
-	streamUploadErrSeed uint64 = streamEncMask + 2
+	streamUploadSeed      uint64 = streamEncMask + 1
+	streamUploadErrSeed   uint64 = streamEncMask + 2
+	streamEvalKeyMaskSeed uint64 = streamEncMask + 3
 )
 
 // DeriveUploadSeed derives the seeded-upload *mask* seed from the
@@ -56,6 +62,18 @@ const (
 // key, so holders of upload bytes cannot walk back to the keypair.
 func DeriveUploadSeed(seed [16]byte) [16]byte {
 	src := prng.NewSource(seed, streamUploadSeed)
+	return prng.SeedFromUint64s(src.Uint64(), src.Uint64())
+}
+
+// deriveEvalKeyMaskSeed derives the evaluation-key *mask* seed from the
+// owner's root seed through the PRF, the same one-way step as
+// DeriveUploadSeed on its own stream. Every switching-key row's uniform
+// half a_j is drawn from it, and it travels in the clear in each
+// evaluation-key blob so the receiver regenerates the a_j rows instead of
+// reading them. The rows' Gaussian errors stay on the root seed: whoever
+// holds the blob can rebuild every a_j, but no e_j.
+func deriveEvalKeyMaskSeed(seed [16]byte) [16]byte {
+	src := prng.NewSource(seed, streamEvalKeyMaskSeed)
 	return prng.SeedFromUint64s(src.Uint64(), src.Uint64())
 }
 

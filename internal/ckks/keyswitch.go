@@ -88,22 +88,40 @@ const GadgetHybrid Gadget = 1
 // evaluation-key blobs stay proportional to the depth the server actually
 // computes at.
 type SwitchingKey struct {
-	// H0[j], H1[j]: the two halves of the group-j row, NTT domain,
-	// Level+Alpha limbs over the extended basis
-	// (q_0..q_{Level-1}, p_0..p_{α-1}).
+	// H0[j], H1[j]: the two halves (b_j, a_j) of the group-j row, NTT
+	// domain, Level+Alpha limbs over the extended basis
+	// (q_0..q_{Level-1}, p_0..p_{α-1}). a_j is the uniform mask, a
+	// function of the public mask seed (regenMaskRow).
 	H0, H1 []*ring.Poly
 	Alpha  int // group size α (== Parameters.SpecialLimbs)
 
 	Level int
 }
 
+// maskStream is the PRNG stream of row j's mask a_j in the switching key
+// whose sampling window starts at base; the row's error draws from
+// maskStream+1 on the secret seed.
+func maskStream(base uint64, j int) uint64 { return base + 2*uint64(j) + 2 }
+
+// regenMaskRow allocates row j's mask a_j = Uniform(maskSeed,
+// maskStream(base, j)) in the NTT domain over rqp and installs it as
+// ksk.H1[j]. Key generation and evaluation-key import both build every
+// mask row here, so the rows a receiver regenerates are the generator's
+// by construction.
+func (ksk *SwitchingKey) regenMaskRow(rqp *ring.Ring, maskSeed [16]byte, base uint64, j int) {
+	a := rqp.NewPoly()
+	regenMask(rqp, maskSeed, maskStream(base, j), a)
+	ksk.H1[j] = a
+}
+
 // genHybridSwitchingKey builds the hybrid key that moves polynomial mass
 // multiplied by fQP back to the secret: one row per decomposition group
 // over the extended basis. sQP and fQP must be NTT-domain polynomials over
-// RingQPAt(depth). Row j draws from its own two streams, streamBase+2j+2
-// and +2j+3, so the β rows are independent lane tasks (their limb kernels
-// nest inside the row task) and regeneration from the same seed is
-// byte-identical at any worker count.
+// RingQPAt(depth). Row j draws its mask from the public mask seed on
+// stream streamBase+2j+2 and its error from the secret seed on +2j+3, so
+// the β rows are independent lane tasks (their limb kernels nest inside
+// the row task) and regeneration from the same seed is byte-identical at
+// any worker count.
 func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, streamBase uint64) *SwitchingKey {
 	p := kg.params
 	rqp := p.RingQPAt(depth)
@@ -113,13 +131,11 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 		H0: make([]*ring.Poly, beta), H1: make([]*ring.Poly, beta),
 	}
 	rqp.Engine().Run(beta, func(j int) {
-		stream := streamBase + 2*uint64(j) + 2
-		a := rqp.NewPoly()
-		rqp.UniformPoly(prng.NewSource(kg.seed, stream), a)
-		a.IsNTT = true
+		ksk.regenMaskRow(rqp, kg.maskSeed, streamBase, j)
+		a := ksk.H1[j]
 
 		e := rqp.GetPolyUninit() // sampler fully overwrites
-		rqp.GaussianPoly(prng.NewSource(kg.seed, stream+1), e)
+		rqp.GaussianPoly(prng.NewSource(kg.seed, maskStream(streamBase, j)+1), e)
 		rqp.NTT(e)
 
 		b := rqp.NewPoly()
@@ -139,7 +155,7 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 				bi[x] = m.Add(bi[x], m.Mul(fi[x], sc))
 			}
 		}
-		ksk.H0[j], ksk.H1[j] = b, a
+		ksk.H0[j] = b
 	})
 	return ksk
 }

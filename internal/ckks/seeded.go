@@ -84,13 +84,14 @@ func NewSeededEncryptorAt(params *Parameters, sk *SecretKey, seed [16]byte, base
 // consumer of the seed (keys use 1..3, encryptor randomness 16k+).
 const maskStreamBase uint64 = 1 << 40
 
-// regenMask deterministically regenerates the public mask a (NTT domain).
-// The poly is pool-backed; callers that use it as scratch return it.
-func regenMask(r *ring.Ring, seed [16]byte, stream uint64) *ring.Poly {
-	a := r.GetPolyUninit() // UniformPoly fully overwrites
+// regenMask deterministically fills a with the public mask
+// Uniform(seed, stream), read directly as NTT-domain residues. It is the
+// one mask sampler of the seeded forms: upload masks (c1) and
+// evaluation-key masks (each switching-key row's a_j) alike. Every word of
+// a is overwritten, so pooled uninitialized scratch is fine.
+func regenMask(r *ring.Ring, seed [16]byte, stream uint64, a *ring.Poly) {
 	r.UniformPoly(prng.NewSource(seed, stream), a)
 	a.IsNTT = true
-	return a
 }
 
 // Encrypt produces a seeded encryption of pt.
@@ -100,7 +101,8 @@ func (se *SeededEncryptor) Encrypt(pt *Plaintext) *SeededCiphertext {
 	rl := p.RingAt(level)
 	stream := maskStreamBase + se.calls.Add(1)
 
-	a := regenMask(rl, se.maskSeed, stream)
+	a := rl.GetPolyUninit()
+	regenMask(rl, se.maskSeed, stream, a)
 	sk := &ring.Poly{Coeffs: se.sk.S.Coeffs[:level], IsNTT: true}
 
 	c0 := rl.GetPolyUninit() // MulCoeffs fully overwrites
@@ -129,7 +131,8 @@ func (se *SeededEncryptor) Encrypt(pt *Plaintext) *SeededCiphertext {
 // coefficient domain to match the standard wire convention.
 func (p *Parameters) Expand(sct *SeededCiphertext) *Ciphertext {
 	rl := p.RingAt(sct.Level)
-	a := regenMask(rl, sct.Seed, sct.Stream)
+	a := rl.GetPolyUninit()
+	regenMask(rl, sct.Seed, sct.Stream, a)
 	rl.INTT(a)
 	return &Ciphertext{
 		C0:    rl.CopyPoly(sct.C0),

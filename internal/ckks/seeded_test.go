@@ -144,12 +144,12 @@ func TestSeededErrorNotDerivableFromWireSeed(t *testing.T) {
 	rl := p.RingAt(sct.Level)
 
 	// e = c0 + a·s − m, with a regenerated exactly as the server does.
-	a := regenMask(rl, sct.Seed, sct.Stream)
+	a := rl.NewPoly()
+	regenMask(rl, sct.Seed, sct.Stream, a)
 	skView := &ring.Poly{Coeffs: sk.S.Coeffs[:sct.Level], IsNTT: true}
 	as := rl.NewPoly()
 	rl.MulCoeffs(a, skView, as)
 	rl.INTT(as)
-	rl.PutPoly(a)
 	e := rl.NewPoly()
 	rl.Add(sct.C0, as, e)
 	rl.Sub(e, pt.Value, e)

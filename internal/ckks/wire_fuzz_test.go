@@ -124,6 +124,11 @@ func FuzzUnmarshalEvaluationKeys(f *testing.F) {
 	kg := NewKeyGenerator(p, testSeed())
 	sk := kg.GenSecretKey()
 	valid, _ := p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, []int{1, 3}, true, GadgetHybrid))
+	// A mask-seed bit flip is a valid blob of different keys: it must
+	// parse and re-marshal canonically.
+	seedFlip := append([]byte(nil), valid...)
+	seedFlip[keyHeaderLen()+evalSeedOff+7] ^= 0x10
+	f.Add(seedFlip)
 	// The valid blob and its retired-tag forgery: the second must fail at
 	// the tag whatever else the header says.
 	for _, evk := range [][]byte{valid, retiredGadgetTag(valid)} {

@@ -29,12 +29,12 @@ type chacha struct {
 // variant.
 var sigma16 = [4]uint32{0x61707865, 0x3120646e, 0x79622d36, 0x6b206574}
 
-// newChaCha builds a ChaCha stream from a 128-bit seed and a 64-bit stream
+// init keys c as a ChaCha stream from a 128-bit seed and a 64-bit stream
 // identifier (ChaCha nonce), so that independent generator instances (one
 // per sampled polynomial, mirroring the paper's per-object seeds) never
 // overlap.
-func newChaCha(seed [16]byte, stream uint64) *chacha {
-	c := &chacha{used: 16}
+func (c *chacha) init(seed [16]byte, stream uint64) {
+	c.used = 16
 	c.state[0], c.state[1], c.state[2], c.state[3] = sigma16[0], sigma16[1], sigma16[2], sigma16[3]
 	k0 := binary.LittleEndian.Uint32(seed[0:4])
 	k1 := binary.LittleEndian.Uint32(seed[4:8])
@@ -47,7 +47,6 @@ func newChaCha(seed [16]byte, stream uint64) *chacha {
 	c.state[12], c.state[13] = 0, 0
 	c.state[14] = uint32(stream)
 	c.state[15] = uint32(stream >> 32)
-	return c
 }
 
 func quarter(a, b, c, d uint32) (uint32, uint32, uint32, uint32) {
@@ -102,16 +101,19 @@ func (c *chacha) block() {
 
 // Source is a deterministic random stream with a 128-bit seed. It is NOT
 // safe for concurrent use; create one Source per goroutine / per sampled
-// object (cheap: no allocation beyond the struct).
+// object (cheap: the ChaCha state lives in the struct, and NewSource
+// inlines, so a Source that does not escape its caller is not allocated).
 type Source struct {
-	c *chacha
+	c chacha
 }
 
 // NewSource creates a stream from seed and a stream/domain identifier.
 // Equal (seed, stream) pairs yield identical streams — the property the
 // accelerator exploits to regenerate, rather than store, public randomness.
 func NewSource(seed [16]byte, stream uint64) *Source {
-	return &Source{c: newChaCha(seed, stream)}
+	s := new(Source)
+	s.c.init(seed, stream)
+	return s
 }
 
 // SeedFromUint64s is a convenience for tests and examples.
@@ -125,7 +127,7 @@ func SeedFromUint64s(lo, hi uint64) [16]byte {
 // Uint64 returns the next 64 bits of keystream: the next word pair, low
 // word first (the little-endian reading of the block's bytes).
 func (s *Source) Uint64() uint64 {
-	c := s.c
+	c := &s.c
 	if c.used > 16-2 {
 		// A ragged last word (after an odd number of Uint32 reads) is
 		// discarded, so Uint64 never straddles two blocks.
@@ -138,7 +140,7 @@ func (s *Source) Uint64() uint64 {
 
 // Uint32 returns the next 32 bits of keystream.
 func (s *Source) Uint32() uint32 {
-	c := s.c
+	c := &s.c
 	if c.used > 16-1 {
 		c.block()
 	}

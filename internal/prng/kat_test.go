@@ -104,3 +104,33 @@ func TestUniformPolyEdgeCases(t *testing.T) {
 	}()
 	s.UniformPoly(out, 0)
 }
+
+// TestUniformPolyMatchesUniformModQ: UniformPoly reads the keystream block
+// in place, and must draw exactly what len(out) UniformModQ calls draw —
+// same residues, same position afterwards — at any starting word offset
+// (odd Uint32 runs first leave a ragged tail) and at a modulus just above
+// a power of two, where about half the candidates are rejected.
+func TestUniformPolyMatchesUniformModQ(t *testing.T) {
+	for _, q := range []uint64{2, 1<<35 + 1, 68718428161, 2305843009213693951} {
+		for _, n := range []int{1, 7, 8, 9, 1000} {
+			for skip := 0; skip < 5; skip++ {
+				s := NewSource(SeedFromUint64s(uint64(skip), q), 3)
+				ref := NewSource(SeedFromUint64s(uint64(skip), q), 3)
+				for i := 0; i < skip; i++ {
+					s.Uint32()
+					ref.Uint32()
+				}
+				out := make([]uint64, n)
+				s.UniformPoly(out, q)
+				for i, v := range out {
+					if want := ref.UniformModQ(q); v != want {
+						t.Fatalf("q %d n %d skip %d: entry %d is %d, want %d", q, n, skip, i, v, want)
+					}
+				}
+				if s.Uint32() != ref.Uint32() || s.Uint64() != ref.Uint64() {
+					t.Fatalf("q %d n %d skip %d: stream position differs after the row", q, n, skip)
+				}
+			}
+		}
+	}
+}

@@ -38,19 +38,28 @@ func uniformMask(q uint64) uint64 {
 }
 
 // UniformPoly fills out with uniform residues mod q — UniformModQ per
-// entry, with the mask computed once for the row.
+// entry, with the mask computed once for the row. It reads the keystream
+// block in place, a word pair per candidate exactly as Uint64 would, so
+// the stream is the same as len(out) UniformModQ calls.
 func (s *Source) UniformPoly(out []uint64, q uint64) {
 	mask := uniformMask(q)
 	if q == 1 {
 		clear(out)
 		return
 	}
-	for i := range out {
-		v := s.Uint64() & mask
-		for v >= q {
-			v = s.Uint64() & mask
+	c := &s.c
+	for i := 0; i < len(out); {
+		if c.used > 16-2 {
+			c.block()
 		}
-		out[i] = v
+		u := c.used
+		for ; u <= 16-2 && i < len(out); u += 2 {
+			if v := (uint64(c.ks[u]) | uint64(c.ks[u+1])<<32) & mask; v < q {
+				out[i] = v
+				i++
+			}
+		}
+		c.used = u
 	}
 }
 

@@ -685,6 +685,19 @@ func TestServeRegisterRejectsAndLifecycle(t *testing.T) {
 		}
 	}
 
+	// Blobs in a retired layout (layout byte 0: coefficient-domain rows;
+	// 1: full rows, no mask seed) are refused by the header gate with the
+	// remedy named.
+	for _, layout := range []byte{0, 1} {
+		forged := append([]byte{}, evk...)
+		forged[14+4] = layout // the layout byte closes the 5-byte geometry prefix
+		rec := httptest.NewRecorder()
+		h.ts.Config.Handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", bytes.NewReader(forged)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "retired") || !strings.Contains(rec.Body.String(), "re-export") {
+			t.Errorf("retired layout %d: HTTP %d %q, want 400 naming the retired layout and re-export", layout, rec.Code, rec.Body.String())
+		}
+	}
+
 	// Admission: a service whose whole budget is smaller than the blob
 	// must reject from the header with 413.
 	tiny := newTestHarness(t, Config{CacheBytes: 64, MaxInflight: 4, Workers: 1})

@@ -2,7 +2,8 @@
 // HTTP service that turns one host into a multi-tenant FHE evaluation
 // endpoint. The design target is the ARK/ABC-FHE serving observation
 // that the scarce resource at fleet scale is not compute but *resident
-// evaluation-key memory* (a PN15 full-depth hybrid key set is ~242 MB —
+// evaluation-key memory* (a PN15 full-depth relin + 3-rotation set is
+// ~352 MB decoded —
 // thousands of registered devices cannot all stay decoded in RAM), so
 // the core subsystem is a content-addressed, ref-counted LRU key cache
 // with a hard byte budget:
@@ -49,7 +50,11 @@ import (
 
 // Config sizes a Service. Zero values select the documented defaults.
 type Config struct {
-	// CacheBytes is the evaluation-key cache budget (default 1 GiB).
+	// CacheBytes is the evaluation-key cache budget (default 1 GiB). It
+	// is charged at wire size, len(blob) per resident entry. The blobs
+	// carry a mask seed instead of the keys' uniform halves, which are
+	// regenerated on decode, so the decoded keys occupy ≈ 2.9× their
+	// charge: provision ≈ 2.9 × CacheBytes of RAM for the cache.
 	CacheBytes int64
 	// MaxInflight bounds accepted-but-unfinished requests across all
 	// sessions; excess gets 429 (default 256).

@@ -76,13 +76,14 @@ func FuzzNewEncryptor(f *testing.F) {
 // deltas) — this is exactly the class of input that used to panic inside
 // prime generation or demand GB-scale tables before the spec/length
 // gates. For the evaluation blob the swept range also covers the geometry
-// sub-header (digits, depth, flags, domain byte, rotation count/steps).
+// sub-header (digits, depth, flags, layout byte, mask seed, rotation
+// count/steps).
 func TestKeyBlobHeaderSweep(t *testing.T) {
 	pk, sk, evk := fuzzKeyBlobs(t)
 	for _, blob := range [][]byte{pk, sk, evk} {
 		headerBytes := 13
 		if blob[5] == 'E' {
-			headerBytes = 23 // key header + sub-header + first rotation step
+			headerBytes = 14 + 5 + 16 + 2 + 4 // key header + sub-header + first rotation step
 		}
 		for i := 0; i < headerBytes; i++ {
 			orig := blob[i]

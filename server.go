@@ -94,11 +94,13 @@ func (k *EvaluationKeys) HasConjugate() bool { return k.set.Conj != nil }
 
 // ImportEvaluationKeys parses an evaluation-key blob (from
 // KeyOwner.ExportEvaluationKeys), validating the embedded parameter spec
-// against the server's and every residue against the modulus chain. A
+// against the server's and every residue against the modulus chain, and
+// regenerates the keys' uniform halves from the blob's mask seed. A
 // blob from a different preset, a truncated or bit-flipped blob, or one
-// whose domain byte is not 1 (NTT) — 0 is the retired coefficient layout
-// of blobs exported before keys travelled in the NTT domain, and the
-// error says to re-export — all return ErrMalformedWire; a blob whose
+// whose layout byte is not 2 (seeded masks) — 0 and 1 are the retired
+// full-row layouts of blobs exported before keys travelled in the NTT
+// domain and before the masks moved to the seed, and the error says to
+// re-export — all return ErrMalformedWire; a blob whose
 // gadget tag is not the hybrid one (the retired digit-gadget format
 // carried tag 0) additionally returns ErrGadgetUnsupported, from the
 // header alone.
