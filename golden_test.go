@@ -13,6 +13,10 @@ package abcfhe
 // nothing else — with the masks drawn from the old stream the re-pinned
 // code reproduced every earlier pin, including 7ab7bd0's full-row blob.
 //
+// "lintrans-c2s" pins the serialized re‖im of a CoeffsToSlots (Levels 1)
+// on the first ciphertext; it was first pinned with the double-hoisted
+// linear transform (one ModDown per giant block, one per transform).
+//
 // "eval-keys" pins the seeded wire blob (mask seed plus b rows).
 // "eval-keys-coeff" pins the imported keys' full content, both halves, on
 // a test-only re-encoding into the retired coefficient-domain layout, so
@@ -38,6 +42,7 @@ var goldenSHA256 = map[string]string{
 	"rotate-1":        "704bb7310ea8942e473fc2c56c70c2e868556ae4a0a65979848bbbaaa825a753",
 	"conjugate":       "6f11500f49edbd6dc686d1eacc0695cdebec2659623597e33bb182acb06dae1c",
 	"innersum-4":      "58a81f9d77713a0bcaca08b393687a4c1aac2aef461c38f04fb970c443ee875d",
+	"lintrans-c2s":    "b26643d5c090b5044f239aede312304d99a395c3da7fc30803b402ac7862a1f4",
 }
 
 func TestGoldenBytes(t *testing.T) {
@@ -104,6 +109,32 @@ func goldenRun(t *testing.T, opts ...Option) {
 	pinCt("conjugate", conj, err)
 	isum, err := server.InnerSum(cts[0], 4, evk)
 	pinCt("innersum-4", isum, err)
+
+	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: server.MaxLevel(), Levels: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dftKeys, err := owner.ExportEvaluationKeys(EvalKeyConfig{Rotations: dft.Rotations(), Conjugate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dftEvk, err := server.ImportEvaluationKeys(dftKeys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re, im, err := server.CoeffsToSlots(cts[0], dft, dftEvk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c2s []byte
+	for _, ct := range []*Ciphertext{re, im} {
+		blob, err := server.SerializeCiphertext(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c2s = append(c2s, blob...)
+	}
+	pin("lintrans-c2s", c2s, nil)
 }
 
 // retiredLayout re-encodes an imported key set in a retired full-row wire

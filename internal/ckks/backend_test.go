@@ -161,12 +161,16 @@ func switchCases() []switchCase {
 
 // requireSwitchMatchesStaged checks both production routes against the
 // reference on one input: the single-shot switch and hoist → applyInto,
-// each closed either inside the divide stage or by a separate INTT.
+// each closed either inside the divide stage or by a separate INTT, and
+// each also given the input's NTT form (own-group digit rows copied from
+// it rather than transformed).
 func requireSwitchMatchesStaged(t *testing.T, tc switchCase, c *ring.Poly, perm []int32, what string) {
 	t.Helper()
 	p, level := tc.p, tc.level
 	rl, rqp := p.RingAt(level), p.RingQPAt(level)
 	want, digits := stagedSwitch(p, c, level, tc.ksk, perm)
+	cn := rl.CopyPoly(c)
+	rl.NTT(cn)
 	check := func(route string, got0, got1 *ring.Poly) {
 		t.Helper()
 		if got0.IsNTT || got1.IsNTT {
@@ -182,30 +186,35 @@ func requireSwitchMatchesStaged(t *testing.T, tc switchCase, c *ring.Poly, perm 
 		return a, b
 	}
 
-	f0, f1 := fresh()
-	p.switchInto(c, level, tc.ksk, perm, f0, f1, true)
-	check("single-shot switch", f0, f1)
-	g0, g1 := fresh()
-	p.switchInto(c, level, tc.ksk, perm, g0, g1, false)
-	rl.INTT(g0)
-	rl.INTT(g1)
-	check("single-shot switch → INTT", g0, g1)
+	for _, src := range []struct {
+		name string
+		cn   *ring.Poly
+	}{{"", nil}, {" (NTT copy)", cn}} {
+		f0, f1 := fresh()
+		p.switchInto(c, src.cn, level, tc.ksk, perm, f0, f1, true)
+		check("single-shot switch"+src.name, f0, f1)
+		g0, g1 := fresh()
+		p.switchInto(c, src.cn, level, tc.ksk, perm, g0, g1, false)
+		rl.INTT(g0)
+		rl.INTT(g1)
+		check("single-shot switch → INTT"+src.name, g0, g1)
 
-	h := p.hoist(c, level)
-	for j, d := range digits {
-		if !rqp.Equal(d, h.dig[j]) {
-			t.Fatalf("%s %s: hoisted digit %d diverges from ModUp → NTT", tc.name, what, j)
+		h := p.hoist(c, src.cn, level)
+		for j, d := range digits {
+			if !rqp.Equal(d, h.dig[j]) {
+				t.Fatalf("%s %s: hoisted digit %d%s diverges from ModUp → NTT", tc.name, what, j, src.name)
+			}
 		}
+		a0, a1 := fresh()
+		p.applyInto(h, tc.ksk, perm, a0, a1, true)
+		check("hoist → applyInto"+src.name, a0, a1)
+		b0, b1 := fresh()
+		p.applyInto(h, tc.ksk, perm, b0, b1, false)
+		rl.INTT(b0)
+		rl.INTT(b1)
+		check("hoist → applyInto → INTT"+src.name, b0, b1)
+		p.releaseDigits(h)
 	}
-	a0, a1 := fresh()
-	p.applyInto(h, tc.ksk, perm, a0, a1, true)
-	check("hoist → applyInto", a0, a1)
-	b0, b1 := fresh()
-	p.applyInto(h, tc.ksk, perm, b0, b1, false)
-	rl.INTT(b0)
-	rl.INTT(b1)
-	check("hoist → applyInto → INTT", b0, b1)
-	p.releaseDigits(h)
 }
 
 // TestFusedMatchesStaged: the single-shot switch and the hoisted route
@@ -252,7 +261,7 @@ func TestOwnLimbCombineIsCopy(t *testing.T) {
 		rl := p.RingAt(level)
 		c := rl.NewPoly()
 		rl.UniformPoly(prng.NewSource(testSeed(), 9400+uint64(level)), c)
-		grp := p.reduceGroups(c, level)
+		grp := p.reduceGroups(c, nil, level)
 		for j, g := range grp {
 			for i, src := range g.src {
 				g.ext.CombineLimb(g.lo+i, g.y.Rows, g.v, row, 0, n)
@@ -274,7 +283,7 @@ func TestFusedHoistMatchesStaged(t *testing.T) {
 		rl := p.RingAt(level)
 		c := rl.NewPoly()
 		rl.UniformPoly(prng.NewSource(testSeed(), 9100+uint64(level)), c)
-		h := p.hoist(c, level)
+		h := p.hoist(c, nil, level)
 		for _, step := range []int{1, 2, 5} {
 			perm := p.Ring().GaloisPermNTT(p.GaloisElement(step))
 			want, _ := stagedSwitch(p, c, level, tc.ksk, perm)
@@ -318,11 +327,11 @@ func TestFusedSwitchAllocs(t *testing.T) {
 		}{
 			{"single-shot switch", 96, func() {
 				out0.IsNTT, out1.IsNTT = true, true
-				p.switchInto(c, level, rlk.K, nil, out0, out1, true)
+				p.switchInto(c, nil, level, rlk.K, nil, out0, out1, true)
 			}},
 			{"hoist → applyInto", 96, func() {
 				out0.IsNTT, out1.IsNTT = true, true
-				h := p.hoist(c, level)
+				h := p.hoist(c, nil, level)
 				p.applyInto(h, rlk.K, nil, out0, out1, true)
 				p.releaseDigits(h)
 			}},

@@ -203,8 +203,10 @@ func TestAllocationBudgets(t *testing.T) {
 
 	// Paper scale, at the default worker count. Each row builds its own
 	// keys, so the rows peak at one key set — still ≈ 3.5 GB of RSS for
-	// CoeffsToSlots, most of it the depth-10 DFT (1.3 GB of encoded
-	// diagonals) and its 52 rotation keys. An unfiltered `go test ./...`
+	// CoeffsToSlots, most of it the depth-10 DFT's CoeffsToSlots diagonals
+	// (4 852 Q·P limb rows, 1.27 GB, encoded on the first call, which
+	// AllocsPerRun's warm-up makes; the SlotsToCoeffs direction is never
+	// applied, so never encoded) and its 52 rotation keys. An unfiltered `go test ./...`
 	// runs this package beside the root package, whose PN15 round trips
 	// hold ≈ 7 GB; together they exhaust an 8 GB box, so these rows run
 	// only when -run names the tests to run (CI's allocation-budget step

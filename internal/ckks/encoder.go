@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fftfp"
 	"repro/internal/lanes"
+	"repro/internal/mod"
 	"repro/internal/ring"
 )
 
@@ -37,19 +38,25 @@ func (p *Parameters) PutPlaintext(pt *Plaintext) {
 type Encoder struct {
 	params *Parameters
 
-	// pow2 tables per limb: pow2[i][e] = 2^e mod q_i, for the exact
-	// float→RNS path (see encodeCoeff). Covers e ∈ [0, maxPow2).
-	pow2 [][]uint64
+	// pow2 tables per prime of the Q chain followed by the P chain:
+	// pow2[i][e] = 2^e mod moduli[i], for the exact float→RNS path (see
+	// encodeCoeff). Covers e ∈ [0, maxPow2).
+	moduli []mod.Modulus
+	pow2   [][]uint64
 }
 
 const maxPow2 = 160 // coefficient magnitudes < 2^160 — far above any scale used
 
-// NewEncoder builds the encoder and its power-of-two residue tables.
+// NewEncoder builds the encoder and its power-of-two residue tables (for
+// the special primes too, so plaintexts can be expanded over Q·P).
 func NewEncoder(params *Parameters) *Encoder {
 	enc := &Encoder{params: params}
-	r := params.Ring()
-	enc.pow2 = make([][]uint64, r.K())
-	for i, m := range r.Basis.Moduli {
+	enc.moduli = append(enc.moduli, params.Ring().Basis.Moduli...)
+	if params.SpecialLimbs > 0 {
+		enc.moduli = append(enc.moduli, params.RingP().Basis.Moduli...)
+	}
+	enc.pow2 = make([][]uint64, len(enc.moduli))
+	for i, m := range enc.moduli {
 		tbl := make([]uint64, maxPow2)
 		tbl[0] = 1
 		for e := 1; e < maxPow2; e++ {
@@ -60,16 +67,20 @@ func NewEncoder(params *Parameters) *Encoder {
 	return enc
 }
 
-// encodeCoeff writes round(v·2^logScale) into limbs[i][j] for every limb i.
-// The path is exact: v = ±M·2^(exp-53) with M the 53-bit mantissa, so
-// v·2^logScale = ±M·2^e with e = exp-53+logScale, and the residue is
-// (M mod q)·(2^e mod q) — all in word arithmetic, no big integers
-// (this is what the MSE's Expand-RNS stage computes in hardware).
-func (enc *Encoder) encodeCoeff(v float64, j, logScale int, limbs [][]uint64) {
-	r := enc.params.Ring()
+// encodeCoeff writes round(v·2^logScale) into q[i][j] for every limb i of
+// q (a prefix of the Q chain) and into pp[i][j] for every limb of pp (the
+// P chain; nil for a Q-only plaintext). The path is exact: v = ±M·2^(exp-53)
+// with M the 53-bit mantissa, so v·2^logScale = ±M·2^e with
+// e = exp-53+logScale, and the residue is (M mod q)·(2^e mod q) — all in
+// word arithmetic, no big integers (this is what the MSE's Expand-RNS
+// stage computes in hardware), and the same on every prime of either chain.
+func (enc *Encoder) encodeCoeff(v float64, j, logScale int, q, pp [][]uint64) {
 	if v == 0 {
-		for i := range limbs {
-			limbs[i][j] = 0
+		for i := range q {
+			q[i][j] = 0
+		}
+		for i := range pp {
+			pp[i][j] = 0
 		}
 		return
 	}
@@ -94,14 +105,18 @@ func (enc *Encoder) encodeCoeff(v float64, j, logScale int, limbs [][]uint64) {
 	if e >= maxPow2 {
 		panic("ckks: encoded coefficient exceeds supported magnitude")
 	}
-	for i := range limbs { // limbs may be a level-prefix of the full basis
-		mm := r.Basis.Moduli[i]
-		res := mm.Mul(m%mm.Q, enc.pow2[i][e])
-		if neg {
-			res = mm.Neg(res)
+	expand := func(limbs [][]uint64, first int) {
+		for i, row := range limbs {
+			mm := enc.moduli[first+i]
+			res := mm.Mul(m%mm.Q, enc.pow2[first+i][e])
+			if neg {
+				res = mm.Neg(res)
+			}
+			row[j] = res
 		}
-		limbs[i][j] = res
 	}
+	expand(q, 0)
+	expand(pp, enc.params.Limbs)
 }
 
 // EncodeAtLevel encodes up to Slots() complex values into a plaintext at
@@ -126,28 +141,37 @@ func (enc *Encoder) EncodeAtLevelScale(msg []complex128, level, logScale int) *P
 	if logScale < 1 || logScale >= maxPow2-60 {
 		panic("ckks: encode scale out of range")
 	}
-	e := p.Embedder()
-	vals := make([]fftfpComplex, p.Slots())
-	for i, z := range msg {
-		vals[i] = fftfpComplex{Re: real(z), Im: imag(z)}
-	}
-	coeffs := e.EncodeToCoeffs(vals, p.FFTCtx())
-
-	// Expand RNS: each coefficient's limb expansion is pure word
-	// arithmetic over read-only tables, so it fans out across the lanes
-	// in contiguous coefficient chunks (the MSE's parallel expand stage).
 	rl := p.RingAt(level)
 	pt := rl.GetPolyUninit() // every limb of every coefficient is written below
-	rl.Engine().RunChunks(len(coeffs), func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			enc.encodeCoeff(coeffs[j], j, logScale, pt.Coeffs)
-		}
-	})
+	enc.expandRNS(enc.toCoeffs(msg), logScale, pt.Coeffs, nil)
 	scale := 1.0
 	for i := 0; i < logScale; i++ {
 		scale *= 2
 	}
 	return &Plaintext{Value: pt, Level: level, Scale: scale}
+}
+
+// toCoeffs runs the IFFT half of encoding: the message's real
+// coefficient vector (N floats), before scaling and RNS expansion.
+func (enc *Encoder) toCoeffs(msg []complex128) []float64 {
+	p := enc.params
+	vals := make([]fftfpComplex, p.Slots())
+	for i, z := range msg {
+		vals[i] = fftfpComplex{Re: real(z), Im: imag(z)}
+	}
+	return p.Embedder().EncodeToCoeffs(vals, p.FFTCtx())
+}
+
+// expandRNS is the Expand-RNS stage: round(coeffs[j]·2^logScale) into
+// every limb of q and pp (see encodeCoeff). Each coefficient's expansion
+// is pure word arithmetic over read-only tables, so it fans out across the
+// lanes in contiguous coefficient chunks (the MSE's parallel expand stage).
+func (enc *Encoder) expandRNS(coeffs []float64, logScale int, q, pp [][]uint64) {
+	enc.params.Ring().Engine().RunChunks(len(coeffs), func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			enc.encodeCoeff(coeffs[j], j, logScale, q, pp)
+		}
+	})
 }
 
 // Encode encodes at full depth (the client's encrypt-side configuration).

@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"sync/atomic"
+
 	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/internal/ring"
@@ -43,23 +45,31 @@ import (
 //	            group's digit row (a copy of the source row on the
 //	            group's own limbs, CombineLimb elsewhere) and forward-NTT
 //	            it, then one MulPairRows over all β rows and both key
-//	            halves writes the limb's accumulator rows once.
-//	3. intt-P   2k limb tasks: both halves' P rows back to coefficients.
-//	4. reduce-P 2·C chunk tasks: ReduceRange of each half's P residues.
-//	5. divide   2·level limb tasks: CombineLimb (P → Q_ℓ), forward NTT,
-//	            fused (acc − ext)·P⁻¹ accumulate, and optionally the
-//	            closing inverse NTT of the output limb (modDownPair runs
-//	            3–5 for both halves at once).
+//	            halves writes (or adds onto) the limb's accumulator rows
+//	            once. Given the source's NTT form, the own-limb rows copy
+//	            from it and skip their transform: β(level+k) − level NTTs
+//	            instead of β(level+k).
+//	3. intt-P   k limb tasks per half: the P rows back to coefficients.
+//	4. reduce-P C chunk tasks per half: ReduceRange of the P residues.
+//	5. divide   level limb tasks per half: CombineLimb (P → Q_ℓ), forward
+//	            NTT, fused (acc − ext)·P⁻¹ accumulate, and optionally the
+//	            closing inverse NTT of the output limb (modDown runs 3–5
+//	            for one half or, as modDownPair, both at once).
 //
-// Three entry points share those stages. switchInto is the single-shot
-// switch for a decomposition consumed once (MulRelin, RotateGalois, the
-// giant steps of LinearTransform): stage 2 holds β pooled rows per
+// The entry points compose those stages. switchInto is the single-shot
+// switch for a decomposition consumed once (MulRelin, RotateGalois): stages
+// 1–2 as switchQP, then modDownPair. Stage 2 holds β pooled rows per
 // in-flight limb task (workers·β·N words), so the β·(level+k)·N digit
 // buffer never exists. hoist splits stage 2 where many Galois elements
 // reuse the digits (RotateHoisted, LinearTransform's baby steps): raise+NTT
-// lands in pooled digit polynomials once, and each applyInto runs the MAC
-// over them — the Galois element applied as an NTT-domain gather — and
-// closes through the same modDownPair.
+// lands in pooled digit polynomials once, and each macQP runs the MAC over
+// them — the Galois element applied as an NTT-domain gather. applyInto
+// closes such a MAC through modDownPair. LinearTransform calls the stages
+// directly (double hoisting, lintrans.go): its baby MACs and giant
+// switchQPs stay in Q·P, one single-half modDown feeds each giant
+// decomposition, and one modDownPair closes the transform. Callers that
+// hold the source's NTT form pass it (MulRelin's c2, the transform's c1
+// and block sums); the result is byte-identical either way.
 //
 // The whole-polynomial, spec-shaped form of this arithmetic (ModUpInto →
 // NTT → MAC → INTT of the P rows → ModUpInto → NTT → divide) lives on as
@@ -172,30 +182,63 @@ type hoistedDigits struct {
 	level int
 }
 
-// reducedGroup is stage 1's view of one decomposition group: its source
-// rows, the extender from the group's primes to the QP basis, and the
-// stage's output — the HPS y_i rows of the residues and the overflow
-// estimate v. y and v are pooled. lo is the group's first limb.
-type reducedGroup struct {
-	src [][]uint64
-	lo  int
-	ext *rns.Extender
-	y   *lanes.Matrix
-	v   []uint64
+// switchCounts tallies key-switch work for tests that pin the schedule's
+// shape: ModDown halves closed, and digit rows forward-transformed by a
+// decomposition. Parameters.counts is nil in production, and every method
+// is a no-op on a nil receiver.
+type switchCounts struct {
+	modDownHalves atomic.Int64
+	digitNTTs     atomic.Int64
 }
 
-// raiseLimb writes limb m of the group's lift to the QP basis into row and
-// forward-NTTs it — one digit row, ready for the MAC. The group's own limbs
-// copy instead of converting: the HPS lift is x̄ + u·G with G ≡ 0 on every
+func (c *switchCounts) modDown(halves int) {
+	if c != nil {
+		c.modDownHalves.Add(int64(halves))
+	}
+}
+
+func (c *switchCounts) digitNTT() {
+	if c != nil {
+		c.digitNTTs.Add(1)
+	}
+}
+
+// reducedGroup is stage 1's view of one decomposition group: its source
+// rows (and, when the caller has it, their NTT-domain form), the extender
+// from the group's primes to the QP basis, and the stage's output — the
+// HPS y_i rows of the residues and the overflow estimate v. y and v are
+// pooled. lo is the group's first limb.
+type reducedGroup struct {
+	src    [][]uint64
+	srcNTT [][]uint64 // nil unless the source's NTT form was supplied
+	lo     int
+	ext    *rns.Extender
+	y      *lanes.Matrix
+	v      []uint64
+	counts *switchCounts
+}
+
+// raiseLimb writes limb m of the group's lift to the QP basis, NTT domain,
+// into row — one digit row, ready for the MAC. The group's own limbs copy
+// instead of converting: the HPS lift is x̄ + u·G with G ≡ 0 on every
 // source prime, so there the residue is the source residue whatever v
-// rounds to (TestOwnLimbCombineIsCopy).
+// rounds to (TestOwnLimbCombineIsCopy). When the source's NTT form is at
+// hand those limbs copy from it and skip their transform: the limb NTT is
+// a bijection on canonical residues, so the row is the same either way.
 func (g *reducedGroup) raiseLimb(rqp *ring.Ring, m int, row []uint64) {
-	if i := m - g.lo; i >= 0 && i < len(g.src) {
+	i := m - g.lo
+	own := i >= 0 && i < len(g.src)
+	switch {
+	case own && g.srcNTT != nil:
+		copy(row, g.srcNTT[i])
+		return
+	case own:
 		copy(row, g.src[i])
-	} else {
+	default:
 		g.ext.CombineLimb(m, g.y.Rows, g.v, row, 0, len(row))
 	}
 	rqp.ForwardLimb(m, row)
+	g.counts.digitNTT()
 }
 
 // runGroupChunks runs fn over (group, coefficient-range) tasks as one
@@ -220,10 +263,12 @@ func runGroupChunks(eng *lanes.Engine, groups, n int, fn func(g, lo, hi int)) {
 
 // reduceGroups is stage 1: the source reduction of every decomposition
 // group of c (coefficient domain, `level` limbs), chunked over
-// coefficients. Release the result with releaseGroups.
-func (p *Parameters) reduceGroups(c *ring.Poly, level int) []reducedGroup {
-	if c.IsNTT {
-		panic("ckks: key switch expects a coefficient-domain input")
+// coefficients. cn, when non-nil, is c's NTT-domain form; the digit rows
+// of each group's own limbs are then copied from it untransformed. Release
+// the result with releaseGroups.
+func (p *Parameters) reduceGroups(c, cn *ring.Poly, level int) []reducedGroup {
+	if c.IsNTT || (cn != nil && !cn.IsNTT) {
+		panic("ckks: key switch expects a coefficient-domain input and an optional NTT-domain copy")
 	}
 	n := p.N()
 	// Tables first, outside the lane tasks (they take p.hybridMu).
@@ -232,7 +277,10 @@ func (p *Parameters) reduceGroups(c *ring.Poly, level int) []reducedGroup {
 		lo, hi := p.groupRange(level, j)
 		grp[j] = reducedGroup{
 			src: c.Coeffs[lo:hi], lo: lo, ext: p.groupExtender(level, j),
-			y: lanes.GetMatrix(hi-lo, n), v: lanes.GetSlab(n),
+			y: lanes.GetMatrix(hi-lo, n), v: lanes.GetSlab(n), counts: p.counts,
+		}
+		if cn != nil {
+			grp[j].srcNTT = cn.Coeffs[lo:hi]
 		}
 	}
 	runGroupChunks(p.RingQPAt(level).Engine(), len(grp), n, func(j, lo, hi int) {
@@ -259,42 +307,51 @@ func (k *SwitchingKey) keyLimb(level, m int) int {
 	return m
 }
 
-// switchInto key-switches c (coefficient domain, `level` limbs) against
-// ksk in one shot, accumulating the switched halves into acc0/acc1 (NTT
-// domain, level limbs). perm is the automorphism gather applied to the
-// digits (nil ⇒ identity, see applyInto). With closeNTT the output limbs
-// are inverse-NTT'd inside the divide stage and acc0/acc1 land in the
+// switchInto key-switches c (coefficient domain, `level` limbs; cn its
+// optional NTT-domain copy, see reduceGroups) against ksk in one shot,
+// accumulating the switched halves into acc0/acc1 (NTT domain, level
+// limbs). perm is the automorphism gather applied to the digits (nil ⇒
+// identity, see applyInto). With closeNTT the output limbs are
+// inverse-NTT'd inside the divide stage and acc0/acc1 land in the
 // coefficient domain.
-func (p *Parameters) switchInto(c *ring.Poly, level int, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
+func (p *Parameters) switchInto(c, cn *ring.Poly, level int, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
+	rqp := p.RingQPAt(level)
+	s0 := rqp.GetPolyUninit()
+	s1 := rqp.GetPolyUninit()
+	p.switchQP(c, cn, level, ksk, perm, s0, s1, false)
+	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
+}
+
+// switchQP is stages 1–2 of a single-shot switch: Σ_j σ(D_j(c))·ksk_j over
+// the QP basis (NTT domain) — P times the switched pair, before any
+// ModDown — written into s0/s1, or added onto them with add. Each in-flight
+// task holds its limb's β digit rows.
+func (p *Parameters) switchQP(c, cn *ring.Poly, level int, ksk *SwitchingKey, perm []int32, s0, s1 *ring.Poly, add bool) {
 	if level > ksk.Level {
 		panic("ckks: ciphertext level exceeds switching-key depth")
 	}
 	n := p.N()
 	rqp := p.RingQPAt(level)
-	grp := p.reduceGroups(c, level)
-
-	// Stage 2: each in-flight task holds its limb's β digit rows.
-	s0 := rqp.GetPolyUninit()
-	s1 := rqp.GetPolyUninit()
+	grp := p.reduceGroups(c, cn, level)
 	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
 		dig := lanes.GetMatrix(len(grp), n)
 		for j := range grp {
 			grp[j].raiseLimb(rqp, m, dig.Rows[j])
 		}
-		rqp.MulPairRows(m, perm, dig.Rows, ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m])
+		rqp.MulPairRows(m, perm, dig.Rows, ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m], add)
 		lanes.PutMatrix(dig)
 	})
 	releaseGroups(grp)
-	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
 }
 
-// hoist decomposes c (coefficient domain, `level` limbs) into its
-// β = ⌈level/α⌉ group digits, each raised to the extended QP basis and
-// transformed — β·(level+k) NTTs, paid once per input ciphertext however
-// many applyInto calls consume it.
-func (p *Parameters) hoist(c *ring.Poly, level int) *hoistedDigits {
+// hoist decomposes c (coefficient domain, `level` limbs; cn its optional
+// NTT-domain copy) into its β = ⌈level/α⌉ group digits, each raised to the
+// extended QP basis and transformed — β·(level+k) NTTs, less the level
+// own-group rows cn supplies, paid once per input ciphertext however many
+// applies consume it.
+func (p *Parameters) hoist(c, cn *ring.Poly, level int) *hoistedDigits {
 	rqp := p.RingQPAt(level)
-	grp := p.reduceGroups(c, level)
+	grp := p.reduceGroups(c, cn, level)
 	beta, limbs := len(grp), level+p.SpecialLimbs
 	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta), rows: make([][]uint64, limbs*beta)}
 	for j := range h.dig {
@@ -322,80 +379,97 @@ func (p *Parameters) releaseDigits(h *hoistedDigits) {
 }
 
 // applyInto accumulates the key switch of the hoisted digits into
-// (acc0, acc1) — NTT domain, h.level limbs: Σ_j σ(D_j)·ksk_j over the
-// extended QP basis (key limbs are addressed through the depth-capped
-// key's geometry, so a level-ℓ switch reads rows 0..ℓ-1 and the P tail of
-// each Level-limb key row), then the paired ModDown by P into the Q-basis
-// accumulators, landing in the coefficient domain when closeNTT is set.
-// σ (perm, nil ⇒ identity) is applied to the digits: because σ is a ring
-// automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the same result
-// as decomposing σ(c), with the decomposition (and its NTTs) paid once.
+// (acc0, acc1) — NTT domain, h.level limbs: macQP, then the paired ModDown
+// by P into the Q-basis accumulators, landing in the coefficient domain
+// when closeNTT is set.
 func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
+	rqp := p.RingQPAt(h.level)
+	s0 := rqp.GetPolyUninit()
+	s1 := rqp.GetPolyUninit()
+	p.macQP(h, ksk, perm, s0, s1, false)
+	p.modDownPair(s0, s1, h.level, acc0, acc1, closeNTT)
+}
+
+// macQP is the MAC over hoisted digits: Σ_j σ(D_j)·ksk_j over the extended
+// QP basis (NTT domain), written into s0/s1 or added onto them with add.
+// Key limbs are addressed through the depth-capped key's geometry, so a
+// level-ℓ switch reads rows 0..ℓ-1 and the P tail of each Level-limb key
+// row. σ (perm, nil ⇒ identity) is applied to the digits: because σ is a
+// ring automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the same
+// result as decomposing σ(c), with the decomposition (and its NTTs) paid
+// once.
+func (p *Parameters) macQP(h *hoistedDigits, ksk *SwitchingKey, perm []int32, s0, s1 *ring.Poly, add bool) {
 	level := h.level
 	if level > ksk.Level {
 		panic("ckks: ciphertext level exceeds switching-key depth")
 	}
 	rqp := p.RingQPAt(level)
-	s0 := rqp.GetPolyUninit()
-	s1 := rqp.GetPolyUninit()
 	beta := len(h.dig)
 	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
-		rqp.MulPairRows(m, perm, h.rows[m*beta:(m+1)*beta], ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m])
+		rqp.MulPairRows(m, perm, h.rows[m*beta:(m+1)*beta], ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m], add)
 	})
-	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
 }
 
-// modDownPair closes a switch (stages 3–5): it adds round(s0/P) to acc0
-// and round(s1/P) to acc1 (NTT domain, level limbs), both halves per
-// dispatch. s0/s1 are NTT-domain accumulators over the QP basis; they are
-// consumed and returned to the pool. With closeNTT each output limb is
-// inverse-NTT'd as its divide finishes.
+// modDownPair closes a switch: modDown of both halves at once, the form
+// every single-shot and hoisted switch ends in.
 func (p *Parameters) modDownPair(s0, s1 *ring.Poly, level int, acc0, acc1 *ring.Poly, closeNTT bool) {
+	p.modDown([]*ring.Poly{s0, s1}, []*ring.Poly{acc0, acc1}, level, closeNTT)
+}
+
+// modDown is stages 3–5: for each half h (one or two) it adds
+// round(s[h]/P) to out[h] (NTT domain, level limbs), every half in the
+// same dispatches. s[h] are NTT-domain accumulators over the QP basis;
+// they are consumed and returned to the pool. With closeNTT each output
+// limb is inverse-NTT'd as its divide finishes.
+func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 	n, k := p.N(), p.SpecialLimbs
 	rq, rqp := p.RingAt(level), p.RingQPAt(level)
 	eng := rq.Engine()
 	mext := p.modDownExtender(level)
-	halves := [2]*ring.Poly{s0, s1}
-	outs := [2]*ring.Poly{acc0, acc1}
+	var s, out [2]*ring.Poly // arrays the lane closures copy: no heap escape
+	for h := range src {
+		s[h], out[h] = src[h], dst[h]
+	}
+	halves := len(src)
+	p.counts.modDown(halves)
 
-	// Stage 3: both halves' P residues back to the coefficient domain.
-	eng.Run(2*k, func(t int) {
-		p.ringP.InverseLimb(t%k, halves[t/k].Coeffs[level+t%k])
+	// Stage 3: every half's P residues back to the coefficient domain.
+	eng.Run(halves*k, func(t int) {
+		p.ringP.InverseLimb(t%k, s[t/k].Coeffs[level+t%k])
 	})
 
 	// Stage 4: source reduction of the P → Q_ℓ conversion.
 	var yP [2]*lanes.Matrix
 	var vP [2][]uint64
-	for h := range yP {
+	for h := 0; h < halves; h++ {
 		yP[h] = lanes.GetMatrix(k, n)
 		vP[h] = lanes.GetSlab(n)
 	}
-	runGroupChunks(eng, 2, n, func(h, lo, hi int) {
-		mext.ReduceRange(halves[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
+	runGroupChunks(eng, halves, n, func(h, lo, hi int) {
+		mext.ReduceRange(s[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
 	})
 
 	// Stage 5: per-limb combine → NTT → rounding divide into the caller's
 	// accumulators.
-	eng.Run(2*level, func(t int) {
+	eng.Run(halves*level, func(t int) {
 		h, i := t/level, t%level
 		row := lanes.GetSlab(n)
 		mext.CombineLimb(i, yP[h].Rows, vP[h], row, 0, n)
 		rq.ForwardLimb(i, row)
-		rq.SubMulAddRow(i, p.pInvModQ[i], halves[h].Coeffs[i], row, outs[h].Coeffs[i])
+		rq.SubMulAddRow(i, p.pInvModQ[i], s[h].Coeffs[i], row, out[h].Coeffs[i])
 		lanes.PutSlab(row)
 		if closeNTT {
-			rq.InverseLimb(i, outs[h].Coeffs[i])
+			rq.InverseLimb(i, out[h].Coeffs[i])
 		}
 	})
-	if closeNTT {
-		acc0.IsNTT, acc1.IsNTT = false, false
-	}
-	for h := range yP {
+	for h := 0; h < halves; h++ {
+		if closeNTT {
+			out[h].IsNTT = false
+		}
 		lanes.PutMatrix(yP[h])
 		lanes.PutSlab(vP[h])
+		rqp.PutPoly(s[h])
 	}
-	rqp.PutPoly(s0)
-	rqp.PutPoly(s1)
 }
 
 // ---------------------------------------------------------------------
@@ -476,15 +550,19 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	rl.MulCoeffsAdd(a1, b0, c1) // + a1·b0
 	rl.MulCoeffs(a1, b1, c2)    // the degree-2 term
 	rl.PutPoly(a0)
-	rl.PutPoly(a1)
 	rl.PutPoly(b0)
 	rl.PutPoly(b1)
 
-	// Key-switch c2 (the decomposition reads the coefficient domain)
-	// straight into the result halves, closing INTTs folded into the
-	// switch's last stage.
-	rl.INTT(c2)
-	ev.params.switchInto(c2, level, rlk.K, nil, c0, c1, true)
+	// Key-switch c2 straight into the result halves, closing INTTs folded
+	// into the switch's last stage. The source reduction reads the
+	// coefficient domain (a1's storage, dead by now, takes that copy); the
+	// own-group digit rows copy from c2 as it is.
+	for i := range c2.Coeffs {
+		copy(a1.Coeffs[i], c2.Coeffs[i])
+	}
+	rl.INTT(a1)
+	ev.params.switchInto(a1, c2, level, rlk.K, nil, c0, c1, true)
+	rl.PutPoly(a1)
 	rl.PutPoly(c2)
 	return &Ciphertext{C0: c0, C1: c1, Level: level, Scale: a.Scale * b.Scale}
 }
@@ -570,7 +648,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rks []*RotationKey) []*Cipher
 	if len(rks) == 0 {
 		return nil
 	}
-	h := ev.params.hoist(ct.C1, ct.Level)
+	h := ev.params.hoist(ct.C1, nil, ct.Level)
 	out := make([]*Ciphertext, len(rks))
 	for i, rk := range rks {
 		out[i] = ev.rotate(ct, h, rk)
@@ -593,7 +671,7 @@ func (ev *Evaluator) rotate(ct *Ciphertext, h *hoistedDigits, rk *RotationKey) *
 	out1 := rl.NewPoly()
 	out0.IsNTT, out1.IsNTT = true, true
 	if h == nil {
-		ev.params.switchInto(ct.C1, level, rk.K, rk.Perm, out0, out1, true)
+		ev.params.switchInto(ct.C1, nil, level, rk.K, rk.Perm, out0, out1, true)
 	} else {
 		ev.params.applyInto(h, rk.K, rk.Perm, out0, out1, true)
 	}

@@ -3,6 +3,7 @@ package ckks
 import (
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/fftfp"
 	"repro/internal/ring"
@@ -20,24 +21,40 @@ import (
 //	M·v = Σ_g rot_g( Σ_i rot_{−g}(diag_{g+i}) ⊙ rot_i(v) )
 //
 // so the ciphertext is rotated only |babies| + |giants| times instead of
-// once per diagonal — and the BSGS evaluation leans on hoisting twice:
-// every baby rotation shares ONE gadget decomposition of the input's c1
-// (the expensive half of a key switch), and each giant step pays one
-// decomposition of its inner accumulator. The pre-rotations rot_{−g} of
-// the diagonals are free: they happen at encode time.
+// once per diagonal. The pre-rotations rot_{−g} of the diagonals are
+// free: they happen at encode time.
+//
+// The evaluation is double-hoisted (Bossuat et al., eprint 2020/1203):
+//
+//   - every baby rotation shares ONE gadget decomposition of the input's
+//     c1 and stays in the extended basis Q·P — the MAC output is P times
+//     the rotated ciphertext, and no baby pays a ModDown;
+//   - the diagonals carry their P limbs, so each giant block sums its
+//     baby products over Q·P, ModDowns only the c1 half of the block sum
+//     (the decomposition reads a Q-basis polynomial) and accumulates the
+//     giant rotation's MAC into a Q·P result, again without a ModDown;
+//   - one paired ModDown closes the whole transform.
+//
+// A transform of b nonzero baby and g nonzero giant steps so runs g
+// single-half ModDowns plus one pair, against b + g pairs if every
+// rotation closed its own switch, and rounds once per block instead of
+// once per rotation.
 //
 // The instantiation that matters for bootstrapping is the homomorphic
 // DFT (CoeffsToSlots/SlotsToCoeffs): the special FFT factored into
 // `levels` grouped butterfly products (internal/fftfp/dftmat.go), one
 // LinearTransform per group.
 
-// LinearTransform is a plaintext matrix pre-encoded in BSGS diagonal form
-// at a fixed level. Diagonals are stored NTT-domain, pre-rotated by their
-// giant step, and encoded at scale 2^(Rescales·LimbBits) so the built-in
-// rescales return the output to (approximately, and exactly tracked by
-// the float Scale) the input's scale. Build with Encoder.NewLinearTransform;
-// evaluate with Evaluator.LinearTransform. Immutable after construction
-// and safe for concurrent evaluation.
+// LinearTransform is a plaintext matrix in BSGS diagonal form at a fixed
+// level. Diagonals are pre-rotated by their giant step and encoded at
+// scale 2^(Rescales·LimbBits), so the built-in rescales return the output
+// to (approximately, and exactly tracked by the float Scale) the input's
+// scale. They are encoded on the first evaluation, NTT-domain over the
+// level's Q·P basis: until then the transform holds only the slot
+// vectors, so a transform that is never applied never holds encoded
+// diagonals. Build with Encoder.NewLinearTransform; evaluate with
+// Evaluator.LinearTransform. Safe for concurrent evaluation, the first
+// one included.
 type LinearTransform struct {
 	Level    int     // input (and encoding) level; output lands Rescales below
 	N1       int     // baby-step block size
@@ -48,13 +65,36 @@ type LinearTransform struct {
 	groups     map[int][]ltTerm // giant step → terms, term order fixed at build
 	babySteps  []int            // ascending, 0 included when used
 	giantSteps []int            // ascending, 0 included when used
+
+	once sync.Once // encodes every term's diagonal on first evaluation
+	enc  *Encoder  // nil once encoded
 }
 
-// ltTerm is one diagonal's contribution: the pre-rotated NTT-domain
-// plaintext polynomial and the baby step it multiplies.
+// ltTerm is one diagonal's contribution: the baby step it multiplies, and
+// the diagonal pre-rotated by its giant step — as a slot vector until the
+// first evaluation, then as an NTT-domain plaintext polynomial over Q·P.
 type ltTerm struct {
 	baby int
+	vec  []complex128
 	poly *ring.Poly
+}
+
+// encode expands every term's slot vector into its Q·P plaintext and
+// drops the vector — the body of lt.once.
+func (lt *LinearTransform) encode() {
+	p := lt.enc.params
+	rqp := p.RingQPAt(lt.Level)
+	logScale := lt.Rescales * p.LimbBits
+	for _, terms := range lt.groups {
+		for i := range terms {
+			t := &terms[i]
+			t.poly = rqp.NewPoly()
+			lt.enc.expandRNS(lt.enc.toCoeffs(t.vec), logScale, t.poly.Coeffs[:lt.Level], t.poly.Coeffs[lt.Level:])
+			rqp.NTT(t.poly)
+			t.vec = nil
+		}
+	}
+	lt.enc = nil
 }
 
 // BabySteps returns the baby rotation steps the evaluation uses
@@ -109,8 +149,11 @@ func BSGSSteps(slots int, diags []int, n1 int) (babies, giants []int) {
 
 // OptimalN1 scans power-of-two block sizes and returns the one minimizing
 // |babies| + |giants| for the given diagonal support. Giant steps are the
-// more expensive side (each pays a fresh gadget decomposition), so ties
-// break toward the larger block (fewer giants).
+// more expensive side — each pays a fresh gadget decomposition and a
+// ModDown, where a double-hoisted baby pays only its MAC — so ties break
+// toward the larger block (fewer giants). The cost model counts rotation
+// keys as much as work: the chosen split fixes the rotation set key
+// owners export (HomomorphicDFTRotations).
 func OptimalN1(slots int, diags []int) int {
 	best, bestCost := 1, int(^uint(0)>>1)
 	for n1 := 1; n1 <= slots; n1 <<= 1 {
@@ -128,13 +171,14 @@ func (p *Parameters) RescalesPerLevel() int {
 	return (p.LogScale + p.LimbBits - 1) / p.LimbBits
 }
 
-// NewLinearTransform pre-encodes a plaintext matrix, given as its nonzero
+// NewLinearTransform prepares a plaintext matrix, given as its nonzero
 // diagonals (diag d holds M[r][(r+d) mod slots] at position r; indices are
 // normalized cyclically, vectors shorter than Slots() are zero-padded),
 // for evaluation on ciphertexts at `level`. n1 ≤ 0 selects the
 // cost-optimal power-of-two block size. All-zero diagonals are dropped.
 // The transform consumes RescalesPerLevel() limbs, so level must leave at
-// least one; at least one nonzero diagonal is required.
+// least one; at least one nonzero diagonal is required. The diagonals are
+// copied (pre-rotated) and encoded on the transform's first evaluation.
 func (enc *Encoder) NewLinearTransform(diags map[int][]complex128, level, n1 int) *LinearTransform {
 	p := enc.params
 	slots := p.Slots()
@@ -191,93 +235,96 @@ func (enc *Encoder) NewLinearTransform(diags map[int][]complex128, level, n1 int
 	lt := &LinearTransform{
 		Level: level, N1: n1, Rescales: rescales, slots: slots,
 		groups: map[int][]ltTerm{}, babySteps: babies, giantSteps: giants,
+		enc: enc,
 	}
-	logScale := rescales * p.LimbBits
 	lt.PtScale = 1.0
-	for i := 0; i < logScale; i++ {
+	for i := 0; i < rescales*p.LimbBits; i++ {
 		lt.PtScale *= 2
 	}
-
-	rl := p.RingAt(level)
-	rot := make([]complex128, slots)
 	for _, d := range idx {
-		v := norm[d]
 		i := d % n1
 		g := d - i
 		// Pre-rotate by −g: stored[r] = diag_d[(r−g) mod slots].
-		for r := range rot {
-			rot[r] = 0
-		}
-		for r, z := range v {
+		rot := make([]complex128, slots)
+		for r, z := range norm[d] {
 			rot[(r+g)%slots] = z
 		}
-		pt := enc.EncodeAtLevelScale(rot, level, logScale)
-		rl.NTT(pt.Value)
-		lt.groups[g] = append(lt.groups[g], ltTerm{baby: i, poly: pt.Value})
+		lt.groups[g] = append(lt.groups[g], ltTerm{baby: i, vec: rot})
 	}
 	return lt
 }
 
 // LinearTransform evaluates lt on ct (coefficient domain, at exactly
 // lt.Level) using rotation keys from rot (keyed by normalized step; every
-// step in lt.Rotations() must be present).
-// The result lands lt.Rescales levels below at ≈ the input scale. Misuse
-// panics; the public Server role validates and returns typed errors.
+// step in lt.Rotations() must be present). The first evaluation of lt
+// encodes its diagonals. The result lands lt.Rescales levels below at ≈
+// the input scale. Misuse panics; the public Server role validates and
+// returns typed errors.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot map[int]*RotationKey) *Ciphertext {
 	if ct.Level != lt.Level {
 		panic("ckks: ciphertext level does not match the transform's encoding level")
 	}
+	lt.once.Do(lt.encode)
 	p := ev.params
 	level := lt.Level
-	rl := ev.ringAt(level)
+	rl, rqp := ev.ringAt(level), p.RingQPAt(level)
 
-	// NTT forms of the input pair — the baby-0 term and the σ(c0) source.
+	// Baby 0 is P·ct over Q·P, and every baby i ≠ 0 is σ_i(P·c0) plus the
+	// MAC of the shared hoisted decomposition of c1 — a Q·P ciphertext of
+	// P·rot_i(v), never ModDown'd. The decomposition's own-group digit
+	// rows copy from c1's NTT form.
 	c0n := rl.GetPolyCopy(ct.C0)
 	c1n := rl.GetPolyCopy(ct.C1)
 	rl.NTT(c0n)
 	rl.NTT(c1n)
+	pc0, pc1 := rqp.GetPolyUninit(), rqp.GetPolyUninit()
+	p.mulP(c0n, pc0)
+	p.mulP(c1n, pc1)
+	var h *hoistedDigits
+	if len(lt.babySteps) > 1 || lt.babySteps[0] != 0 {
+		h = p.hoist(ct.C1, c1n, level)
+	}
+	rl.PutPoly(c0n)
+	rl.PutPoly(c1n)
 
-	// Baby rotations, all sharing one hoisted decomposition of ct.C1.
 	type pair struct{ b0, b1 *ring.Poly }
 	babies := make(map[int]pair, len(lt.babySteps))
-	var h *hoistedDigits
 	for _, i := range lt.babySteps {
 		if i == 0 {
-			babies[0] = pair{c0n, c1n}
+			babies[0] = pair{pc0, pc1}
 			continue
 		}
 		rk := rot[i]
 		if rk == nil {
 			panic("ckks: missing baby-step rotation key")
 		}
-		if h == nil {
-			h = p.hoist(ct.C1, level)
-		}
-		b0, b1 := rl.GetPoly(), rl.GetPoly()
-		b0.IsNTT, b1.IsNTT = true, true
-		p.applyInto(h, rk.K, rk.Perm, b0, b1, false)
-		tmp := rl.GetPolyUninit() // PermuteNTT writes every index
-		rl.PermuteNTT(c0n, rk.Perm, tmp)
-		rl.Add(b0, tmp, b0)
-		rl.PutPoly(tmp)
+		b0 := rqp.GetPolyUninit() // PermuteNTT writes every index
+		rqp.PermuteNTT(pc0, rk.Perm, b0)
+		b1 := rqp.GetPoly()
+		b1.IsNTT = true
+		p.macQP(h, rk.K, rk.Perm, b0, b1, true)
 		babies[i] = pair{b0, b1}
 	}
 	if h != nil {
 		p.releaseDigits(h)
 	}
+	if _, used := babies[0]; !used {
+		rqp.PutPoly(pc0)
+		rqp.PutPoly(pc1)
+	}
 
-	// Giant steps: accumulate each block at the product scale, rotate the
-	// block once, and fold into the result — rotations run before the
-	// rescales on purpose (key-switch noise is additive at the current
-	// scale, cheapest while the scale is still ct.Scale·PtScale).
-	final0, final1 := rl.NewPoly(), rl.NewPoly() // returned — caller-owned
-	final0.IsNTT, final1.IsNTT = true, true
+	// Giant steps: sum each block over Q·P at the product scale, rotate
+	// the block once, and fold it into the Q·P result — rotations run
+	// before the rescales on purpose (key-switch noise is additive at the
+	// current scale, cheapest while the scale is still ct.Scale·PtScale).
+	res0, res1 := rqp.GetPoly(), rqp.GetPoly()
+	res0.IsNTT, res1.IsNTT = true, true
 	for _, g := range lt.giantSteps {
 		terms := lt.groups[g]
 		if g == 0 {
 			for _, t := range terms {
-				rl.MulCoeffsAdd(t.poly, babies[t.baby].b0, final0)
-				rl.MulCoeffsAdd(t.poly, babies[t.baby].b1, final1)
+				rqp.MulCoeffsAdd(t.poly, babies[t.baby].b0, res0)
+				rqp.MulCoeffsAdd(t.poly, babies[t.baby].b1, res1)
 			}
 			continue
 		}
@@ -285,41 +332,62 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		if rk == nil {
 			panic("ckks: missing giant-step rotation key")
 		}
-		acc0, acc1 := rl.GetPoly(), rl.GetPoly()
+		acc0, acc1 := rqp.GetPoly(), rqp.GetPoly()
 		acc0.IsNTT, acc1.IsNTT = true, true
 		for _, t := range terms {
-			rl.MulCoeffsAdd(t.poly, babies[t.baby].b0, acc0)
-			rl.MulCoeffsAdd(t.poly, babies[t.baby].b1, acc1)
+			rqp.MulCoeffsAdd(t.poly, babies[t.baby].b0, acc0)
+			rqp.MulCoeffsAdd(t.poly, babies[t.baby].b1, acc1)
 		}
-		// Rotate the block accumulator by g and fold into the result: the
-		// switched half accumulates directly (switchInto adds; single-shot,
-		// this decomposition is used once), σ_g of the acc0 half is a pure
-		// NTT-domain gather.
-		rl.INTT(acc1) // the decomposition reads the coefficient domain
-		p.switchInto(acc1, level, rk.K, rk.Perm, final0, final1, false)
-		tmp := rl.GetPolyUninit()
-		rl.PermuteNTT(acc0, rk.Perm, tmp)
-		rl.Add(final0, tmp, final0)
-		rl.PutPoly(tmp)
-		rl.PutPoly(acc0)
-		rl.PutPoly(acc1)
+		// The decomposition needs acc1 over Q: one single-half ModDown
+		// (acc1 = P·a1 + r with |r| ≤ P/2, so σ_g(acc0) + P·σ_g(a1·s)
+		// is σ_g(acc0 + acc1·s) up to the rounding term σ_g(r·s), the
+		// size of any ModDown's). Its MAC lands in the Q·P result as is;
+		// σ_g of the acc0 half is a pure NTT-domain gather.
+		a1n := rl.GetPoly()
+		a1n.IsNTT = true
+		p.modDown([]*ring.Poly{acc1}, []*ring.Poly{a1n}, level, false)
+		a1 := rl.GetPolyCopy(a1n)
+		rl.INTT(a1)
+		p.switchQP(a1, a1n, level, rk.K, rk.Perm, res0, res1, true)
+		rl.PutPoly(a1)
+		rl.PutPoly(a1n)
+		tmp := rqp.GetPolyUninit()
+		rqp.PermuteNTT(acc0, rk.Perm, tmp)
+		rqp.Add(res0, tmp, res0)
+		rqp.PutPoly(tmp)
+		rqp.PutPoly(acc0)
 	}
-	for i, pr := range babies {
-		if i != 0 {
-			rl.PutPoly(pr.b0)
-			rl.PutPoly(pr.b1)
-		}
+	for _, pr := range babies {
+		rqp.PutPoly(pr.b0)
+		rqp.PutPoly(pr.b1)
 	}
-	rl.PutPoly(c0n)
-	rl.PutPoly(c1n)
 
-	rl.INTT(final0)
-	rl.INTT(final1)
+	final0, final1 := rl.NewPoly(), rl.NewPoly() // returned — caller-owned
+	final0.IsNTT, final1.IsNTT = true, true
+	p.modDownPair(res0, res1, level, final0, final1, true)
 	out := &Ciphertext{C0: final0, C1: final1, Level: level, Scale: ct.Scale * lt.PtScale}
 	for r := 0; r < lt.Rescales; r++ {
 		out = ev.Rescale(out)
 	}
 	return out
+}
+
+// mulP sets out = P·c over the Q·P basis for an NTT-domain c over Q_ℓ:
+// [P]_{q_i}·c on the Q limbs, and 0 on the P limbs, where P ≡ 0.
+func (p *Parameters) mulP(c, out *ring.Poly) {
+	level := len(c.Coeffs)
+	p.RingQPAt(level).Engine().Run(len(out.Coeffs), func(i int) {
+		oi := out.Coeffs[i]
+		if i >= level {
+			clear(oi)
+			return
+		}
+		m, sc, ci := p.ringQ.Basis.Moduli[i], p.pModQ[i], c.Coeffs[i]
+		for j := range oi {
+			oi[j] = m.BarrettMul(ci[j], sc)
+		}
+	})
+	out.IsNTT = true
 }
 
 // MulByI multiplies every slot by the imaginary unit: a negacyclic
@@ -352,8 +420,10 @@ type HomomorphicDFTConfig struct {
 }
 
 // HomomorphicDFT is a built CoeffsToSlots/SlotsToCoeffs pipeline: the
-// factored encoding/decoding matrices pre-encoded as linear transforms at
-// their scheduled levels. Immutable; safe for concurrent evaluation.
+// factored encoding/decoding matrices as linear transforms at their
+// scheduled levels. Each transform encodes its diagonals on its first
+// evaluation, so a direction that is never applied is never encoded. Safe
+// for concurrent evaluation.
 type HomomorphicDFT struct {
 	StartLevel int
 	Levels     int

@@ -61,6 +61,8 @@ type Parameters struct {
 	pModQ    []uint64   // P mod q_i — the hybrid gadget factor per limb
 	pInvModQ []uint64   // P^{-1} mod q_i — the ModDown divisor per limb
 
+	counts *switchCounts // key-switch tallies; set only by tests, nil in production
+
 	// Lazily built, mutex-guarded hybrid caches: extended-basis ring views
 	// (q_0..q_{ℓ-1}, p_0..p_{k-1} is not a prefix of any single chain, so
 	// level views cannot ride rns.Basis.Sub) and the basis extenders for

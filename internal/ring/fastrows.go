@@ -87,7 +87,8 @@ var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out fo
 //
 // (perm nil ⇒ identity; g ranges over len(d), the key may hold more rows).
 // d[g] is group g's digit row for this limb of the ring's own basis, km the
-// limb's row in the depth-capped key; a0/a1 are written, never read.
+// limb's row in the depth-capped key. With add the sums accumulate onto
+// a0/a1 instead (a0[j] += …); otherwise a0/a1 are written, never read.
 //
 // The portable binding is the spec: add each reduced product in group
 // order. The fast binding sums mod.LazyTerms groups' products per half in
@@ -95,7 +96,7 @@ var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out fo
 // adding onto the first's output; as in rns.Extender.CombineLimb the block
 // is written out so its row pointers stay in registers. Each output is the
 // canonical residue of the same sum either way — the bytes cannot differ.
-func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km int, a0, a1 []uint64) {
+func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km int, a0, a1 []uint64, add bool) {
 	m := r.Basis.Moduli[limb]
 	if !r.Backend().Specialized() {
 		for j := range a0 {
@@ -104,6 +105,9 @@ func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly,
 				pj = int(perm[j])
 			}
 			s0, s1 := uint64(0), uint64(0)
+			if add {
+				s0, s1 = a0[j], a1[j]
+			}
 			for g, dg := range d {
 				s0 = m.Add(s0, m.Mul(dg[pj], k0[g].Coeffs[km][j]))
 				s1 = m.Add(s1, m.Mul(dg[pj], k1[g].Coeffs[km][j]))
@@ -151,7 +155,7 @@ func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly,
 			}
 			s0 := mod.Reduce128(h0, l0, q, bhi, blo)
 			s1 := mod.Reduce128(h1, l1, q, bhi, blo)
-			if g > 0 {
+			if g > 0 || add {
 				s0, s1 = m.Add(s0, a0[j]), m.Add(s1, a1[j])
 			}
 			a0[j], a1[j] = s0, s1

@@ -48,28 +48,40 @@ func macOperands(r *Ring, beta int, stream uint64) (d [][]uint64, k0, k1 []*Poly
 // TestMulPairRowsMatchesSpec: the one MAC kernel equals the term-by-term
 // reference on both backends — at 36-bit limbs and at 61-bit limbs, for β
 // below, at and past the lazy block (β = 9, 12 flush two and three times),
-// with and without a Galois gather, on dirty output rows.
+// with and without a Galois gather, on dirty output rows — and, with add,
+// accumulating onto rows whose coefficient 0 is already q − 1.
 func TestMulPairRowsMatchesSpec(t *testing.T) {
 	const logN = 8
 	t.Logf("operand seed (123, 456), streams from 1000·bits + 10·β")
 	for _, bits := range []int{36, 61} {
 		r := MustRing(1<<logN, primes.GenerateNTTPrimes(1, bits, logN))
+		m := r.Basis.Moduli[0]
 		for _, perm := range [][]int32{nil, r.GaloisPermNTT(5)} {
 			for _, beta := range []int{1, 2, 6, 9, 12} {
 				d, k0, k1 := macOperands(r, beta, uint64(1000*bits+10*beta))
 				want0, want1 := make([]uint64, r.N), make([]uint64, r.N)
 				macRef(r, 0, perm, d, k0, k1, 1, want0, want1)
+				base := d[0] // any residues: the accumulation base of the add rows
 				for _, b := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 					r.SetBackend(b)
-					got0, got1 := make([]uint64, r.N), make([]uint64, r.N)
-					for j := range got0 {
-						got0[j], got1[j] = ^uint64(0), ^uint64(0) // pooled rows arrive dirty
-					}
-					r.MulPairRows(0, perm, d, k0, k1, 1, got0, got1)
-					for j := range want0 {
-						if got0[j] != want0[j] || got1[j] != want1[j] {
-							t.Fatalf("%d-bit β=%d perm=%v %s: coeff %d = (%d, %d), want (%d, %d)",
-								bits, beta, perm != nil, b.Name(), j, got0[j], got1[j], want0[j], want1[j])
+					for _, add := range []bool{false, true} {
+						got0, got1 := make([]uint64, r.N), make([]uint64, r.N)
+						for j := range got0 {
+							got0[j], got1[j] = ^uint64(0), ^uint64(0) // pooled rows arrive dirty
+							if add {
+								got0[j], got1[j] = base[j], base[j]
+							}
+						}
+						r.MulPairRows(0, perm, d, k0, k1, 1, got0, got1, add)
+						for j := range want0 {
+							w0, w1 := want0[j], want1[j]
+							if add {
+								w0, w1 = m.Add(w0, base[j]), m.Add(w1, base[j])
+							}
+							if got0[j] != w0 || got1[j] != w1 {
+								t.Fatalf("%d-bit β=%d perm=%v add=%v %s: coeff %d = (%d, %d), want (%d, %d)",
+									bits, beta, perm != nil, add, b.Name(), j, got0[j], got1[j], w0, w1)
+							}
 						}
 					}
 				}
@@ -89,7 +101,7 @@ func BenchmarkMulPairRows(b *testing.B) {
 		b.Run(fmt.Sprintf("perm=%v", perm != nil), func(b *testing.B) {
 			b.SetBytes(int64(8 * (3*beta + 2) * r.N)) // rows streamed per call
 			for i := 0; i < b.N; i++ {
-				r.MulPairRows(0, perm, d, k0, k1, 1, a0, a1)
+				r.MulPairRows(0, perm, d, k0, k1, 1, a0, a1, false)
 			}
 		})
 	}

@@ -394,13 +394,15 @@ func InnerSumRotations(span int) []int { return ckks.InnerSumRotations(span) }
 // Homomorphic linear transforms (BSGS) and the homomorphic DFT
 // ---------------------------------------------------------------------
 
-// LinearTransform is a plaintext matrix pre-encoded for homomorphic
-// mat×vec: the matrix's nonzero diagonals, pre-rotated and encoded at a
-// fixed level, evaluated with blocked baby-step/giant-step over the
-// hoisted rotation path (one shared digit decomposition for all baby
-// steps, one per giant step — |babies|+|giants| key switches instead of
-// one per diagonal). Build with Server.NewLinearTransform; immutable and
-// safe to share across goroutines and calls.
+// LinearTransform is a plaintext matrix prepared for homomorphic
+// mat×vec: the matrix's nonzero diagonals, pre-rotated for a fixed level
+// and encoded on the first application, evaluated with blocked
+// baby-step/giant-step over the double-hoisted rotation path (one shared
+// digit decomposition for all baby steps, one per giant step —
+// |babies|+|giants| key switches instead of one per diagonal, and one
+// ModDown per giant block instead of one per rotation). Build with
+// Server.NewLinearTransform; safe to share across goroutines and calls,
+// the first application included.
 type LinearTransform struct {
 	lt *ckks.LinearTransform
 }
@@ -419,7 +421,7 @@ func (t *LinearTransform) N1() int { return t.lt.N1 }
 // export them via EvalKeyConfig.Rotations.
 func (t *LinearTransform) Rotations() []int { return t.lt.Rotations() }
 
-// NewLinearTransform pre-encodes a plaintext matrix given by its nonzero
+// NewLinearTransform prepares a plaintext matrix given by its nonzero
 // diagonals: diags[d][r] = M[r][(r+d) mod Slots()] (d may be negative —
 // indices are cyclic; vectors shorter than Slots() are zero-padded; every
 // component must be finite). level is the input level the transform will
@@ -470,7 +472,7 @@ func (s *Server) resolveRotations(evk *EvaluationKeys, steps []int) (map[int]*ck
 	return rot, nil
 }
 
-// LinearTransform applies a pre-encoded matrix to ct. Ciphertexts above
+// LinearTransform applies a prepared matrix to ct. Ciphertexts above
 // the transform's level are dropped to it first (the usual way to feed a
 // fresh ciphertext into a transform built at the keys' depth cap); below
 // it is an error. The result lands Depth() levels below t.Level() at
@@ -502,8 +504,9 @@ func (s *Server) LinearTransform(ct *Ciphertext, t *LinearTransform, evk *Evalua
 
 // HomomorphicDFT is a built CoeffsToSlots/SlotsToCoeffs pipeline: the
 // scheme's special FFT factored into Levels grouped sparse matrices per
-// direction, each pre-encoded as a LinearTransform at its scheduled
-// level. Build with Server.NewHomomorphicDFT; immutable and shareable.
+// direction, each a LinearTransform at its scheduled level, encoded on
+// its first application (a direction never applied is never encoded).
+// Build with Server.NewHomomorphicDFT; shareable across goroutines.
 type HomomorphicDFT struct {
 	dft *ckks.HomomorphicDFT
 }
@@ -536,7 +539,8 @@ func (d *HomomorphicDFT) EndLevel() int {
 // them (plus Conjugate: true) via EvalKeyConfig.
 func (d *HomomorphicDFT) Rotations() []int { return d.dft.Rotations() }
 
-// NewHomomorphicDFT factors and pre-encodes the homomorphic DFT matrices.
+// NewHomomorphicDFT factors the homomorphic DFT matrices; each is encoded
+// on its first application.
 func (s *Server) NewHomomorphicDFT(cfg HomomorphicDFTConfig) (*HomomorphicDFT, error) {
 	logn := 0
 	for 1<<uint(logn+1) <= s.params.Slots() {

@@ -209,3 +209,75 @@ func TestServerConcurrentWithKeyFreeOps(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestServerConcurrentFirstCoeffsToSlots: a HomomorphicDFT encodes its
+// diagonals on first use, and internal/evalop shares one DFT across
+// concurrent requests, so the first application can come from many
+// goroutines at once. Eight callers on one freshly built DFT must each
+// return the bytes of a sequential run on another fresh DFT.
+func TestServerConcurrentFirstCoeffsToSlots(t *testing.T) {
+	owner, enc, srv := threeParties(t, Test, 0xF125, 0x7D5)
+	defer owner.Close()
+	defer enc.Close()
+	defer srv.Close()
+	cfg := HomomorphicDFTConfig{StartLevel: srv.MaxLevel(), Levels: 1}
+	newDFT := func() *HomomorphicDFT {
+		t.Helper()
+		dft, err := srv.NewHomomorphicDFT(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dft
+	}
+	seq := newDFT()
+	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{Rotations: seq.Rotations(), Conjugate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk, err := srv.ImportEvaluationKeys(evkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := enc.EncodeEncrypt(testMsgs(enc.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2s := func(dft *HomomorphicDFT) ([]byte, error) {
+		re, im, err := srv.CoeffsToSlots(ct, dft, evk)
+		if err != nil {
+			return nil, err
+		}
+		reBlob, err := srv.SerializeCiphertext(re)
+		if err != nil {
+			return nil, err
+		}
+		imBlob, err := srv.SerializeCiphertext(im)
+		return append(reBlob, imBlob...), err
+	}
+	want, err := c2s(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shared := newDFT()
+	const callers = 8
+	got := make([][]byte, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c2s(shared)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Fatalf("caller %d: CoeffsToSlots bytes differ from the sequential run", i)
+		}
+	}
+}
