@@ -3,23 +3,23 @@
 // Bootstrappable Parameters for Client-Side Fully Homomorphic Encryption"
 // (Yune et al., DAC 2025).
 //
-// Two layers are exposed:
+// It exposes a role-separated CKKS deployment (encode/encrypt/decrypt/
+// decode over bootstrappable parameter sets, N = 2^13..2^16, 36-bit
+// double-scale RNS chains) built entirely from this repository's
+// substrates. Three parties mirror the paper's asymmetric deployment:
+// KeyOwner (secret key: keygen, decrypt+decode, seeded uploads, key
+// export — including evaluation keys), Encryptor (public-key-only encoding
+// devices) and Server (keyless: expands compressed uploads, evaluates —
+// additions and constants key-free; ct×ct multiplication, slot rotations,
+// inner sums and plaintext-weight dot products gated by an imported
+// evaluation-key set). Parties on different machines exchange nothing but
+// bytes — packed wire formats for ciphertexts, compressed uploads, and
+// keys.
 //
-//   - A role-separated CKKS deployment (encode/encrypt/decrypt/decode over
-//     bootstrappable parameter sets, N = 2^13..2^16, 36-bit double-scale
-//     RNS chains) built entirely from this repository's substrates. Three
-//     parties mirror the paper's asymmetric deployment: KeyOwner (secret
-//     key: keygen, decrypt+decode, seeded uploads, key export — including
-//     evaluation keys), Encryptor (public-key-only encoding devices) and
-//     Server (keyless: expands compressed uploads, evaluates — additions
-//     and constants key-free; ct×ct multiplication, slot rotations, inner
-//     sums and plaintext-weight dot products gated by an imported
-//     evaluation-key set). Parties on different machines exchange nothing
-//     but bytes — packed wire formats for ciphertexts, compressed
-//     uploads, and keys.
-//   - Accelerator: the modeled ABC-FHE chip — cycle-level latency,
-//     throughput, and the 28 nm area/power composition (cmd/abcbench
-//     regenerates the paper's tables and figures from the same model).
+// The modeled ABC-FHE chip (cycle-level latency, throughput, and the 28 nm
+// area/power composition) is not part of this package: its one entry
+// point is internal/core, and cmd/abcbench regenerates the paper's tables
+// and figures from it.
 //
 // Misuse of the public surface (bad lengths, wrong levels, malformed
 // bytes, unknown presets) returns typed errors (see errors.go); panics
@@ -32,7 +32,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckks"
-	"repro/internal/core"
 	"repro/internal/fftfp"
 )
 
@@ -81,41 +80,6 @@ type Ciphertext = ckks.Ciphertext
 
 // Plaintext is an encoded (but unencrypted) message.
 type Plaintext = ckks.Plaintext
-
-// ---------------------------------------------------------------------
-// Modeled accelerator
-// ---------------------------------------------------------------------
-
-// Accelerator is the modeled ABC-FHE chip.
-type Accelerator struct {
-	sys core.System
-}
-
-// NewAccelerator returns the paper-configured accelerator model.
-func NewAccelerator() *Accelerator { return &Accelerator{sys: core.Default()} }
-
-// WithLanes reconfigures the per-PNL lane count (Fig. 5b's sweep axis).
-func (a *Accelerator) WithLanes(p int) *Accelerator {
-	return &Accelerator{sys: a.sys.WithLanes(p)}
-}
-
-// WithDegree reconfigures the polynomial degree 2^logN.
-func (a *Accelerator) WithDegree(logN int) *Accelerator {
-	return &Accelerator{sys: a.sys.WithDegree(logN)}
-}
-
-// Summary reports the headline card: area, power (28 nm and 7 nm),
-// client-operation latencies, throughput, and operation counts.
-type Summary = core.Summary
-
-// Summarize evaluates the accelerator model once.
-func (a *Accelerator) Summarize() Summary { return a.sys.Summarize() }
-
-// EncodeEncryptMS returns the simulated encode+encrypt latency (ms).
-func (a *Accelerator) EncodeEncryptMS() float64 { return a.sys.EncodeEncrypt().TimeMS }
-
-// DecodeDecryptMS returns the simulated decode+decrypt latency (ms).
-func (a *Accelerator) DecodeDecryptMS() float64 { return a.sys.DecodeDecrypt().TimeMS }
 
 // FP55MantissaBits is the custom floating-point mantissa width the RFE
 // uses (paper Fig. 3c: ≥43 bits keeps bootstrapping precision above the

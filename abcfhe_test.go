@@ -72,30 +72,6 @@ func TestUnknownPreset(t *testing.T) {
 	}
 }
 
-func TestAcceleratorSummary(t *testing.T) {
-	a := NewAccelerator()
-	s := a.Summarize()
-	if s.AreaMM2 < 25 || s.AreaMM2 > 32 {
-		t.Fatalf("area %.2f mm² far from Table II's 28.638", s.AreaMM2)
-	}
-	if s.PowerW < 4.5 || s.PowerW > 7 {
-		t.Fatalf("power %.2f W far from Table II's 5.654", s.PowerW)
-	}
-	if s.EncMS <= 0 || s.DecMS <= 0 || s.DecMS > s.EncMS {
-		t.Fatalf("latency ordering wrong: enc %.4f dec %.4f", s.EncMS, s.DecMS)
-	}
-	if s.EncMOPs < 25 || s.EncMOPs > 29 {
-		t.Fatalf("enc MOPs %.1f far from paper's 27.0", s.EncMOPs)
-	}
-	// Reconfiguration helpers return modified copies.
-	if NewAccelerator().WithLanes(4).EncodeEncryptMS() <= a.EncodeEncryptMS() {
-		t.Fatal("fewer lanes must not be faster")
-	}
-	if NewAccelerator().WithDegree(14).EncodeEncryptMS() >= a.EncodeEncryptMS() {
-		t.Fatal("smaller degree must be faster")
-	}
-}
-
 func TestSerializationAPI(t *testing.T) {
 	owner, device, _ := threeParties(t, Test, 5, 6)
 	msg := testMsgs(8, 1)[0]

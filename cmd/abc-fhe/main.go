@@ -55,6 +55,7 @@ import (
 	"time"
 
 	abcfhe "repro"
+	"repro/internal/core"
 	"repro/internal/evalop"
 )
 
@@ -574,8 +575,7 @@ func runDemo(args []string) error {
 	fmt.Printf("  round-trip max error: %.3g (%.1f bits of precision)\n\n",
 		maxErr, -math.Log2(maxErr))
 
-	acc := abcfhe.NewAccelerator()
-	s := acc.Summarize()
+	s := core.Default().Summarize()
 	fmt.Println("modeled accelerator (paper configuration: N=2^16, 2 RSC x 4 PNL x 8 lanes):")
 	fmt.Printf("  encode+encrypt: %.4f ms    decode+decrypt: %.4f ms\n", s.EncMS, s.DecMS)
 	fmt.Printf("  throughput: %.0f ciphertexts/s\n", s.ThroughputCtS)

@@ -8,6 +8,7 @@ import (
 	"log"
 
 	abcfhe "repro"
+	"repro/internal/core"
 )
 
 func main() {
@@ -89,7 +90,7 @@ func main() {
 	}
 
 	// The modeled accelerator card for the same workflow at paper scale.
-	s := abcfhe.NewAccelerator().Summarize()
+	s := core.Default().Summarize()
 	fmt.Printf("\nABC-FHE model: enc %.3f ms, dec %.3f ms, %.1f mm², %.2f W @28nm\n",
 		s.EncMS, s.DecMS, s.AreaMM2, s.PowerW)
 }

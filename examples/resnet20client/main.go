@@ -18,6 +18,7 @@ import (
 
 	abcfhe "repro"
 	"repro/internal/baseline"
+	"repro/internal/core"
 )
 
 func main() {
@@ -92,8 +93,8 @@ func main() {
 		encodeTime, decodeTime, len(logits))
 
 	// --- Fig. 1 breakdown at paper scale --------------------------------
-	acc := abcfhe.NewAccelerator()
-	rows := baseline.Fig1(acc.EncodeEncryptMS(), acc.DecodeDecryptMS(), nCt*64)
+	acc := core.Default()
+	rows := baseline.Fig1(acc.EncodeEncrypt().TimeMS, acc.DecodeDecrypt().TimeMS, nCt*64)
 	fmt.Println("Fig. 1 — execution-time breakdown (ResNet20-FHE, modeled at N=2^16):")
 	for _, r := range rows {
 		client := r.ClientEncMS + r.ClientDecMS

@@ -1,8 +1,10 @@
-// Package core is the top-level facade over the ABC-FHE model: it binds
+// Package core is the entry point to the ABC-FHE chip model: it binds
 // the cycle-level simulator (internal/sim), the area/power model
 // (internal/hw) and the client task model (internal/sched) into one
 // "accelerator" object — the paper's primary contribution as a queryable
-// artifact. The root package abcfhe re-exports it as the public API.
+// artifact. The crypto library does not import it; cmd/abc-fhe demo,
+// examples/quickstart and the repo benchmark call Default().Summarize()
+// directly.
 package core
 
 import (

@@ -1,6 +1,11 @@
-package ntt
+// Package pnl models ABC-FHE's pipelined NTT lane (PNL, paper §IV-A) and
+// its unified on-the-fly twiddle generator (§IV-B): the lane geometry the
+// cycle simulator (internal/sim) and the area model (internal/hw) price,
+// and functional mirrors that must agree bit for bit with the limb NTT
+// kernels of internal/ntt.
+package pnl
 
-import "repro/internal/mod"
+import "repro/internal/ntt"
 
 // OTFGen is the functional model of ABC-FHE's unified on-the-fly twiddle
 // factor generator (paper §IV-B). Instead of storing all N twiddles per
@@ -19,7 +24,7 @@ import "repro/internal/mod"
 // when indices are walked in Gray-code order (the hardware's schedule), or
 // popcount(i) multiplications in natural order (this model counts both).
 type OTFGen struct {
-	t *Table
+	t *ntt.Table
 
 	// seed towers in Montgomery form: seeds[j] = ψ^{2^j}, seedsInv[j] = ψ^{-2^j}.
 	seeds    []uint64
@@ -32,7 +37,7 @@ type OTFGen struct {
 }
 
 // NewOTFGen derives the seed towers from the table's root of unity.
-func NewOTFGen(t *Table) *OTFGen {
+func NewOTFGen(t *ntt.Table) *OTFGen {
 	g := &OTFGen{t: t}
 	m := t.Mod
 	g.seeds = make([]uint64, t.LogN+1)
@@ -112,5 +117,3 @@ func GrayMulsPerStage(s int) int {
 	}
 	return (1 << uint(s)) - 1
 }
-
-var _ = mod.Modulus{} // keep the import explicit for documentation builds

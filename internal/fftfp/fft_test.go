@@ -214,57 +214,6 @@ func BenchmarkFFT1024FP55(b *testing.B) {
 	}
 }
 
-func TestStreamingFFTMatchesEmbedder(t *testing.T) {
-	for _, logN := range []int{5, 8, 11} {
-		e := NewEmbedder(logN)
-		lane := NewStreamingFFT(e, 8)
-		for _, mant := range []int{FP55Mantissa, Float64Mantissa} {
-			ctx := NewCtx(mant)
-			msg := randomMessage(e, uint64(logN))
-			ref := append([]Complex(nil), msg...)
-			st := append([]Complex(nil), msg...)
-
-			e.FFT(ref, ctx)
-			lane.Forward(st, ctx)
-			for i := range ref {
-				if ref[i] != st[i] {
-					t.Fatalf("logN=%d mant=%d: streaming FFT differs at %d", logN, mant, i)
-				}
-			}
-			e.IFFT(ref, ctx)
-			lane.Inverse(st, ctx)
-			for i := range ref {
-				if ref[i] != st[i] {
-					t.Fatalf("logN=%d mant=%d: streaming IFFT differs at %d", logN, mant, i)
-				}
-			}
-		}
-	}
-}
-
-func TestStreamingFFTStats(t *testing.T) {
-	e := NewEmbedder(11) // slots = 1024
-	lane := NewStreamingFFT(e, 8)
-	msg := randomMessage(e, 3)
-	lane.Forward(msg, fullCtx())
-	// (slots/2)·log2(slots) complex butterflies, each 4 real multipliers.
-	wantComplex := 512 * 10
-	if lane.ComplexMuls != wantComplex {
-		t.Fatalf("complex muls %d, want %d", lane.ComplexMuls, wantComplex)
-	}
-	if lane.RealMuls != 4*wantComplex {
-		t.Fatal("Eq. 12: one complex multiply = four real multipliers")
-	}
-	// Fused pipeline borrows exactly the four PNLs' multiplier complement:
-	// P/2 × stages × 4 = 4 × (P/2 × stages) — one PNL's worth per factor.
-	if lane.BorrowedMultipliers() != 4*(8/2)*10 {
-		t.Fatalf("borrowed multipliers %d", lane.BorrowedMultipliers())
-	}
-	if lane.InitiationInterval() != 1024/8 {
-		t.Fatal("II must be slots/P")
-	}
-}
-
 func TestDecodeFromCoeffsInto(t *testing.T) {
 	e := NewEmbedder(6)
 	msg := make([]Complex, e.Slots)

@@ -1,8 +1,8 @@
 package hw
 
 import (
+	"repro/internal/core/pnl"
 	"repro/internal/modmul"
-	"repro/internal/ntt"
 	"repro/internal/sfg"
 )
 
@@ -31,23 +31,10 @@ func pnlMultipliers(cfg Config) int {
 }
 
 // pnlFIFOKB computes the commutator FIFO storage of one lane from the
-// streaming model (55-bit words — the wider of the two datapath modes).
+// lane geometry (55-bit words — the wider of the two datapath modes).
 func pnlFIFOKB(cfg Config) float64 {
-	tbl := ntt.MustTable(1<<uint(cfg.LogN), pickPrime(cfg.LogN))
-	lane := ntt.NewStreamingLane(tbl, cfg.P)
-	bits := float64(lane.TotalFIFOElems()) * FPWidth
+	bits := float64(pnl.NewGeometry(cfg.LogN, cfg.P).TotalFIFOElems()) * FPWidth
 	return bits / 8 / 1024
-}
-
-// pickPrime returns any valid NTT prime for table construction (the FIFO
-// geometry depends only on N and P, not on the modulus).
-func pickPrime(logN int) uint64 {
-	switch {
-	case logN <= 13:
-		return 68718428161
-	default:
-		return 68718428161 // 36-bit, ≡ 1 mod 2^17 — valid through N=2^16
-	}
 }
 
 // calibration constants for block-internal overheads (fit once; see

@@ -33,8 +33,8 @@ func (m Modulus) PrimitiveRootOfUnity(order uint64) (uint64, error) {
 
 // MinimalPrimitiveRoot returns the smallest ψ (as an integer) of exact order
 // `order`. Useful to make twiddle tables reproducible across runs; the
-// on-the-fly twiddle generator seeds (internal/ntt, internal/sim) are
-// derived from it.
+// on-the-fly twiddle generator seeds (internal/core/pnl) are derived from
+// it.
 func (m Modulus) MinimalPrimitiveRoot(order uint64) (uint64, error) {
 	psi, err := m.PrimitiveRootOfUnity(order)
 	if err != nil {

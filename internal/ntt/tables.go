@@ -1,15 +1,12 @@
 // Package ntt implements the negacyclic number-theoretic transform over
-// Z_q[X]/(X^N+1) — the workhorse of both our CKKS client (internal/ckks)
-// and the functional model of ABC-FHE's pipelined NTT lanes (PNLs).
+// Z_q[X]/(X^N+1) — the workhorse of the CKKS client (internal/ckks).
 //
-// Three bit-identical implementations are cross-checked:
-//
-//   - the radix-2 Montgomery reference (merged-ψ Cooley–Tukey forward /
-//     Gentleman–Sande inverse, ntt.go) and the radix-4 Shoup kernels of
-//     the fast backend (lazy.go), both on one table of 2N words per prime;
-//   - a streaming lane model that mirrors the hardware, its twiddles from
-//     an on-the-fly generator over a compact seed set (paper §III/IV:
-//     "unified OTF TF Gen").
+// Two bit-identical kernel pairs are cross-checked: the radix-2 Montgomery
+// reference (merged-ψ Cooley–Tukey forward / Gentleman–Sande inverse,
+// ntt.go) and the radix-4 Shoup kernels of the fast backend (lazy.go),
+// both on one table of 2N words per prime. The streaming lane model of
+// ABC-FHE's pipelined NTT lanes and its on-the-fly twiddle generator live
+// in internal/core/pnl and are checked against these kernels there.
 //
 // The merged-ψ trick (paper Eq. 2–3, citing Roy et al. [30] and
 // Pöppelmann et al. [27]) folds the negacyclic pre/post-processing by

@@ -3,7 +3,7 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/ntt"
+	"repro/internal/core/pnl"
 )
 
 // Discrete-event validation of the streaming model. The analytic
@@ -17,7 +17,7 @@ import (
 // of P coefficients) through the PNL's stage queue structure cycle by
 // cycle, honoring per-stage latencies and single-issue ports, and tracks
 // commutator FIFO occupancy against the depths the hardware model sizes
-// (ntt.StreamingLane.FIFODepths → SRAM area in internal/hw).
+// (pnl.Geometry.FIFODepths → SRAM area in internal/hw).
 
 // PipelineSim models one PNL as a chain of stages with fixed latencies
 // and II = 1 per beat.
@@ -31,15 +31,12 @@ type PipelineSim struct {
 // geometry: stage s waits for its commutator to hold half its FIFO before
 // producing, and buffers at most the FIFO depth.
 func NewPipelineSim(logN, p, butterflyLatency int) *PipelineSim {
-	tbl := ntt.MustTable(1<<uint(logN), 68718428161)
-	lane := ntt.NewStreamingLane(tbl, p)
-	lane.ButterflyLatency = butterflyLatency
-	depths := lane.FIFODepths()
+	depths := pnl.Geometry{LogN: logN, P: p, ButterflyLatency: butterflyLatency}.FIFODepths()
 	ps := &PipelineSim{P: p}
 	for _, d := range depths {
 		// A stage's commutator delays the beat stream by half its FIFO
 		// depth (one delay line of the pair), matching the analytic
-		// StreamingLane.FillLatency term exactly.
+		// Geometry.FillLatency term exactly.
 		wait := d / 2
 		if wait < 1 {
 			wait = 1
@@ -135,12 +132,11 @@ func Throttled(logN, p, interval int) []int {
 }
 
 // ValidateAnalyticModel cross-checks the discrete pipeline against the
-// analytic StreamingLane cycle model and returns an error describing any
+// analytic lane-geometry cycle model and returns an error describing any
 // divergence beyond tolerance.
 func ValidateAnalyticModel(logN, p int) error {
 	ps := NewPipelineSim(logN, p, 4)
-	tbl := ntt.MustTable(1<<uint(logN), 68718428161)
-	lane := ntt.NewStreamingLane(tbl, p)
+	lane := pnl.NewGeometry(logN, p)
 
 	for _, k := range []int{1, 4} {
 		discrete := ps.Run(BackToBack(logN, p, k)).TotalCycles

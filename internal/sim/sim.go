@@ -22,9 +22,8 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
-	"repro/internal/ntt"
+	"repro/internal/core/pnl"
 	"repro/internal/sched"
 )
 
@@ -120,32 +119,17 @@ func (c Config) finish(name string, compute, fill, readB, writeB float64) Report
 	}
 }
 
-// laneFill returns the PNL pipeline fill latency from the streaming model.
-// Memoized: the geometry depends only on (LogN, P). A fully serial lane
-// (P = 1) uses the P = 2 geometry's fill — the SDF degenerate case has the
-// same stage count and per-stage delays within one cycle.
+// laneFill returns the PNL pipeline fill latency from the lane geometry.
+// A fully serial lane (P = 1) uses the P = 2 geometry's fill — the SDF
+// degenerate case has the same stage count and per-stage delays within one
+// cycle.
 func (c Config) laneFill() float64 {
 	p := c.P
 	if p < 2 {
 		p = 2
 	}
-	key := [2]int{c.LogN, p}
-	fillMu.Lock()
-	defer fillMu.Unlock()
-	if v, ok := fillCache[key]; ok {
-		return v
-	}
-	tbl := ntt.MustTable(c.n(), 68718428161)
-	lane := ntt.NewStreamingLane(tbl, p)
-	v := float64(lane.FillLatency())
-	fillCache[key] = v
-	return v
+	return float64(pnl.NewGeometry(c.LogN, p).FillLatency())
 }
-
-var (
-	fillMu    sync.Mutex
-	fillCache = map[[2]int]float64{}
-)
 
 // EncodeEncrypt simulates encoding + encrypting one message on the RSCs
 // assigned to encryption (cores ≥ 1).
