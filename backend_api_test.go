@@ -1,26 +1,35 @@
 package abcfhe
 
-// Public-surface property test of the execution-backend contract: every
+// Public-surface property test of the kernel-binding contract: every
 // operation of the role-separated API produces byte-identical ciphertexts
-// under the portable and fast backends, at any worker count. Backends and
-// worker counts are execution strategy only — the wire bytes are part of
-// the protocol and must not depend on either.
+// under the portable reference kernels and the fast ones, at any worker
+// count. Bindings and worker counts are execution strategy only — the
+// wire bytes are part of the protocol and must not depend on either.
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/lanes"
 )
+
+// withKernels binds a party's limb kernels to b. It is the only way to
+// reach the portable binding through the public constructors, and it
+// exists only in the tests: the library, the CLIs and the service run
+// lanes.Fast.
+func withKernels(b lanes.Backend) Option {
+	return func(c *config) { c.backend = b }
+}
 
 // backendRun drives the full three-party pipeline under one (backend,
 // workers) configuration and returns the serialized bytes of every key
 // blob and every intermediate ciphertext. compressed is one seeded upload
 // shared by all configurations (an owner draws its stream base at random,
 // so a fresh upload per run could not be compared).
-func backendRun(t *testing.T, backend string, workers int, compressed []byte) map[string][]byte {
+func backendRun(t *testing.T, backend lanes.Backend, workers int, compressed []byte) map[string][]byte {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers), withKernels(backend)}
 	owner, device, server := threeParties(t, Test, 0xBACC, 0xE57, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -60,7 +69,7 @@ func backendRun(t *testing.T, backend string, workers int, compressed []byte) ma
 	record := func(name string, ct *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend, workers, err)
+			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend.Name(), workers, err)
 		}
 		blob, err := server.SerializeCiphertext(ct)
 		if err != nil {
@@ -111,46 +120,18 @@ func TestBackendWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := backendRun(t, "portable", 1, compressed)
-	for _, backend := range []string{"portable", "fast"} {
+	ref := backendRun(t, lanes.Portable, 1, compressed)
+	for _, backend := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 		for _, workers := range []int{1, 2, 8} {
-			if backend == "portable" && workers == 1 {
+			if backend == lanes.Portable && workers == 1 {
 				continue
 			}
 			got := backendRun(t, backend, workers, compressed)
 			for name, want := range ref {
 				if !bytes.Equal(got[name], want) {
-					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)
+					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend.Name(), workers)
 				}
 			}
 		}
-	}
-}
-
-// TestWithBackendUnknownName: a typo in the backend name must surface as
-// ErrUnknownBackend at construction, never silently fall back — and on
-// the wire-bytes constructors it must stay an option error, not get
-// branded ErrMalformedWire (the blob is fine; the option is not).
-func TestWithBackendUnknownName(t *testing.T) {
-	_, err := NewServer(Test, WithBackend("simd512"))
-	if !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("got %v, want ErrUnknownBackend", err)
-	}
-
-	owner, err := NewKeyOwner(Test, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer owner.Close()
-	pk, err := owner.ExportPublicKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewEncryptor(pk, 3, 4, WithBackend("simd512"))
-	if !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("got %v, want ErrUnknownBackend", err)
-	}
-	if errors.Is(err, ErrMalformedWire) {
-		t.Fatalf("unknown backend on a valid blob branded as malformed wire: %v", err)
 	}
 }

@@ -132,7 +132,6 @@ func runKeygen(args []string) error {
 	pkPath := fs.String("pk", "pk.key", "output path for the public-key blob")
 	skPath := fs.String("sk", "sk.key", "output path for the secret-key blob (keep private)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -142,7 +141,7 @@ func runKeygen(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Preset(*preset), lo, hi,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -175,7 +174,6 @@ func runEvalKeys(args []string) error {
 	conj := fs.Bool("conjugate", false, "also generate the complex-conjugation key")
 	dftLevels := fs.Int("dft-levels", 0, "also export the rotation set (and conjugation key) for `eval -op c2s|s2c` with this many butterfly groups per direction (0 = none)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -185,7 +183,7 @@ func runEvalKeys(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwnerFromSecretKey(skBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -269,7 +267,6 @@ func runEval(args []string) error {
 	fs.Int("rescale", 0, "Rescale the result n times (a mul consumes 1, or 2 on double-scale presets)")
 	outPath := fs.String("out", "ct.out.bin", "output ciphertext file")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -310,7 +307,7 @@ func runEval(args []string) error {
 		return err
 	}
 	server, evk, err := abcfhe.NewServerFromEvaluationKeys(evkBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -353,7 +350,6 @@ func runEncrypt(args []string) error {
 	seedLo := fs.Uint64("seed-lo", 0, "low 64 bits of this device's randomness seed (default: crypto/rand)")
 	seedHi := fs.Uint64("seed-hi", 0, "high 64 bits of this device's randomness seed (default: crypto/rand)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -374,7 +370,7 @@ func runEncrypt(args []string) error {
 	}
 	// The device role: built from public-key bytes alone.
 	enc, err := abcfhe.NewEncryptor(pkBytes, lo, hi,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -409,7 +405,6 @@ func runDecrypt(args []string) error {
 	expect := fs.String("expect", "", "message file to verify the decryption against")
 	tol := fs.Float64("tol", 1e-4, "max |error| allowed with -expect")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -419,7 +414,7 @@ func runDecrypt(args []string) error {
 		return err
 	}
 	owner, err := abcfhe.NewKeyOwnerFromSecretKey(skBytes,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -503,7 +498,6 @@ func runDemo(args []string) error {
 	preset := fs.String("preset", "Test", "parameter preset: Test, PN13..PN16")
 	slots := fs.Int("slots", 0, "message slots to fill (0 = all)")
 	workers := fs.Int("workers", 0, "software PNL lanes (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -512,7 +506,7 @@ func runDemo(args []string) error {
 	// machines: the owner exports a public key, a device encrypts with it,
 	// the server evaluates keylessly, the owner decrypts.
 	owner, err := abcfhe.NewKeyOwner(abcfhe.Preset(*preset), 0x0123456789ABCDEF, 0xFEDCBA9876543210,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -521,12 +515,12 @@ func runDemo(args []string) error {
 		return err
 	}
 	device, err := abcfhe.NewEncryptor(pkBytes, 0xD0D0CACA, 0xBEBACAFE,
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
 	server, err := abcfhe.NewServer(abcfhe.Preset(*preset),
-		abcfhe.WithWorkers(*workers), abcfhe.WithBackend(*backend))
+		abcfhe.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

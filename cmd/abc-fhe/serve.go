@@ -28,7 +28,6 @@ func runServe(args []string) error {
 	maxInflight := fs.Int("max-inflight", 256, "accepted-but-unfinished request bound; excess gets 429 + Retry-After")
 	workers := fs.Int("workers", 2, "concurrent evaluations (each op also fans across lanes)")
 	lanes := fs.Int("lanes", 0, "software PNL lanes per op (0 = GOMAXPROCS, 1 = serial)")
-	backend := fs.String("backend", "", "execution backend: fast or portable (default: $ABCFHE_BACKEND or fast)")
 	spoolDir := fs.String("spool-dir", "", "directory for evicted key blobs (default: private temp dir)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight work on shutdown")
 	if err := fs.Parse(args); err != nil {
@@ -40,7 +39,7 @@ func runServe(args []string) error {
 		MaxInflight: *maxInflight,
 		Workers:     *workers,
 		SpoolDir:    *spoolDir,
-		Options:     []abcfhe.Option{abcfhe.WithWorkers(*lanes), abcfhe.WithBackend(*backend)},
+		Options:     []abcfhe.Option{abcfhe.WithWorkers(*lanes)},
 	})
 	if err != nil {
 		return err

@@ -48,21 +48,13 @@ var (
 	// primes), or an imported blob carries a gadget tag other than the
 	// hybrid one (tag 0 marked the retired digit-gadget format).
 	ErrGadgetUnsupported = errors.New("abcfhe: key-switching gadget unsupported by parameter set")
-	// ErrUnknownBackend: WithBackend named an execution backend that does
-	// not exist (valid names: "portable", "fast").
-	ErrUnknownBackend = errors.New("abcfhe: unknown execution backend")
 )
 
 // wireErr brands a deserialization failure with ErrMalformedWire while
-// keeping the underlying detail in the chain. Option misuse discovered
-// during the same construction (an unknown backend name) is the caller's
-// mistake, not the blob's — it passes through unbranded.
+// keeping the underlying detail in the chain.
 func wireErr(err error) error {
 	if err == nil {
 		return nil
-	}
-	if errors.Is(err, ErrUnknownBackend) {
-		return err
 	}
 	return fmt.Errorf("%w: %w", ErrMalformedWire, err)
 }

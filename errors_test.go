@@ -8,7 +8,6 @@ package abcfhe
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -302,21 +301,6 @@ func TestScaleToleranceSymmetric(t *testing.T) {
 	}
 	if _, err := server.Add(&beyond, ct); !errors.Is(err, ErrScaleMismatch) {
 		t.Errorf("Add(off, base): %v", err)
-	}
-}
-
-// TestBackendErrorDetail: an unknown backend name must surface
-// ErrUnknownBackend *and* keep ParseBackend's detail — the list of valid
-// names is the one thing the caller needs to fix the call.
-func TestBackendErrorDetail(t *testing.T) {
-	_, err := NewServer(Test, WithBackend("bogus"))
-	if !errors.Is(err, ErrUnknownBackend) {
-		t.Fatalf("sentinel lost: %v", err)
-	}
-	for _, want := range []string{"bogus", "portable", "fast"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q lost the detail %q", err, want)
-		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/ckks"
 	"repro/internal/fftfp"
+	"repro/internal/lanes"
 )
 
 // polyHornerRef is the plaintext oracle: Σ coeffs[i]·zⁱ per slot.
@@ -274,9 +275,9 @@ func TestEvalPolyMisuse(t *testing.T) {
 
 // evalPolyBackendRun drives EvalPoly and EvalMod under one (backend,
 // workers) configuration and returns the result bytes.
-func evalPolyBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
+func evalPolyBackendRun(t *testing.T, backend lanes.Backend, workers int) map[string][]byte {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers), withKernels(backend)}
 	owner, device, server := threeParties(t, Test, 0xB571, 0xB572, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -307,7 +308,7 @@ func evalPolyBackendRun(t *testing.T, backend string, workers int) map[string][]
 	record := func(name string, c *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend, workers, err)
+			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend.Name(), workers, err)
 		}
 		blob, err := server.SerializeCiphertext(c)
 		if err != nil {
@@ -330,16 +331,16 @@ func TestEvalPolyBackendWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps 6 full evaluation pipelines")
 	}
-	ref := evalPolyBackendRun(t, "portable", 1)
-	for _, backend := range []string{"portable", "fast"} {
+	ref := evalPolyBackendRun(t, lanes.Portable, 1)
+	for _, backend := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 		for _, workers := range []int{1, 2, 8} {
-			if backend == "portable" && workers == 1 {
+			if backend == lanes.Portable && workers == 1 {
 				continue
 			}
 			got := evalPolyBackendRun(t, backend, workers)
 			for name, want := range ref {
 				if !bytes.Equal(got[name], want) {
-					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)
+					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend.Name(), workers)
 				}
 			}
 		}
@@ -356,9 +357,9 @@ const pn15EvalModStartLevel, pn15EvalModLevels = 19, 2
 // applied to the decrypted CoeffsToSlots outputs (so the measurement
 // isolates EvalMod's own noise), and return the result blobs plus the
 // worst-slot error across both halves.
-func pn15EvalModRun(t *testing.T, backend string, workers int, evk *EvaluationKeys) (blobs map[string][]byte, worst float64) {
+func pn15EvalModRun(t *testing.T, backend lanes.Backend, workers int, evk *EvaluationKeys) (blobs map[string][]byte, worst float64) {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers), withKernels(backend)}
 	owner, device, server := threeParties(t, PN15, 0x9F25, 0x9F26, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -431,7 +432,7 @@ func TestPN15EvalModRoundTrip(t *testing.T) {
 	const pn15EvalModFloorBits = 20.0
 
 	evk := pn15DFTKeys(t, 0x9F25, 0x9F26, pn15EvalModStartLevel, pn15EvalModLevels)
-	ref, errPortable := pn15EvalModRun(t, "portable", 1, evk)
+	ref, errPortable := pn15EvalModRun(t, lanes.Portable, 1, evk)
 	bits := -math.Log2(errPortable)
 	t.Logf("PN15 C2S→EvalMod worst-slot error %.3g (%.1f bits)", errPortable, bits)
 	if bits < pn15EvalModFloorBits {
@@ -439,7 +440,7 @@ func TestPN15EvalModRoundTrip(t *testing.T) {
 	}
 
 	runtime.GC() // the portable leg's tables and plans go before the fast leg's arrive
-	got, errFast := pn15EvalModRun(t, "fast", 8, evk)
+	got, errFast := pn15EvalModRun(t, lanes.Fast, 8, evk)
 	if errFast != errPortable {
 		t.Fatalf("EvalMod error differs across backends: %g vs %g", errFast, errPortable)
 	}

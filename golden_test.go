@@ -30,6 +30,7 @@ import (
 	"testing"
 
 	"repro/internal/ckks"
+	"repro/internal/lanes"
 	"repro/internal/ring"
 )
 
@@ -46,10 +47,10 @@ var goldenSHA256 = map[string]string{
 }
 
 func TestGoldenBytes(t *testing.T) {
-	for _, backend := range []string{"portable", "fast"} {
+	for _, backend := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", backend, workers), func(t *testing.T) {
-				goldenRun(t, WithBackend(backend), WithWorkers(workers))
+			t.Run(fmt.Sprintf("%s/workers=%d", backend.Name(), workers), func(t *testing.T) {
+				goldenRun(t, withKernels(backend), WithWorkers(workers))
 			})
 		}
 	}

@@ -77,7 +77,7 @@ var renderPins = map[string]string{
 	"primes":    "ef336c6dd29c3908d065cd2efa7a233a9306a30298fc4584323de55ecfdb6b2a",
 	"seeded":    "42ae649160638764b80e933d59ef35230b2541dc4e50decdcee2a523e86737e4",
 	"table1":    "0ffaa4aa501f54ec0ac3221a473148b4afc8b761cad0d03a99ce6d9b10a0bfaf",
-	"table2":    "812aa6f7461ed3be265d2360793a1c00d13537d88b9eea20c33c6dcd9baa33a7",
+	"table2":    "afe388de5bf7feef3edb3ff091779d665908c7f41d77268c1e359777131d066c",
 }
 
 func TestRenderPinned(t *testing.T) {

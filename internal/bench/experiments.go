@@ -198,7 +198,7 @@ func table2(opt Options) Result {
 	s := hw.ScaledBlock(hw.Chip(cfg))
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("7 nm projection (DeepScaleTool factors): %.3f mm², %.3f W (paper: ~0.9 mm², ~2.1 W)", s.AreaMM2, s.PowerW),
-		"composition is structural (multiplier counts from internal/sfg, FIFO geometry from internal/ntt, MM areas from Table I anchors)")
+		"composition is structural (multiplier counts from internal/sfg, FIFO geometry from internal/core/pnl, MM areas from Table I anchors)")
 	return r
 }
 

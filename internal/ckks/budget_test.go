@@ -2,8 +2,8 @@ package ckks
 
 // Allocation budgets of the hot client and server ops, and the one
 // relative timing claim the BSGS linear transform exists for. Every row
-// runs on the fast backend from fixed seeds, whatever ABCFHE_BACKEND says,
-// so the ceilings gate one configuration. allocs/op is deterministic up to
+// runs on the fast kernels, the one binding production runs, from fixed
+// seeds, so the ceilings gate one configuration. allocs/op is deterministic up to
 // lane-dispatch bookkeeping, which grows with the worker count: the
 // Test-preset rows run at one worker and at the default count, and every
 // ceiling sits at least 1.5× above the largest reading at GOMAXPROCS 1, 2
@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/fftfp"
-	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
@@ -44,7 +43,6 @@ type budgetParty struct {
 
 func newBudgetParty(spec ParamSpec) *budgetParty {
 	p := spec.MustBuild()
-	p.SetBackend(lanes.Fast)
 	kg := NewKeyGenerator(p, budgetSeed())
 	sk, pk := kg.GenKeyPair()
 	msg := make([]complex128, p.Slots())

@@ -56,9 +56,12 @@ func NewEncryptor(params *Parameters, pk *PublicKey, seed [16]byte) *Encryptor {
 //
 // with u ternary and e0, e1 Gaussian. The products run in the NTT domain;
 // the result is returned in the coefficient domain (see Ciphertext).
-// Per-limb transform count: 1 NTT (u) + 2 INTT (the two products) — the
-// 3L transforms/L-limb encryption that internal/sched's operation model
-// charges.
+// Per-limb transform count: 1 NTT (u) + 2 INTT (the two products), so an
+// L-limb encryption runs 3L transforms and emits a coefficient-domain
+// ciphertext. internal/sched's operation model (EncodeEncryptOps) charges
+// 2L passes and assumes the ciphertext leaves in the NTT domain; the two
+// disagree until measured op counts settle which one moves (ROADMAP
+// item 1).
 func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return enc.encryptCall(pt, enc.calls.Add(1))
 }

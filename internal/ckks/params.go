@@ -218,10 +218,6 @@ func (s ParamSpec) Build() (*Parameters, error) {
 			p.pInvModQ[i] = m.Inv(prod)
 		}
 	}
-	// Bind every ring to the process-default backend ($ABCFHE_BACKEND or
-	// fast). SetBackend overrides per instance; results are byte-identical
-	// either way — backends only change the inner loops kernels run.
-	p.setBackendAll(lanes.DefaultBackend())
 	return p, nil
 }
 
@@ -301,18 +297,14 @@ func (p *Parameters) setEngineAll(e *lanes.Engine) {
 // Workers reports the current lane count.
 func (p *Parameters) Workers() int { return p.ringQ.Engine().Workers() }
 
-// SetBackend rebinds every limb kernel of this parameter set to b — the
-// execution-strategy sibling of SetWorkers. The portable backend is the
-// spec-shaped reference; the fast backend runs fixed-width Barrett and
-// lazy-reduction inner loops.
+// SetBackend rebinds every limb kernel of this parameter set to b: the
+// full ring, every cached level view, the special-prime ring and any
+// extended-basis views built so far (views built later inherit it
+// through curBackend). Parameters start on lanes.Fast; tests bind
+// lanes.Portable, the spec-shaped reference, to compare the two.
 // Outputs are byte-identical under either (and at any worker count); call
 // before sharing the parameters across goroutines.
-func (p *Parameters) SetBackend(b lanes.Backend) { p.setBackendAll(b) }
-
-// setBackendAll installs b on the full ring, every cached level view, the
-// special-prime ring, and any extended-basis views built so far (views
-// built later inherit it through curBackend).
-func (p *Parameters) setBackendAll(b lanes.Backend) {
+func (p *Parameters) SetBackend(b lanes.Backend) {
 	for _, rl := range p.levels {
 		rl.SetBackend(b)
 	}

@@ -89,7 +89,7 @@ func TestSwitchCounts(t *testing.T) {
 			ct := NewEncryptor(p, pk, testSeed()).Encrypt(enc.Encode(randMsg(p, 0, 61)))
 
 			var ref []*Ciphertext
-			for _, b := range lanes.Backends() {
+			for _, b := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 				for _, workers := range []int{1, 8} {
 					p.SetBackend(b)
 					p.SetWorkers(workers)

@@ -1,103 +1,49 @@
 package lanes
 
-// Backend is the dispatch seam between the lane engine and the limb
-// kernels that run on it. The engine decides *where* a task executes;
-// the backend decides *which inner loop* the task body binds — the same
-// split ABC-FHE's design space explores in hardware, where BTS/EFFACT
-// trade generic modular datapaths against fixed-width specialized ones.
+// Backend names the limb-kernel binding a ring runs. The engine decides
+// *where* a task executes; the binding decides *which inner loop* the
+// task body runs. Production has one binding, Fast; Portable holds the
+// spec-shaped reference kernels that tests compare Fast against, and
+// only tests bind it (ring.Ring.SetBackend, ckks.Parameters.SetBackend).
+// No option, flag or environment variable selects it.
 //
 // Kernel packages (internal/ntt, internal/ring, internal/rns consumers)
-// bind their own implementations to each backend; lanes carries only the
-// identity and selection plumbing, so no dependency edge points from
-// here into the kernels.
+// own both kernel sets; lanes carries only the identity, so no
+// dependency edge points from here into the kernels.
 //
-// Contract: backends change execution strategy only, never results —
-// every kernel must produce byte-identical output under every backend
-// (the fast paths keep intermediates in lazy ranges but always normalize
-// into the canonical [0, q) residues before results escape the kernel).
-// TestBackendEquivalence and the public-op property tests assert this.
+// Contract: the binding changes execution strategy only, never results —
+// every kernel produces byte-identical output under both (the fast paths
+// keep intermediates in lazy ranges but always normalize into the
+// canonical [0, q) residues before results escape the kernel).
+// TestBindingsAgree (internal/ring), TestBackendEquivalence
+// (internal/ckks) and the root package's cross-binding tests assert this.
+type Backend uint8
 
-import (
-	"fmt"
-	"os"
-	"sync"
-)
-
-// Backend identifies an inner-loop implementation family.
-type Backend interface {
-	// Name is the stable identifier ("portable", "fast") used by flags,
-	// options, environment selection and bench records.
-	Name() string
-	// Specialized reports whether kernels should bind their fixed-width
-	// fast implementations: 44-bit Barrett/Montgomery inner loops with
-	// lazy reduction, hoisted slice headers and bounds-check elimination.
-	// False selects the spec-shaped portable reference kernels. Only
-	// kernel packages read it: the pipelines that schedule kernels (the
-	// hybrid key switch included) are the same under every backend.
-	Specialized() bool
-}
-
-// backend is the concrete type behind the two built-in backends. A
-// future cycle-estimating hardware-model backend would implement the
-// interface with its own type.
-type backend struct {
-	name string
-	fast bool
-}
-
-func (b *backend) Name() string      { return b.name }
-func (b *backend) Specialized() bool { return b.fast }
-
-var (
+const (
+	// Fast is the specialized kernel set: radix-4 Shoup NTT butterflies,
+	// Barrett multiply-accumulate rows, bounds-check-free inner loops. It
+	// is the zero value, so every ring binds it unless a test rebinds.
+	Fast Backend = iota
 	// Portable is the reference kernel set: canonical [0, q) residues
 	// everywhere, generic 128-bit reduction. It is the oracle the fast
 	// kernels are tested against.
-	Portable Backend = &backend{name: "portable"}
-
-	// Fast is the specialized kernel set: hand-unrolled lazy-reduction
-	// NTT butterflies, Barrett multiply-accumulate rows, bounds-check-free
-	// inner loops.
-	Fast Backend = &backend{name: "fast", fast: true}
+	Portable
 )
 
-// Backends lists every built-in backend, portable first.
-func Backends() []Backend { return []Backend{Portable, Fast} }
-
-// ParseBackend resolves a backend by name.
-func ParseBackend(name string) (Backend, error) {
-	for _, b := range Backends() {
-		if b.Name() == name {
-			return b, nil
-		}
+// Name is the stable identifier ("fast", "portable") used in test names
+// and bench records.
+func (b Backend) Name() string {
+	if b == Portable {
+		return "portable"
 	}
-	return nil, fmt.Errorf("lanes: unknown backend %q (have: portable, fast)", name)
+	return "fast"
 }
 
-// BackendEnv is the environment variable DefaultBackend consults — the
-// hook the CI backend matrix uses to run the whole test suite under each
-// implementation.
-const BackendEnv = "ABCFHE_BACKEND"
+// Specialized reports whether kernels bind their fixed-width fast
+// implementations; false selects the portable reference kernels. Only
+// kernel packages read it: the pipelines that schedule kernels (the
+// hybrid key switch included) are the same under both bindings.
+func (b Backend) Specialized() bool { return b == Fast }
 
-var (
-	defaultBackendOnce sync.Once
-	defaultBackend     Backend
-)
-
-// DefaultBackend returns the process-wide default: $ABCFHE_BACKEND when
-// set (panicking on an unknown name — a misconfigured matrix leg must
-// fail loudly, not silently test the wrong path twice), Fast otherwise.
-// ckks.Params.Build binds rings to it; SetBackend overrides per instance.
-func DefaultBackend() Backend {
-	defaultBackendOnce.Do(func() {
-		if name := os.Getenv(BackendEnv); name != "" {
-			b, err := ParseBackend(name)
-			if err != nil {
-				panic(err)
-			}
-			defaultBackend = b
-			return
-		}
-		defaultBackend = Fast
-	})
-	return defaultBackend
-}
+// DefaultBackend is the binding every ring starts with: Fast.
+func DefaultBackend() Backend { return Fast }

@@ -164,9 +164,6 @@ func (m Modulus) Neg(a uint64) uint64 {
 	return m.Q - a
 }
 
-// Reduce maps an arbitrary uint64 into [0, q).
-func (m Modulus) Reduce(a uint64) uint64 { return a % m.Q }
-
 // Mul returns (a * b) mod q via a full 128-bit product and hardware
 // division. This is the reference multiplication: slower than Barrett or
 // Montgomery but unconditionally correct for a, b < q.

@@ -29,7 +29,7 @@ type Ring struct {
 	Tables []*ntt.Table // one per limb
 
 	eng     *lanes.Engine // nil ⇒ lanes.Default()
-	backend lanes.Backend // nil ⇒ lanes.DefaultBackend()
+	backend lanes.Backend // zero value: lanes.Fast
 }
 
 // NewRing constructs the ring of degree n (power of two) over the given
@@ -81,20 +81,16 @@ func (r *Ring) Engine() *lanes.Engine {
 	return lanes.Default()
 }
 
-// SetBackend binds the ring's limb kernels to b (nil restores the
-// process default). Like SetEngine, call before concurrent use; level
-// views created afterwards inherit it. Backends never change results —
-// any backend produces byte-identical polynomials — only the inner-loop
-// implementation the kernels run.
+// SetBackend binds the ring's limb kernels to b. Tests bind
+// lanes.Portable to compare the reference kernels against the fast ones;
+// production rings keep the zero value, lanes.Fast. Like SetEngine, call
+// before concurrent use; level views created afterwards inherit it. The
+// binding never changes results — both produce byte-identical
+// polynomials — only the inner loops the kernels run.
 func (r *Ring) SetBackend(b lanes.Backend) { r.backend = b }
 
-// Backend returns the backend limb kernels are bound to.
-func (r *Ring) Backend() lanes.Backend {
-	if r.backend != nil {
-		return r.backend
-	}
-	return lanes.DefaultBackend()
-}
+// Backend returns the binding limb kernels run.
+func (r *Ring) Backend() lanes.Backend { return r.backend }
 
 // AtLevel returns a view of the ring restricted to the first `level` limbs.
 // Tables and the lane engine are shared, and the sub-basis (with its CRT

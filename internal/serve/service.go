@@ -65,7 +65,8 @@ type Config struct {
 	// SpoolDir holds evicted key blobs ("" = a private temp dir,
 	// removed on Close).
 	SpoolDir string
-	// Options configure the underlying parties (backend, lane count).
+	// Options configure the underlying parties; abcfhe.WithWorkers sizes
+	// their lane engines.
 	Options []abcfhe.Option
 	// Clock is injectable for tests (default time.Now).
 	Clock Clock
@@ -152,9 +153,6 @@ func New(cfg Config) (*Service, error) {
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
-
-// Cache exposes the key cache (load generators and tests read stats).
-func (s *Service) Cache() *KeyCache { return s.cache }
 
 // Drain stops admitting new sessions; in-flight and queued evaluation
 // work keeps running so an http.Server.Shutdown can complete it.

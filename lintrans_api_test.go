@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+
+	"repro/internal/lanes"
 )
 
 // ltPlainReference is the plaintext mat×vec oracle: apply the diagonals
@@ -227,9 +229,9 @@ func TestLinearTransformMisuse(t *testing.T) {
 
 // ltBackendRun drives the BSGS and homomorphic-DFT paths under one
 // (backend, workers) configuration and returns every result's bytes.
-func ltBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
+func ltBackendRun(t *testing.T, backend lanes.Backend, workers int) map[string][]byte {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers), withKernels(backend)}
 	owner, device, server := threeParties(t, Test, 0xB565, 0xB566, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -276,7 +278,7 @@ func ltBackendRun(t *testing.T, backend string, workers int) map[string][]byte {
 	record := func(name string, ct *Ciphertext, err error) {
 		t.Helper()
 		if err != nil {
-			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend, workers, err)
+			t.Fatalf("%s (backend=%s workers=%d): %v", name, backend.Name(), workers, err)
 		}
 		blob, err := server.SerializeCiphertext(ct)
 		if err != nil {
@@ -303,16 +305,16 @@ func TestLinearTransformBackendWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps 6 full transform pipelines")
 	}
-	ref := ltBackendRun(t, "portable", 1)
-	for _, backend := range []string{"portable", "fast"} {
+	ref := ltBackendRun(t, lanes.Portable, 1)
+	for _, backend := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 		for _, workers := range []int{1, 2, 8} {
-			if backend == "portable" && workers == 1 {
+			if backend == lanes.Portable && workers == 1 {
 				continue
 			}
 			got := ltBackendRun(t, backend, workers)
 			for name, want := range ref {
 				if !bytes.Equal(got[name], want) {
-					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend, workers)
+					t.Fatalf("%s: bytes diverge under backend=%s workers=%d", name, backend.Name(), workers)
 				}
 			}
 		}
@@ -363,9 +365,9 @@ const pn15DFTStartLevel, pn15DFTLevels = 10, 2
 // (backend, workers) configuration: encrypt, CoeffsToSlots, check the
 // coefficient extraction against the plaintext IFFT, SlotsToCoeffs,
 // return the three result blobs and the round-trip worst-slot error.
-func pn15DFTRun(t *testing.T, backend string, workers int, evk *EvaluationKeys) (blobs map[string][]byte, roundTripErr float64) {
+func pn15DFTRun(t *testing.T, backend lanes.Backend, workers int, evk *EvaluationKeys) (blobs map[string][]byte, roundTripErr float64) {
 	t.Helper()
-	opts := []Option{WithWorkers(workers), WithBackend(backend)}
+	opts := []Option{WithWorkers(workers), withKernels(backend)}
 	owner, device, server := threeParties(t, PN15, 0x9F15, 0x9F16, opts...)
 	defer owner.Close()
 	defer device.Close()
@@ -422,7 +424,7 @@ func TestPN15HomomorphicDFTRoundTrip(t *testing.T) {
 	const pn15DFTFloorBits = 38.0
 
 	evk := pn15DFTKeys(t, 0x9F15, 0x9F16, pn15DFTStartLevel, pn15DFTLevels)
-	ref, errPortable := pn15DFTRun(t, "portable", 1, evk)
+	ref, errPortable := pn15DFTRun(t, lanes.Portable, 1, evk)
 	bits := -math.Log2(errPortable)
 	t.Logf("PN15 C2S→S2C worst-slot error %.3g (%.1f bits)", errPortable, bits)
 	if bits < pn15DFTFloorBits {
@@ -430,7 +432,7 @@ func TestPN15HomomorphicDFTRoundTrip(t *testing.T) {
 	}
 
 	runtime.GC() // the portable leg's tables and transforms go before the fast leg's arrive
-	got, errFast := pn15DFTRun(t, "fast", 8, evk)
+	got, errFast := pn15DFTRun(t, lanes.Fast, 8, evk)
 	if errFast != errPortable {
 		t.Fatalf("round-trip error differs across backends: %g vs %g", errFast, errPortable)
 	}

@@ -27,7 +27,10 @@ type Option func(*config)
 
 type config struct {
 	workers int
-	backend string
+	// backend is the limb-kernel binding. No option sets it: the zero
+	// value is lanes.Fast, and only this package's tests bind the
+	// portable reference kernels, to compare the two.
+	backend lanes.Backend
 }
 
 // WithWorkers sizes the party's lane engine to n parallel workers — the
@@ -37,18 +40,6 @@ type config struct {
 // ciphertexts for the same seed.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.workers = n }
-}
-
-// WithBackend selects the execution backend the party's limb kernels run
-// on: "fast" (the default — fixed-width Barrett/Montgomery inner loops
-// with lazy reduction) or "portable" (the spec-shaped reference
-// kernels). Backends never change
-// results — ciphertexts are byte-identical under either — only how the
-// inner loops execute. The process default can also be set via the
-// ABCFHE_BACKEND environment variable; this option overrides it. An
-// unknown name surfaces as ErrUnknownBackend at construction.
-func WithBackend(name string) Option {
-	return func(c *config) { c.backend = name }
 }
 
 // paramsFromKeyBlob is the shared untrusted-key-blob prologue of
@@ -192,15 +183,8 @@ func buildParamsFromSpec(spec ckks.ParamSpec, opts []Option) (*ckks.Parameters, 
 	if cfg.workers != 0 {
 		params.SetWorkers(cfg.workers)
 	}
-	if cfg.backend != "" {
-		b, err := lanes.ParseBackend(cfg.backend)
-		if err != nil {
-			params.Close()
-			// Wrap, don't replace: ParseBackend's message lists the valid
-			// names — the one piece of detail the caller actually needs.
-			return nil, fmt.Errorf("%w: %q: %w", ErrUnknownBackend, cfg.backend, err)
-		}
-		params.SetBackend(b)
+	if cfg.backend != lanes.Fast {
+		params.SetBackend(cfg.backend)
 	}
 	return params, nil
 }
