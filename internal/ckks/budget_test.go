@@ -13,6 +13,8 @@ package ckks
 import (
 	"flag"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -117,10 +119,34 @@ func checkAllocs(t *testing.T, ceiling float64, runs int, op func()) {
 	}
 }
 
+// checkBytes fails t when op allocates more than ceiling bytes per call.
+// Like AllocsPerRun it warms the pools with one call and counts at
+// GOMAXPROCS 1; the collector is off while it counts, because a cycle
+// empties the sync.Pools and the refills would be charged to op.
+func checkBytes(t *testing.T, ceiling float64, runs int, op func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	n := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	t.Logf("%.0f KiB/op (ceiling %.0f KiB)", n/1024, ceiling/1024)
+	if n > ceiling {
+		t.Errorf("%.0f KiB/op exceeds the ceiling %.0f KiB", n/1024, ceiling/1024)
+	}
+}
+
 // TestAllocationBudgets pins the steady-state allocations per call of the
 // client pipeline, the key switches and the bootstrap stages. The
 // ceilings are about what must not appear: one O(N) buffer per limb or
-// digit would blow past any of them at once.
+// digit would blow past any of them at once. The bootstrap stages also
+// carry byte ceilings: they recycle every intermediate through the pools,
+// so what they allocate is about what they return.
 func TestAllocationBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops objects under -race; allocation counts there are not the program's")
@@ -133,6 +159,29 @@ func TestAllocationBudgets(t *testing.T) {
 	rot := b.kg.GenRotationKeyHybridAt(b.p.GaloisElement(1), b.p.MaxLevel())
 	rlk := b.kg.GenRelinearizationKeyHybridAt(b.p.MaxLevel())
 	band := newBSGSBand(b)
+
+	// The bootstrap stages for the byte rows: a Levels-1 DFT round trip at
+	// full depth on the Test preset, and a degree-7 EvalPoly on the Test
+	// geometry with 12 limbs (the Test preset's 4 are too few for it).
+	dft := b.enc.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: b.p.MaxLevel(), Levels: 1})
+	dftKeys := b.kg.GenEvaluationKeySet(b.sk, b.p.MaxLevel(), dft.Rotations(), true, GadgetHybrid)
+	deep := newBudgetParty(ParamSpec{LogN: 10, LimbBits: 36, Limbs: 12, LogScale: 30, HW: 64, SpecialLimbs: 2})
+	defer deep.p.Close()
+	plan := deep.p.NewEvalPolyPlan(make7(), -1, 1, 0)
+	deepRlk := deep.kg.GenRelinearizationKeyHybridAt(plan.KeyLevel())
+	polyIn := deep.ev.DropLevel(deep.encrypt(), plan.Level())
+	byteRows := []struct {
+		name    string
+		ceiling float64 // bytes per call
+		p       *Parameters
+		op      func()
+	}{
+		{"EvalPolyDegree7Bytes", 256 << 10, deep.p, func() { deep.ev.EvalPoly(polyIn, plan, deepRlk) }},
+		{"CoeffsToSlotsSlotsToCoeffsBytes", 448 << 10, b.p, func() {
+			re, im := b.ev.CoeffsToSlots(ct, dft, dftKeys.Rot, dftKeys.Conj)
+			b.ev.SlotsToCoeffs(re, im, dft, dftKeys.Rot)
+		}},
+	}
 	rows := []struct {
 		name    string
 		ceiling float64
@@ -154,13 +203,18 @@ func TestAllocationBudgets(t *testing.T) {
 		{"LinearTransformNaive", 464, band.naive},
 	}
 	for _, workers := range []string{"1", "default"} {
-		if workers == "1" {
-			b.p.SetWorkers(1)
-		} else {
-			b.p.Close() // back to the process-wide engine
+		for _, p := range []*Parameters{b.p, deep.p} {
+			if workers == "1" {
+				p.SetWorkers(1)
+			} else {
+				p.Close() // back to the process-wide engine
+			}
 		}
 		for _, r := range rows {
 			t.Run(r.name+"/workers="+workers, func(t *testing.T) { checkAllocs(t, r.ceiling, 20, r.op) })
+		}
+		for _, r := range byteRows {
+			t.Run(r.name+"/workers="+workers, func(t *testing.T) { checkBytes(t, r.ceiling, 10, r.op) })
 		}
 	}
 

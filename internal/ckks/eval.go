@@ -2,7 +2,9 @@ package ckks
 
 import (
 	"math"
+	"math/bits"
 
+	"repro/internal/mod"
 	"repro/internal/ring"
 )
 
@@ -15,6 +17,13 @@ import (
 // surface.
 
 // Evaluator performs public (keyless) homomorphic operations.
+//
+// Every primitive draws its result's storage from the lanes pools (the
+// result is the caller's: keeping it or dropping it to the GC are both
+// fine). The composites — EvalPoly, LinearTransform, CoeffsToSlots,
+// SlotsToCoeffs — hand each intermediate they create back through
+// release as soon as it is dead, so a bootstrap-shaped chain allocates
+// little beyond what it returns.
 type Evaluator struct {
 	params *Parameters
 }
@@ -25,6 +34,17 @@ func NewEvaluator(params *Parameters) *Evaluator {
 }
 
 func (ev *Evaluator) ringAt(level int) *ring.Ring { return ev.params.RingAt(level) }
+
+// release returns the pooled storage of ciphertexts a composite created
+// and no longer reads. Never pass a caller's input or anything handed back
+// to a caller. DropLevel views and non-pooled ciphertexts carry no pooled
+// storage of their own, so releasing one is a no-op.
+func (ev *Evaluator) release(cts ...*Ciphertext) {
+	for _, ct := range cts {
+		ev.params.ringQ.PutPoly(ct.C0)
+		ev.params.ringQ.PutPoly(ct.C1)
+	}
+}
 
 func sameLevelScale(a, b *Ciphertext) {
 	if a.Level != b.Level {
@@ -41,7 +61,7 @@ func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
 	sameLevelScale(a, b)
 	rl := ev.ringAt(a.Level)
 	out := &Ciphertext{
-		C0: rl.NewPoly(), C1: rl.NewPoly(),
+		C0: rl.GetPolyUninit(), C1: rl.GetPolyUninit(), // Add writes every index
 		Level: a.Level, Scale: a.Scale,
 	}
 	rl.Add(a.C0, b.C0, out.C0)
@@ -54,7 +74,7 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 	sameLevelScale(a, b)
 	rl := ev.ringAt(a.Level)
 	out := &Ciphertext{
-		C0: rl.NewPoly(), C1: rl.NewPoly(),
+		C0: rl.GetPolyUninit(), C1: rl.GetPolyUninit(), // Sub writes every index
 		Level: a.Level, Scale: a.Scale,
 	}
 	rl.Sub(a.C0, b.C0, out.C0)
@@ -101,18 +121,22 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
 
 // rescalePoly divides p (coefficient domain, `level` limbs) by the last
 // prime q_l exactly in RNS: p'_i = (p_i - p_l)·q_l^{-1} mod q_i, dropping
-// the last limb.
+// the last limb. Both reductions are Barrett row forms (p_l < 2^64 ≤
+// q_i·2^64 is in Reduce128's domain), no division per coefficient.
 func (ev *Evaluator) rescalePoly(p *ring.Poly, level int) *ring.Poly {
 	r := ev.params.Ring()
 	last := level - 1
 	ql := r.Basis.Moduli[last].Q
-	out := ev.ringAt(last).NewPoly()
+	out := ev.ringAt(last).GetPolyUninit() // every index written below
 	r.Engine().Run(last, func(i int) {
 		m := r.Basis.Moduli[i]
-		qlInv := m.Inv(ql % m.Q)
-		pi, pl, oi := p.Coeffs[i], p.Coeffs[last], out.Coeffs[i]
-		for j := range pi {
-			oi[j] = m.Mul(m.Sub(pi[j], pl[j]%m.Q), qlInv)
+		q, bhi, blo := m.Q, m.BHi, m.BLo
+		qlInv := m.Inv(ql % q)
+		oi := out.Coeffs[i]
+		pi, pl := p.Coeffs[i][:len(oi)], p.Coeffs[last][:len(oi)]
+		for j := range oi {
+			hi, lo := bits.Mul64(m.Sub(pi[j], mod.Reduce128(0, pl[j], q, bhi, blo)), qlInv)
+			oi[j] = mod.Reduce128(hi, lo, q, bhi, blo)
 		}
 	})
 	return out

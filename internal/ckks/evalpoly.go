@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/cmplx"
 
+	"repro/internal/mod"
 	"repro/internal/ring"
 )
 
@@ -20,11 +21,18 @@ import (
 // relinearized ct×ct products, log-depth in the degree.
 //
 // Scale bookkeeping is exact: every node of the recursion is assigned a
-// target (level, scale) pair top-down, and the plaintext constants are
-// encoded at whatever float64 scale makes the products land on the
-// target after rescaling — so additions always see operand scales equal
-// to within float64 rounding (≪ the evaluator's 1e-12 tolerance), and
-// no precision is lost to scale mismatches.
+// target (level, scale) pair top-down, and the constants are encoded at
+// whatever float64 scale makes the products land on the target after
+// rescaling — so additions always see operand scales equal to within
+// float64 rounding (≪ the evaluator's 1e-12 tolerance), and no precision
+// is lost to scale mismatches.
+//
+// A constant's plaintext has only coefficients 0 and N/2, so every
+// constant product is a per-limb scalar multiply-add over the ciphertext
+// and its X^{N/2} shift (mulConstAt) — no limb transform, no plaintext
+// polynomial. Memory: the evaluation owns every product, sum and rescale
+// step it makes and releases each as soon as it is dead; the power basis
+// is released when the evaluation returns, so only the result stays.
 
 // ---------------------------------------------------------------------
 // Coefficient layer: monomial → Chebyshev, division by T_gs
@@ -291,21 +299,71 @@ func encodeConstInto(rl *ring.Ring, limbs [][]uint64, j int, v, scale float64) {
 	}
 }
 
-// constPlain builds the plaintext encoding the constant v in every slot
-// at (level, scale): coefficient 0 carries the real part and coefficient
-// N/2 the imaginary part (X^{N/2} evaluates to i at every slot root —
-// see MulByI).
-func (ev *Evaluator) constPlain(v complex128, level int, scale float64) *Plaintext {
+// mulConstAt returns ct times the constant v encoded at `scale` in every
+// slot. The encoding is the plaintext re + im·X^{N/2} — coefficient 0
+// carries the real part, coefficient N/2 the imaginary part (X^{N/2}
+// evaluates to i at every slot root, see MulByI) — with per-limb residues
+// re, im that encodeConstInto writes into a two-column buffer. Its product
+// with c is re·c + im·X^{N/2}·c limb by limb, the negacyclic shift pairing
+// coefficient j with j ± N/2 (negated where it wraps), so no limb is
+// transformed and no plaintext polynomial exists. The two products of an
+// output sum in 128 bits (< 2q² < q·2^64) and reduce once: the canonical
+// residue the NTT-domain product of the same plaintext gives, byte for
+// byte. The scale is ct.Scale·scale.
+func (ev *Evaluator) mulConstAt(ct *Ciphertext, v complex128, scale float64) *Ciphertext {
+	level := ct.Level
 	rl := ev.ringAt(level)
-	pt := &Plaintext{Value: rl.NewPoly(), Level: level, Scale: scale}
-	encodeConstInto(rl, pt.Value.Coeffs, 0, real(v), scale)
-	encodeConstInto(rl, pt.Value.Coeffs, rl.N/2, imag(v), scale)
-	return pt
+	res := make([]uint64, 2*level)
+	cols := make([][]uint64, level)
+	for i := range cols {
+		cols[i] = res[2*i : 2*i+2]
+	}
+	encodeConstInto(rl, cols, 0, real(v), scale)
+	encodeConstInto(rl, cols, 1, imag(v), scale)
+
+	out := &Ciphertext{
+		C0: rl.GetPolyUninit(), C1: rl.GetPolyUninit(), // every index written below
+		Level: level, Scale: ct.Scale * scale,
+	}
+	half := rl.N / 2
+	rl.Engine().Run(2*level, func(t int) {
+		i := t % level
+		src, dst := ct.C0, out.C0
+		if t >= level {
+			src, dst = ct.C1, out.C1
+		}
+		m := rl.Basis.Moduli[i]
+		q, bhi, blo := m.Q, m.BHi, m.BLo
+		re, im := cols[i][0], cols[i][1]
+		oi := dst.Coeffs[i]
+		ci := src.Coeffs[i][:len(oi)]
+		if im == 0 {
+			for j := range oi {
+				hi, lo := bits.Mul64(ci[j], re)
+				oi[j] = mod.Reduce128(hi, lo, q, bhi, blo)
+			}
+			return
+		}
+		// (X^{N/2}·c)[j] = −c[j+N/2] and (X^{N/2}·c)[j+N/2] = c[j], j < N/2.
+		imNeg := m.Neg(im)
+		lowC, highC := ci[:half], ci[half:2*half]
+		lowO, highO := oi[:half], oi[half:2*half]
+		for j := range lowO {
+			a, b := lowC[j], highC[j]
+			hi, lo := bits.Mul64(a, re)
+			hi, lo = mod.MulAdd128(hi, lo, b, imNeg)
+			lowO[j] = mod.Reduce128(hi, lo, q, bhi, blo)
+			hi, lo = bits.Mul64(b, re)
+			hi, lo = mod.MulAdd128(hi, lo, a, im)
+			highO[j] = mod.Reduce128(hi, lo, q, bhi, blo)
+		}
+	})
+	return out
 }
 
 // addConstInto adds the constant v — encoded at the ciphertext's own
 // scale — directly into ct's body half. Mutates ct: callers only pass
-// freshly allocated results, never DropLevel views.
+// results they own, never DropLevel views.
 func (ev *Evaluator) addConstInto(ct *Ciphertext, v complex128) {
 	rl := ev.ringAt(ct.Level)
 	encodeConstInto(rl, ct.C0.Coeffs, 0, real(v), ct.Scale)
@@ -326,25 +384,28 @@ func (ev *Evaluator) rescaleDivisor(level, n int) float64 {
 	return d
 }
 
+// rescaleN rescales ct n times and releases ct and every intermediate
+// step: the caller hands ct over and keeps only the result.
 func (ev *Evaluator) rescaleN(ct *Ciphertext, n int) *Ciphertext {
 	for i := 0; i < n; i++ {
-		ct = ev.Rescale(ct)
+		next := ev.Rescale(ct)
+		ev.release(ct)
+		ct = next
 	}
 	return ct
 }
 
 // scaleAlign returns ct at exactly (level, scale): spare limbs are
-// dropped, then one constant-1 plaintext product spends `rescales` limbs
-// to land the scale precisely on the target — how a stored Chebyshev
-// power (one ladder rung higher, scale off by the squaring drift) is
-// brought alongside a product it must be subtracted from.
+// dropped, then one constant-1 product spends `rescales` limbs to land
+// the scale precisely on the target — how a stored Chebyshev power (one
+// ladder rung higher, scale off by the squaring drift) is brought
+// alongside a product it must be subtracted from. ct is only read.
 func (ev *Evaluator) scaleAlign(ct *Ciphertext, level int, scale float64, rescales int) *Ciphertext {
 	mid := level + rescales
 	if ct.Level > mid {
 		ct = ev.DropLevel(ct, mid)
 	}
-	pt := ev.constPlain(1, mid, scale*ev.rescaleDivisor(mid, rescales)/ct.Scale)
-	return ev.rescaleN(ev.MulPlain(ct, pt), rescales)
+	return ev.rescaleN(ev.mulConstAt(ct, 1, scale*ev.rescaleDivisor(mid, rescales)/ct.Scale), rescales)
 }
 
 // ---------------------------------------------------------------------
@@ -361,7 +422,9 @@ type polyEvalState struct {
 // EvalPoly evaluates the planned polynomial on ct, which must sit at
 // exactly plan.Level() (DropLevel first — the public Server does). The
 // output lands Depth() limbs lower at ≈ the working scale. rlk must
-// cover plan.KeyLevel().
+// cover plan.KeyLevel(). Every product, sum and rescale step is released
+// as soon as it is dead, and the power basis once the evaluation returns:
+// only the result stays allocated.
 func (ev *Evaluator) EvalPoly(ct *Ciphertext, plan *EvalPolyPlan, rlk *RelinearizationKey) *Ciphertext {
 	if ct.Level != plan.level {
 		panic("ckks: ciphertext level does not match the EvalPoly plan")
@@ -373,8 +436,7 @@ func (ev *Evaluator) EvalPoly(ct *Ciphertext, plan *EvalPolyPlan, rlk *Relineari
 	// one constant product, the β added before the closing rescales.
 	alpha := 2 / (plan.hi - plan.lo)
 	beta := -(plan.hi + plan.lo) / (plan.hi - plan.lo)
-	pt := ev.constPlain(complex(alpha, 0), plan.level, w*ev.rescaleDivisor(plan.level, r)/ct.Scale)
-	u := ev.MulPlain(ct, pt)
+	u := ev.mulConstAt(ct, complex(alpha, 0), w*ev.rescaleDivisor(plan.level, r)/ct.Scale)
 	ev.addConstInto(u, complex(beta, 0))
 	u = ev.rescaleN(u, r)
 
@@ -385,7 +447,11 @@ func (ev *Evaluator) EvalPoly(ct *Ciphertext, plan *EvalPolyPlan, rlk *Relineari
 	for t := 0; t < plan.k; t++ {
 		st.power(plan.g << uint(t))
 	}
-	return st.eval(plan.cheb, plan.level-plan.Depth(), w)
+	out := st.eval(plan.cheb, plan.level-plan.Depth(), w)
+	for _, pw := range st.pw {
+		ev.release(pw)
+	}
+	return out
 }
 
 // power returns T_n(u), generating it (and its dependencies) on first
@@ -393,7 +459,8 @@ func (ev *Evaluator) EvalPoly(ct *Ciphertext, plan *EvalPolyPlan, rlk *Relineari
 // subtracted, so no ciphertext alignment is needed; other indices use
 // T_{a+b} = 2·T_a·T_b − T_{a−b} with a the top set bit, where the
 // subtracted lower-order power is scale-aligned to the product (it sits
-// a ladder rung higher, so the alignment costs no extra depth).
+// a ladder rung higher, so the alignment costs no extra depth). The
+// powers belong to the state; EvalPoly releases them.
 func (st *polyEvalState) power(n int) *Ciphertext {
 	if ct, ok := st.pw[n]; ok {
 		return ct
@@ -402,8 +469,9 @@ func (st *polyEvalState) power(n int) *Ciphertext {
 	var out *Ciphertext
 	if n&(n-1) == 0 {
 		h := st.power(n / 2)
-		out = ev.mulRelinUnchecked(h, h, st.rlk)
-		out = ev.Add(out, out)
+		sq := ev.mulRelinUnchecked(h, h, st.rlk)
+		out = ev.Add(sq, sq)
+		ev.release(sq)
 		ev.addConstInto(out, -1)
 		out = ev.rescaleN(out, r)
 	} else {
@@ -412,10 +480,12 @@ func (st *polyEvalState) power(n int) *Ciphertext {
 		ta, tb := st.power(a), st.power(b)
 		lv := min(ta.Level, tb.Level)
 		prod := ev.mulRelinUnchecked(ev.DropLevel(ta, lv), ev.DropLevel(tb, lv), st.rlk)
-		prod = ev.Add(prod, prod)
-		prod = ev.rescaleN(prod, r)
-		sub := ev.scaleAlign(st.power(a-b), prod.Level, prod.Scale, r)
-		out = ev.Sub(prod, sub)
+		dbl := ev.Add(prod, prod)
+		ev.release(prod)
+		dbl = ev.rescaleN(dbl, r)
+		sub := ev.scaleAlign(st.power(a-b), dbl.Level, dbl.Scale, r)
+		out = ev.Sub(dbl, sub)
+		ev.release(dbl, sub)
 	}
 	st.pw[n] = out
 	return out
@@ -424,7 +494,8 @@ func (st *polyEvalState) power(n int) *Ciphertext {
 // eval computes Σ c[i]·T_i(u) into the target (level, scale) by
 // recursive division: the quotient branch is evaluated one level higher
 // at scale S·q/S_giant so the giant-step product rescales onto the
-// target; the remainder branch lands on the product's actual scale.
+// target; the remainder branch lands on the product's actual scale. The
+// result is the caller's; every intermediate is released here.
 func (st *polyEvalState) eval(c []complex128, level int, scale float64) *Ciphertext {
 	for len(c) > 1 && c[len(c)-1] == 0 {
 		c = c[:len(c)-1]
@@ -444,23 +515,27 @@ func (st *polyEvalState) eval(c []complex128, level int, scale float64) *Ciphert
 	tg := ev.DropLevel(st.pw[gs], mid)
 	var out *Ciphertext
 	if len(q) == 1 {
-		// Degree-0 quotient: one plaintext product with the giant.
-		out = ev.MulPlain(tg, ev.constPlain(q[0], mid, scale*div/tg.Scale))
+		// Degree-0 quotient: one constant product with the giant.
+		out = ev.mulConstAt(tg, q[0], scale*div/tg.Scale)
 	} else {
 		qct := st.eval(q, mid, scale*div/tg.Scale)
 		out = ev.mulRelinUnchecked(qct, tg, st.rlk)
+		ev.release(qct)
 	}
 	out = ev.rescaleN(out, r)
 	for _, cf := range rem {
 		if cf != 0 {
-			out = ev.Add(out, st.eval(rem, level, out.Scale))
+			rct := st.eval(rem, level, out.Scale)
+			sum := ev.Add(out, rct)
+			ev.release(out, rct)
+			out = sum
 			break
 		}
 	}
 	return out
 }
 
-// leaf evaluates a sub-baby-span coefficient slice as plaintext products
+// leaf evaluates a sub-baby-span coefficient slice as constant products
 // against the power basis: every term's constant is encoded at the scale
 // that makes its product land on the shared accumulation scale, one
 // closing batch of rescales, and the degree-0 term added in directly.
@@ -474,16 +549,18 @@ func (st *polyEvalState) leaf(c []complex128, level int, scale float64) *Ciphert
 			continue
 		}
 		ti := ev.DropLevel(st.pw[i], mid)
-		term := ev.MulPlain(ti, ev.constPlain(c[i], mid, scale*div/ti.Scale))
+		term := ev.mulConstAt(ti, c[i], scale*div/ti.Scale)
 		if acc == nil {
 			acc = term
 		} else {
-			acc = ev.Add(acc, term)
+			sum := ev.Add(acc, term)
+			ev.release(acc, term)
+			acc = sum
 		}
 	}
 	if acc == nil {
 		rl := ev.ringAt(level)
-		acc = &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: level, Scale: scale}
+		acc = &Ciphertext{C0: rl.GetPoly(), C1: rl.GetPoly(), Level: level, Scale: scale}
 	} else {
 		acc = ev.rescaleN(acc, r)
 	}

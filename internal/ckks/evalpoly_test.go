@@ -5,6 +5,9 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"repro/internal/lanes"
+	"repro/internal/prng"
 )
 
 // deepTestParams is a small-ring, deep-chain spec for exercising the full
@@ -149,6 +152,17 @@ func make7() []complex128 {
 	return mono
 }
 
+// constPlain builds the plaintext encoding the constant v in every slot
+// at (level, scale): coefficient 0 carries the real part and coefficient
+// N/2 the imaginary part. With MulPlain it is the oracle of mulConstAt.
+func (ev *Evaluator) constPlain(v complex128, level int, scale float64) *Plaintext {
+	rl := ev.ringAt(level)
+	pt := &Plaintext{Value: rl.NewPoly(), Level: level, Scale: scale}
+	encodeConstInto(rl, pt.Value.Coeffs, 0, real(v), scale)
+	encodeConstInto(rl, pt.Value.Coeffs, rl.N/2, imag(v), scale)
+	return pt
+}
+
 // TestConstPlainEncodesEverySlot: the single-coefficient constant encoding
 // must decode to v in every slot, real and imaginary parts both.
 func TestConstPlainEncodesEverySlot(t *testing.T) {
@@ -163,6 +177,54 @@ func TestConstPlainEncodesEverySlot(t *testing.T) {
 				t.Fatalf("constPlain(%v): slot %d decodes to %v", v, i, z)
 			}
 		}
+	}
+}
+
+// TestMulConstAtMatchesMulPlain: the transform-free constant product is
+// byte-identical to MulPlain with the constant's plaintext, at every level
+// of the Test and PN13 presets, for real, imaginary, complex, negative,
+// zero and sub-unit constants. The scales put v·scale both below 2^53
+// (encodeConstInto's rounding shift, e < 0, down to constants that round
+// to zero) and above it (e > 0).
+func TestMulConstAtMatchesMulPlain(t *testing.T) {
+	consts := []complex128{
+		1, -1, 0.375, -2.5, complex(0, 1), complex(0, -0.625), complex(0.25, -0.625),
+		complex(-3, 7), 0, 1e-3, -3e-7, complex(1e-9, -1e-12), complex(-5e-5, 0.7),
+	}
+	for _, tc := range []struct {
+		name string
+		spec ParamSpec
+	}{{"Test", TestParams}, {"PN13", PN13}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.spec.LogN > 10 && testing.Short() {
+				t.Skip("PN13 parameters")
+			}
+			p := tc.spec.MustBuild()
+			defer p.Close()
+			ev := NewEvaluator(p)
+			rl := p.Ring()
+			ct := &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: p.MaxLevel(), Scale: math.Exp2(float64(p.LogScale))}
+			rl.UniformPoly(prng.NewSource(testSeed(), 91), ct.C0)
+			rl.UniformPoly(prng.NewSource(testSeed(), 92), ct.C1)
+			for level := 1; level <= p.MaxLevel(); level++ {
+				in := ev.DropLevel(ct, level)
+				rll := p.RingAt(level)
+				for _, scale := range []float64{math.Exp2(20), math.Exp2(40) / 3, math.Exp2(71)} {
+					for _, v := range consts {
+						want := ev.MulPlain(in, ev.constPlain(v, level, scale))
+						got := ev.mulConstAt(in, v, scale)
+						if got.Level != want.Level || got.Scale != want.Scale {
+							t.Fatalf("level %d, %v at scale %g: (level, scale) (%d, %g), want (%d, %g)",
+								level, v, scale, got.Level, got.Scale, want.Level, want.Scale)
+						}
+						if !rll.Equal(got.C0, want.C0) || !rll.Equal(got.C1, want.C1) {
+							t.Fatalf("level %d, %v at scale %g: bytes differ from MulPlain", level, v, scale)
+						}
+						ev.release(got)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -226,6 +288,54 @@ func TestEvalPolyDeepRecursion(t *testing.T) {
 		}
 		if tol := 1e-4 * (1 + mass); worst > tol {
 			t.Fatalf("deg %d on [%g,%g]: worst-slot error %g (tol %g)", tc.deg, tc.lo, tc.hi, worst, tol)
+		}
+	}
+}
+
+// TestBootstrapStagesDirtyPools: EvalPoly, CoeffsToSlots and SlotsToCoeffs
+// draw their intermediates from the scratch pools and hand them back as
+// they go. With every returned matrix scribbled over (lanes.Scribble),
+// two runs on one evaluator — each after other ops have returned their
+// results to the pools — must reproduce the bytes a fresh evaluator
+// computed over clean pools: a stage that reads a pooled word before
+// writing it sees different garbage on every run.
+func TestBootstrapStagesDirtyPools(t *testing.T) {
+	p := deepTestParams
+	kg := NewKeyGenerator(p, testSeed())
+	sk, pk := kg.GenKeyPair()
+	enc := NewEncoder(p)
+	encryptor := NewEncryptor(p, pk, testSeed())
+	dft := enc.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: p.MaxLevel(), Levels: 2})
+	plan := p.NewEvalPolyPlan(make7(), -1, 1, 0)
+	ks := kg.GenEvaluationKeySet(sk, p.MaxLevel(), dft.Rotations(), true, GadgetHybrid)
+	ct := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 63)))
+
+	stages := func(ev *Evaluator) []*Ciphertext {
+		re, im := ev.CoeffsToSlots(ct, dft, ks.Rot, ks.Conj)
+		back := ev.SlotsToCoeffs(re, im, dft, ks.Rot)
+		poly := ev.EvalPoly(ev.DropLevel(ct, plan.Level()), plan, ks.Rlk)
+		return []*Ciphertext{re, im, back, poly}
+	}
+	want := stages(NewEvaluator(p))
+
+	lanes.Scribble(true)
+	defer lanes.Scribble(false)
+	ev := NewEvaluator(p)
+	for run := 0; run < 2; run++ {
+		other := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 64+uint64(run))))
+		for _, lv := range []int{p.MaxLevel(), plan.KeyLevel(), dft.MidLevel} {
+			x := ev.DropLevel(other, lv)
+			sq := ev.MulRelin(x, x, ks.Rlk)
+			rot := ev.RotateGalois(x, ks.Conj)
+			ev.release(sq, rot, ev.Add(rot, x), ev.MulByI(rot), ev.Rescale(sq))
+		}
+		for i, got := range stages(ev) {
+			rl := p.RingAt(got.Level)
+			if got.Level != want[i].Level || got.Scale != want[i].Scale ||
+				!rl.Equal(got.C0, want[i].C0) || !rl.Equal(got.C1, want[i].C1) {
+				t.Fatalf("run %d: output %d differs from a fresh evaluator's over clean pools", run, i)
+			}
+			ev.release(got)
 		}
 	}
 }

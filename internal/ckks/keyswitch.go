@@ -1,9 +1,11 @@
 package ckks
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/lanes"
+	"repro/internal/mod"
 	"repro/internal/prng"
 	"repro/internal/ring"
 	"repro/internal/rns"
@@ -51,21 +53,28 @@ import (
 //	            instead of β(level+k).
 //	3. intt-P   k limb tasks per half: the P rows back to coefficients.
 //	4. reduce-P C chunk tasks per half: ReduceRange of the P residues.
-//	5. divide   level limb tasks per half: CombineLimb (P → Q_ℓ), forward
-//	            NTT, fused (acc − ext)·P⁻¹ accumulate, and optionally the
-//	            closing inverse NTT of the output limb (modDown runs 3–5
-//	            for one half or, as modDownPair, both at once).
+//	5. divide   level limb tasks per half: CombineLimb (P → Q_ℓ), then the
+//	            rounding divide out += (acc − ext)·P⁻¹. An NTT-domain output
+//	            forward-transforms the ext row and subtracts it there. A
+//	            closing output (closeNTT) never transforms ext: the inverse
+//	            NTT is linear mod q, so it adds acc·P⁻¹ in the NTT domain,
+//	            inverse-transforms the limb, and subtracts ext·P⁻¹ in the
+//	            coefficient domain — the same residues, ℓ forward NTTs fewer
+//	            per half (modDown runs 3–5 for one half or, as modDownPair,
+//	            both at once).
 //
 // The entry points compose those stages. switchInto is the single-shot
 // switch for a decomposition consumed once (MulRelin, RotateGalois): stages
 // 1–2 as switchQP, then modDownPair. Stage 2 holds β pooled rows per
 // in-flight limb task (workers·β·N words), so the β·(level+k)·N digit
-// buffer never exists. hoist splits stage 2 where many Galois elements
-// reuse the digits (RotateHoisted, LinearTransform's baby steps): raise+NTT
-// lands in pooled digit polynomials once, and each macQP runs the MAC over
-// them — the Galois element applied as an NTT-domain gather. applyInto
-// closes such a MAC through modDownPair. LinearTransform calls the stages
-// directly (double hoisting, lintrans.go): its baby MACs and giant
+// buffer never exists; switchQP runs every switch it is given over those
+// rows, so switches known together share one decomposition for free.
+// hoist splits stage 2 where the Galois elements come one at a time
+// (RotateHoisted): raise+NTT lands in pooled digit polynomials once, and
+// each macQP runs the MAC over them — the Galois element applied as an
+// NTT-domain gather. applyInto closes such a MAC through modDownPair.
+// LinearTransform calls the stages directly (double hoisting,
+// lintrans.go): one switchQP runs all its baby MACs, those and the giant
 // switchQPs stay in Q·P, one single-half modDown feeds each giant
 // decomposition, and one modDownPair closes the transform. Callers that
 // hold the source's NTT form pass it (MulRelin's c2, the transform's c1
@@ -156,13 +165,16 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 
 		// + P·δ_j·f: the gadget term touches only group-j limbs (it is 0 on
 		// the other Q limbs and ≡ 0 mod every special prime).
+		// Barrett row form, no division per coefficient.
 		lo, hi := p.groupRange(depth, j)
 		for i := lo; i < hi; i++ {
 			m := rqp.Basis.Moduli[i]
-			sc := p.pModQ[i]
-			fi, bi := fQP.Coeffs[i], b.Coeffs[i]
+			q, bhi, blo, sc := m.Q, m.BHi, m.BLo, p.pModQ[i]
+			bi := b.Coeffs[i]
+			fi := fQP.Coeffs[i][:len(bi)]
 			for x := range bi {
-				bi[x] = m.Add(bi[x], m.Mul(fi[x], sc))
+				ph, pl := bits.Mul64(fi[x], sc)
+				bi[x] = m.Add(bi[x], mod.Reduce128(ph, pl, q, bhi, blo))
 			}
 		}
 		ksk.H0[j] = b
@@ -183,17 +195,25 @@ type hoistedDigits struct {
 }
 
 // switchCounts tallies key-switch work for tests that pin the schedule's
-// shape: ModDown halves closed, and digit rows forward-transformed by a
-// decomposition. Parameters.counts is nil in production, and every method
-// is a no-op on a nil receiver.
+// shape: ModDown halves closed, digit rows forward-transformed by a
+// decomposition, and limbs forward-transformed inside ModDown's divide.
+// Parameters.counts is nil in production, and every method is a no-op on
+// a nil receiver.
 type switchCounts struct {
 	modDownHalves atomic.Int64
 	digitNTTs     atomic.Int64
+	modDownNTTs   atomic.Int64
 }
 
 func (c *switchCounts) modDown(halves int) {
 	if c != nil {
 		c.modDownHalves.Add(int64(halves))
+	}
+}
+
+func (c *switchCounts) modDownNTT() {
+	if c != nil {
+		c.modDownNTTs.Add(1)
 	}
 }
 
@@ -318,17 +338,31 @@ func (p *Parameters) switchInto(c, cn *ring.Poly, level int, ksk *SwitchingKey, 
 	rqp := p.RingQPAt(level)
 	s0 := rqp.GetPolyUninit()
 	s1 := rqp.GetPolyUninit()
-	p.switchQP(c, cn, level, ksk, perm, s0, s1, false)
+	p.switchQP(c, cn, level, false, qpSwitch{ksk, perm, s0, s1})
 	p.modDownPair(s0, s1, level, acc0, acc1, closeNTT)
 }
 
-// switchQP is stages 1–2 of a single-shot switch: Σ_j σ(D_j(c))·ksk_j over
-// the QP basis (NTT domain) — P times the switched pair, before any
-// ModDown — written into s0/s1, or added onto them with add. Each in-flight
-// task holds its limb's β digit rows.
-func (p *Parameters) switchQP(c, cn *ring.Poly, level int, ksk *SwitchingKey, perm []int32, s0, s1 *ring.Poly, add bool) {
-	if level > ksk.Level {
-		panic("ckks: ciphertext level exceeds switching-key depth")
+// qpSwitch is one key switch a decomposition feeds in switchQP: the key,
+// the automorphism gather applied to the digits (nil ⇒ identity), and the
+// Q·P pair (NTT domain) its MAC lands in.
+type qpSwitch struct {
+	ksk    *SwitchingKey
+	perm   []int32
+	s0, s1 *ring.Poly
+}
+
+// switchQP is stages 1–2 for every switch in sw over one decomposition of
+// c: Σ_j σ(D_j(c))·ksk_j over the QP basis (NTT domain) — P times the
+// switched pair, before any ModDown — written into each s0/s1, or added
+// onto them with add. Each in-flight limb task raises its β digit rows once
+// and runs every switch's MAC over them, so the decomposition costs one
+// set of digit NTTs however many switches share it (LinearTransform's
+// babies) and never exists beyond the task's β rows.
+func (p *Parameters) switchQP(c, cn *ring.Poly, level int, add bool, sw ...qpSwitch) {
+	for _, w := range sw {
+		if level > w.ksk.Level {
+			panic("ckks: ciphertext level exceeds switching-key depth")
+		}
 	}
 	n := p.N()
 	rqp := p.RingQPAt(level)
@@ -338,7 +372,9 @@ func (p *Parameters) switchQP(c, cn *ring.Poly, level int, ksk *SwitchingKey, pe
 		for j := range grp {
 			grp[j].raiseLimb(rqp, m, dig.Rows[j])
 		}
-		rqp.MulPairRows(m, perm, dig.Rows, ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m], add)
+		for _, w := range sw {
+			rqp.MulPairRows(m, w.perm, dig.Rows, w.ksk.H0, w.ksk.H1, w.ksk.keyLimb(level, m), w.s0.Coeffs[m], w.s1.Coeffs[m], add)
+		}
 		lanes.PutMatrix(dig)
 	})
 	releaseGroups(grp)
@@ -419,8 +455,14 @@ func (p *Parameters) modDownPair(s0, s1 *ring.Poly, level int, acc0, acc1 *ring.
 // modDown is stages 3–5: for each half h (one or two) it adds
 // round(s[h]/P) to out[h] (NTT domain, level limbs), every half in the
 // same dispatches. s[h] are NTT-domain accumulators over the QP basis;
-// they are consumed and returned to the pool. With closeNTT each output
-// limb is inverse-NTT'd as its divide finishes.
+// they are consumed and returned to the pool. round(s/P) is
+// (s − ext)·P⁻¹, ext the P residues converted to Q_ℓ — a coefficient-
+// domain row. Without closeNTT each ext row is forward-transformed and
+// the divide runs in the NTT domain. With closeNTT out[h] lands in the
+// coefficient domain and ext stays there: out + s·P⁻¹ is added in the NTT
+// domain, the limb inverse-transformed, and ext·P⁻¹ subtracted after it —
+// the inverse NTT is linear mod q, so the residues are the ones the
+// transform-then-divide order gives, without the forward NTT.
 func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 	n, k := p.N(), p.SpecialLimbs
 	rq, rqp := p.RingAt(level), p.RingQPAt(level)
@@ -449,18 +491,23 @@ func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 		mext.ReduceRange(s[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
 	})
 
-	// Stage 5: per-limb combine → NTT → rounding divide into the caller's
-	// accumulators.
+	// Stage 5: per-limb combine → rounding divide into the caller's
+	// accumulators, closed in the coefficient domain or transformed first.
 	eng.Run(halves*level, func(t int) {
 		h, i := t/level, t%level
 		row := lanes.GetSlab(n)
 		mext.CombineLimb(i, yP[h].Rows, vP[h], row, 0, n)
-		rq.ForwardLimb(i, row)
-		rq.SubMulAddRow(i, p.pInvModQ[i], s[h].Coeffs[i], row, out[h].Coeffs[i])
-		lanes.PutSlab(row)
+		inv, oi := p.pInvModQ[i], out[h].Coeffs[i]
 		if closeNTT {
-			rq.InverseLimb(i, out[h].Coeffs[i])
+			rq.MulScalarAddRow(i, inv, s[h].Coeffs[i], oi)
+			rq.InverseLimb(i, oi)
+			rq.MulScalarAddRow(i, rq.Basis.Moduli[i].Neg(inv), row, oi)
+		} else {
+			rq.ForwardLimb(i, row)
+			p.counts.modDownNTT()
+			rq.SubMulAddRow(i, inv, s[h].Coeffs[i], row, oi)
 		}
+		lanes.PutSlab(row)
 	})
 	for h := 0; h < halves; h++ {
 		if closeNTT {
@@ -512,7 +559,7 @@ func (kg *KeyGenerator) relinKey(s *ring.Poly, depth int) *RelinearizationKey {
 // (a0,a1)·(b0,b1) → (a0b0 + ks0, a0b1 + a1b0 + ks1) where (ks0, ks1) is
 // the switched a1b1. The result's scale is the product of scales; rescale
 // afterwards. The operands' level must not exceed rlk's depth. All scratch
-// is pooled; only the returned ciphertext is freshly allocated.
+// is pooled, and so is the returned ciphertext's storage.
 func (ev *Evaluator) MulRelin(a, b *Ciphertext, rlk *RelinearizationKey) *Ciphertext {
 	sameLevelScale(a, b)
 	return ev.mulRelinUnchecked(a, b, rlk)
@@ -542,8 +589,8 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	rl.NTT(b0)
 	rl.NTT(b1)
 
-	c0 := rl.NewPoly() // returned — caller-owned, never pooled
-	c1 := rl.NewPoly()
+	c0 := rl.GetPolyUninit() // returned; MulCoeffs writes every index
+	c1 := rl.GetPolyUninit()
 	c2 := rl.GetPolyUninit()
 	rl.MulCoeffs(a0, b0, c0)    // a0·b0
 	rl.MulCoeffs(a0, b1, c1)    // a0·b1
@@ -667,8 +714,8 @@ func (ev *Evaluator) rotate(ct *Ciphertext, h *hoistedDigits, rk *RotationKey) *
 		panic("ckks: ciphertext level exceeds rotation-key depth")
 	}
 	rl := ev.ringAt(level)
-	out0 := rl.NewPoly() // returned — caller-owned, never pooled
-	out1 := rl.NewPoly()
+	out0 := rl.GetPoly() // returned; zeroed, the switch accumulates onto it
+	out1 := rl.GetPoly()
 	out0.IsNTT, out1.IsNTT = true, true
 	if h == nil {
 		ev.params.switchInto(ct.C1, nil, level, rk.K, rk.Perm, out0, out1, true)

@@ -35,6 +35,10 @@ import (
 //     giant rotation's MAC into a Q·P result, again without a ModDown;
 //   - one paired ModDown closes the whole transform.
 //
+// Every Q·P and Q polynomial the evaluation uses is pooled, the closing
+// pair and its rescale steps included: a transform allocates only the
+// ciphertext it returns.
+//
 // A transform of b nonzero baby and g nonzero giant steps so runs g
 // single-half ModDowns plus one pair, against b + g pairs if every
 // rotation closed its own switch, and rounds once per block instead of
@@ -66,6 +70,11 @@ type LinearTransform struct {
 	babySteps  []int            // ascending, 0 included when used
 	giantSteps []int            // ascending, 0 included when used
 
+	// diagRows[g] lists block g's encoded diagonal rows limb-major — entry
+	// m·len(groups[g]) + t is term t's row at Q·P limb m — the shared rows
+	// of the block's MulPairRows dispatch. Filled by encode.
+	diagRows map[int][][]uint64
+
 	once sync.Once // encodes every term's diagonal on first evaluation
 	enc  *Encoder  // nil once encoded
 }
@@ -85,14 +94,21 @@ func (lt *LinearTransform) encode() {
 	p := lt.enc.params
 	rqp := p.RingQPAt(lt.Level)
 	logScale := lt.Rescales * p.LimbBits
-	for _, terms := range lt.groups {
+	limbs := rqp.K()
+	lt.diagRows = make(map[int][][]uint64, len(lt.groups))
+	for g, terms := range lt.groups {
+		rows := make([][]uint64, limbs*len(terms))
 		for i := range terms {
 			t := &terms[i]
 			t.poly = rqp.NewPoly()
 			lt.enc.expandRNS(lt.enc.toCoeffs(t.vec), logScale, t.poly.Coeffs[:lt.Level], t.poly.Coeffs[lt.Level:])
 			rqp.NTT(t.poly)
 			t.vec = nil
+			for m, row := range t.poly.Coeffs {
+				rows[m*len(terms)+i] = row
+			}
 		}
+		lt.diagRows[g] = rows
 	}
 	lt.enc = nil
 }
@@ -270,8 +286,9 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 	rl, rqp := ev.ringAt(level), p.RingQPAt(level)
 
 	// Baby 0 is P·ct over Q·P, and every baby i ≠ 0 is σ_i(P·c0) plus the
-	// MAC of the shared hoisted decomposition of c1 — a Q·P ciphertext of
-	// P·rot_i(v), never ModDown'd. The decomposition's own-group digit
+	// MAC of one shared decomposition of c1 — a Q·P ciphertext of
+	// P·rot_i(v), never ModDown'd. switchQP runs every baby's MAC in the
+	// same limb tasks, each raising its β digit rows once; the own-group
 	// rows copy from c1's NTT form.
 	c0n := rl.GetPolyCopy(ct.C0)
 	c1n := rl.GetPolyCopy(ct.C1)
@@ -280,18 +297,13 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 	pc0, pc1 := rqp.GetPolyUninit(), rqp.GetPolyUninit()
 	p.mulP(c0n, pc0)
 	p.mulP(c1n, pc1)
-	var h *hoistedDigits
-	if len(lt.babySteps) > 1 || lt.babySteps[0] != 0 {
-		h = p.hoist(ct.C1, c1n, level)
-	}
 	rl.PutPoly(c0n)
-	rl.PutPoly(c1n)
 
-	type pair struct{ b0, b1 *ring.Poly }
-	babies := make(map[int]pair, len(lt.babySteps))
+	babies := make(map[int]ltBaby, len(lt.babySteps))
+	macs := make([]qpSwitch, 0, len(lt.babySteps))
 	for _, i := range lt.babySteps {
 		if i == 0 {
-			babies[0] = pair{pc0, pc1}
+			babies[0] = ltBaby{pc0, pc1}
 			continue
 		}
 		rk := rot[i]
@@ -302,12 +314,13 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		rqp.PermuteNTT(pc0, rk.Perm, b0)
 		b1 := rqp.GetPoly()
 		b1.IsNTT = true
-		p.macQP(h, rk.K, rk.Perm, b0, b1, true)
-		babies[i] = pair{b0, b1}
+		babies[i] = ltBaby{b0, b1}
+		macs = append(macs, qpSwitch{rk.K, rk.Perm, b0, b1})
 	}
-	if h != nil {
-		p.releaseDigits(h)
+	if len(macs) > 0 {
+		p.switchQP(ct.C1, c1n, level, true, macs...)
 	}
+	rl.PutPoly(c1n)
 	if _, used := babies[0]; !used {
 		rqp.PutPoly(pc0)
 		rqp.PutPoly(pc1)
@@ -320,24 +333,17 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 	res0, res1 := rqp.GetPoly(), rqp.GetPoly()
 	res0.IsNTT, res1.IsNTT = true, true
 	for _, g := range lt.giantSteps {
-		terms := lt.groups[g]
 		if g == 0 {
-			for _, t := range terms {
-				rqp.MulCoeffsAdd(t.poly, babies[t.baby].b0, res0)
-				rqp.MulCoeffsAdd(t.poly, babies[t.baby].b1, res1)
-			}
+			lt.sumBlock(rqp, g, babies, res0, res1, true)
 			continue
 		}
 		rk := rot[g]
 		if rk == nil {
 			panic("ckks: missing giant-step rotation key")
 		}
-		acc0, acc1 := rqp.GetPoly(), rqp.GetPoly()
+		acc0, acc1 := rqp.GetPolyUninit(), rqp.GetPolyUninit()
 		acc0.IsNTT, acc1.IsNTT = true, true
-		for _, t := range terms {
-			rqp.MulCoeffsAdd(t.poly, babies[t.baby].b0, acc0)
-			rqp.MulCoeffsAdd(t.poly, babies[t.baby].b1, acc1)
-		}
+		lt.sumBlock(rqp, g, babies, acc0, acc1, false)
 		// The decomposition needs acc1 over Q: one single-half ModDown
 		// (acc1 = P·a1 + r with |r| ≤ P/2, so σ_g(acc0) + P·σ_g(a1·s)
 		// is σ_g(acc0 + acc1·s) up to the rounding term σ_g(r·s), the
@@ -348,7 +354,7 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		p.modDown([]*ring.Poly{acc1}, []*ring.Poly{a1n}, level, false)
 		a1 := rl.GetPolyCopy(a1n)
 		rl.INTT(a1)
-		p.switchQP(a1, a1n, level, rk.K, rk.Perm, res0, res1, true)
+		p.switchQP(a1, a1n, level, true, qpSwitch{rk.K, rk.Perm, res0, res1})
 		rl.PutPoly(a1)
 		rl.PutPoly(a1n)
 		tmp := rqp.GetPolyUninit()
@@ -357,19 +363,42 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform, rot ma
 		rqp.PutPoly(tmp)
 		rqp.PutPoly(acc0)
 	}
-	for _, pr := range babies {
-		rqp.PutPoly(pr.b0)
-		rqp.PutPoly(pr.b1)
+	for _, b := range babies {
+		rqp.PutPoly(b.b0)
+		rqp.PutPoly(b.b1)
 	}
 
-	final0, final1 := rl.NewPoly(), rl.NewPoly() // returned — caller-owned
+	// The closing pair accumulates onto zeroed limbs; the rescales release
+	// it and every step but the last, which is the caller's.
+	final0, final1 := rl.GetPoly(), rl.GetPoly()
 	final0.IsNTT, final1.IsNTT = true, true
 	p.modDownPair(res0, res1, level, final0, final1, true)
 	out := &Ciphertext{C0: final0, C1: final1, Level: level, Scale: ct.Scale * lt.PtScale}
-	for r := 0; r < lt.Rescales; r++ {
-		out = ev.Rescale(out)
+	return ev.rescaleN(out, lt.Rescales)
+}
+
+// ltBaby is one baby step's rotated input over Q·P, NTT domain: P times
+// rot_i(v), both halves.
+type ltBaby struct{ b0, b1 *ring.Poly }
+
+// sumBlock sets (o0, o1) to the giant block's Σ_t diag_t ⊙ baby_t over Q·P
+// — or adds the sums onto them with add — as one lane dispatch of
+// ring.MulPairRows: per limb, the block's diagonal rows are the shared
+// rows and the babies' halves the two row sets, so each output sums up to
+// mod.LazyTerms products in 128 bits per Barrett reduction and is read and
+// written once per block.
+func (lt *LinearTransform) sumBlock(rqp *ring.Ring, g int, babies map[int]ltBaby, o0, o1 *ring.Poly, add bool) {
+	terms := lt.groups[g]
+	nt := len(terms)
+	halves := make([]*ring.Poly, 2*nt)
+	for t, term := range terms {
+		b := babies[term.baby]
+		halves[t], halves[nt+t] = b.b0, b.b1
 	}
-	return out
+	rows := lt.diagRows[g]
+	rqp.Engine().Run(rqp.K(), func(m int) {
+		rqp.MulPairRows(m, nil, rows[m*nt:(m+1)*nt], halves[:nt], halves[nt:], m, o0.Coeffs[m], o1.Coeffs[m], add)
+	})
 }
 
 // mulP sets out = P·c over the Q·P basis for an NTT-domain c over Q_ℓ:
@@ -397,7 +426,7 @@ func (p *Parameters) mulP(c, out *ring.Poly) {
 // level unchanged.
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
 	rl := ev.ringAt(ct.Level)
-	out0, out1 := rl.NewPoly(), rl.NewPoly()
+	out0, out1 := rl.GetPolyUninit(), rl.GetPolyUninit() // every index written
 	rl.MulMonomial(ct.C0, ev.params.N()/2, out0)
 	rl.MulMonomial(ct.C1, ev.params.N()/2, out1)
 	return &Ciphertext{C0: out0, C1: out1, Level: ct.Level, Scale: ct.Scale}
@@ -534,13 +563,22 @@ func HomomorphicDFTRotations(slots, levels int) []int {
 func (ev *Evaluator) CoeffsToSlots(ct *Ciphertext, dft *HomomorphicDFT, rot map[int]*RotationKey, conj *RotationKey) (re, im *Ciphertext) {
 	acc := ct
 	for _, lt := range dft.C2S {
-		acc = ev.LinearTransform(acc, lt, rot)
+		next := ev.LinearTransform(acc, lt, rot)
+		if acc != ct {
+			ev.release(acc)
+		}
+		acc = next
 	}
 	// acc's slots hold t′ = t/2 (the folded 1/2): Re t = t′ + conj(t′),
 	// Im t = i·(conj(t′) − t′).
 	cj := ev.RotateGalois(acc, conj)
 	re = ev.Add(acc, cj)
-	im = ev.MulByI(ev.Sub(cj, acc))
+	diff := ev.Sub(cj, acc)
+	im = ev.MulByI(diff)
+	ev.release(cj, diff)
+	if acc != ct {
+		ev.release(acc)
+	}
 	return re, im
 }
 
@@ -549,9 +587,13 @@ func (ev *Evaluator) CoeffsToSlots(ct *Ciphertext, dft *HomomorphicDFT, rot map[
 // forward special FFT. Both inputs must be at dft.MidLevel with equal
 // scales; the result lands at dft.StartLevel − 2·Levels·rescales.
 func (ev *Evaluator) SlotsToCoeffs(re, im *Ciphertext, dft *HomomorphicDFT, rot map[int]*RotationKey) *Ciphertext {
-	acc := ev.Add(re, ev.MulByI(im))
+	iim := ev.MulByI(im)
+	acc := ev.Add(re, iim)
+	ev.release(iim)
 	for _, lt := range dft.S2C {
-		acc = ev.LinearTransform(acc, lt, rot)
+		next := ev.LinearTransform(acc, lt, rot)
+		ev.release(acc)
+		acc = next
 	}
 	return acc
 }

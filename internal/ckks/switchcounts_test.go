@@ -16,9 +16,14 @@ func countSwitches(t *testing.T, p *Parameters) *switchCounts {
 	return c
 }
 
+// shape is one operation's key-switch tallies: ModDown halves closed,
+// digit rows forward-transformed, and limbs forward-transformed inside
+// ModDown's divide.
+type shape struct{ halves, digitNTTs, modDownNTTs int }
+
 // take returns the tallies since the last take and resets them.
-func (c *switchCounts) take() (modDownHalves, digitNTTs int) {
-	return int(c.modDownHalves.Swap(0)), int(c.digitNTTs.Swap(0))
+func (c *switchCounts) take() shape {
+	return shape{int(c.modDownHalves.Swap(0)), int(c.digitNTTs.Swap(0)), int(c.modDownNTTs.Swap(0))}
 }
 
 // decompNTTs is the forward-NTT count of one decomposition at `level`:
@@ -34,9 +39,11 @@ func decompNTTs(p *Parameters, level int, nttCopy bool) int {
 
 // ltWantCounts is the double-hoisted schedule's shape for lt: one
 // single-half ModDown per nonzero giant step plus the closing pair — none
-// per baby — and one domain-aware decomposition for the shared baby hoist
-// and one per nonzero giant step.
-func ltWantCounts(p *Parameters, lt *LinearTransform) (halves, ntts int) {
+// per baby — and one domain-aware decomposition shared by the babies
+// and one per nonzero giant step. Each giant's half stays in the NTT
+// domain (ℓ forward NTTs inside its divide); the closing pair lands in the
+// coefficient domain with none.
+func ltWantCounts(p *Parameters, lt *LinearTransform) shape {
 	giants, babies := 0, 0
 	for _, g := range lt.giantSteps {
 		if g != 0 {
@@ -52,7 +59,7 @@ func ltWantCounts(p *Parameters, lt *LinearTransform) (halves, ntts int) {
 	if babies > 0 {
 		decomps++
 	}
-	return giants + 2, decomps * decompNTTs(p, lt.Level, true)
+	return shape{giants + 2, decomps * decompNTTs(p, lt.Level, true), giants * lt.Level}
 }
 
 // TestSwitchCounts pins the key-switch shape with exact counts on
@@ -62,17 +69,18 @@ func ltWantCounts(p *Parameters, lt *LinearTransform) (halves, ntts int) {
 // from its steps (and, summed, the literal totals below), the
 // conjugation and MulRelin keep one paired ModDown each, MulRelin's
 // decomposition skips its ℓ own-group transforms and the conjugation's
-// does not. Outputs are byte-identical across the four configurations.
+// does not. A closing ModDown half runs no forward NTT and a non-closing
+// one ℓ. Outputs are byte-identical across the four configurations.
 func TestSwitchCounts(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		spec          ParamSpec
 		levels        int
-		c2s, s2c      [2]int // literal totals: ModDown halves, digit NTTs
+		c2s, s2c      shape // literal totals
 		mulRelinLevel int
 	}{
-		{"Test", TestParams, 1, [2]int{17, 128}, [2]int{17, 112}, 4},
-		{"PN13", PN13, 2, [2]int{18, 720}, [2]int{18, 296}, 12},
+		{"Test", TestParams, 1, shape{17, 128, 60}, shape{17, 112, 45}, 4},
+		{"PN13", PN13, 2, shape{18, 720, 154}, shape{18, 296, 98}, 12},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.spec.LogN > 10 && testing.Short() {
@@ -96,34 +104,31 @@ func TestSwitchCounts(t *testing.T) {
 					cfg := b.Name() + "/workers=" + string(rune('0'+workers))
 					counts := countSwitches(t, p)
 					ev := NewEvaluator(p)
-					check := func(what string, gotH, gotN, wantH, wantN int) {
+					check := func(what string, got, want shape) {
 						t.Helper()
-						if gotH != wantH || gotN != wantN {
-							t.Fatalf("%s %s: %d ModDown halves and %d digit NTTs, want %d and %d",
-								cfg, what, gotH, gotN, wantH, wantN)
+						if got != want {
+							t.Fatalf("%s %s: %d ModDown halves, %d digit NTTs and %d ModDown NTTs, want %d, %d and %d",
+								cfg, what, got.halves, got.digitNTTs, got.modDownNTTs, want.halves, want.digitNTTs, want.modDownNTTs)
 						}
 					}
-					run := func(what string, lts []*LinearTransform, acc *Ciphertext, total [2]int) *Ciphertext {
-						sumH, sumN := 0, 0
+					run := func(what string, lts []*LinearTransform, acc *Ciphertext, total shape) *Ciphertext {
+						var sum shape
 						for j, lt := range lts {
 							acc = ev.LinearTransform(acc, lt, ks.Rot)
-							h, n := counts.take()
-							wantH, wantN := ltWantCounts(p, lt)
-							check(what+" transform "+string(rune('0'+j)), h, n, wantH, wantN)
-							sumH, sumN = sumH+h, sumN+n
+							got := counts.take()
+							check(what+" transform "+string(rune('0'+j)), got, ltWantCounts(p, lt))
+							sum = shape{sum.halves + got.halves, sum.digitNTTs + got.digitNTTs, sum.modDownNTTs + got.modDownNTTs}
 						}
-						check(what+" total", sumH, sumN, total[0], total[1])
+						check(what+" total", sum, total)
 						return acc
 					}
 
 					acc := run("CoeffsToSlots", dft.C2S, ct, tc.c2s)
 					cj := ev.RotateGalois(acc, ks.Conj)
-					h, n := counts.take()
-					check("conjugation", h, n, 2, decompNTTs(p, acc.Level, false))
+					check("conjugation", counts.take(), shape{2, decompNTTs(p, acc.Level, false), 0})
 					back := run("SlotsToCoeffs", dft.S2C, ev.Add(acc, cj), tc.s2c)
 					sq := ev.MulRelin(ev.DropLevel(ct, tc.mulRelinLevel), ev.DropLevel(ct, tc.mulRelinLevel), ks.Rlk)
-					h, n = counts.take()
-					check("MulRelin", h, n, 2, decompNTTs(p, tc.mulRelinLevel, true))
+					check("MulRelin", counts.take(), shape{2, decompNTTs(p, tc.mulRelinLevel, true), 0})
 
 					got := []*Ciphertext{acc, back, sq}
 					if ref == nil {

@@ -195,6 +195,28 @@ func (r *Ring) SubMulAddRow(limb int, inv uint64, si, ei, oi []uint64) {
 	}
 }
 
+// MulScalarAddRow is the multiply-accumulate by a limb scalar, one limb:
+//
+//	oi[j] += si[j] · sc   (mod the limb prime, sc < q)
+//
+// ModDown's coefficient-domain close runs on it twice per limb (the
+// accumulator plus s·P⁻¹ before the inverse NTT, then minus ext·P⁻¹
+// after it). It has one binding: a Barrett loop like SubMulAddRow's,
+// canonical output either way, so a portable twin would pin nothing
+// TestMulScalarAddRowMatchesSpec does not.
+func (r *Ring) MulScalarAddRow(limb int, sc uint64, si, oi []uint64) {
+	m := r.Basis.Moduli[limb]
+	q, bhi, blo := m.Q, m.BHi, m.BLo
+	si = si[:len(oi)]
+	for j := range oi {
+		v := oi[j] + barrett(si[j], sc, q, bhi, blo)
+		if v >= q {
+			v -= q
+		}
+		oi[j] = v
+	}
+}
+
 // ForwardLimb runs the limb-i forward NTT on a raw coefficient row
 // through the backend-bound kernel (lazy butterflies on the fast path).
 func (r *Ring) ForwardLimb(i int, row []uint64) {

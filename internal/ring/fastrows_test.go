@@ -90,6 +90,30 @@ func TestMulPairRowsMatchesSpec(t *testing.T) {
 	}
 }
 
+// TestMulScalarAddRowMatchesSpec: oi += si·sc equals the division-based
+// reference at 36-bit and 61-bit limbs, for scalars 0, 1, q − 1 and a
+// uniform one, on rows whose first coefficients sit at 0 and q − 1.
+func TestMulScalarAddRowMatchesSpec(t *testing.T) {
+	const logN = 8
+	for _, bits := range []int{36, 61} {
+		r := MustRing(1<<logN, primes.GenerateNTTPrimes(1, bits, logN))
+		m := r.Basis.Moduli[0]
+		si, base := make([]uint64, r.N), make([]uint64, r.N)
+		src(uint64(bits)).UniformPoly(si, m.Q)
+		src(uint64(bits)+1).UniformPoly(base, m.Q)
+		si[0], si[1], base[0], base[1] = m.Q-1, m.Q-1, m.Q-1, 0
+		for _, sc := range []uint64{0, 1, m.Q - 1, si[2]} {
+			oi := append([]uint64(nil), base...)
+			r.MulScalarAddRow(0, sc, si, oi)
+			for j := range oi {
+				if want := m.Add(base[j], m.Mul(si[j], sc)); oi[j] != want {
+					t.Fatalf("%d-bit sc=%d: coeff %d = %d, want %d", bits, sc, j, oi[j], want)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMulPairRows: one limb of the key-switch MAC at the PN15
 // full-depth shape — N = 2^15, β = 6 groups, both halves.
 func BenchmarkMulPairRows(b *testing.B) {

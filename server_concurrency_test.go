@@ -281,3 +281,91 @@ func TestServerConcurrentFirstCoeffsToSlots(t *testing.T) {
 		}
 	}
 }
+
+// TestServerConcurrentBootstrapStages: the bootstrap stages hand their
+// intermediates back to the shared scratch pools as they go (every
+// transform's pre-rescale pair, each DFT stage's output, the conjugate
+// split, EvalPoly's products and power basis), so concurrent callers
+// recycle one another's buffers. Eight goroutines alternate a
+// CoeffsToSlots → SlotsToCoeffs round trip and an EvalPoly on one Server;
+// every result must carry a sequential run's bytes, and -race watches
+// the release paths.
+func TestServerConcurrentBootstrapStages(t *testing.T) {
+	owner, enc, srv := threeParties(t, Test, 0xB007, 0x5747)
+	defer owner.Close()
+	defer enc.Close()
+	defer srv.Close()
+	dft, err := srv.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: srv.MaxLevel(), Levels: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe, err := srv.NewPolyEval([]complex128{0.25, -0.75}, -1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evkBytes, err := owner.ExportEvaluationKeys(EvalKeyConfig{Rotations: dft.Rotations(), Conjugate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evk, err := srv.ImportEvaluationKeys(evkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := enc.EncodeEncrypt(testMsgs(enc.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []func() ([]byte, error){
+		func() ([]byte, error) {
+			re, im, err := srv.CoeffsToSlots(ct, dft, evk)
+			if err != nil {
+				return nil, err
+			}
+			out, err := srv.SlotsToCoeffs(re, im, dft, evk)
+			if err != nil {
+				return nil, err
+			}
+			return srv.SerializeCiphertext(out)
+		},
+		func() ([]byte, error) {
+			out, err := srv.EvalPoly(ct, pe, evk)
+			if err != nil {
+				return nil, err
+			}
+			return srv.SerializeCiphertext(out)
+		},
+	}
+	want := make([][]byte, len(ops))
+	for i, op := range ops {
+		if want[i], err = op(); err != nil {
+			t.Fatalf("op %d (sequential reference): %v", i, err)
+		}
+	}
+
+	const goroutines, iters = 8, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*iters)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				k := (g + i) % len(ops)
+				got, err := ops[k]()
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d iter %d op %d: %w", g, i, k, err)
+					return
+				}
+				if !bytes.Equal(got, want[k]) {
+					errs <- fmt.Errorf("goroutine %d iter %d op %d: bytes differ from the sequential run", g, i, k)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
