@@ -85,8 +85,7 @@ func TestBackendEquivalence(t *testing.T) {
 // production scheduling function: per group ModUpInto → NTT → per-limb MAC
 // into zeroed QP accumulators, then per half INTT of the P rows →
 // ModUpInto (P → Q_ℓ) → NTT → rounding divide, and the closing INTT. It
-// also returns the NTT-domain digits it decomposed c into.
-func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (out [2]*ring.Poly, digits []*ring.Poly) {
+func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (out [2]*ring.Poly) {
 	k := p.SpecialLimbs
 	rl, rqp := p.RingAt(level), p.RingQPAt(level)
 	s := [2]*ring.Poly{rqp.NewPoly(), rqp.NewPoly()}
@@ -95,7 +94,6 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 		d := rqp.NewPoly()
 		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
 		rqp.NTT(d)
-		digits = append(digits, d)
 		for m := 0; m < level+k; m++ {
 			km := m // the key's P tail sits after all ksk.Level of its Q rows
 			if m >= level {
@@ -127,7 +125,7 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 		}
 		rl.INTT(out[h])
 	}
-	return out, digits
+	return out
 }
 
 // switchCase is one cell of the reference table: a backend-bound
@@ -160,15 +158,15 @@ func switchCases() []switchCase {
 }
 
 // requireSwitchMatchesStaged checks both production routes against the
-// reference on one input: the single-shot switch and hoist → applyInto,
-// each closed either inside the divide stage or by a separate INTT, and
-// each also given the input's NTT form (own-group digit rows copied from
-// it rather than transformed).
+// reference on one input: the single-shot switch, and two switches sharing
+// one switchQP decomposition, each closed either inside the divide stage
+// or by a separate INTT, and each also given the input's NTT form
+// (own-group digit rows copied from it rather than transformed).
 func requireSwitchMatchesStaged(t *testing.T, tc switchCase, c *ring.Poly, perm []int32, what string) {
 	t.Helper()
 	p, level := tc.p, tc.level
 	rl, rqp := p.RingAt(level), p.RingQPAt(level)
-	want, digits := stagedSwitch(p, c, level, tc.ksk, perm)
+	want := stagedSwitch(p, c, level, tc.ksk, perm)
 	cn := rl.CopyPoly(c)
 	rl.NTT(cn)
 	check := func(route string, got0, got1 *ring.Poly) {
@@ -199,26 +197,24 @@ func requireSwitchMatchesStaged(t *testing.T, tc switchCase, c *ring.Poly, perm 
 		rl.INTT(g1)
 		check("single-shot switch → INTT"+src.name, g0, g1)
 
-		h := p.hoist(c, src.cn, level)
-		for j, d := range digits {
-			if !rqp.Equal(d, h.dig[j]) {
-				t.Fatalf("%s %s: hoisted digit %d%s diverges from ModUp → NTT", tc.name, what, j, src.name)
-			}
+		sw := []qpSwitch{
+			{tc.ksk, perm, rqp.GetPolyUninit(), rqp.GetPolyUninit()},
+			{tc.ksk, perm, rqp.GetPolyUninit(), rqp.GetPolyUninit()},
 		}
+		p.switchQP(c, src.cn, level, false, sw...)
 		a0, a1 := fresh()
-		p.applyInto(h, tc.ksk, perm, a0, a1, true)
-		check("hoist → applyInto"+src.name, a0, a1)
+		p.modDownPair(sw[0].s0, sw[0].s1, level, a0, a1, true)
+		check("shared switchQP"+src.name, a0, a1)
 		b0, b1 := fresh()
-		p.applyInto(h, tc.ksk, perm, b0, b1, false)
+		p.modDownPair(sw[1].s0, sw[1].s1, level, b0, b1, false)
 		rl.INTT(b0)
 		rl.INTT(b1)
-		check("hoist → applyInto → INTT"+src.name, b0, b1)
-		p.releaseDigits(h)
+		check("shared switchQP → INTT"+src.name, b0, b1)
 	}
 }
 
-// TestFusedMatchesStaged: the single-shot switch and the hoisted route
-// equal the staged reference byte for byte — every level, with and without
+// TestFusedMatchesStaged: the single-shot switch and the shared-
+// decomposition route equal the staged reference byte for byte — every level, with and without
 // a hoisting permutation, full-depth and depth-capped keys, both backends.
 func TestFusedMatchesStaged(t *testing.T) {
 	for _, tc := range switchCases() {
@@ -274,27 +270,30 @@ func TestOwnLimbCombineIsCopy(t *testing.T) {
 	}
 }
 
-// TestFusedHoistMatchesStaged: one hoisted decomposition serves several
-// Galois elements — each apply equals the reference switch under that
-// element, and the digits are left intact for the next.
+// TestFusedHoistMatchesStaged: one decomposition serves several Galois
+// elements — a single switchQP over three permuted switches, each closed
+// on its own, equals the reference switch under that element.
 func TestFusedHoistMatchesStaged(t *testing.T) {
+	steps := []int{1, 2, 5}
 	for _, tc := range switchCases() {
 		p, level := tc.p, tc.level
-		rl := p.RingAt(level)
+		rl, rqp := p.RingAt(level), p.RingQPAt(level)
 		c := rl.NewPoly()
 		rl.UniformPoly(prng.NewSource(testSeed(), 9100+uint64(level)), c)
-		h := p.hoist(c, nil, level)
-		for _, step := range []int{1, 2, 5} {
-			perm := p.Ring().GaloisPermNTT(p.GaloisElement(step))
-			want, _ := stagedSwitch(p, c, level, tc.ksk, perm)
+		sw := make([]qpSwitch, len(steps))
+		for i, step := range steps {
+			sw[i] = qpSwitch{tc.ksk, p.Ring().GaloisPermNTT(p.GaloisElement(step)), rqp.GetPolyUninit(), rqp.GetPolyUninit()}
+		}
+		p.switchQP(c, nil, level, false, sw...)
+		for i, step := range steps {
+			want := stagedSwitch(p, c, level, tc.ksk, sw[i].perm)
 			got0, got1 := rl.NewPoly(), rl.NewPoly()
 			got0.IsNTT, got1.IsNTT = true, true
-			p.applyInto(h, tc.ksk, perm, got0, got1, true)
+			p.modDownPair(sw[i].s0, sw[i].s1, level, got0, got1, true)
 			if !rl.Equal(want[0], got0) || !rl.Equal(want[1], got1) {
-				t.Fatalf("%s step %d: apply over shared digits diverges from the staged reference", tc.name, step)
+				t.Fatalf("%s step %d: switch over the shared decomposition diverges from the staged reference", tc.name, step)
 			}
 		}
-		p.releaseDigits(h)
 	}
 }
 
@@ -302,14 +301,14 @@ func TestFusedHoistMatchesStaged(t *testing.T) {
 // scratch from the pools — per call it may allocate only the small
 // orchestration slices and the per-dispatch job headers, never a digit
 // buffer (β·(L+k)·N words) or accumulator storage — on either backend,
-// single-shot or hoisted.
+// single-shot or shared by several switches.
 func TestFusedSwitchAllocs(t *testing.T) {
 	pPort, pFast := backendPair()
 	for _, p := range []*Parameters{pPort, pFast} {
 		kg := NewKeyGenerator(p, testSeed())
 		rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
 		level := p.MaxLevel()
-		rl := p.RingAt(level)
+		rl, rqp := p.RingAt(level), p.RingQPAt(level)
 		c := rl.NewPoly()
 		rl.UniformPoly(prng.NewSource(testSeed(), 9200), c)
 		out0 := rl.NewPoly()
@@ -329,11 +328,16 @@ func TestFusedSwitchAllocs(t *testing.T) {
 				out0.IsNTT, out1.IsNTT = true, true
 				p.switchInto(c, nil, level, rlk.K, nil, out0, out1, true)
 			}},
-			{"hoist → applyInto", 96, func() {
-				out0.IsNTT, out1.IsNTT = true, true
-				h := p.hoist(c, nil, level)
-				p.applyInto(h, rlk.K, nil, out0, out1, true)
-				p.releaseDigits(h)
+			{"shared switchQP ×2", 96, func() {
+				sw := []qpSwitch{
+					{rlk.K, nil, rqp.GetPolyUninit(), rqp.GetPolyUninit()},
+					{rlk.K, nil, rqp.GetPolyUninit(), rqp.GetPolyUninit()},
+				}
+				p.switchQP(c, nil, level, false, sw...)
+				for _, w := range sw {
+					out0.IsNTT, out1.IsNTT = true, true
+					p.modDownPair(w.s0, w.s1, level, out0, out1, true)
+				}
 			}},
 		} {
 			for i := 0; i < 3; i++ {

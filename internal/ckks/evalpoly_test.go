@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/lanes"
 	"repro/internal/prng"
 )
 
@@ -294,11 +293,11 @@ func TestEvalPolyDeepRecursion(t *testing.T) {
 
 // TestBootstrapStagesDirtyPools: EvalPoly, CoeffsToSlots and SlotsToCoeffs
 // draw their intermediates from the scratch pools and hand them back as
-// they go. With every returned matrix scribbled over (lanes.Scribble),
-// two runs on one evaluator — each after other ops have returned their
-// results to the pools — must reproduce the bytes a fresh evaluator
-// computed over clean pools: a stage that reads a pooled word before
-// writing it sees different garbage on every run.
+// they go. Two runs on one evaluator — each after other ops have returned
+// their results to the pools — must reproduce the bytes a fresh evaluator
+// computed over clean pools. Built with -tags scribble, every matrix the
+// pools take back is overwritten with fresh words, so a stage that reads
+// a pooled word before writing it sees different garbage on every run.
 func TestBootstrapStagesDirtyPools(t *testing.T) {
 	p := deepTestParams
 	kg := NewKeyGenerator(p, testSeed())
@@ -318,8 +317,6 @@ func TestBootstrapStagesDirtyPools(t *testing.T) {
 	}
 	want := stages(NewEvaluator(p))
 
-	lanes.Scribble(true)
-	defer lanes.Scribble(false)
 	ev := NewEvaluator(p)
 	for run := 0; run < 2; run++ {
 		other := encryptor.Encrypt(enc.Encode(randMsg(p, 0, 64+uint64(run))))

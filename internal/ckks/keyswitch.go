@@ -63,22 +63,21 @@ import (
 //	            per half (modDown runs 3–5 for one half or, as modDownPair,
 //	            both at once).
 //
-// The entry points compose those stages. switchInto is the single-shot
-// switch for a decomposition consumed once (MulRelin, RotateGalois): stages
-// 1–2 as switchQP, then modDownPair. Stage 2 holds β pooled rows per
-// in-flight limb task (workers·β·N words), so the β·(level+k)·N digit
-// buffer never exists; switchQP runs every switch it is given over those
-// rows, so switches known together share one decomposition for free.
-// hoist splits stage 2 where the Galois elements come one at a time
-// (RotateHoisted): raise+NTT lands in pooled digit polynomials once, and
-// each macQP runs the MAC over them — the Galois element applied as an
-// NTT-domain gather. applyInto closes such a MAC through modDownPair.
-// LinearTransform calls the stages directly (double hoisting,
-// lintrans.go): one switchQP runs all its baby MACs, those and the giant
-// switchQPs stay in Q·P, one single-half modDown feeds each giant
-// decomposition, and one modDownPair closes the transform. Callers that
-// hold the source's NTT form pass it (MulRelin's c2, the transform's c1
-// and block sums); the result is byte-identical either way.
+// The entry points compose those stages. switchQP is stages 1–2 for any
+// number of switches over one decomposition: stage 2 holds β pooled rows
+// per in-flight limb task (workers·β·N words), raises and transforms them
+// once, and runs every switch's MAC over them — the Galois element of a
+// rotation applied as an NTT-domain gather — so the β·(level+k)·N digit
+// buffer never exists however many switches share it. switchInto is the
+// single-switch form closed by modDownPair (MulRelin). Rotations
+// (RotateGalois, RotateHoisted) hand switchQP one switch per key and close
+// each through its own modDownPair. LinearTransform calls the stages
+// directly (double hoisting, lintrans.go): one switchQP runs all its baby
+// MACs, those and the giant switchQPs stay in Q·P, one single-half modDown
+// feeds each giant decomposition, and one modDownPair closes the
+// transform. Callers that hold the source's NTT form pass it (MulRelin's
+// c2, the transform's c1 and block sums); the result is byte-identical
+// either way.
 //
 // The whole-polynomial, spec-shaped form of this arithmetic (ModUpInto →
 // NTT → MAC → INTT of the P rows → ModUpInto → NTT → divide) lives on as
@@ -180,18 +179,6 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 		ksk.H0[j] = b
 	})
 	return ksk
-}
-
-// hoistedDigits is a ciphertext's c1 in decomposed, NTT-domain form — the
-// expensive half of a key switch, computed once and reusable across any
-// number of Galois elements: dig[j] is group j raised to the QP basis
-// (level+α limbs), and rows[m·β : (m+1)·β] lists limb m's β digit rows —
-// the shape MulPairRows takes, built once so no apply allocates per limb
-// task. All polynomial storage is pooled: release with releaseDigits.
-type hoistedDigits struct {
-	dig   []*ring.Poly
-	rows  [][]uint64
-	level int
 }
 
 // switchCounts tallies key-switch work for tests that pin the schedule's
@@ -331,7 +318,7 @@ func (k *SwitchingKey) keyLimb(level, m int) int {
 // optional NTT-domain copy, see reduceGroups) against ksk in one shot,
 // accumulating the switched halves into acc0/acc1 (NTT domain, level
 // limbs). perm is the automorphism gather applied to the digits (nil ⇒
-// identity, see applyInto). With closeNTT the output limbs are
+// identity, see switchQP). With closeNTT the output limbs are
 // inverse-NTT'd inside the divide stage and acc0/acc1 land in the
 // coefficient domain.
 func (p *Parameters) switchInto(c, cn *ring.Poly, level int, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
@@ -356,8 +343,12 @@ type qpSwitch struct {
 // switched pair, before any ModDown — written into each s0/s1, or added
 // onto them with add. Each in-flight limb task raises its β digit rows once
 // and runs every switch's MAC over them, so the decomposition costs one
-// set of digit NTTs however many switches share it (LinearTransform's
-// babies) and never exists beyond the task's β rows.
+// set of digit NTTs however many switches share it (rotations by several
+// keys, LinearTransform's babies) and never exists beyond the task's β
+// rows. Key limbs are addressed through the depth-capped key's geometry
+// (keyLimb). A switch's perm σ is applied to the digits: because σ is a
+// ring automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the result
+// of decomposing σ(c), from the one decomposition of c.
 func (p *Parameters) switchQP(c, cn *ring.Poly, level int, add bool, sw ...qpSwitch) {
 	for _, w := range sw {
 		if level > w.ksk.Level {
@@ -380,74 +371,8 @@ func (p *Parameters) switchQP(c, cn *ring.Poly, level int, add bool, sw ...qpSwi
 	releaseGroups(grp)
 }
 
-// hoist decomposes c (coefficient domain, `level` limbs; cn its optional
-// NTT-domain copy) into its β = ⌈level/α⌉ group digits, each raised to the
-// extended QP basis and transformed — β·(level+k) NTTs, less the level
-// own-group rows cn supplies, paid once per input ciphertext however many
-// applies consume it.
-func (p *Parameters) hoist(c, cn *ring.Poly, level int) *hoistedDigits {
-	rqp := p.RingQPAt(level)
-	grp := p.reduceGroups(c, cn, level)
-	beta, limbs := len(grp), level+p.SpecialLimbs
-	h := &hoistedDigits{level: level, dig: make([]*ring.Poly, beta), rows: make([][]uint64, limbs*beta)}
-	for j := range h.dig {
-		h.dig[j] = rqp.GetPolyUninit() // every row fully overwritten below
-		h.dig[j].IsNTT = true
-		for m, row := range h.dig[j].Coeffs {
-			h.rows[m*beta+j] = row
-		}
-	}
-	rqp.Engine().Run(limbs, func(m int) {
-		for j := range grp {
-			grp[j].raiseLimb(rqp, m, h.dig[j].Coeffs[m])
-		}
-	})
-	releaseGroups(grp)
-	return h
-}
-
-// releaseDigits returns the decomposition's pooled storage.
-func (p *Parameters) releaseDigits(h *hoistedDigits) {
-	rl := p.RingAt(h.level)
-	for _, d := range h.dig {
-		rl.PutPoly(d)
-	}
-}
-
-// applyInto accumulates the key switch of the hoisted digits into
-// (acc0, acc1) — NTT domain, h.level limbs: macQP, then the paired ModDown
-// by P into the Q-basis accumulators, landing in the coefficient domain
-// when closeNTT is set.
-func (p *Parameters) applyInto(h *hoistedDigits, ksk *SwitchingKey, perm []int32, acc0, acc1 *ring.Poly, closeNTT bool) {
-	rqp := p.RingQPAt(h.level)
-	s0 := rqp.GetPolyUninit()
-	s1 := rqp.GetPolyUninit()
-	p.macQP(h, ksk, perm, s0, s1, false)
-	p.modDownPair(s0, s1, h.level, acc0, acc1, closeNTT)
-}
-
-// macQP is the MAC over hoisted digits: Σ_j σ(D_j)·ksk_j over the extended
-// QP basis (NTT domain), written into s0/s1 or added onto them with add.
-// Key limbs are addressed through the depth-capped key's geometry, so a
-// level-ℓ switch reads rows 0..ℓ-1 and the P tail of each Level-limb key
-// row. σ (perm, nil ⇒ identity) is applied to the digits: because σ is a
-// ring automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the same
-// result as decomposing σ(c), with the decomposition (and its NTTs) paid
-// once.
-func (p *Parameters) macQP(h *hoistedDigits, ksk *SwitchingKey, perm []int32, s0, s1 *ring.Poly, add bool) {
-	level := h.level
-	if level > ksk.Level {
-		panic("ckks: ciphertext level exceeds switching-key depth")
-	}
-	rqp := p.RingQPAt(level)
-	beta := len(h.dig)
-	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
-		rqp.MulPairRows(m, perm, h.rows[m*beta:(m+1)*beta], ksk.H0, ksk.H1, ksk.keyLimb(level, m), s0.Coeffs[m], s1.Coeffs[m], add)
-	})
-}
-
 // modDownPair closes a switch: modDown of both halves at once, the form
-// every single-shot and hoisted switch ends in.
+// every MulRelin and rotation ends in.
 func (p *Parameters) modDownPair(s0, s1 *ring.Poly, level int, acc0, acc1 *ring.Poly, closeNTT bool) {
 	p.modDown([]*ring.Poly{s0, s1}, []*ring.Poly{acc0, acc1}, level, closeNTT)
 }
@@ -641,7 +566,7 @@ func (p *Parameters) NormalizeStep(k int) int {
 }
 
 // RotationKey enables rotation by one fixed Galois element. Perm is the
-// NTT-domain permutation realizing the automorphism on hoisted digits.
+// NTT-domain permutation realizing the automorphism on the digits.
 type RotationKey struct {
 	G    int
 	K    *SwitchingKey
@@ -681,10 +606,11 @@ func (kg *KeyGenerator) rotationKey(s *ring.Poly, g, depth int) *RotationKey {
 }
 
 // RotateGalois applies the automorphism X → X^g and key-switches back to
-// s. With g = GaloisElement(k) this rotates the message slots by k. The
-// decomposition is consumed once, so the switch runs single-shot.
+// s. With g = GaloisElement(k) this rotates the message slots by k.
 func (ev *Evaluator) RotateGalois(ct *Ciphertext, rk *RotationKey) *Ciphertext {
-	return ev.rotate(ct, nil, rk)
+	var out [1]*Ciphertext
+	ev.rotate(ct, []*RotationKey{rk}, out[:])
+	return out[0]
 }
 
 // RotateHoisted rotates one ciphertext by every key in rks, paying the
@@ -695,38 +621,37 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rks []*RotationKey) []*Cipher
 	if len(rks) == 0 {
 		return nil
 	}
-	h := ev.params.hoist(ct.C1, nil, ct.Level)
 	out := make([]*Ciphertext, len(rks))
-	for i, rk := range rks {
-		out[i] = ev.rotate(ct, h, rk)
-	}
-	ev.params.releaseDigits(h)
+	ev.rotate(ct, rks, out)
 	return out
 }
 
-// rotate finishes one rotation of ct: the permuted key switch of ct.C1 —
-// from its hoisted decomposition h, or single-shot when h is nil — lands
-// directly in the result halves in the coefficient domain, then σ(c0) is
-// added there.
-func (ev *Evaluator) rotate(ct *Ciphertext, h *hoistedDigits, rk *RotationKey) *Ciphertext {
+// rotate writes ct rotated by rks[i] to out[i]. One switchQP runs every
+// key's permuted MAC over a single decomposition of ct.C1, so the digits
+// are raised and transformed once and never stored; each rotation then
+// closes through its own paired ModDown straight into the result halves
+// in the coefficient domain, where σ(c0) is added.
+func (ev *Evaluator) rotate(ct *Ciphertext, rks []*RotationKey, out []*Ciphertext) {
 	level := ct.Level
-	if level > rk.K.Level {
-		panic("ckks: ciphertext level exceeds rotation-key depth")
+	rl, rqp := ev.ringAt(level), ev.params.RingQPAt(level)
+	sw := make([]qpSwitch, len(rks))
+	for i, rk := range rks {
+		if level > rk.K.Level {
+			panic("ckks: ciphertext level exceeds rotation-key depth")
+		}
+		sw[i] = qpSwitch{rk.K, rk.Perm, rqp.GetPolyUninit(), rqp.GetPolyUninit()}
 	}
-	rl := ev.ringAt(level)
-	out0 := rl.GetPoly() // returned; zeroed, the switch accumulates onto it
-	out1 := rl.GetPoly()
-	out0.IsNTT, out1.IsNTT = true, true
-	if h == nil {
-		ev.params.switchInto(ct.C1, nil, level, rk.K, rk.Perm, out0, out1, true)
-	} else {
-		ev.params.applyInto(h, rk.K, rk.Perm, out0, out1, true)
-	}
+	ev.params.switchQP(ct.C1, nil, level, false, sw...)
 
 	c0g := rl.GetPolyUninit() // automorphism writes every index
-	rl.AutomorphismCoeff(ct.C0, rk.G, c0g)
-	rl.Add(out0, c0g, out0)
+	for i, rk := range rks {
+		out0 := rl.GetPoly() // returned; zeroed, the ModDown accumulates onto it
+		out1 := rl.GetPoly()
+		out0.IsNTT, out1.IsNTT = true, true
+		ev.params.modDownPair(sw[i].s0, sw[i].s1, level, out0, out1, true)
+		rl.AutomorphismCoeff(ct.C0, rk.G, c0g)
+		rl.Add(out0, c0g, out0)
+		out[i] = &Ciphertext{C0: out0, C1: out1, Level: level, Scale: ct.Scale}
+	}
 	rl.PutPoly(c0g)
-
-	return &Ciphertext{C0: out0, C1: out1, Level: level, Scale: ct.Scale}
 }

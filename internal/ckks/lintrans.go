@@ -80,16 +80,16 @@ type LinearTransform struct {
 }
 
 // ltTerm is one diagonal's contribution: the baby step it multiplies, and
-// the diagonal pre-rotated by its giant step — as a slot vector until the
-// first evaluation, then as an NTT-domain plaintext polynomial over Q·P.
+// the diagonal pre-rotated by its giant step as a slot vector, dropped
+// once encode has put its plaintext rows in diagRows.
 type ltTerm struct {
 	baby int
 	vec  []complex128
-	poly *ring.Poly
 }
 
-// encode expands every term's slot vector into its Q·P plaintext and
-// drops the vector — the body of lt.once.
+// encode expands every term's slot vector into its NTT-domain Q·P
+// plaintext, indexes the rows in diagRows and drops the vector — the body
+// of lt.once.
 func (lt *LinearTransform) encode() {
 	p := lt.enc.params
 	rqp := p.RingQPAt(lt.Level)
@@ -100,11 +100,11 @@ func (lt *LinearTransform) encode() {
 		rows := make([][]uint64, limbs*len(terms))
 		for i := range terms {
 			t := &terms[i]
-			t.poly = rqp.NewPoly()
-			lt.enc.expandRNS(lt.enc.toCoeffs(t.vec), logScale, t.poly.Coeffs[:lt.Level], t.poly.Coeffs[lt.Level:])
-			rqp.NTT(t.poly)
+			pt := rqp.NewPoly()
+			lt.enc.expandRNS(lt.enc.toCoeffs(t.vec), logScale, pt.Coeffs[:lt.Level], pt.Coeffs[lt.Level:])
+			rqp.NTT(pt)
 			t.vec = nil
-			for m, row := range t.poly.Coeffs {
+			for m, row := range pt.Coeffs {
 				rows[m*len(terms)+i] = row
 			}
 		}

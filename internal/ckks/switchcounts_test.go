@@ -148,12 +148,7 @@ func TestSwitchCounts(t *testing.T) {
 }
 
 // encoded reports whether lt's diagonals have been encoded.
-func (lt *LinearTransform) encoded() bool {
-	for _, terms := range lt.groups {
-		return terms[0].poly != nil
-	}
-	return false
-}
+func (lt *LinearTransform) encoded() bool { return lt.diagRows != nil }
 
 // TestLinearTransformEncodesOnFirstUse: building a DFT encodes no
 // diagonal; eight concurrent CoeffsToSlots calls on a fresh DFT encode

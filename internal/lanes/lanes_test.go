@@ -180,48 +180,12 @@ func TestMatrixPoolShapes(t *testing.T) {
 	PutMatrix(m2)
 }
 
-// TestMatrixPoolSpareRows: when the asked shape's pool is empty, a pooled
-// matrix at most spareRows rows taller serves, cut to the asked rows (Zero
-// clears those rows only), and returns to its own shape's pool; a taller
-// one never serves. sync.Pool may drop what it is given (it does at
-// random under -race), so reuse is checked only when it happens.
-func TestMatrixPoolSpareRows(t *testing.T) {
-	const cols = 1<<10 + 3 // a shape no other test uses
-	tall := GetMatrix(3+spareRows, cols)
-	for _, row := range tall.Rows {
-		row[0] = 7
-	}
-	PutMatrix(tall)
-	m := GetMatrix(3, cols)
-	if len(m.Rows) != 3 || len(m.Rows[2]) != cols {
-		t.Fatalf("matrix shape %dx%d, want 3x%d", len(m.Rows), len(m.Rows[2]), cols)
-	}
-	if m == tall {
-		m.Zero()
-		for i, row := range m.all {
-			if want := uint64(7 * min(1, i/3)); row[0] != want {
-				t.Fatalf("row %d after Zero of the 3-row view: %d, want %d", i, row[0], want)
-			}
-		}
-	}
-	PutMatrix(m)
-	if again := GetMatrix(3+spareRows, cols); len(again.Rows) != 3+spareRows {
-		t.Fatalf("a matrix back in its own pool serves %d rows, want %d", len(again.Rows), 3+spareRows)
-	}
-
-	PutMatrix(GetMatrix(4+spareRows, cols+1))
-	if m := GetMatrix(3, cols+1); len(m.all) != 3 {
-		t.Fatalf("a matrix %d rows taller served a 3-row request", len(m.all)-3)
-	}
-}
-
-// TestMatrixScribble: with Scribble on, a matrix that comes back from its
-// pool holds none of the words written before it was returned, and two
-// returns leave different words; off, PutMatrix leaves contents alone.
+// TestMatrixScribble: in a scribble build, a matrix that comes back from
+// its pool holds none of the words written before it was returned, and
+// two returns leave different words; otherwise PutMatrix leaves contents
+// alone.
 func TestMatrixScribble(t *testing.T) {
 	const rows, cols = 2, 1<<10 + 5 // a shape no other test uses
-	Scribble(true)
-	defer Scribble(false)
 	var seen []uint64
 	for k := 0; k < 2; k++ {
 		m := GetMatrix(rows, cols)
@@ -233,22 +197,15 @@ func TestMatrixScribble(t *testing.T) {
 		PutMatrix(m)
 		for _, row := range m.Rows {
 			for j, v := range row {
-				if v == 42 {
-					t.Fatalf("return %d: word %d kept its value", k, j)
+				if kept := v == 42; kept == scribbling {
+					t.Fatalf("return %d, scribbling %v: word %d holds %#x", k, scribbling, j, v)
 				}
 			}
 		}
 		seen = append(seen, m.Rows[0][0])
 	}
-	if seen[0] == seen[1] {
+	if scribbling && seen[0] == seen[1] {
 		t.Fatalf("two returns left the same word %#x", seen[0])
-	}
-	Scribble(false)
-	m := GetMatrix(rows, cols)
-	m.Rows[0][0] = 42
-	PutMatrix(m)
-	if m.Rows[0][0] != 42 {
-		t.Fatal("PutMatrix overwrote a matrix with Scribble off")
 	}
 }
 

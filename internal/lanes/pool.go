@@ -25,43 +25,26 @@ func poolFor[K comparable](pools *sync.Map, key K) *sync.Pool {
 	return pl.(*sync.Pool)
 }
 
-// spareRows is how many rows taller than asked a pooled matrix GetMatrix
-// may hand out when the exact shape's pool is empty. A CKKS chain steps
-// its level down a limb or two at a time (rescales, the stages of a
-// homomorphic DFT), so a buffer the previous level returned serves the
-// next one instead of idling in its pool while a fresh one is allocated.
-const spareRows = 4
-
 // Matrix is a pooled rows×cols uint64 matrix over one contiguous backing
 // slab — the storage layout of an RNS polynomial (one row per limb).
 type Matrix struct {
-	Rows    [][]uint64 // the rows asked for: a prefix of all
-	all     [][]uint64 // every row the backing holds (key.rows of them)
+	Rows    [][]uint64
 	backing []uint64
 	key     shape
 }
 
-// GetMatrix returns a pooled rows×cols matrix: from the exact shape's
-// pool or, when that is empty, one up to spareRows rows taller with Rows
-// cut to rows. Contents are NOT cleared; call Zero when the caller needs
-// the all-zero polynomial.
+// GetMatrix returns a pooled rows×cols matrix. Contents are NOT cleared;
+// call Zero when the caller needs the all-zero polynomial.
 func GetMatrix(rows, cols int) *Matrix {
-	for r := rows; r <= rows+spareRows; r++ {
-		pl, ok := matrixPools.Load(shape{r, cols})
-		if !ok {
-			continue
-		}
-		if m, ok := pl.(*sync.Pool).Get().(*Matrix); ok {
-			m.Rows = m.all[:rows]
-			return m
-		}
+	key := shape{rows, cols}
+	if m, ok := poolFor(&matrixPools, key).Get().(*Matrix); ok {
+		return m
 	}
 	backing := make([]uint64, rows*cols)
-	m := &Matrix{backing: backing, key: shape{rows, cols}, all: make([][]uint64, rows)}
-	for i := range m.all {
-		m.all[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+	m := &Matrix{backing: backing, key: key, Rows: make([][]uint64, rows)}
+	for i := range m.Rows {
+		m.Rows[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
 	}
-	m.Rows = m.all
 	return m
 }
 
@@ -71,31 +54,30 @@ func PutMatrix(m *Matrix) {
 	if m == nil {
 		return
 	}
-	if scribbling.Load() {
-		w := scribbleWord.Add(0x9E3779B97F4A7C15)
-		for i := range m.backing {
-			m.backing[i] = w ^ uint64(i)
-		}
+	if scribbling {
+		scribble(m.backing)
 	}
 	poolFor(&matrixPools, m.key).Put(m)
 }
 
-var (
-	scribbling   atomic.Bool
-	scribbleWord atomic.Uint64
-)
+var scribbleWord atomic.Uint64
 
-// Scribble makes PutMatrix overwrite every matrix it takes back with
-// words no earlier call wrote (on) or stops it (off). It is a test aid:
-// with it on, code that reads a pooled word before writing it sees fresh
-// garbage on every run instead of a stale copy of a deterministic
-// intermediate, which a byte comparison between runs cannot tell apart
-// from a correct result.
-func Scribble(on bool) { scribbling.Store(on) }
+// scribble overwrites a returned backing with words no earlier call
+// wrote. It runs only in builds with the scribble tag, as a test aid (`go
+// test -tags scribble`): code that reads a pooled word before writing it
+// then sees fresh garbage on every run instead of a stale copy of a
+// deterministic intermediate, which a byte comparison between runs cannot
+// tell apart from a correct result.
+func scribble(b []uint64) {
+	w := scribbleWord.Add(0x9E3779B97F4A7C15)
+	for i := range b {
+		b[i] = w ^ uint64(i)
+	}
+}
 
-// Zero clears the rows handed out (single memclr over their backing).
+// Zero clears the whole matrix (single memclr over the backing slab).
 func (m *Matrix) Zero() {
-	clear(m.backing[:len(m.Rows)*m.key.cols])
+	clear(m.backing)
 }
 
 // Flat scratch slabs ----------------------------------------------------
