@@ -74,12 +74,40 @@ func (p Preset) spec() (ckks.ParamSpec, error) {
 	return ckks.ParamSpec{}, fmt.Errorf("%w: %q", ErrUnknownPreset, p)
 }
 
-// Ciphertext is an encrypted message (RLWE pair in the coefficient
-// domain, carrying its level and scale).
-type Ciphertext = ckks.Ciphertext
+// Ciphertext is an encrypted message: an RLWE pair over the modulus
+// chain of the party that built it, at some level, carrying its scale.
+// Its contents are private. Only the role deserializers
+// (DeserializeCiphertext, Server.ExpandCompressedUpload) and the role
+// operations build one, so every Ciphertext is well formed by
+// construction; what travels between machines is its wire form
+// (SerializeCiphertext). The zero value holds no ciphertext, and every
+// method taking it returns ErrInvalidCiphertext.
+type Ciphertext struct {
+	ct *ckks.Ciphertext
+}
 
-// Plaintext is an encoded (but unencrypted) message.
-type Plaintext = ckks.Plaintext
+// wrap hands a ckks ciphertext out through the public type.
+func wrap(ct *ckks.Ciphertext) *Ciphertext { return &Ciphertext{ct: ct} }
+
+// Level is the number of RNS limbs the ciphertext carries: MaxLevel() when
+// fresh, one less per rescale or dropped limb. 0 for the zero value.
+func (c *Ciphertext) Level() int {
+	if c == nil || c.ct == nil {
+		return 0
+	}
+	return c.ct.Level
+}
+
+// Scale is the fixed-point scale the encrypted slot values are multiplied
+// by: the preset's Δ when fresh, the product of the operands' scales
+// after Mul, divided by the dropped prime after Rescale. 0 for the zero
+// value.
+func (c *Ciphertext) Scale() float64 {
+	if c == nil || c.ct == nil {
+		return 0
+	}
+	return c.ct.Scale
+}
 
 // FP55MantissaBits is the custom floating-point mantissa width the RFE
 // uses (paper Fig. 3c: ≥43 bits keeps bootstrapping precision above the

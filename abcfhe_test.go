@@ -17,7 +17,7 @@ func TestClientRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct.Level != device.MaxLevel() {
+	if ct.Level() != device.MaxLevel() {
 		t.Fatal("fresh ciphertext must be at full depth")
 	}
 	got, err := owner.DecryptDecode(ct)
@@ -83,7 +83,7 @@ func TestSerializationAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want, err := owner.CiphertextWireBytes(ct.Level); err != nil || len(data) != want {
+	if want, err := owner.CiphertextWireBytes(ct.Level()); err != nil || len(data) != want {
 		t.Fatalf("wire size %d != reported %d (%v)", len(data), want, err)
 	}
 	back, err := owner.DeserializeCiphertext(data)

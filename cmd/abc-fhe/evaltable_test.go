@@ -86,7 +86,7 @@ func TestEvalTableEquivalence(t *testing.T) {
 	seeded, err := owner.EncodeEncryptCompressed(msg)
 	must(err)
 
-	dft, err := direct.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{StartLevel: a.Level, Levels: 1})
+	dft, err := direct.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{StartLevel: a.Level(), Levels: 1})
 	must(err)
 	re, im, err := direct.CoeffsToSlots(a, dft, keys)
 	must(err)

@@ -337,7 +337,7 @@ func runEval(args []string) error {
 		if err := os.WriteFile(path, wire[i], 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", op.Name, cts[i].Level, len(wire[i]), path)
+		fmt.Printf("eval %s: level-%d ciphertext, %d bytes -> %s\n", op.Name, cts[i].Level(), len(wire[i]), path)
 	}
 	return nil
 }
@@ -392,7 +392,7 @@ func runEncrypt(args []string) error {
 		return err
 	}
 	fmt.Printf("encrypt: %d values -> depth-%d ciphertext, %d bytes -> %s\n",
-		len(msg), ct.Level, len(data), *outPath)
+		len(msg), ct.Level(), len(data), *outPath)
 	return nil
 }
 

@@ -61,7 +61,7 @@ func (e *Encryptor) EncodeEncrypt(msg []complex128) (*Ciphertext, error) {
 	pt := e.encoder.Encode(msg)
 	ct := e.enc.Encrypt(pt)
 	e.params.PutPlaintext(pt)
-	return ct, nil
+	return wrap(ct), nil
 }
 
 // EncodeEncryptBatch runs the outbound pipeline over a whole batch,
@@ -74,17 +74,14 @@ func (e *Encryptor) EncodeEncryptBatch(msgs [][]complex128) ([]*Ciphertext, erro
 			return nil, fmt.Errorf("message %d: %w", i, err)
 		}
 	}
-	return e.enc.EncryptBatchFrom(len(msgs), func(i int) *Plaintext {
+	cts := e.enc.EncryptBatchFrom(len(msgs), func(i int) *ckks.Plaintext {
 		return e.encoder.Encode(msgs[i])
-	}), nil
-}
-
-// Encode encodes without encrypting (plaintext-side tooling).
-func (e *Encryptor) Encode(msg []complex128) (*Plaintext, error) {
-	if err := validateMessage(e.params, msg); err != nil {
-		return nil, err
+	})
+	out := make([]*Ciphertext, len(cts))
+	for i, ct := range cts {
+		out[i] = wrap(ct)
 	}
-	return e.encoder.Encode(msg), nil
+	return out, nil
 }
 
 // Slots, MaxLevel, Workers, Close, SerializeCiphertext,

@@ -24,9 +24,9 @@ var (
 	ErrLevelMismatch = errors.New("abcfhe: ciphertext level mismatch")
 	// ErrScaleMismatch: two operands carry incompatible scales.
 	ErrScaleMismatch = errors.New("abcfhe: ciphertext scale mismatch")
-	// ErrInvalidCiphertext: a ciphertext value is structurally broken
-	// (nil components, limb count inconsistent with its level, mixed
-	// NTT/coefficient domains, wrong ring degree).
+	// ErrInvalidCiphertext: a ciphertext argument is nil or the zero
+	// value, was built by a party of another parameter set (wrong ring
+	// degree), or cannot be put on the packed wire.
 	ErrInvalidCiphertext = errors.New("abcfhe: invalid ciphertext")
 	// ErrBufferSize: a caller-provided output buffer has the wrong shape.
 	ErrBufferSize = errors.New("abcfhe: wrong output buffer size")
@@ -86,61 +86,31 @@ func validateLevel(p *ckks.Parameters, level int) error {
 	return nil
 }
 
-// validateCiphertext checks the structural invariants the scheme layer
-// assumes (and would otherwise panic on): component presence, level range,
-// limb counts matching the level, consistent domains, matching degree.
+// validateCiphertext is the operand check of every method taking a
+// Ciphertext, and it is O(1). Only this package builds a Ciphertext, so
+// its limb count, row lengths, domain and scale hold by construction.
+// What a caller can still hand over is a nil or zero value, or a
+// ciphertext a party of another parameter set built: the level range and
+// the ring degree turn that away.
 func validateCiphertext(p *ckks.Parameters, ct *Ciphertext) error {
-	if ct == nil || ct.C0 == nil || ct.C1 == nil {
-		return fmt.Errorf("%w: nil ciphertext or component", ErrInvalidCiphertext)
+	if ct == nil || ct.ct == nil {
+		return fmt.Errorf("%w: nil ciphertext", ErrInvalidCiphertext)
 	}
-	if err := validateLevel(p, ct.Level); err != nil {
+	if err := validateLevel(p, ct.ct.Level); err != nil {
 		return err
 	}
-	if len(ct.C0.Coeffs) != ct.Level || len(ct.C1.Coeffs) != ct.Level {
-		return fmt.Errorf("%w: limb count (%d, %d) does not match level %d",
-			ErrInvalidCiphertext, len(ct.C0.Coeffs), len(ct.C1.Coeffs), ct.Level)
-	}
-	for _, poly := range []*[][]uint64{&ct.C0.Coeffs, &ct.C1.Coeffs} {
-		for _, row := range *poly {
-			if len(row) != p.N() {
-				return fmt.Errorf("%w: limb length %d, want N=%d", ErrInvalidCiphertext, len(row), p.N())
-			}
-		}
-	}
-	if ct.C0.IsNTT != ct.C1.IsNTT {
-		return fmt.Errorf("%w: mixed NTT/coefficient domains", ErrInvalidCiphertext)
-	}
-	if !(ct.Scale > 0) || math.IsInf(ct.Scale, 0) {
-		return fmt.Errorf("%w: invalid scale %g", ErrInvalidCiphertext, ct.Scale)
+	if n := len(ct.ct.C0.Coeffs[0]); n != p.N() {
+		return fmt.Errorf("%w: ring degree %d, want N=%d", ErrInvalidCiphertext, n, p.N())
 	}
 	return nil
 }
 
-// validateCoeffCiphertext additionally requires the coefficient domain —
-// the form every ciphertext of the public API travels and computes in
-// (see Ciphertext). Decrypt would double-NTT (and panic the ring layer)
-// on an NTT-domain pair, and evaluation outputs would come back
-// mislabeled as coefficient-domain, laundering the bad tag past the
-// decrypt check — so a flipped wire domain byte must stop at every
-// public entry point: the role deserializers, the server operands, and
-// the decrypt pipeline.
-func validateCoeffCiphertext(p *ckks.Parameters, ct *Ciphertext) error {
-	if err := validateCiphertext(p, ct); err != nil {
-		return err
-	}
-	if ct.C0.IsNTT {
-		return fmt.Errorf("%w: public-API ciphertexts travel in the coefficient domain", ErrInvalidCiphertext)
-	}
-	return nil
-}
-
-// deserializeCoeffCiphertext is the shared wire entry point of the role
-// types: parse, then reject NTT-tagged blobs — the ckks layer supports
-// the NTT domain on the wire for internal uses, but public-API
-// ciphertexts travel in the coefficient domain, and accepting the tag
-// here would let a flipped domain byte launder through evaluation
-// (whose outputs are labeled coefficient-domain) into silent garbage.
-func deserializeCoeffCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, error) {
+// deserializeCiphertext is the shared wire entry point of the role types:
+// parse, then reject NTT-tagged blobs. The ckks layer carries the NTT
+// domain on the wire for internal uses, but a Ciphertext rests in the
+// coefficient domain between operations, and the domain byte is the one
+// place a caller can still claim otherwise.
+func deserializeCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, error) {
 	ct, err := p.UnmarshalCiphertext(data)
 	if err != nil {
 		return nil, wireErr(err)
@@ -148,7 +118,7 @@ func deserializeCoeffCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, e
 	if ct.C0.IsNTT {
 		return nil, fmt.Errorf("%w: NTT-domain ciphertext on the public wire", ErrMalformedWire)
 	}
-	return ct, nil
+	return wrap(ct), nil
 }
 
 // validateSameLevelScale checks binary-operation compatibility. The scale
@@ -157,11 +127,11 @@ func deserializeCoeffCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, e
 // (an a-relative bound would accept one order and reject the other when
 // one scale dwarfs the one the tolerance happened to be anchored to).
 func validateSameLevelScale(a, b *Ciphertext) error {
-	if a.Level != b.Level {
-		return fmt.Errorf("%w: %d vs %d", ErrLevelMismatch, a.Level, b.Level)
+	if a.ct.Level != b.ct.Level {
+		return fmt.Errorf("%w: %d vs %d", ErrLevelMismatch, a.ct.Level, b.ct.Level)
 	}
-	if math.Abs(a.Scale-b.Scale) > math.Max(a.Scale, b.Scale)*1e-12 {
-		return fmt.Errorf("%w: %g vs %g", ErrScaleMismatch, a.Scale, b.Scale)
+	if math.Abs(a.ct.Scale-b.ct.Scale) > math.Max(a.ct.Scale, b.ct.Scale)*1e-12 {
+		return fmt.Errorf("%w: %g vs %g", ErrScaleMismatch, a.ct.Scale, b.ct.Scale)
 	}
 	return nil
 }

@@ -3,9 +3,10 @@ package abcfhe
 // Every public-API misuse path must return a typed error (errors.Is
 // against the sentinels in errors.go) — never panic. These tests walk the
 // acceptance list: bad lengths, wrong levels, malformed bytes, unknown
-// presets, structural ciphertext damage.
+// presets, foreign and zero-value ciphertexts.
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -68,9 +69,6 @@ func TestMessageTooLongErrors(t *testing.T) {
 	if _, err := device.EncodeEncrypt(long); !errors.Is(err, ErrMessageTooLong) {
 		t.Errorf("EncodeEncrypt: %v", err)
 	}
-	if _, err := device.Encode(long); !errors.Is(err, ErrMessageTooLong) {
-		t.Errorf("Encode: %v", err)
-	}
 	if _, err := device.EncodeEncryptBatch([][]complex128{{0.5}, long}); !errors.Is(err, ErrMessageTooLong) {
 		t.Errorf("EncodeEncryptBatch: %v", err)
 	}
@@ -79,6 +77,10 @@ func TestMessageTooLongErrors(t *testing.T) {
 	}
 }
 
+// TestInvalidCiphertextErrors: a Ciphertext is built only by this
+// package, so the ill-formed values a caller can still hand over are nil,
+// the zero value and a ciphertext of another preset's party; everything
+// else a caller controls arrives as wire bytes.
 func TestInvalidCiphertextErrors(t *testing.T) {
 	owner, device, server := threeParties(t, Test, 5, 6)
 	msg := testMsgs(device.Slots(), 1)[0]
@@ -87,75 +89,86 @@ func TestInvalidCiphertextErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := owner.DecryptDecode(nil); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("nil ciphertext: %v", err)
-	}
-	bad := *ct
-	bad.Level = owner.MaxLevel() + 7
-	if _, err := owner.DecryptDecode(&bad); !errors.Is(err, ErrLevelOutOfRange) {
-		t.Errorf("level out of range: %v", err)
-	}
-	bad = *ct
-	bad.Level = 2 // limb count (full depth) no longer matches the level
-	if _, err := owner.DecryptDecode(&bad); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("limb/level mismatch: %v", err)
-	}
-	mixed := *ct
-	mixedC0 := *ct.C0
-	mixedC0.IsNTT = !ct.C1.IsNTT
-	mixed.C0 = &mixedC0
-	if _, err := server.Negate(&mixed); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("mixed domain: %v", err)
-	}
-	scaleless := *ct
-	scaleless.Scale = 0
-	if _, err := owner.SerializeCiphertext(&scaleless); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("zero scale: %v", err)
+	for name, bad := range map[string]*Ciphertext{"nil": nil, "zero value": {}} {
+		if _, err := owner.DecryptDecode(bad); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("%s decrypt: %v", name, err)
+		}
+		if _, err := owner.DecryptDecodeBatch([]*Ciphertext{ct, bad}); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("%s batch decrypt: %v", name, err)
+		}
+		if _, err := server.Add(ct, bad); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("%s server add: %v", name, err)
+		}
+		if _, err := device.SerializeCiphertext(bad); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("%s serialize: %v", name, err)
+		}
+		if bad.Level() != 0 || bad.Scale() != 0 {
+			t.Errorf("%s: Level %d, Scale %g, want 0, 0", name, bad.Level(), bad.Scale())
+		}
 	}
 
-	// A hand-built residue above the 44-bit wire word must not ship as
-	// silently corrupt bytes.
-	wide := *ct
-	wideC1 := *ct.C1
-	wideC1.Coeffs = append([][]uint64(nil), ct.C1.Coeffs...)
-	wideC1.Coeffs[1] = append([]uint64(nil), ct.C1.Coeffs[1]...)
-	wideC1.Coeffs[1][3] = 1 << 44
-	wide.C1 = &wideC1
-	if _, err := device.SerializeCiphertext(&wide); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("residue above 44 bits: %v", err)
+	// A ciphertext from another preset's party. Test (N = 2^10, 4 limbs)
+	// sits inside PN13's level range, so only the ring degree turns it
+	// away; PN13's 12 limbs are out of Test's range.
+	owner13, device13, server13 := threeParties(t, PN13, 5, 6)
+	ct13, err := device13.EncodeEncrypt(testMsgs(device13.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]func(s *Server, c *Ciphertext) error{
+		"Negate":    func(s *Server, c *Ciphertext) error { _, err := s.Negate(c); return err },
+		"Add":       func(s *Server, c *Ciphertext) error { _, err := s.Add(c, c); return err },
+		"MulConst":  func(s *Server, c *Ciphertext) error { _, err := s.MulConst(c, 2); return err },
+		"Rescale":   func(s *Server, c *Ciphertext) error { _, err := s.Rescale(c); return err },
+		"DropLevel": func(s *Server, c *Ciphertext) error { _, err := s.DropLevel(c, 1); return err },
+		"Mul":       func(s *Server, c *Ciphertext) error { _, err := s.Mul(c, c, nil); return err },
+		"Rotate":    func(s *Server, c *Ciphertext) error { _, err := s.Rotate(c, 1, nil); return err },
+		"InnerSum":  func(s *Server, c *Ciphertext) error { _, err := s.InnerSum(c, 2, nil); return err },
+	}
+	for name, op := range ops {
+		if err := op(server13, ct); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("PN13 server %s of a Test ciphertext: %v", name, err)
+		}
+		if err := op(server, ct13); !errors.Is(err, ErrLevelOutOfRange) {
+			t.Errorf("Test server %s of a PN13 ciphertext: %v", name, err)
+		}
+	}
+	if _, err := owner13.DecryptDecode(ct); !errors.Is(err, ErrInvalidCiphertext) {
+		t.Errorf("PN13 decrypt of a Test ciphertext: %v", err)
+	}
+	if _, err := owner13.SerializeCiphertext(ct); !errors.Is(err, ErrInvalidCiphertext) {
+		t.Errorf("PN13 serialize of a Test ciphertext: %v", err)
+	}
+	if _, err := owner.DecryptDecode(ct13); !errors.Is(err, ErrLevelOutOfRange) {
+		t.Errorf("Test decrypt of a PN13 ciphertext: %v", err)
 	}
 
-	// A flipped wire domain byte must stop at the public deserializers —
-	// the decrypt pipeline would double-NTT and panic the ring layer, and
-	// evaluation would relabel the data as coefficient-domain, laundering
-	// the tag past the decrypt check.
+	// The header states a caller can forge are wire bytes; each stops at
+	// both deserializers. A flipped domain byte matters most: decryption
+	// would double-NTT, and evaluation would relabel the data as
+	// coefficient-domain.
 	data, err := device.SerializeCiphertext(ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[16] = 1 // claim NTT domain
-	if _, err := owner.DeserializeCiphertext(data); !errors.Is(err, ErrMalformedWire) {
-		t.Errorf("owner NTT-domain deserialize: %v", err)
-	}
-	if _, err := server.DeserializeCiphertext(data); !errors.Is(err, ErrMalformedWire) {
-		t.Errorf("server NTT-domain deserialize: %v", err)
-	}
-	// And an in-memory NTT-tagged pair is rejected by every consumer.
-	nttCt := *ct
-	c0, c1 := *ct.C0, *ct.C1
-	c0.IsNTT, c1.IsNTT = true, true
-	nttCt.C0, nttCt.C1 = &c0, &c1
-	if _, err := owner.DecryptDecode(&nttCt); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("NTT-domain decrypt: %v", err)
-	}
-	if _, err := owner.DecryptDecodeBatch([]*Ciphertext{&nttCt}); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("NTT-domain batch decrypt: %v", err)
-	}
-	if _, err := server.Add(&nttCt, &nttCt); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("NTT-domain server add: %v", err)
-	}
-	if _, err := device.SerializeCiphertext(&nttCt); !errors.Is(err, ErrInvalidCiphertext) {
-		t.Errorf("NTT-domain serialize: %v", err)
+	for name, forge := range map[string]func(d []byte){
+		"NTT domain":        func(d []byte) { d[16] = 1 },
+		"level 0":           func(d []byte) { d[7] = 0 },
+		"level above max":   func(d []byte) { d[7] = byte(owner.MaxLevel() + 7) },
+		"limb/level":        func(d []byte) { d[7] = 2 }, // full-depth payload
+		"zero scale":        func(d []byte) { binary.LittleEndian.PutUint64(d[8:], 0) },
+		"NaN scale":         func(d []byte) { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.NaN())) },
+		"infinite scale":    func(d []byte) { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.Inf(1))) },
+		"other ring degree": func(d []byte) { d[6] = 13 },
+	} {
+		d := append([]byte(nil), data...)
+		forge(d)
+		if _, err := owner.DeserializeCiphertext(d); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("owner %s: %v", name, err)
+		}
+		if _, err := server.DeserializeCiphertext(d); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("server %s: %v", name, err)
+		}
 	}
 }
 
@@ -247,9 +260,6 @@ func TestNonFiniteMessageErrors(t *testing.T) {
 		if _, err := device.EncodeEncrypt(msg); !errors.Is(err, ErrInvalidConstant) {
 			t.Errorf("EncodeEncrypt(%v): %v", z, err)
 		}
-		if _, err := device.Encode(msg); !errors.Is(err, ErrInvalidConstant) {
-			t.Errorf("Encode(%v): %v", z, err)
-		}
 		if _, err := device.EncodeEncryptBatch([][]complex128{testMsgs(slots, 1)[0], msg}); !errors.Is(err, ErrInvalidConstant) {
 			t.Errorf("EncodeEncryptBatch(%v): %v", z, err)
 		}
@@ -285,21 +295,24 @@ func TestScaleToleranceSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	within := *ct
-	within.Scale = ct.Scale * (1 + 1e-13) // inside the 1e-12 relative budget
-	if _, err := server.Add(ct, &within); err != nil {
+	nudged := func(factor float64) *Ciphertext {
+		c := *ct.ct
+		c.Scale *= factor
+		return wrap(&c)
+	}
+	within := nudged(1 + 1e-13) // inside the 1e-12 relative budget
+	if _, err := server.Add(ct, within); err != nil {
 		t.Errorf("Add(base, nudged): %v", err)
 	}
-	if _, err := server.Add(&within, ct); err != nil {
+	if _, err := server.Add(within, ct); err != nil {
 		t.Errorf("Add(nudged, base): %v", err)
 	}
 
-	beyond := *ct
-	beyond.Scale = ct.Scale * (1 + 1e-6)
-	if _, err := server.Add(ct, &beyond); !errors.Is(err, ErrScaleMismatch) {
+	beyond := nudged(1 + 1e-6)
+	if _, err := server.Add(ct, beyond); !errors.Is(err, ErrScaleMismatch) {
 		t.Errorf("Add(base, off): %v", err)
 	}
-	if _, err := server.Add(&beyond, ct); !errors.Is(err, ErrScaleMismatch) {
+	if _, err := server.Add(beyond, ct); !errors.Is(err, ErrScaleMismatch) {
 		t.Errorf("Add(off, base): %v", err)
 	}
 }

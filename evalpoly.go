@@ -108,27 +108,24 @@ func (s *Server) NewPolyEval(coeffs []complex128, lo, hi float64, level int) (*P
 // lands Depth() levels lower at ≈ the working scale. Key-gated: the set
 // must carry the relinearization key at depth ≥ KeyLevel().
 func (s *Server) EvalPoly(ct *Ciphertext, pe *PolyEval, evk *EvaluationKeys) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	if evk == nil {
-		return nil, fmt.Errorf("%w: no evaluation-key set provided", ErrEvaluationKeyMissing)
+	if err := validateKeyDepth(evk, "product level", pe.KeyLevel()); err != nil {
+		return nil, err
 	}
 	if evk.set.Rlk == nil {
 		return nil, fmt.Errorf("%w: set carries no relinearization key", ErrEvaluationKeyMissing)
 	}
-	if ct.Level < pe.Level() {
+	in := ct.ct
+	if in.Level < pe.Level() {
 		return nil, fmt.Errorf("%w: ciphertext at level %d, polynomial compiled at %d",
-			ErrLevelOutOfRange, ct.Level, pe.Level())
+			ErrLevelOutOfRange, in.Level, pe.Level())
 	}
-	if pe.KeyLevel() > evk.set.MaxLevel {
-		return nil, fmt.Errorf("%w: evaluation runs products at level %d, keys stop at %d (export deeper keys)",
-			ErrLevelOutOfRange, pe.KeyLevel(), evk.set.MaxLevel)
+	if in.Level > pe.Level() {
+		in = s.eval.DropLevel(in, pe.Level())
 	}
-	if ct.Level > pe.Level() {
-		ct = s.eval.DropLevel(ct, pe.Level())
-	}
-	return s.eval.EvalPoly(ct, pe.plan, evk.set.Rlk), nil
+	return wrap(s.eval.EvalPoly(in, pe.plan, evk.set.Rlk)), nil
 }
 
 // EvalPolyDepth returns the limbs a degree-`degree` evaluation spends on

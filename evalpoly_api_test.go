@@ -134,8 +134,8 @@ func TestEvalPolyEveryPreset(t *testing.T) {
 				if err != nil {
 					t.Fatalf("deg %d: %v", deg, err)
 				}
-				if out.Level != pe.Level()-pe.Depth() {
-					t.Fatalf("deg %d: output level %d, want %d", deg, out.Level, pe.Level()-pe.Depth())
+				if out.Level() != pe.Level()-pe.Depth() {
+					t.Fatalf("deg %d: output level %d, want %d", deg, out.Level(), pe.Level()-pe.Depth())
 				}
 				got, err := owner.DecryptDecode(out)
 				if err != nil {

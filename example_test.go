@@ -104,7 +104,7 @@ func ExampleEncryptor() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("encrypted %d messages at depth %d\n", len(cts), cts[0].Level)
+	fmt.Printf("encrypted %d messages at depth %d\n", len(cts), cts[0].Level())
 
 	// Misuse returns typed errors, never panics.
 	_, err = device.EncodeEncrypt(make([]complex128, device.Slots()+1))

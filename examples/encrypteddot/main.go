@@ -140,7 +140,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: got %8.5f, want %8.5f (reply %d B at level %d)\n",
-			name, real(got[0]), real(want), len(reply), ct.Level)
+			name, real(got[0]), real(want), len(reply), ct.Level())
 	}
 	report("ct×ct ⟨x,y⟩   ", replyDot, wantDot)
 	report("plain-weight W·x", replyLayer, wantLayer)

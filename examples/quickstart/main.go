@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("encrypted %d slots into a depth-%d ciphertext (%d wire bytes)\n",
-		len(msg), ct.Level, len(upload))
+		len(msg), ct.Level(), len(upload))
 
 	// Party 3 — the server: homomorphic work without any key material —
 	// compute 2x + x = 3x, then drop to the 2-limb state clients receive.

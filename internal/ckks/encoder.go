@@ -20,8 +20,9 @@ type Plaintext struct {
 
 // PutPlaintext recycles pt's backing polynomial into the scratch pool.
 // Only call when pt was produced by this library (Encode/Decrypt) and no
-// reference to it survives — the fused pipelines (Client.EncodeEncrypt
-// and friends) use it to run allocation-free in steady state.
+// reference to it survives — the fused pipelines (the roles'
+// EncodeEncrypt, DecryptDecode and their batch forms) use it to run
+// allocation-free in steady state.
 func (p *Parameters) PutPlaintext(pt *Plaintext) {
 	if pt == nil {
 		return

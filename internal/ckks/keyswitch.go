@@ -507,12 +507,15 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 
 	a0 := rl.GetPolyCopy(a.C0)
 	a1 := rl.GetPolyCopy(a.C1)
-	b0 := rl.GetPolyCopy(b.C0)
-	b1 := rl.GetPolyCopy(b.C1)
 	rl.NTT(a0)
 	rl.NTT(a1)
-	rl.NTT(b0)
-	rl.NTT(b1)
+	b0, b1 := a0, a1 // a squaring transforms its one operand once
+	if b != a {
+		b0 = rl.GetPolyCopy(b.C0)
+		b1 = rl.GetPolyCopy(b.C1)
+		rl.NTT(b0)
+		rl.NTT(b1)
+	}
 
 	c0 := rl.GetPolyUninit() // returned; MulCoeffs writes every index
 	c1 := rl.GetPolyUninit()
@@ -522,8 +525,10 @@ func (ev *Evaluator) mulRelinUnchecked(a, b *Ciphertext, rlk *RelinearizationKey
 	rl.MulCoeffsAdd(a1, b0, c1) // + a1·b0
 	rl.MulCoeffs(a1, b1, c2)    // the degree-2 term
 	rl.PutPoly(a0)
-	rl.PutPoly(b0)
-	rl.PutPoly(b1)
+	if b != a {
+		rl.PutPoly(b0)
+		rl.PutPoly(b1)
+	}
 
 	// Key-switch c2 straight into the result halves, closing INTTs folded
 	// into the switch's last stage. The source reduction reads the

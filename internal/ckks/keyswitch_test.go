@@ -182,3 +182,26 @@ func automorphism(rl *ring.Ring, p *ring.Poly, g int) *ring.Poly {
 	rl.AutomorphismCoeff(p, g, out)
 	return out
 }
+
+// TestMulRelinSquareMatchesCopy: a squaring MulRelin(x, x) transforms its
+// one operand once, and its bytes must equal those of x times a copy of
+// itself, at every level of Test and PN13.
+func TestMulRelinSquareMatchesCopy(t *testing.T) {
+	for _, spec := range []ParamSpec{TestParams, PN13} {
+		p := spec.MustBuild()
+		kg := NewKeyGenerator(p, testSeed())
+		_, pk := kg.GenKeyPair()
+		rlk := kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
+		ev := NewEvaluator(p)
+		ct := NewEncryptor(p, pk, testSeed()).Encrypt(NewEncoder(p).Encode(randMsg(p, 0, 43)))
+		for level := p.MaxLevel(); level >= 1; level-- {
+			x := ev.DropLevel(ct, level)
+			sq, ref := ev.MulRelin(x, x, rlk), ev.MulRelin(x, p.CopyCiphertext(x), rlk)
+			r := p.Ring()
+			if sq.Scale != ref.Scale || !r.Equal(sq.C0, ref.C0) || !r.Equal(sq.C1, ref.C1) {
+				t.Fatalf("logN %d level %d: MulRelin(x, x) differs from x times a copy", spec.LogN, level)
+			}
+		}
+		p.Close()
+	}
+}

@@ -82,13 +82,6 @@ func (p *Parameters) EstimateNoiseBudget(level, mults, adds int) NoiseBudget {
 	return nb
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Decryptable reports whether the estimated message+noise still fits the
 // level's modulus (the go/no-go a scheduler needs before DropLevel).
 func (nb NoiseBudget) Decryptable() bool { return nb.HeadroomBits > 0 }

@@ -2,7 +2,9 @@ package ckks
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"slices"
@@ -11,6 +13,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
 
 // quickConfig fixes and logs the property tests' input stream, so a run is
@@ -99,6 +102,9 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 		"bad ver":    func(d []byte) []byte { d[4] = 99; return d },
 		"bad logN":   func(d []byte) []byte { d[6] = 3; return d },
 		"bad level":  func(d []byte) []byte { d[7] = 200; return d },
+		"level 0":    func(d []byte) []byte { d[7] = 0; return d },
+		"zero scale": func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], 0); return d },
+		"NaN scale":  func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.NaN())); return d },
 		"bad enc":    func(d []byte) []byte { d[5] = 7; return d },
 		"truncated":  func(d []byte) []byte { return d[:len(d)-5] },
 		"bad domain": func(d []byte) []byte { d[16] = 2; return d },
@@ -297,6 +303,25 @@ func TestMarshalNTTDomainPreserved(t *testing.T) {
 		t.Fatal("NTT domain flag lost")
 	}
 	_ = cmplx.Abs // keep import pattern consistent with the package tests
+}
+
+// TestMarshalRejectsMalformedCiphertext: in-memory states no operation
+// produces — a level outside the chain, a pair whose halves disagree on
+// the domain — never reach the wire.
+func TestMarshalRejectsMalformedCiphertext(t *testing.T) {
+	p := testParams
+	rl := p.RingAt(2)
+	for name, ct := range map[string]*Ciphertext{
+		"level 0":         {C0: rl.NewPoly(), C1: rl.NewPoly(), Level: 0, Scale: p.Scale()},
+		"level above max": {C0: rl.NewPoly(), C1: rl.NewPoly(), Level: p.MaxLevel() + 1, Scale: p.Scale()},
+		"mixed domain":    {C0: &ring.Poly{Coeffs: rl.NewPoly().Coeffs, IsNTT: true}, C1: rl.NewPoly(), Level: 2, Scale: p.Scale()},
+	} {
+		for _, packed := range []bool{false, true} {
+			if _, err := p.MarshalCiphertext(ct, packed); err == nil {
+				t.Errorf("%s (packed %v): marshaled", name, packed)
+			}
+		}
+	}
 }
 
 // BenchmarkWireCodec: packed marshal and unmarshal of a full-depth PN16

@@ -107,7 +107,7 @@ var table = []*Op{
 	// otherwise and emits the real and imaginary coefficient halves.
 	{Name: "c2s", Operands: unary, NeedsKeys: true,
 		compile: func(e *Engine, p *params, in *Inputs) (compute, error) {
-			levels, start := p.int("levels", 1), p.int("start", in.Cts[0].Level)
+			levels, start := p.int("levels", 1), p.int("start", in.Cts[0].Level())
 			if p.err != nil {
 				return nil, p.err
 			}
@@ -125,7 +125,7 @@ var table = []*Op{
 			if p.err != nil {
 				return nil, p.err
 			}
-			dft, err := e.dftAtMid(in.Cts[0].Level, levels)
+			dft, err := e.dftAtMid(in.Cts[0].Level(), levels)
 			return func(evk *abcfhe.EvaluationKeys) ([]*abcfhe.Ciphertext, error) {
 				return one(e.srv.SlotsToCoeffs(in.Cts[0], in.Cts[1], dft, evk))
 			}, err

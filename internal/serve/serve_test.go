@@ -198,7 +198,7 @@ func TestServeEndToEndByteIdentity(t *testing.T) {
 		"dot":       {ser(direct.DotPlain(a, weights, dkeys))},
 		"expand":    {ser(direct.ExpandCompressedUpload(seeded))},
 	}
-	dft, err := direct.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{StartLevel: a.Level, Levels: 1})
+	dft, err := direct.NewHomomorphicDFT(abcfhe.HomomorphicDFTConfig{StartLevel: a.Level(), Levels: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,13 +201,13 @@ func (o *KeyOwner) DecryptDecode(ct *Ciphertext) ([]complex128, error) {
 // buffer of length Slots() (returned for chaining). With a reused buffer
 // the steady-state inbound pipeline allocates only transient bookkeeping.
 func (o *KeyOwner) DecryptDecodeInto(ct *Ciphertext, out []complex128) ([]complex128, error) {
-	if err := validateCoeffCiphertext(o.params, ct); err != nil {
+	if err := validateCiphertext(o.params, ct); err != nil {
 		return nil, err
 	}
 	if len(out) != o.params.Slots() {
 		return nil, fmt.Errorf("%w: %d slots, want %d", ErrBufferSize, len(out), o.params.Slots())
 	}
-	pt := o.decryptor.Decrypt(ct)
+	pt := o.decryptor.Decrypt(ct.ct)
 	o.encoder.DecodeInto(pt, out)
 	o.params.PutPlaintext(pt)
 	return out, nil
@@ -229,7 +229,7 @@ func (o *KeyOwner) DecryptDecodeBatchInto(cts []*Ciphertext, out [][]complex128)
 		return nil, fmt.Errorf("%w: %d buffers for %d ciphertexts", ErrBufferSize, len(out), len(cts))
 	}
 	for i, ct := range cts {
-		if err := validateCoeffCiphertext(o.params, ct); err != nil {
+		if err := validateCiphertext(o.params, ct); err != nil {
 			return nil, fmt.Errorf("ciphertext %d: %w", i, err)
 		}
 		if out[i] != nil && len(out[i]) != o.params.Slots() {
@@ -240,7 +240,7 @@ func (o *KeyOwner) DecryptDecodeBatchInto(cts []*Ciphertext, out [][]complex128)
 		if out[i] == nil {
 			out[i] = make([]complex128, o.params.Slots())
 		}
-		pt := o.decryptor.Decrypt(cts[i])
+		pt := o.decryptor.Decrypt(cts[i].ct)
 		o.encoder.DecodeInto(pt, out[i])
 		o.params.PutPlaintext(pt)
 	})

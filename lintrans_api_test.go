@@ -117,8 +117,8 @@ func TestLinearTransformEveryPreset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out.Level != level-lt.Depth() {
-				t.Fatalf("output level %d, want %d", out.Level, level-lt.Depth())
+			if out.Level() != level-lt.Depth() {
+				t.Fatalf("output level %d, want %d", out.Level(), level-lt.Depth())
 			}
 			got, err := owner.DecryptDecode(out)
 			if err != nil {

@@ -126,13 +126,12 @@ func (p *party) Close() { p.params.Close() }
 
 // SerializeCiphertext encodes ct in the packed 44-bit wire format — the
 // exact byte stream the accelerator's DRAM/wire accounting charges.
-// Public-API ciphertexts travel in the coefficient domain.
 func (p *party) SerializeCiphertext(ct *Ciphertext) ([]byte, error) {
-	if err := validateCoeffCiphertext(p.params, ct); err != nil {
+	if err := validateCiphertext(p.params, ct); err != nil {
 		return nil, err
 	}
-	data, err := p.params.MarshalCiphertext(ct, true)
-	if err != nil { // a residue the 44-bit word cannot represent
+	data, err := p.params.MarshalCiphertext(ct.ct, true)
+	if err != nil { // limbs wider than the 44-bit word (a custom spec)
 		return nil, fmt.Errorf("%w: %w", ErrInvalidCiphertext, err)
 	}
 	return data, nil
@@ -140,9 +139,9 @@ func (p *party) SerializeCiphertext(ct *Ciphertext) ([]byte, error) {
 
 // DeserializeCiphertext reverses SerializeCiphertext, validating every
 // residue against the parameter set. A blob claiming the NTT domain is
-// rejected (see deserializeCoeffCiphertext).
+// rejected (see deserializeCiphertext).
 func (p *party) DeserializeCiphertext(data []byte) (*Ciphertext, error) {
-	return deserializeCoeffCiphertext(p.params, data)
+	return deserializeCiphertext(p.params, data)
 }
 
 // CiphertextWireBytes reports the packed wire size of a full ciphertext

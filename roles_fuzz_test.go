@@ -9,6 +9,8 @@ package abcfhe
 // checked against the spec-implied size before parameters are built).
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -103,4 +105,79 @@ func TestKeyBlobHeaderSweep(t *testing.T) {
 		}
 		tryKeyBlob(append(append([]byte(nil), blob...), 0))
 	}
+}
+
+// Ciphertext bytes are the one form in which a caller controls a
+// ciphertext's level, scale, domain and residues: a Ciphertext value
+// itself is built only by this package. Every forged header must stop at
+// the deserializers with ErrMalformedWire, and every accepted blob must
+// be a working ciphertext that re-serializes to the same bytes.
+
+func fuzzCiphertextParties(t testing.TB) (*KeyOwner, *Server, []byte) {
+	t.Helper()
+	owner, device, server := threeParties(t, Test, 0xC7F, 0xC80)
+	ct, err := device.EncodeEncrypt(testMsgs(device.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := device.SerializeCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return owner, server, blob
+}
+
+func tryCiphertextBlob(t testing.TB, owner *KeyOwner, server *Server, data []byte) {
+	for _, p := range []*party{&owner.party, &server.party} {
+		ct, err := p.DeserializeCiphertext(data)
+		if err != nil {
+			if !errors.Is(err, ErrMalformedWire) {
+				t.Fatalf("rejection without ErrMalformedWire: %v", err)
+			}
+			continue
+		}
+		again, err := p.SerializeCiphertext(ct)
+		if err != nil || !bytes.Equal(again, data) {
+			t.Fatalf("accepted blob does not re-serialize to its bytes: %v", err)
+		}
+		if _, err := owner.DecryptDecode(ct); err != nil {
+			t.Fatalf("accepted blob does not decrypt: %v", err)
+		}
+		if _, err := server.Negate(ct); err != nil {
+			t.Fatalf("accepted blob is not a server operand: %v", err)
+		}
+	}
+}
+
+func FuzzDeserializeCiphertext(f *testing.F) {
+	owner, server, blob := fuzzCiphertextParties(f)
+	f.Add(blob)
+	for i := 0; i < 17; i++ {
+		d := append([]byte(nil), blob...)
+		d[i] ^= 0xFF
+		f.Add(d)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tryCiphertextBlob(t, owner, server, data)
+	})
+}
+
+// TestCiphertextHeaderSweep is the deterministic slice of
+// FuzzDeserializeCiphertext: every header byte (magic, version, encoding,
+// log N, level, scale, domain) through adversarial values, and
+// truncations at every header boundary.
+func TestCiphertextHeaderSweep(t *testing.T) {
+	owner, server, blob := fuzzCiphertextParties(t)
+	for i := 0; i < 17; i++ {
+		orig := blob[i]
+		for _, v := range []byte{0x00, 0x01, 0x02, 0x7F, 0x80, 0xFF, orig ^ 0x01, orig ^ 0xFF} {
+			d := append([]byte(nil), blob...)
+			d[i] = v
+			tryCiphertextBlob(t, owner, server, d)
+		}
+	}
+	for _, cut := range []int{0, 4, 8, 16, 17, len(blob) / 2, len(blob) - 1} {
+		tryCiphertextBlob(t, owner, server, blob[:cut])
+	}
+	tryCiphertextBlob(t, owner, server, append(append([]byte(nil), blob...), 0))
 }

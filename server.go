@@ -123,7 +123,7 @@ func (s *Server) ExpandCompressedUpload(data []byte) (*Ciphertext, error) {
 	if err != nil {
 		return nil, wireErr(err)
 	}
-	return s.params.Expand(sct), nil
+	return wrap(s.params.Expand(sct)), nil
 }
 
 // Add returns a + b (component-wise RLWE addition).
@@ -131,7 +131,7 @@ func (s *Server) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := s.validatePair(a, b); err != nil {
 		return nil, err
 	}
-	return s.eval.Add(a, b), nil
+	return wrap(s.eval.Add(a.ct, b.ct)), nil
 }
 
 // Sub returns a - b.
@@ -139,15 +139,15 @@ func (s *Server) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := s.validatePair(a, b); err != nil {
 		return nil, err
 	}
-	return s.eval.Sub(a, b), nil
+	return wrap(s.eval.Sub(a.ct, b.ct)), nil
 }
 
 // Negate returns -ct.
 func (s *Server) Negate(ct *Ciphertext) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	return s.eval.Negate(ct), nil
+	return wrap(s.eval.Negate(ct.ct)), nil
 }
 
 // MulConst multiplies by a real constant via an integer approximation
@@ -157,38 +157,38 @@ func (s *Server) Negate(ct *Ciphertext) (*Ciphertext, error) {
 // implementation-defined float→uint conversion and yield platform-
 // dependent garbage with no error).
 func (s *Server) MulConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
 	if math.IsNaN(c) || math.IsInf(c, 0) || math.Abs(c) >= 1<<32 {
 		return nil, fmt.Errorf("%w: %g not finite or |c| ≥ 2^32", ErrInvalidConstant, c)
 	}
-	return s.eval.MulConst(ct, c), nil
+	return wrap(s.eval.MulConst(ct.ct, c)), nil
 }
 
 // Rescale divides the ciphertext by its last RNS prime, dropping one limb
 // and dividing the scale accordingly.
 func (s *Server) Rescale(ct *Ciphertext) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	if ct.Level < 2 {
+	if ct.ct.Level < 2 {
 		return nil, fmt.Errorf("%w: cannot rescale below level 1", ErrLevelOutOfRange)
 	}
-	return s.eval.Rescale(ct), nil
+	return wrap(s.eval.Rescale(ct.ct)), nil
 }
 
 // DropLevel truncates the ciphertext to `level` limbs without changing
 // the scale — how the paper's evaluation models server→client traffic
 // (the server returns 2-limb ciphertexts to minimize client work, §V-B).
 func (s *Server) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	if level < 1 || level > ct.Level {
-		return nil, fmt.Errorf("%w: target %d not in [1, %d]", ErrLevelOutOfRange, level, ct.Level)
+	if level < 1 || level > ct.ct.Level {
+		return nil, fmt.Errorf("%w: target %d not in [1, %d]", ErrLevelOutOfRange, level, ct.ct.Level)
 	}
-	return s.eval.DropLevel(ct, level), nil
+	return wrap(s.eval.DropLevel(ct.ct, level)), nil
 }
 
 // ---------------------------------------------------------------------
@@ -196,17 +196,34 @@ func (s *Server) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 // ---------------------------------------------------------------------
 
 // validateEvalOperand is the shared prologue of the key-gated surface:
-// structural ciphertext checks, a non-nil key set, and the depth cap.
+// the operand check, a non-nil key set, and the depth cap.
 func (s *Server) validateEvalOperand(ct *Ciphertext, evk *EvaluationKeys) error {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return err
 	}
+	return validateKeyDepth(evk, "ciphertext level", ct.ct.Level)
+}
+
+// validateKeyDepth checks that evk is present and reaches the deepest
+// level the operation switches keys at (what names that level).
+func validateKeyDepth(evk *EvaluationKeys, what string, level int) error {
 	if evk == nil {
 		return fmt.Errorf("%w: no evaluation-key set provided", ErrEvaluationKeyMissing)
 	}
-	if ct.Level > evk.set.MaxLevel {
-		return fmt.Errorf("%w: level %d exceeds the evaluation keys' depth %d (drop levels first, or export deeper keys)",
-			ErrLevelOutOfRange, ct.Level, evk.set.MaxLevel)
+	if level > evk.set.MaxLevel {
+		return fmt.Errorf("%w: %s %d exceeds the evaluation keys' depth %d (export deeper keys)",
+			ErrLevelOutOfRange, what, level, evk.set.MaxLevel)
+	}
+	return nil
+}
+
+// requireLadder resolves the power-of-two rotation ladder 1, 2, …, span/2
+// before any work, typed-error on the first missing rung.
+func (s *Server) requireLadder(evk *EvaluationKeys, span int) error {
+	for st := 1; st < span; st <<= 1 {
+		if _, err := s.rotationKey(evk, st); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -234,13 +251,13 @@ func (s *Server) Mul(a, b *Ciphertext, evk *EvaluationKeys) (*Ciphertext, error)
 	if err := s.validatePair(a, b); err != nil {
 		return nil, err
 	}
-	if err := s.validateEvalOperand(a, evk); err != nil {
+	if err := validateKeyDepth(evk, "ciphertext level", a.ct.Level); err != nil {
 		return nil, err
 	}
 	if evk.set.Rlk == nil {
 		return nil, fmt.Errorf("%w: set carries no relinearization key", ErrEvaluationKeyMissing)
 	}
-	return s.eval.MulRelin(a, b, evk.set.Rlk), nil
+	return wrap(s.eval.MulRelin(a.ct, b.ct, evk.set.Rlk)), nil
 }
 
 // Rotate rotates the message slots by k (slot i of the result holds slot
@@ -252,13 +269,13 @@ func (s *Server) Rotate(ct *Ciphertext, k int, evk *EvaluationKeys) (*Ciphertext
 	}
 	step := s.params.NormalizeStep(k)
 	if step == 0 {
-		return s.params.CopyCiphertext(ct), nil
+		return wrap(s.params.CopyCiphertext(ct.ct)), nil
 	}
 	rk, err := s.rotationKey(evk, step)
 	if err != nil {
 		return nil, err
 	}
-	return s.eval.RotateGalois(ct, rk), nil
+	return wrap(s.eval.RotateGalois(ct.ct, rk)), nil
 }
 
 // RotateMany rotates one ciphertext by every step at once on the hoisted
@@ -286,12 +303,12 @@ func (s *Server) RotateMany(ct *Ciphertext, steps []int, evk *EvaluationKeys) ([
 		rks = append(rks, rk)
 		hoistIdx = append(hoistIdx, i)
 	}
-	for i, ct2 := range s.eval.RotateHoisted(ct, rks) {
-		out[hoistIdx[i]] = ct2
+	for i, ct2 := range s.eval.RotateHoisted(ct.ct, rks) {
+		out[hoistIdx[i]] = wrap(ct2)
 	}
 	for i := range out {
 		if out[i] == nil {
-			out[i] = s.params.CopyCiphertext(ct)
+			out[i] = wrap(s.params.CopyCiphertext(ct.ct))
 		}
 	}
 	return out, nil
@@ -306,7 +323,7 @@ func (s *Server) Conjugate(ct *Ciphertext, evk *EvaluationKeys) (*Ciphertext, er
 	if evk.set.Conj == nil {
 		return nil, fmt.Errorf("%w: set carries no conjugation key", ErrEvaluationKeyMissing)
 	}
-	return s.eval.RotateGalois(ct, evk.set.Conj), nil
+	return wrap(s.eval.RotateGalois(ct.ct, evk.set.Conj)), nil
 }
 
 // InnerSum replaces every slot i with the sum of the span slots i..i+span−1
@@ -324,21 +341,21 @@ func (s *Server) InnerSum(ct *Ciphertext, span int, evk *EvaluationKeys) (*Ciphe
 		return nil, fmt.Errorf("%w: inner-sum span %d is not a power of two in [1, %d]",
 			ErrInvalidSpan, span, s.params.Slots())
 	}
-	// Resolve the whole ladder before computing anything.
-	for st := 1; st < span; st <<= 1 {
-		if _, err := s.rotationKey(evk, st); err != nil {
-			return nil, err
-		}
+	if err := s.requireLadder(evk, span); err != nil {
+		return nil, err
 	}
 	if span == 1 {
-		return s.params.CopyCiphertext(ct), nil
+		return wrap(s.params.CopyCiphertext(ct.ct)), nil
 	}
-	acc := ct
+	return wrap(s.innerSum(ct.ct, span, evk)), nil
+}
+
+// innerSum is InnerSum's rotate-and-add ladder over a resolved key set.
+func (s *Server) innerSum(ct *ckks.Ciphertext, span int, evk *EvaluationKeys) *ckks.Ciphertext {
 	for st := 1; st < span; st <<= 1 {
-		rk := evk.set.Rot[st]
-		acc = s.eval.Add(acc, s.eval.RotateGalois(acc, rk))
+		ct = s.eval.Add(ct, s.eval.RotateGalois(ct, evk.set.Rot[st]))
 	}
-	return acc, nil
+	return ct
 }
 
 // DotPlain computes the inner product of the encrypted vector with a
@@ -362,27 +379,21 @@ func (s *Server) DotPlain(ct *Ciphertext, weights []complex128, evk *EvaluationK
 	if err := validateMessage(s.params, weights); err != nil {
 		return nil, err
 	}
-	if ct.Level < 2 {
+	if ct.ct.Level < 2 {
 		return nil, fmt.Errorf("%w: DotPlain rescales once, needs level ≥ 2", ErrLevelOutOfRange)
 	}
 	span := 1
 	for span < len(weights) {
 		span <<= 1
 	}
-	for st := 1; st < span; st <<= 1 {
-		if _, err := s.rotationKey(evk, st); err != nil {
-			return nil, err
-		}
-	}
-
-	pt := s.encoder.EncodeAtLevel(weights, ct.Level)
-	prod := s.eval.MulPlain(ct, pt)
-	s.params.PutPlaintext(pt)
-	sum, err := s.InnerSum(prod, span, evk)
-	if err != nil {
+	if err := s.requireLadder(evk, span); err != nil {
 		return nil, err
 	}
-	return s.eval.Rescale(sum), nil
+
+	pt := s.encoder.EncodeAtLevel(weights, ct.ct.Level)
+	prod := s.eval.MulPlain(ct.ct, pt)
+	s.params.PutPlaintext(pt)
+	return wrap(s.eval.Rescale(s.innerSum(prod, span, evk))), nil
 }
 
 // InnerSumRotations returns the power-of-two rotation-step ladder
@@ -478,28 +489,25 @@ func (s *Server) resolveRotations(evk *EvaluationKeys, steps []int) (map[int]*ck
 // it is an error. The result lands Depth() levels below t.Level() at
 // ≈ the input scale. The key set must carry every step in t.Rotations().
 func (s *Server) LinearTransform(ct *Ciphertext, t *LinearTransform, evk *EvaluationKeys) (*Ciphertext, error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	if evk == nil {
-		return nil, fmt.Errorf("%w: no evaluation-key set provided", ErrEvaluationKeyMissing)
+	if err := validateKeyDepth(evk, "transform level", t.Level()); err != nil {
+		return nil, err
 	}
-	if ct.Level < t.Level() {
+	in := ct.ct
+	if in.Level < t.Level() {
 		return nil, fmt.Errorf("%w: ciphertext at level %d, transform encoded at %d",
-			ErrLevelOutOfRange, ct.Level, t.Level())
-	}
-	if t.Level() > evk.set.MaxLevel {
-		return nil, fmt.Errorf("%w: transform level %d exceeds the evaluation keys' depth %d",
-			ErrLevelOutOfRange, t.Level(), evk.set.MaxLevel)
+			ErrLevelOutOfRange, in.Level, t.Level())
 	}
 	rot, err := s.resolveRotations(evk, t.Rotations())
 	if err != nil {
 		return nil, err
 	}
-	if ct.Level > t.Level() {
-		ct = s.eval.DropLevel(ct, t.Level())
+	if in.Level > t.Level() {
+		in = s.eval.DropLevel(in, t.Level())
 	}
-	return s.eval.LinearTransform(ct, t.lt, rot), nil
+	return wrap(s.eval.LinearTransform(in, t.lt, rot)), nil
 }
 
 // HomomorphicDFT is a built CoeffsToSlots/SlotsToCoeffs pipeline: the
@@ -572,19 +580,16 @@ func (s *Server) NewHomomorphicDFT(cfg HomomorphicDFTConfig) (*HomomorphicDFT, e
 // dft.StartLevel() if above it; both outputs land at dft.MidLevel(). The
 // key set must carry dft.Rotations() and the conjugation key.
 func (s *Server) CoeffsToSlots(ct *Ciphertext, dft *HomomorphicDFT, evk *EvaluationKeys) (re, im *Ciphertext, err error) {
-	if err := validateCoeffCiphertext(s.params, ct); err != nil {
+	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, nil, err
 	}
-	if evk == nil {
-		return nil, nil, fmt.Errorf("%w: no evaluation-key set provided", ErrEvaluationKeyMissing)
+	if err := validateKeyDepth(evk, "DFT start level", dft.StartLevel()); err != nil {
+		return nil, nil, err
 	}
-	if ct.Level < dft.StartLevel() {
+	in := ct.ct
+	if in.Level < dft.StartLevel() {
 		return nil, nil, fmt.Errorf("%w: ciphertext at level %d, DFT starts at %d",
-			ErrLevelOutOfRange, ct.Level, dft.StartLevel())
-	}
-	if dft.StartLevel() > evk.set.MaxLevel {
-		return nil, nil, fmt.Errorf("%w: DFT start level %d exceeds the evaluation keys' depth %d",
-			ErrLevelOutOfRange, dft.StartLevel(), evk.set.MaxLevel)
+			ErrLevelOutOfRange, in.Level, dft.StartLevel())
 	}
 	if evk.set.Conj == nil {
 		return nil, nil, fmt.Errorf("%w: CoeffsToSlots' conjugate split needs the conjugation key", ErrEvaluationKeyMissing)
@@ -593,11 +598,11 @@ func (s *Server) CoeffsToSlots(ct *Ciphertext, dft *HomomorphicDFT, evk *Evaluat
 	if err != nil {
 		return nil, nil, err
 	}
-	if ct.Level > dft.StartLevel() {
-		ct = s.eval.DropLevel(ct, dft.StartLevel())
+	if in.Level > dft.StartLevel() {
+		in = s.eval.DropLevel(in, dft.StartLevel())
 	}
-	re, im = s.eval.CoeffsToSlots(ct, dft.dft, rot, evk.set.Conj)
-	return re, im, nil
+	cre, cim := s.eval.CoeffsToSlots(in, dft.dft, rot, evk.set.Conj)
+	return wrap(cre), wrap(cim), nil
 }
 
 // SlotsToCoeffs inverts CoeffsToSlots: recombines the two coefficient
@@ -608,22 +613,18 @@ func (s *Server) SlotsToCoeffs(re, im *Ciphertext, dft *HomomorphicDFT, evk *Eva
 	if err := s.validatePair(re, im); err != nil {
 		return nil, err
 	}
-	if evk == nil {
-		return nil, fmt.Errorf("%w: no evaluation-key set provided", ErrEvaluationKeyMissing)
+	if err := validateKeyDepth(evk, "DFT mid level", dft.MidLevel()); err != nil {
+		return nil, err
 	}
-	if re.Level != dft.MidLevel() {
+	if re.ct.Level != dft.MidLevel() {
 		return nil, fmt.Errorf("%w: inputs at level %d, SlotsToCoeffs consumes level %d",
-			ErrLevelOutOfRange, re.Level, dft.MidLevel())
-	}
-	if dft.MidLevel() > evk.set.MaxLevel {
-		return nil, fmt.Errorf("%w: DFT mid level %d exceeds the evaluation keys' depth %d",
-			ErrLevelOutOfRange, dft.MidLevel(), evk.set.MaxLevel)
+			ErrLevelOutOfRange, re.ct.Level, dft.MidLevel())
 	}
 	rot, err := s.resolveRotations(evk, dft.Rotations())
 	if err != nil {
 		return nil, err
 	}
-	return s.eval.SlotsToCoeffs(re, im, dft.dft, rot), nil
+	return wrap(s.eval.SlotsToCoeffs(re.ct, im.ct, dft.dft, rot)), nil
 }
 
 // Slots, MaxLevel, Workers, Close, SerializeCiphertext,
@@ -631,10 +632,10 @@ func (s *Server) SlotsToCoeffs(re, im *Ciphertext, dft *HomomorphicDFT, evk *Eva
 // provided by the embedded party substrate (party.go).
 
 func (s *Server) validatePair(a, b *Ciphertext) error {
-	if err := validateCoeffCiphertext(s.params, a); err != nil {
+	if err := validateCiphertext(s.params, a); err != nil {
 		return err
 	}
-	if err := validateCoeffCiphertext(s.params, b); err != nil {
+	if err := validateCiphertext(s.params, b); err != nil {
 		return err
 	}
 	return validateSameLevelScale(a, b)
