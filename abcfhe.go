@@ -81,13 +81,17 @@ func (p Preset) spec() (ckks.ParamSpec, error) {
 // operations build one, so every Ciphertext is well formed by
 // construction; what travels between machines is its wire form
 // (SerializeCiphertext). The zero value holds no ciphertext, and every
-// method taking it returns ErrInvalidCiphertext.
+// method taking it returns ErrInvalidCiphertext, as does a ciphertext
+// handed to a party over another modulus chain.
 type Ciphertext struct {
-	ct *ckks.Ciphertext
+	ct    *ckks.Ciphertext
+	chain ckks.Chain // the modulus chain of the party that made it
 }
 
-// wrap hands a ckks ciphertext out through the public type.
-func wrap(ct *ckks.Ciphertext) *Ciphertext { return &Ciphertext{ct: ct} }
+// wrap hands a ckks ciphertext made under p out through the public type.
+func wrap(p *ckks.Parameters, ct *ckks.Ciphertext) *Ciphertext {
+	return &Ciphertext{ct: ct, chain: p.Chain()}
+}
 
 // Level is the number of RNS limbs the ciphertext carries: MaxLevel() when
 // fresh, one less per rescale or dropped limb. 0 for the zero value.

@@ -61,7 +61,7 @@ func (e *Encryptor) EncodeEncrypt(msg []complex128) (*Ciphertext, error) {
 	pt := e.encoder.Encode(msg)
 	ct := e.enc.Encrypt(pt)
 	e.params.PutPlaintext(pt)
-	return wrap(ct), nil
+	return wrap(e.params, ct), nil
 }
 
 // EncodeEncryptBatch runs the outbound pipeline over a whole batch,
@@ -79,7 +79,7 @@ func (e *Encryptor) EncodeEncryptBatch(msgs [][]complex128) ([]*Ciphertext, erro
 	})
 	out := make([]*Ciphertext, len(cts))
 	for i, ct := range cts {
-		out[i] = wrap(ct)
+		out[i] = wrap(e.params, ct)
 	}
 	return out, nil
 }

@@ -25,8 +25,8 @@ var (
 	// ErrScaleMismatch: two operands carry incompatible scales.
 	ErrScaleMismatch = errors.New("abcfhe: ciphertext scale mismatch")
 	// ErrInvalidCiphertext: a ciphertext argument is nil or the zero
-	// value, was built by a party of another parameter set (wrong ring
-	// degree), or cannot be put on the packed wire.
+	// value, was built by a party over another modulus chain, or cannot
+	// be put on the packed wire.
 	ErrInvalidCiphertext = errors.New("abcfhe: invalid ciphertext")
 	// ErrBufferSize: a caller-provided output buffer has the wrong shape.
 	ErrBufferSize = errors.New("abcfhe: wrong output buffer size")
@@ -90,8 +90,11 @@ func validateLevel(p *ckks.Parameters, level int) error {
 // Ciphertext, and it is O(1). Only this package builds a Ciphertext, so
 // its limb count, row lengths, domain and scale hold by construction.
 // What a caller can still hand over is a nil or zero value, or a
-// ciphertext a party of another parameter set built: the level range and
-// the ring degree turn that away.
+// ciphertext a party of another parameter set built: the level range
+// turns away a deeper chain, and the chain recorded at wrap turns away
+// every other one — including a chain of the same degree and depth over
+// other primes, whose residues would otherwise be combined as if they
+// were this party's.
 func validateCiphertext(p *ckks.Parameters, ct *Ciphertext) error {
 	if ct == nil || ct.ct == nil {
 		return fmt.Errorf("%w: nil ciphertext", ErrInvalidCiphertext)
@@ -99,8 +102,9 @@ func validateCiphertext(p *ckks.Parameters, ct *Ciphertext) error {
 	if err := validateLevel(p, ct.ct.Level); err != nil {
 		return err
 	}
-	if n := len(ct.ct.C0.Coeffs[0]); n != p.N() {
-		return fmt.Errorf("%w: ring degree %d, want N=%d", ErrInvalidCiphertext, n, p.N())
+	if ct.chain != p.Chain() {
+		return fmt.Errorf("%w: made under modulus chain %+v, this party's is %+v",
+			ErrInvalidCiphertext, ct.chain, p.Chain())
 	}
 	return nil
 }
@@ -118,7 +122,7 @@ func deserializeCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, error)
 	if ct.C0.IsNTT {
 		return nil, fmt.Errorf("%w: NTT-domain ciphertext on the public wire", ErrMalformedWire)
 	}
-	return wrap(ct), nil
+	return wrap(p, ct), nil
 }
 
 // validateSameLevelScale checks binary-operation compatibility. The scale

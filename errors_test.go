@@ -10,6 +10,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/ckks"
+	"repro/internal/prng"
 )
 
 func TestUnknownPresetErrors(t *testing.T) {
@@ -108,7 +111,7 @@ func TestInvalidCiphertextErrors(t *testing.T) {
 	}
 
 	// A ciphertext from another preset's party. Test (N = 2^10, 4 limbs)
-	// sits inside PN13's level range, so only the ring degree turns it
+	// sits inside PN13's level range, so only the chain check turns it
 	// away; PN13's 12 limbs are out of Test's range.
 	owner13, device13, server13 := threeParties(t, PN13, 5, 6)
 	ct13, err := device13.EncodeEncrypt(testMsgs(device13.Slots(), 1)[0])
@@ -141,6 +144,74 @@ func TestInvalidCiphertextErrors(t *testing.T) {
 	}
 	if _, err := owner.DecryptDecode(ct13); !errors.Is(err, ErrLevelOutOfRange) {
 		t.Errorf("Test decrypt of a PN13 ciphertext: %v", err)
+	}
+
+	// A chain of the same degree and depth over other primes: a device
+	// built from the public key of an owner over Test with 40-bit limbs
+	// (the spec-from-blob path). Level and ring degree both fit Test, so
+	// only the recorded chain turns its ciphertexts away — before, Add
+	// combined the foreign residues as if they were Test's.
+	spec := ckks.TestParams
+	spec.LimbBits = 40
+	params40, err := buildParamsFromSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed40 := prng.SeedFromUint64s(5, 6)
+	sk40, pk40 := ckks.NewKeyGenerator(params40, seed40).GenKeyPair()
+	owner40 := newKeyOwner(params40, sk40, pk40, seed40)
+	pkBytes40, err := owner40.ExportPublicKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	device40, err := NewEncryptor(pkBytes40, 7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct40, err := device40.EncodeEncrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct40.Level() != ct.Level() {
+		t.Fatalf("40-bit chain level %d, Test %d: the case needs equal depths", ct40.Level(), ct.Level())
+	}
+	foreign := map[string]func(c *Ciphertext) error{
+		"Add":    func(c *Ciphertext) error { _, err := server.Add(ct, c); return err },
+		"Mul":    func(c *Ciphertext) error { _, err := server.Mul(c, c, nil); return err },
+		"Rotate": func(c *Ciphertext) error { _, err := server.Rotate(c, 1, nil); return err },
+		"DecryptDecode": func(c *Ciphertext) error {
+			_, err := owner.DecryptDecode(c)
+			return err
+		},
+		"SerializeCiphertext": func(c *Ciphertext) error { _, err := device.SerializeCiphertext(c); return err },
+	}
+	for name, op := range foreign {
+		if err := op(ct40); !errors.Is(err, ErrInvalidCiphertext) {
+			t.Errorf("Test-preset %s of a 40-bit-chain ciphertext: %v", name, err)
+		}
+	}
+	if _, err := owner40.DecryptDecode(ct); !errors.Is(err, ErrInvalidCiphertext) {
+		t.Errorf("40-bit-chain decrypt of a Test ciphertext: %v", err)
+	}
+
+	// Separate parties over one preset share the chain: each accepts the
+	// other's ciphertexts.
+	owner2, device2, server2 := threeParties(t, Test, 7, 8)
+	ct2, err := device2.EncodeEncrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server2.Add(ct, ct); err != nil {
+		t.Errorf("second Test server Add of the first's ciphertext: %v", err)
+	}
+	if _, err := server.Add(ct, ct2); err != nil {
+		t.Errorf("Test server Add across two Test devices: %v", err)
+	}
+	if _, err := owner2.SerializeCiphertext(ct); err != nil {
+		t.Errorf("second Test owner serialize of the first's ciphertext: %v", err)
+	}
+	if _, err := owner.DecryptDecode(ct2); err != nil {
+		t.Errorf("Test owner decrypt of the second device's ciphertext: %v", err)
 	}
 
 	// The header states a caller can forge are wire bytes; each stops at
@@ -298,7 +369,7 @@ func TestScaleToleranceSymmetric(t *testing.T) {
 	nudged := func(factor float64) *Ciphertext {
 		c := *ct.ct
 		c.Scale *= factor
-		return wrap(&c)
+		return wrap(server.params, &c)
 	}
 	within := nudged(1 + 1e-13) // inside the 1e-12 relative budget
 	if _, err := server.Add(ct, within); err != nil {

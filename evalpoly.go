@@ -125,7 +125,7 @@ func (s *Server) EvalPoly(ct *Ciphertext, pe *PolyEval, evk *EvaluationKeys) (*C
 	if in.Level > pe.Level() {
 		in = s.eval.DropLevel(in, pe.Level())
 	}
-	return wrap(s.eval.EvalPoly(in, pe.plan, evk.set.Rlk)), nil
+	return wrap(s.params, s.eval.EvalPoly(in, pe.plan, evk.set.Rlk)), nil
 }
 
 // EvalPolyDepth returns the limbs a degree-`degree` evaluation spends on

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/fftfp"
 	"repro/internal/lanes"
@@ -38,43 +39,70 @@ func (p *Parameters) PutPlaintext(pt *Plaintext) {
 // accelerator's FP55 datapath bit-for-bit at the model level.
 type Encoder struct {
 	params *Parameters
-
-	// pow2 tables per prime of the Q chain followed by the P chain:
-	// pow2[i][e] = 2^e mod moduli[i], for the exact float→RNS path (see
-	// encodeCoeff). Covers e ∈ [0, maxPow2).
-	moduli []mod.Modulus
-	pow2   [][]uint64
 }
 
 const maxPow2 = 160 // coefficient magnitudes < 2^160 — far above any scale used
 
-// NewEncoder builds the encoder and its power-of-two residue tables (for
-// the special primes too, so plaintexts can be expanded over Q·P).
-func NewEncoder(params *Parameters) *Encoder {
-	enc := &Encoder{params: params}
-	enc.moduli = append(enc.moduli, params.Ring().Basis.Moduli...)
-	if params.SpecialLimbs > 0 {
-		enc.moduli = append(enc.moduli, params.RingP().Basis.Moduli...)
-	}
-	enc.pow2 = make([][]uint64, len(enc.moduli))
-	for i, m := range enc.moduli {
-		tbl := make([]uint64, maxPow2)
-		tbl[0] = 1
+// pow2Table is one prime's power-of-two residues, t[e] = 2^e mod q for
+// e < maxPow2: what the exact float→RNS expansion multiplies a float's
+// integer mantissa by. Parameters hold one per prime of the Q chain
+// followed by the P chain (Parameters.pow2).
+type pow2Table struct {
+	m mod.Modulus
+	t [maxPow2]uint64
+}
+
+func newPow2Tables(moduli []mod.Modulus) []pow2Table {
+	tabs := make([]pow2Table, len(moduli))
+	for i, m := range moduli {
+		tabs[i].m = m
+		tabs[i].t[0] = 1
 		for e := 1; e < maxPow2; e++ {
-			tbl[e] = m.Add(tbl[e-1], tbl[e-1])
+			tabs[i].t[e] = m.Add(tabs[i].t[e-1], tabs[i].t[e-1])
 		}
-		enc.pow2[i] = tbl
 	}
-	return enc
+	return tabs
+}
+
+// mulPow2 returns the canonical residue of ±m·2^e mod q (negated when neg)
+// for any m < 2^64 and e ≥ 0. The 128-bit product m·(2^e mod q) is below
+// q·2^64, so one Barrett reduction lands on the residue a division would
+// give; exponents past the table step through it (foldPow2).
+func (t *pow2Table) mulPow2(m uint64, e int, neg bool) uint64 {
+	if e >= maxPow2 {
+		m, e = t.foldPow2(m, e)
+	}
+	hi, lo := bits.Mul64(m, t.t[e])
+	r := mod.Reduce128(hi, lo, t.m.Q, t.m.BHi, t.m.BLo)
+	if neg {
+		r = t.m.Neg(r)
+	}
+	return r
+}
+
+// foldPow2 multiplies 2^(maxPow2−1) into m until the exponent is inside
+// the table: m·2^e ≡ m'·2^e' with e' < maxPow2.
+func (t *pow2Table) foldPow2(m uint64, e int) (uint64, int) {
+	for ; e >= maxPow2; e -= maxPow2 - 1 {
+		m = t.mulPow2(m, maxPow2-1, false)
+	}
+	return m, e
+}
+
+// NewEncoder returns the encoder over params; its residue tables are the
+// parameter set's own, shared with the Evaluator's constant encoding.
+func NewEncoder(params *Parameters) *Encoder {
+	return &Encoder{params: params}
 }
 
 // encodeCoeff writes round(v·2^logScale) into q[i][j] for every limb i of
 // q (a prefix of the Q chain) and into pp[i][j] for every limb of pp (the
 // P chain; nil for a Q-only plaintext). The path is exact: v = ±M·2^(exp-53)
 // with M the 53-bit mantissa, so v·2^logScale = ±M·2^e with
-// e = exp-53+logScale, and the residue is (M mod q)·(2^e mod q) — all in
-// word arithmetic, no big integers (this is what the MSE's Expand-RNS
-// stage computes in hardware), and the same on every prime of either chain.
+// e = exp-53+logScale, and the residue is M·(2^e mod q) reduced once — all
+// in word arithmetic, no big integers and no division (this is what the
+// MSE's Expand-RNS stage computes in hardware), and the same on every
+// prime of either chain.
 func (enc *Encoder) encodeCoeff(v float64, j, logScale int, q, pp [][]uint64) {
 	if v == 0 {
 		for i := range q {
@@ -106,18 +134,14 @@ func (enc *Encoder) encodeCoeff(v float64, j, logScale int, q, pp [][]uint64) {
 	if e >= maxPow2 {
 		panic("ckks: encoded coefficient exceeds supported magnitude")
 	}
-	expand := func(limbs [][]uint64, first int) {
-		for i, row := range limbs {
-			mm := enc.moduli[first+i]
-			res := mm.Mul(m%mm.Q, enc.pow2[first+i][e])
-			if neg {
-				res = mm.Neg(res)
-			}
-			row[j] = res
-		}
+	tq := enc.params.pow2[:len(q)]
+	for i, row := range q {
+		row[j] = tq[i].mulPow2(m, e, neg)
 	}
-	expand(q, 0)
-	expand(pp, enc.params.Limbs)
+	tp := enc.params.pow2[enc.params.Limbs:][:len(pp)]
+	for i, row := range pp {
+		row[j] = tp[i].mulPow2(m, e, neg)
+	}
 }
 
 // EncodeAtLevel encodes up to Slots() complex values into a plaintext at
@@ -144,7 +168,7 @@ func (enc *Encoder) EncodeAtLevelScale(msg []complex128, level, logScale int) *P
 	}
 	rl := p.RingAt(level)
 	pt := rl.GetPolyUninit() // every limb of every coefficient is written below
-	enc.expandRNS(enc.toCoeffs(msg), logScale, pt.Coeffs, nil)
+	enc.encodeInto(msg, logScale, pt.Coeffs, nil)
 	scale := 1.0
 	for i := 0; i < logScale; i++ {
 		scale *= 2
@@ -152,15 +176,22 @@ func (enc *Encoder) EncodeAtLevelScale(msg []complex128, level, logScale int) *P
 	return &Plaintext{Value: pt, Level: level, Scale: scale}
 }
 
-// toCoeffs runs the IFFT half of encoding: the message's real
-// coefficient vector (N floats), before scaling and RNS expansion.
-func (enc *Encoder) toCoeffs(msg []complex128) []float64 {
+// encodeInto runs the whole encode datapath on msg into the limb rows q
+// and pp (see encodeCoeff): the IFFT half into a pooled coefficient
+// vector, then Expand RNS at scale 2^logScale. Both N-word temporaries
+// come from the pools (the slot vector from fftfp's, the coefficients
+// from the lanes float slabs) and go back before it returns.
+func (enc *Encoder) encodeInto(msg []complex128, logScale int, q, pp [][]uint64) {
 	p := enc.params
-	vals := make([]fftfpComplex, p.Slots())
+	vals := fftfp.GetSlotSlab(p.Slots())
 	for i, z := range msg {
-		vals[i] = fftfpComplex{Re: real(z), Im: imag(z)}
+		vals[i] = fftfp.Complex{Re: real(z), Im: imag(z)}
 	}
-	return p.Embedder().EncodeToCoeffs(vals, p.FFTCtx())
+	clear(vals[len(msg):]) // short messages are zero-padded
+	coeffs := p.Embedder().EncodeToCoeffsInto(vals, lanes.GetFloatSlab(p.N()), p.FFTCtx())
+	fftfp.PutSlotSlab(vals)
+	enc.expandRNS(coeffs, logScale, q, pp)
+	lanes.PutFloatSlab(coeffs)
 }
 
 // expandRNS is the Expand-RNS stage: round(coeffs[j]·2^logScale) into

@@ -3,14 +3,9 @@ package ckks
 import (
 	"sync/atomic"
 
-	"repro/internal/fftfp"
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
-
-// fftfpComplex aliases the reduced-precision complex type used by the
-// encoder's transform stage.
-type fftfpComplex = fftfp.Complex
 
 // Ciphertext is an RLWE pair (c0, c1) at some level with a scale.
 // Ciphertexts travel in the coefficient domain — the form the ABC-FHE
@@ -56,12 +51,14 @@ func NewEncryptor(params *Parameters, pk *PublicKey, seed [16]byte) *Encryptor {
 //
 // with u ternary and e0, e1 Gaussian. The products run in the NTT domain;
 // the result is returned in the coefficient domain (see Ciphertext).
-// Per-limb transform count: 1 NTT (u) + 2 INTT (the two products), so an
-// L-limb encryption runs 3L transforms and emits a coefficient-domain
-// ciphertext. internal/sched's operation model (EncodeEncryptOps) charges
-// 2L passes and assumes the ciphertext leaves in the NTT domain; the two
-// disagree until measured op counts settle which one moves (ROADMAP
-// item 1).
+// The samplers draw each small polynomial once and expand it onto every
+// limb without a division (ring.ExpandSignedBits). Per-limb transform
+// count: 1 NTT (u) + 2 INTT (the two products), so an L-limb encryption
+// runs 3L transforms and emits a coefficient-domain ciphertext; those
+// transforms are about two thirds of a PN16 encryption. internal/sched's
+// operation model (EncodeEncryptOps) charges 2L passes and assumes the
+// ciphertext leaves in the NTT domain; the two disagree until measured op
+// counts settle which one moves (ROADMAP item 1).
 func (enc *Encryptor) Encrypt(pt *Plaintext) *Ciphertext {
 	return enc.encryptCall(pt, enc.calls.Add(1))
 }

@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"repro/internal/mod"
-	"repro/internal/ring"
 )
 
 // Homomorphic polynomial evaluation in the Chebyshev basis with a
@@ -265,10 +264,11 @@ func (p *Parameters) NewEvalPolyPlan(mono []complex128, lo, hi float64, level in
 // ---------------------------------------------------------------------
 
 // encodeConstInto adds round(v·scale) into coefficient j of every limb
-// row. The mantissa/exponent split mirrors Encoder.encodeCoeff, but the
-// scale is a float64 rather than a power-of-two log — the exactness the
-// BSGS schedule's per-node target scales need.
-func encodeConstInto(rl *ring.Ring, limbs [][]uint64, j int, v, scale float64) {
+// row, limb i over the prime of tabs[i]. The mantissa/exponent split
+// mirrors Encoder.encodeCoeff, and so does the residue (pow2Table.mulPow2),
+// but the scale is a float64 rather than a power-of-two log — the
+// exactness the BSGS schedule's per-node target scales need.
+func encodeConstInto(tabs []pow2Table, limbs [][]uint64, j int, v, scale float64) {
 	if v == 0 {
 		return
 	}
@@ -289,13 +289,9 @@ func encodeConstInto(rl *ring.Ring, limbs [][]uint64, j int, v, scale float64) {
 			return
 		}
 	}
-	for i := range limbs {
-		mm := rl.Basis.Moduli[i]
-		res := mm.Mul(m%mm.Q, mm.Pow(2, uint64(e)))
-		if neg {
-			res = mm.Neg(res)
-		}
-		limbs[i][j] = mm.Add(limbs[i][j], res)
+	tabs = tabs[:len(limbs)]
+	for i, row := range limbs {
+		row[j] = tabs[i].m.Add(row[j], tabs[i].mulPow2(m, e, neg))
 	}
 }
 
@@ -318,8 +314,8 @@ func (ev *Evaluator) mulConstAt(ct *Ciphertext, v complex128, scale float64) *Ci
 	for i := range cols {
 		cols[i] = res[2*i : 2*i+2]
 	}
-	encodeConstInto(rl, cols, 0, real(v), scale)
-	encodeConstInto(rl, cols, 1, imag(v), scale)
+	encodeConstInto(ev.params.pow2, cols, 0, real(v), scale)
+	encodeConstInto(ev.params.pow2, cols, 1, imag(v), scale)
 
 	out := &Ciphertext{
 		C0: rl.GetPolyUninit(), C1: rl.GetPolyUninit(), // every index written below
@@ -366,8 +362,8 @@ func (ev *Evaluator) mulConstAt(ct *Ciphertext, v complex128, scale float64) *Ci
 // results they own, never DropLevel views.
 func (ev *Evaluator) addConstInto(ct *Ciphertext, v complex128) {
 	rl := ev.ringAt(ct.Level)
-	encodeConstInto(rl, ct.C0.Coeffs, 0, real(v), ct.Scale)
-	encodeConstInto(rl, ct.C0.Coeffs, rl.N/2, imag(v), ct.Scale)
+	encodeConstInto(ev.params.pow2, ct.C0.Coeffs, 0, real(v), ct.Scale)
+	encodeConstInto(ev.params.pow2, ct.C0.Coeffs, rl.N/2, imag(v), ct.Scale)
 }
 
 // ---------------------------------------------------------------------

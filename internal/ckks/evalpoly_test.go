@@ -157,8 +157,8 @@ func make7() []complex128 {
 func (ev *Evaluator) constPlain(v complex128, level int, scale float64) *Plaintext {
 	rl := ev.ringAt(level)
 	pt := &Plaintext{Value: rl.NewPoly(), Level: level, Scale: scale}
-	encodeConstInto(rl, pt.Value.Coeffs, 0, real(v), scale)
-	encodeConstInto(rl, pt.Value.Coeffs, rl.N/2, imag(v), scale)
+	encodeConstInto(ev.params.pow2, pt.Value.Coeffs, 0, real(v), scale)
+	encodeConstInto(ev.params.pow2, pt.Value.Coeffs, rl.N/2, imag(v), scale)
 	return pt
 }
 

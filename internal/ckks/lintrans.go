@@ -101,7 +101,7 @@ func (lt *LinearTransform) encode() {
 		for i := range terms {
 			t := &terms[i]
 			pt := rqp.NewPoly()
-			lt.enc.expandRNS(lt.enc.toCoeffs(t.vec), logScale, pt.Coeffs[:lt.Level], pt.Coeffs[lt.Level:])
+			lt.enc.encodeInto(t.vec, logScale, pt.Coeffs[:lt.Level], pt.Coeffs[lt.Level:])
 			rqp.NTT(pt)
 			t.vec = nil
 			for m, row := range pt.Coeffs {

@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/fftfp"
 	"repro/internal/lanes"
+	"repro/internal/mod"
 	"repro/internal/ntt"
 	"repro/internal/primes"
 	"repro/internal/ring"
@@ -60,6 +61,8 @@ type Parameters struct {
 	ringP    *ring.Ring // ring over P (NTT tables for the special limbs)
 	pModQ    []uint64   // P mod q_i — the hybrid gadget factor per limb
 	pInvModQ []uint64   // P^{-1} mod q_i — the ModDown divisor per limb
+
+	pow2 []pow2Table // 2^e mod q per prime, Q chain then P chain (encodeCoeff, encodeConstInto)
 
 	counts *switchCounts // key-switch tallies; set only by tests, nil in production
 
@@ -218,6 +221,11 @@ func (s ParamSpec) Build() (*Parameters, error) {
 			p.pInvModQ[i] = m.Inv(prod)
 		}
 	}
+	moduli := r.Basis.Moduli
+	if p.ringP != nil {
+		moduli = append(append([]mod.Modulus(nil), moduli...), p.ringP.Basis.Moduli...)
+	}
+	p.pow2 = newPow2Tables(moduli)
 	return p, nil
 }
 
@@ -229,6 +237,16 @@ func (s ParamSpec) MustBuild() *Parameters {
 	}
 	return p
 }
+
+// Chain identifies a parameter set's Q modulus chain. Build derives the Q
+// primes deterministically from the ring degree, the limb width and the
+// limb count (the special primes continue the same scan after them), so
+// two parameter sets with equal Chains hold the same primes, and a
+// ciphertext made under one is a well-formed operand of the other.
+type Chain struct{ LogN, LimbBits, Limbs int }
+
+// Chain returns the identity of the parameter set's Q chain.
+func (p *Parameters) Chain() Chain { return Chain{p.LogN, p.LimbBits, p.Limbs} }
 
 // N returns the ring degree.
 func (p *Parameters) N() int { return 1 << uint(p.LogN) }

@@ -9,9 +9,10 @@ import "math/bits"
 // into grouped matrices whose diagonal count grows as 2^(k+1)−1 for k
 // stages — the level/rotation trade-off every CKKS bootstrapping stack
 // tunes. This file builds those matrices in diagonal form, exactly
-// mirroring the butterfly schedules of FFT/IFFT (fft.go), so the
-// homomorphic evaluation and the plaintext reference share one source of
-// truth for twiddles and stage order.
+// mirroring the butterfly schedules of FFT/IFFT (fft.go) and reading the
+// same stage-ordered twiddle tables, so the homomorphic evaluation and the
+// plaintext reference share one source of truth for twiddles and stage
+// order.
 //
 // Conventions:
 //
@@ -116,26 +117,27 @@ func identityDiag(n int) *DiagMatrix {
 // the 1/Slots normalization (a factor 1/2) folded in.
 func (e *Embedder) dftStage(length int, inverse bool) *DiagMatrix {
 	n := e.Slots
-	lenh, lenq := length>>1, length<<2
+	lenh := length >> 1
+	tw := e.fwd[lenh:length]
+	if inverse {
+		tw = e.inv[lenh:length]
+	}
 	m := &DiagMatrix{N: n, Diags: map[int][]complex128{}}
 	d0 := m.diag(0)
 	dUp := m.diag(lenh)     // reads slot r+lenh
 	dDn := m.diag(n - lenh) // reads slot r−lenh (wrapped)
 	for i := 0; i < n; i += length {
-		for j := 0; j < lenh; j++ {
+		for j, t := range tw {
 			p, pp := i+j, i+j+lenh
+			w := complex(t.Re, t.Im)
 			if !inverse {
 				// FFT: out[p] = x[p] + w·x[p+lenh]; out[pp] = x[pp−lenh] − w·x[pp].
-				idx := (e.rotGroup[j] % lenq) * (e.M / lenq)
-				w := complex(e.ksi[idx].Re, e.ksi[idx].Im)
 				d0[p] += 1
 				dUp[p] += w
 				d0[pp] -= w
 				dDn[pp] += 1
 			} else {
 				// IFFT: out[p] = x[p] + x[p+lenh]; out[pp] = (x[pp−lenh] − x[pp])·w̄.
-				idx := (lenq - (e.rotGroup[j] % lenq)) * (e.M / lenq)
-				w := complex(e.ksi[idx].Re, e.ksi[idx].Im)
 				d0[p] += 1
 				dUp[p] += 1
 				d0[pp] -= w

@@ -17,14 +17,22 @@ import (
 // the odd primitive 2N-th roots ζ^{5^j}; Encode inverts that map onto real
 // coefficient vectors using the conjugate-symmetry split (real parts in the
 // low half, imaginary parts in the high half).
+//
+// The twiddles are held in stage order, as the RFE's twiddle feed supplies
+// them: fwd[h+j] is the twiddle of butterfly j in the stage of half-length
+// h (h = 1, 2, …, Slots/2), so each stage reads one contiguous run
+// fwd[h:2h]; inv is the same for the inverse direction. Each entry is the
+// master-table root ζ^idx at exactly the index the butterfly schedule
+// defines (fwdIndex, invIndex), so the tables change where a twiddle is
+// read from, not its value.
 type Embedder struct {
 	LogN  int
 	N     int
 	Slots int // N/2
 	M     int // 2N
 
-	rotGroup []int     // 5^j mod M, j < Slots
-	ksi      []Complex // exp(2πi·j/M), j < M (full-precision master table)
+	fwd []Complex // decode-direction twiddles, [h+j] for stage half-length h
+	inv []Complex // encode-direction twiddles, same layout
 }
 
 // NewEmbedder builds tables for ring degree N = 2^logN.
@@ -34,18 +42,52 @@ func NewEmbedder(logN int) *Embedder {
 	}
 	n := 1 << uint(logN)
 	e := &Embedder{LogN: logN, N: n, Slots: n / 2, M: 2 * n}
-	e.rotGroup = make([]int, e.Slots)
-	five := 1
-	for j := 0; j < e.Slots; j++ {
-		e.rotGroup[j] = five
-		five = five * 5 % e.M
-	}
-	e.ksi = make([]Complex, e.M)
-	for j := 0; j < e.M; j++ {
-		angle := 2 * math.Pi * float64(j) / float64(e.M)
-		e.ksi[j] = Complex{math.Cos(angle), math.Sin(angle)}
+	rotGroup, ksi := powersOfFive(e.Slots, e.M), rootsOfUnity(e.M)
+	e.fwd = make([]Complex, e.Slots)
+	e.inv = make([]Complex, e.Slots)
+	for h := 1; h < e.Slots; h <<= 1 {
+		for j := 0; j < h; j++ {
+			e.fwd[h+j] = ksi[fwdIndex(rotGroup[j], h, e.M)]
+			e.inv[h+j] = ksi[invIndex(rotGroup[j], h, e.M)]
+		}
 	}
 	return e
+}
+
+// powersOfFive returns 5^j mod m for j < slots: the rotation group whose
+// roots ζ^{5^j} are the slots' evaluation points.
+func powersOfFive(slots, m int) []int {
+	g := make([]int, slots)
+	five := 1
+	for j := range g {
+		g[j] = five
+		five = five * 5 % m
+	}
+	return g
+}
+
+// rootsOfUnity returns the full-precision master table exp(2πi·j/m), j < m.
+func rootsOfUnity(m int) []Complex {
+	ksi := make([]Complex, m)
+	for j := range ksi {
+		angle := 2 * math.Pi * float64(j) / float64(m)
+		ksi[j] = Complex{math.Cos(angle), math.Sin(angle)}
+	}
+	return ksi
+}
+
+// fwdIndex is the master-table index of the decode-direction twiddle of
+// butterfly j (rotation-group element g = 5^j) in the stage of half-length
+// h: ζ^{(g mod 8h)·M/(8h)}, a primitive 8h-th root raised to g.
+func fwdIndex(g, h, m int) int {
+	lenq := h << 3
+	return (g % lenq) * (m / lenq)
+}
+
+// invIndex is fwdIndex's conjugate, the encode-direction twiddle.
+func invIndex(g, h, m int) int {
+	lenq := h << 3
+	return (lenq - g%lenq) * (m / lenq)
 }
 
 func bitReverseC(vals []Complex) {
@@ -61,21 +103,26 @@ func bitReverseC(vals []Complex) {
 // FFT transforms vals (length Slots) in place: the decode-direction special
 // FFT. All arithmetic (including twiddle quantization) happens in ctx's
 // precision — pass NewCtx(Float64Mantissa) for reference behaviour.
+//
+// Each stage walks contiguous x, y and twiddle runs. Every butterfly runs
+// the same operations in the same order on the same twiddle values as the
+// index-computing form (Mul by the rounded twiddle, then Add and Sub), so
+// the output is bit-identical to it at every mantissa width.
 func (e *Embedder) FFT(vals []Complex, ctx Ctx) {
 	if len(vals) != e.Slots {
 		panic("fftfp: FFT expects N/2 slot values")
 	}
 	bitReverseC(vals)
 	size := e.Slots
-	for length := 2; length <= size; length <<= 1 {
-		lenh, lenq := length>>1, length<<2
-		for i := 0; i < size; i += length {
-			for j := 0; j < lenh; j++ {
-				idx := (e.rotGroup[j] % lenq) * (e.M / lenq)
-				u := vals[i+j]
-				v := ctx.Mul(vals[i+j+lenh], ctx.RoundC(e.ksi[idx]))
-				vals[i+j] = ctx.Add(u, v)
-				vals[i+j+lenh] = ctx.Sub(u, v)
+	for h := 1; h < size; h <<= 1 {
+		tw := e.fwd[h : 2*h]
+		for i := 0; i < size; i += 2 * h {
+			x, y := vals[i:i+h], vals[i+h:i+2*h]
+			for j, w := range tw {
+				u := x[j]
+				v := ctx.Mul(y[j], ctx.RoundC(w))
+				x[j] = ctx.Add(u, v)
+				y[j] = ctx.Sub(u, v)
 			}
 		}
 	}
@@ -88,15 +135,15 @@ func (e *Embedder) IFFT(vals []Complex, ctx Ctx) {
 		panic("fftfp: IFFT expects N/2 slot values")
 	}
 	size := e.Slots
-	for length := size; length >= 2; length >>= 1 {
-		lenh, lenq := length>>1, length<<2
-		for i := 0; i < size; i += length {
-			for j := 0; j < lenh; j++ {
-				idx := (lenq - (e.rotGroup[j] % lenq)) * (e.M / lenq)
-				u := ctx.Add(vals[i+j], vals[i+j+lenh])
-				v := ctx.Mul(ctx.Sub(vals[i+j], vals[i+j+lenh]), ctx.RoundC(e.ksi[idx]))
-				vals[i+j] = u
-				vals[i+j+lenh] = v
+	for h := size >> 1; h >= 1; h >>= 1 {
+		tw := e.inv[h : 2*h]
+		for i := 0; i < size; i += 2 * h {
+			x, y := vals[i:i+h], vals[i+h:i+2*h]
+			for j, w := range tw {
+				u := ctx.Add(x[j], y[j])
+				v := ctx.Mul(ctx.Sub(x[j], y[j]), ctx.RoundC(w))
+				x[j] = u
+				y[j] = v
 			}
 		}
 	}
@@ -111,13 +158,14 @@ func (e *Embedder) IFFT(vals []Complex, ctx Ctx) {
 // out[j] = Σ_k vals[k]·ζ^{5^j·k} — the O(N²) oracle the FFT is verified
 // against.
 func (e *Embedder) EvalNaive(vals []Complex) []Complex {
+	rotGroup, ksi := powersOfFive(e.Slots, e.M), rootsOfUnity(e.M)
 	out := make([]Complex, e.Slots)
 	full := NewCtx(Float64Mantissa)
 	for j := 0; j < e.Slots; j++ {
 		var acc Complex
 		for k := 0; k < e.Slots; k++ {
-			idx := e.rotGroup[j] * k % e.M
-			acc = full.Add(acc, full.Mul(vals[k], e.ksi[idx]))
+			idx := rotGroup[j] * k % e.M
+			acc = full.Add(acc, full.Mul(vals[k], ksi[idx]))
 		}
 		out[j] = acc
 	}
@@ -132,9 +180,22 @@ func (e *Embedder) EncodeToCoeffs(msg []Complex, ctx Ctx) []float64 {
 	if len(msg) != e.Slots {
 		panic("fftfp: message must have N/2 slots")
 	}
-	vals := append([]Complex(nil), msg...)
+	vals := GetSlotSlab(e.Slots)
+	copy(vals, msg)
+	coeffs := e.EncodeToCoeffsInto(vals, make([]float64, e.N), ctx)
+	PutSlotSlab(vals)
+	return coeffs
+}
+
+// EncodeToCoeffsInto is EncodeToCoeffs over caller-provided storage: it
+// runs the IFFT on vals in place (their contents are consumed) and writes
+// the N coefficients into coeffs, which it returns — the allocation-free
+// form the encode hot path pairs with GetSlotSlab.
+func (e *Embedder) EncodeToCoeffsInto(vals []Complex, coeffs []float64, ctx Ctx) []float64 {
+	if len(coeffs) != e.N {
+		panic("fftfp: coefficient vector must have length N")
+	}
 	e.IFFT(vals, ctx)
-	coeffs := make([]float64, e.N)
 	for j, v := range vals {
 		coeffs[j] = v.Re
 		coeffs[j+e.Slots] = v.Im

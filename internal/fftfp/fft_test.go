@@ -256,3 +256,147 @@ func TestDecodeFromCoeffsInto(t *testing.T) {
 	}()
 	e.DecodeFromCoeffsInto(coeffs, make([]Complex, e.Slots-1), fullCtx())
 }
+
+// refFFT and refIFFT are the special FFT as first written: every butterfly
+// computes its twiddle's master-table index from the rotation group. They
+// are the oracle the stage-ordered tables are held to, bit for bit.
+func refFFT(e *Embedder, vals []Complex, ctx Ctx) {
+	rotGroup, ksi := powersOfFive(e.Slots, e.M), rootsOfUnity(e.M)
+	bitReverseC(vals)
+	size := e.Slots
+	for length := 2; length <= size; length <<= 1 {
+		lenh, lenq := length>>1, length<<2
+		for i := 0; i < size; i += length {
+			for j := 0; j < lenh; j++ {
+				idx := (rotGroup[j] % lenq) * (e.M / lenq)
+				u := vals[i+j]
+				v := ctx.Mul(vals[i+j+lenh], ctx.RoundC(ksi[idx]))
+				vals[i+j] = ctx.Add(u, v)
+				vals[i+j+lenh] = ctx.Sub(u, v)
+			}
+		}
+	}
+}
+
+func refIFFT(e *Embedder, vals []Complex, ctx Ctx) {
+	rotGroup, ksi := powersOfFive(e.Slots, e.M), rootsOfUnity(e.M)
+	size := e.Slots
+	for length := size; length >= 2; length >>= 1 {
+		lenh, lenq := length>>1, length<<2
+		for i := 0; i < size; i += length {
+			for j := 0; j < lenh; j++ {
+				idx := (lenq - (rotGroup[j] % lenq)) * (e.M / lenq)
+				u := ctx.Add(vals[i+j], vals[i+j+lenh])
+				v := ctx.Mul(ctx.Sub(vals[i+j], vals[i+j+lenh]), ctx.RoundC(ksi[idx]))
+				vals[i+j] = u
+				vals[i+j+lenh] = v
+			}
+		}
+	}
+	inv := 1 / float64(size)
+	for i := range vals {
+		vals[i] = ctx.Scale(vals[i], inv)
+	}
+	bitReverseC(vals)
+}
+
+// sameBits reports the first index where a and b differ in any bit
+// (-0 ≠ +0, and a NaN equals only the same NaN payload), or -1.
+func sameBits(a, b []Complex) int {
+	for i := range a {
+		if math.Float64bits(a[i].Re) != math.Float64bits(b[i].Re) ||
+			math.Float64bits(a[i].Im) != math.Float64bits(b[i].Im) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestFFTMatchesReferenceBits: the table-driven transforms emit the same
+// bits as the index-computing reference at every ring degree and at the
+// mantissa widths the precision sweep and the FP55 datapath use.
+func TestFFTMatchesReferenceBits(t *testing.T) {
+	maxLogN := 16
+	if testing.Short() {
+		maxLogN = 12
+	}
+	for logN := 2; logN <= maxLogN; logN++ {
+		e := NewEmbedder(logN)
+		msg := randomMessage(e, uint64(logN))
+		for _, mant := range []int{20, 37, FP55Mantissa, Float64Mantissa} {
+			ctx := NewCtx(mant)
+			for _, dir := range []struct {
+				name     string
+				got, ref func([]Complex, Ctx)
+			}{
+				{"FFT", e.FFT, func(v []Complex, c Ctx) { refFFT(e, v, c) }},
+				{"IFFT", e.IFFT, func(v []Complex, c Ctx) { refIFFT(e, v, c) }},
+			} {
+				got := append([]Complex(nil), msg...)
+				want := append([]Complex(nil), msg...)
+				dir.got(got, ctx)
+				dir.ref(want, ctx)
+				if i := sameBits(got, want); i >= 0 {
+					t.Fatalf("logN=%d mant=%d %s: slot %d = %v, reference %v",
+						logN, mant, dir.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDFTStageMatchesReferenceIndex: every butterfly stage matrix carries
+// exactly the master-table twiddle the reference index form names.
+func TestDFTStageMatchesReferenceIndex(t *testing.T) {
+	for _, logN := range []int{2, 3, 6, 9} {
+		e := NewEmbedder(logN)
+		rotGroup, ksi := powersOfFive(e.Slots, e.M), rootsOfUnity(e.M)
+		n := e.Slots
+		for length := 2; length <= n; length <<= 1 {
+			lenh, lenq := length>>1, length<<2
+			for _, inverse := range []bool{false, true} {
+				m := e.dftStage(length, inverse)
+				for i := 0; i < n; i += length {
+					for j := 0; j < lenh; j++ {
+						var idx int
+						if inverse {
+							idx = (lenq - (rotGroup[j] % lenq)) * (e.M / lenq)
+						} else {
+							idx = (rotGroup[j] % lenq) * (e.M / lenq)
+						}
+						w := complex(ksi[idx].Re, ksi[idx].Im)
+						// The pp row's own-slot entry is −w (scaled by ½ inverse).
+						got := -m.Diags[0][i+j+lenh]
+						if inverse {
+							got *= 2
+						}
+						if got != w {
+							t.Fatalf("logN=%d length=%d inverse=%v j=%d: twiddle %v, reference %v",
+								logN, length, inverse, j, got, w)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkEmbedder times the special FFT and IFFT at N = 2^16 (32768
+// slots), full float64 precision: one of each runs per client operation.
+func BenchmarkEmbedder(b *testing.B) {
+	e := NewEmbedder(16)
+	msg := randomMessage(e, 1)
+	vals := make([]Complex, e.Slots)
+	ctx := fullCtx()
+	for _, dir := range []struct {
+		name string
+		run  func([]Complex, Ctx)
+	}{{"FFT", e.FFT}, {"IFFT", e.IFFT}} {
+		b.Run(dir.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(vals, msg)
+				dir.run(vals, ctx)
+			}
+		})
+	}
+}

@@ -11,6 +11,18 @@
 // fractional mantissa bits (round-to-nearest-even), which is exact FP-m
 // emulation up to double-rounding effects that are far below the measured
 // error floors.
+//
+// The Embedder holds its twiddles in stage order: one table per direction,
+// entry [h+j] for butterfly j of the stage with half-length h, each copied
+// from the master root table at exactly the index the butterfly schedule
+// defines. FFT and IFFT walk each stage as contiguous x, y and twiddle
+// runs, with no per-butterfly index arithmetic, and perform the same
+// operations in the same order on the same values as the index-computing
+// loops they replaced — so their output is bit-identical at every mantissa
+// width (fft_test.go keeps those loops as the oracle). At full float64
+// width the rounding step inlines to a predicted branch. Lane-parallel
+// stages are not implemented: one transform at N = 2^16 takes a few
+// milliseconds, a small share of a client operation.
 package fftfp
 
 import "math"
@@ -70,7 +82,16 @@ func NewCtx(mant int) Ctx {
 	return Ctx{Mant: mant}
 }
 
-func (c Ctx) round(x float64) float64 { return RoundMantissa(x, c.Mant) }
+// round is RoundMantissa at the context's width. The full-width early
+// return inlines, so at Float64Mantissa every primitive operation below is
+// the bare float64 operation; the explicit conversion still rounds each
+// result on its own, so no platform fuses a multiply into the add after it.
+func (c Ctx) round(x float64) float64 {
+	if c.Mant >= Float64Mantissa {
+		return float64(x)
+	}
+	return RoundMantissa(x, c.Mant)
+}
 
 // Complex is a complex number whose components live in a reduced-precision
 // context. Operations take the context explicitly so tables can be stored

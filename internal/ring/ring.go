@@ -337,14 +337,18 @@ func (r *Ring) UniformPoly(src *prng.Source, p *Poly) {
 // ExpandSignedBits fills p limb-wise from vals, where vals[j] carries the
 // two's-complement bits of the centered integer coefficient j — the
 // shared expansion stage of every shared-coefficient sampler (secrets,
-// encryption randomness, errors). Pure arithmetic over read-only moduli,
-// so it fans out across the lanes.
+// encryption randomness, errors). Every value must satisfy |v| < q for
+// each limb's prime q (the samplers emit ternary and Gaussian values,
+// |v| ≤ 20): a negative v maps to v + q by adding q under its sign mask,
+// and a non-negative one is already its residue, so the expansion runs
+// without a division. Pure arithmetic over read-only moduli, so it fans
+// out across the lanes.
 func (r *Ring) ExpandSignedBits(vals []uint64, p *Poly) {
 	r.Engine().Run(len(p.Coeffs), func(i int) {
-		m := r.Basis.Moduli[i]
-		pi := p.Coeffs[i]
+		q := r.Basis.Moduli[i].Q
+		pi := p.Coeffs[i][:len(vals)]
 		for j, v := range vals {
-			pi[j] = m.FromCentered(int64(v))
+			pi[j] = v + q&uint64(int64(v)>>63)
 		}
 	})
 	p.IsNTT = false

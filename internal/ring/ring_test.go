@@ -148,6 +148,45 @@ func TestSharedSampling(t *testing.T) {
 	}
 }
 
+// TestExpandSignedBitsMatchesFromCentered: the division-free sign-mask
+// expansion gives the residue the signed remainder gives, on the edge
+// values of its |v| < q contract, for a 36-bit and a 61-bit prime and a
+// ring shaped like the hybrid Q·P basis (a 36-bit Q chain followed by its
+// special primes).
+func TestExpandSignedBitsMatchesFromCentered(t *testing.T) {
+	const logN = 4
+	qp := primes.GenerateNTTPrimes(5, 36, logN) // Q = qp[:3], P = qp[3:]
+	for _, tc := range []struct {
+		name   string
+		primes []uint64
+	}{
+		{"36-bit", primes.GenerateNTTPrimes(1, 36, logN)},
+		{"61-bit", primes.GenerateNTTPrimes(1, 61, logN)},
+		{"Q·P", qp},
+	} {
+		r := MustRing(1<<logN, tc.primes)
+		qMin := tc.primes[0]
+		for _, q := range tc.primes {
+			qMin = min(qMin, q)
+		}
+		edge := []int64{0, 1, -1, 20, -20, int64(qMin - 1), -int64(qMin - 1)}
+		vals := make([]uint64, r.N)
+		for j := range vals {
+			vals[j] = uint64(edge[j%len(edge)])
+		}
+		p := r.NewPoly()
+		r.ExpandSignedBits(vals, p)
+		for i, m := range r.Basis.Moduli {
+			for j, v := range vals {
+				if want := m.FromCentered(int64(v)); p.Coeffs[i][j] != want {
+					t.Fatalf("%s limb %d: %d expands to %d, FromCentered gives %d",
+						tc.name, i, int64(v), p.Coeffs[i][j], want)
+				}
+			}
+		}
+	}
+}
+
 func TestAtLevel(t *testing.T) {
 	r := testRing(t)
 	v := r.AtLevel(2)

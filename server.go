@@ -123,7 +123,7 @@ func (s *Server) ExpandCompressedUpload(data []byte) (*Ciphertext, error) {
 	if err != nil {
 		return nil, wireErr(err)
 	}
-	return wrap(s.params.Expand(sct)), nil
+	return wrap(s.params, s.params.Expand(sct)), nil
 }
 
 // Add returns a + b (component-wise RLWE addition).
@@ -131,7 +131,7 @@ func (s *Server) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := s.validatePair(a, b); err != nil {
 		return nil, err
 	}
-	return wrap(s.eval.Add(a.ct, b.ct)), nil
+	return wrap(s.params, s.eval.Add(a.ct, b.ct)), nil
 }
 
 // Sub returns a - b.
@@ -139,7 +139,7 @@ func (s *Server) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := s.validatePair(a, b); err != nil {
 		return nil, err
 	}
-	return wrap(s.eval.Sub(a.ct, b.ct)), nil
+	return wrap(s.params, s.eval.Sub(a.ct, b.ct)), nil
 }
 
 // Negate returns -ct.
@@ -147,7 +147,7 @@ func (s *Server) Negate(ct *Ciphertext) (*Ciphertext, error) {
 	if err := validateCiphertext(s.params, ct); err != nil {
 		return nil, err
 	}
-	return wrap(s.eval.Negate(ct.ct)), nil
+	return wrap(s.params, s.eval.Negate(ct.ct)), nil
 }
 
 // MulConst multiplies by a real constant via an integer approximation
@@ -163,7 +163,7 @@ func (s *Server) MulConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
 	if math.IsNaN(c) || math.IsInf(c, 0) || math.Abs(c) >= 1<<32 {
 		return nil, fmt.Errorf("%w: %g not finite or |c| ≥ 2^32", ErrInvalidConstant, c)
 	}
-	return wrap(s.eval.MulConst(ct.ct, c)), nil
+	return wrap(s.params, s.eval.MulConst(ct.ct, c)), nil
 }
 
 // Rescale divides the ciphertext by its last RNS prime, dropping one limb
@@ -175,7 +175,7 @@ func (s *Server) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.ct.Level < 2 {
 		return nil, fmt.Errorf("%w: cannot rescale below level 1", ErrLevelOutOfRange)
 	}
-	return wrap(s.eval.Rescale(ct.ct)), nil
+	return wrap(s.params, s.eval.Rescale(ct.ct)), nil
 }
 
 // DropLevel truncates the ciphertext to `level` limbs without changing
@@ -188,7 +188,7 @@ func (s *Server) DropLevel(ct *Ciphertext, level int) (*Ciphertext, error) {
 	if level < 1 || level > ct.ct.Level {
 		return nil, fmt.Errorf("%w: target %d not in [1, %d]", ErrLevelOutOfRange, level, ct.ct.Level)
 	}
-	return wrap(s.eval.DropLevel(ct.ct, level)), nil
+	return wrap(s.params, s.eval.DropLevel(ct.ct, level)), nil
 }
 
 // ---------------------------------------------------------------------
@@ -257,7 +257,7 @@ func (s *Server) Mul(a, b *Ciphertext, evk *EvaluationKeys) (*Ciphertext, error)
 	if evk.set.Rlk == nil {
 		return nil, fmt.Errorf("%w: set carries no relinearization key", ErrEvaluationKeyMissing)
 	}
-	return wrap(s.eval.MulRelin(a.ct, b.ct, evk.set.Rlk)), nil
+	return wrap(s.params, s.eval.MulRelin(a.ct, b.ct, evk.set.Rlk)), nil
 }
 
 // Rotate rotates the message slots by k (slot i of the result holds slot
@@ -269,13 +269,13 @@ func (s *Server) Rotate(ct *Ciphertext, k int, evk *EvaluationKeys) (*Ciphertext
 	}
 	step := s.params.NormalizeStep(k)
 	if step == 0 {
-		return wrap(s.params.CopyCiphertext(ct.ct)), nil
+		return wrap(s.params, s.params.CopyCiphertext(ct.ct)), nil
 	}
 	rk, err := s.rotationKey(evk, step)
 	if err != nil {
 		return nil, err
 	}
-	return wrap(s.eval.RotateGalois(ct.ct, rk)), nil
+	return wrap(s.params, s.eval.RotateGalois(ct.ct, rk)), nil
 }
 
 // RotateMany rotates one ciphertext by every step at once on the hoisted
@@ -304,11 +304,11 @@ func (s *Server) RotateMany(ct *Ciphertext, steps []int, evk *EvaluationKeys) ([
 		hoistIdx = append(hoistIdx, i)
 	}
 	for i, ct2 := range s.eval.RotateHoisted(ct.ct, rks) {
-		out[hoistIdx[i]] = wrap(ct2)
+		out[hoistIdx[i]] = wrap(s.params, ct2)
 	}
 	for i := range out {
 		if out[i] == nil {
-			out[i] = wrap(s.params.CopyCiphertext(ct.ct))
+			out[i] = wrap(s.params, s.params.CopyCiphertext(ct.ct))
 		}
 	}
 	return out, nil
@@ -323,7 +323,7 @@ func (s *Server) Conjugate(ct *Ciphertext, evk *EvaluationKeys) (*Ciphertext, er
 	if evk.set.Conj == nil {
 		return nil, fmt.Errorf("%w: set carries no conjugation key", ErrEvaluationKeyMissing)
 	}
-	return wrap(s.eval.RotateGalois(ct.ct, evk.set.Conj)), nil
+	return wrap(s.params, s.eval.RotateGalois(ct.ct, evk.set.Conj)), nil
 }
 
 // InnerSum replaces every slot i with the sum of the span slots i..i+span−1
@@ -345,9 +345,9 @@ func (s *Server) InnerSum(ct *Ciphertext, span int, evk *EvaluationKeys) (*Ciphe
 		return nil, err
 	}
 	if span == 1 {
-		return wrap(s.params.CopyCiphertext(ct.ct)), nil
+		return wrap(s.params, s.params.CopyCiphertext(ct.ct)), nil
 	}
-	return wrap(s.innerSum(ct.ct, span, evk)), nil
+	return wrap(s.params, s.innerSum(ct.ct, span, evk)), nil
 }
 
 // innerSum is InnerSum's rotate-and-add ladder over a resolved key set.
@@ -393,7 +393,7 @@ func (s *Server) DotPlain(ct *Ciphertext, weights []complex128, evk *EvaluationK
 	pt := s.encoder.EncodeAtLevel(weights, ct.ct.Level)
 	prod := s.eval.MulPlain(ct.ct, pt)
 	s.params.PutPlaintext(pt)
-	return wrap(s.eval.Rescale(s.innerSum(prod, span, evk))), nil
+	return wrap(s.params, s.eval.Rescale(s.innerSum(prod, span, evk))), nil
 }
 
 // InnerSumRotations returns the power-of-two rotation-step ladder
@@ -507,7 +507,7 @@ func (s *Server) LinearTransform(ct *Ciphertext, t *LinearTransform, evk *Evalua
 	if in.Level > t.Level() {
 		in = s.eval.DropLevel(in, t.Level())
 	}
-	return wrap(s.eval.LinearTransform(in, t.lt, rot)), nil
+	return wrap(s.params, s.eval.LinearTransform(in, t.lt, rot)), nil
 }
 
 // HomomorphicDFT is a built CoeffsToSlots/SlotsToCoeffs pipeline: the
@@ -602,7 +602,7 @@ func (s *Server) CoeffsToSlots(ct *Ciphertext, dft *HomomorphicDFT, evk *Evaluat
 		in = s.eval.DropLevel(in, dft.StartLevel())
 	}
 	cre, cim := s.eval.CoeffsToSlots(in, dft.dft, rot, evk.set.Conj)
-	return wrap(cre), wrap(cim), nil
+	return wrap(s.params, cre), wrap(s.params, cim), nil
 }
 
 // SlotsToCoeffs inverts CoeffsToSlots: recombines the two coefficient
@@ -624,7 +624,7 @@ func (s *Server) SlotsToCoeffs(re, im *Ciphertext, dft *HomomorphicDFT, evk *Eva
 	if err != nil {
 		return nil, err
 	}
-	return wrap(s.eval.SlotsToCoeffs(re.ct, im.ct, dft.dft, rot)), nil
+	return wrap(s.params, s.eval.SlotsToCoeffs(re.ct, im.ct, dft.dft, rot)), nil
 }
 
 // Slots, MaxLevel, Workers, Close, SerializeCiphertext,
