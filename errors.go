@@ -109,18 +109,13 @@ func validateCiphertext(p *ckks.Parameters, ct *Ciphertext) error {
 	return nil
 }
 
-// deserializeCiphertext is the shared wire entry point of the role types:
-// parse, then reject NTT-tagged blobs. The ckks layer carries the NTT
-// domain on the wire for internal uses, but a Ciphertext rests in the
-// coefficient domain between operations, and the domain byte is the one
-// place a caller can still claim otherwise.
+// deserializeCiphertext is the shared wire entry point of the role types.
+// The ckks codec accepts only the packed coefficient-domain form, in which
+// a Ciphertext rests between operations.
 func deserializeCiphertext(p *ckks.Parameters, data []byte) (*Ciphertext, error) {
 	ct, err := p.UnmarshalCiphertext(data)
 	if err != nil {
 		return nil, wireErr(err)
-	}
-	if ct.C0.IsNTT {
-		return nil, fmt.Errorf("%w: NTT-domain ciphertext on the public wire", ErrMalformedWire)
 	}
 	return wrap(p, ct), nil
 }

@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"repro/internal/ckks"
@@ -307,6 +308,39 @@ func TestServerOperandErrors(t *testing.T) {
 	}
 	if _, err := server.MulConst(ct, -2.5); err != nil {
 		t.Errorf("MulConst(-2.5) must be accepted: %v", err)
+	}
+}
+
+// TestMulConstZeroAdds: MulConst by 0 carries the same scale as MulConst
+// by any other constant (Δ·2^30), so its result adds to another product
+// and the sum decrypts to the other term.
+func TestMulConstZeroAdds(t *testing.T) {
+	owner, device, server := threeParties(t, Test, 9, 10)
+	msgs := testMsgs(device.Slots(), 2)
+	cts, err := device.EncodeEncryptBatch(msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, err := server.MulConst(cts[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := server.MulConst(cts[1], 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := server.Add(zero, half)
+	if err != nil {
+		t.Fatalf("Add(MulConst(a, 0), MulConst(b, 0.5)): %v", err)
+	}
+	got, err := owner.DecryptDecode(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range got {
+		if e := cmplx.Abs(got[j] - 0.5*msgs[1][j]); e > 1e-4 {
+			t.Fatalf("slot %d: error %g", j, e)
+		}
 	}
 }
 

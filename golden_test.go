@@ -17,6 +17,10 @@ package abcfhe
 // on the first ciphertext; it was first pinned with the double-hoisted
 // linear transform (one ModDown per giant block, one per transform).
 //
+// "mulconst" pins MulConst(−0.3) on the first ciphertext. It was pinned
+// on the scalar-product MulConst and held when MulConst became one
+// constant-product pass at scale 2^30.
+//
 // "eval-keys" pins the seeded wire blob (mask seed plus b rows).
 // "eval-keys-coeff" pins the imported keys' full content, both halves, on
 // a test-only re-encoding into the retired coefficient-domain layout, so
@@ -44,6 +48,7 @@ var goldenSHA256 = map[string]string{
 	"conjugate":       "6f11500f49edbd6dc686d1eacc0695cdebec2659623597e33bb182acb06dae1c",
 	"innersum-4":      "58a81f9d77713a0bcaca08b393687a4c1aac2aef461c38f04fb970c443ee875d",
 	"lintrans-c2s":    "b26643d5c090b5044f239aede312304d99a395c3da7fc30803b402ac7862a1f4",
+	"mulconst":        "0989c3c98f4e8aa3b49f2721acdc4c02400404135c5b168ae8fe8febb7cb5b1b",
 }
 
 func TestGoldenBytes(t *testing.T) {
@@ -110,6 +115,8 @@ func goldenRun(t *testing.T, opts ...Option) {
 	pinCt("conjugate", conj, err)
 	isum, err := server.InnerSum(cts[0], 4, evk)
 	pinCt("innersum-4", isum, err)
+	mc, err := server.MulConst(cts[0], -0.3)
+	pinCt("mulconst", mc, err)
 
 	dft, err := server.NewHomomorphicDFT(HomomorphicDFTConfig{StartLevel: server.MaxLevel(), Levels: 1})
 	if err != nil {

@@ -3,9 +3,11 @@ package ckks
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/ring"
 )
 
 var testParams = TestParams.MustBuild()
@@ -216,6 +218,45 @@ func TestMulConst(t *testing.T) {
 		if cmplx.Abs(got[i]-(-2.5)*m[i]) > 1e-4 {
 			t.Fatalf("MulConst error at %d: %v vs %v", i, got[i], -2.5*m[i])
 		}
+	}
+}
+
+// TestMulConstMatchesScalarReference: MulConst (one mulConstAt pass) gives
+// the bytes of the scalar product it replaced — round(|c|·2^30) times every
+// residue, negated for c < 0 — on Test and PN13, including rounding ties
+// and the largest constant the public API admits; c = 0 gives the zero
+// ciphertext at scale Δ·2^30.
+func TestMulConstMatchesScalarReference(t *testing.T) {
+	consts := []float64{
+		-0.3, 0.3, 1, -1, 2.5, -2.5, 0.5 / (1 << 30), 1.5 / (1 << 30), -2.5 / (1 << 30),
+		1e-12, 12345.678, 1<<32 - 1, -(1<<32 - 1), 0,
+	}
+	for _, spec := range []ParamSpec{TestParams, PN13} {
+		p := spec.MustBuild()
+		_, pk := NewKeyGenerator(p, testSeed()).GenKeyPair()
+		ct := NewEncryptor(p, pk, testSeed()).Encrypt(NewEncoder(p).Encode(randMsg(p, 0, 12)))
+		ev := NewEvaluator(p)
+		rl := p.RingAt(ct.Level)
+		for _, c := range consts {
+			want := p.CopyCiphertext(ct)
+			ci := uint64(math.Round(math.Abs(c) * (1 << 30)))
+			for _, poly := range []*ring.Poly{want.C0, want.C1} {
+				rl.MulScalar(poly, ci, poly)
+				if c < 0 {
+					rl.Neg(poly, poly)
+				}
+			}
+			got := ev.MulConst(ct, c)
+			if got.Scale != ct.Scale*(1<<30) {
+				t.Fatalf("LogN %d, c = %g: scale %g, want %g", spec.LogN, c, got.Scale, ct.Scale*(1<<30))
+			}
+			for i := range want.C0.Coeffs {
+				if !slices.Equal(got.C0.Coeffs[i], want.C0.Coeffs[i]) || !slices.Equal(got.C1.Coeffs[i], want.C1.Coeffs[i]) {
+					t.Fatalf("LogN %d, c = %g: limb %d differs from the scalar product", spec.LogN, c, i)
+				}
+			}
+		}
+		p.Close()
 	}
 }
 

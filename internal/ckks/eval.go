@@ -184,28 +184,9 @@ func (ev *Evaluator) Negate(ct *Ciphertext) *Ciphertext {
 	return out
 }
 
-// MulConst multiplies by a real constant via an integer approximation
-// round(c·2^k) with compensating scale bookkeeping (k chosen so the
-// constant is represented to ~30 bits).
+// MulConst multiplies by a real constant encoded as round(c·2^30) in every
+// limb (mulConstAt), so the result's scale is ct.Scale·2^30 for every c,
+// zero included.
 func (ev *Evaluator) MulConst(ct *Ciphertext, c float64) *Ciphertext {
-	if c == 0 {
-		rl := ev.ringAt(ct.Level)
-		return &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: ct.Level, Scale: ct.Scale}
-	}
-	neg := c < 0
-	if neg {
-		c = -c
-	}
-	k := 30
-	ci := uint64(math.Round(c * float64(uint64(1)<<uint(k))))
-	rl := ev.ringAt(ct.Level)
-	out := ev.params.CopyCiphertext(ct)
-	rl.MulScalar(out.C0, ci, out.C0)
-	rl.MulScalar(out.C1, ci, out.C1)
-	if neg {
-		rl.Neg(out.C0, out.C0)
-		rl.Neg(out.C1, out.C1)
-	}
-	out.Scale = ct.Scale * float64(uint64(1)<<uint(k))
-	return out
+	return ev.mulConstAt(ct, complex(c, 0), 1<<30)
 }

@@ -56,8 +56,9 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := p.EvaluationKeyWireBytes(3, len(ks.Rot), true); len(data) != want {
-			t.Fatalf("blob is %d bytes, EvaluationKeyWireBytes says %d", len(data), want)
+		info := EvalKeyInfo{Gadget: GadgetHybrid, Digits: p.SpecialLimbs, MaxLevel: 3, HasRelin: true, HasConj: true, Steps: ks.Steps()}
+		if want := EvalKeyWireBytes(p.Spec(), info); len(data) != want {
+			t.Fatalf("blob is %d bytes, EvalKeyWireBytes says %d", len(data), want)
 		}
 
 		back, err := p.UnmarshalEvaluationKeySet(data)
@@ -107,8 +108,8 @@ func TestEvalKeySetRoundTrip(t *testing.T) {
 	// The paper-scale blob (PN15, full depth, relinearization plus three
 	// rotation keys) is pinned exactly: any wire-format growth must update
 	// this number deliberately.
-	p15 := PN15.MustBuild()
-	if got := p15.EvaluationKeyWireBytes(p15.MaxLevel(), 3, false); got != 121110577 {
+	info := EvalKeyInfo{Gadget: GadgetHybrid, Digits: PN15.SpecialLimbs, MaxLevel: PN15.Limbs, HasRelin: true, Steps: []int{1, 2, 3}}
+	if got := EvalKeyWireBytes(PN15, info); got != 121110577 {
 		t.Fatalf("PN15 full-depth 3-rotation blob is %d bytes, want 121110577", got)
 	}
 }

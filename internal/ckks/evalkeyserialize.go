@@ -106,16 +106,7 @@ func EvalKeyWireBytes(spec ParamSpec, info EvalKeyInfo) int {
 	}
 	dnum := (info.MaxLevel + alpha - 1) / alpha
 	limbTotal := dnum * (info.MaxLevel + alpha) // packed limbs across one key's b rows
-	return evalHeaderLen(len(info.Steps)) + (info.keyCount()*limbTotal*n*PackedWordBits+7)/8
-}
-
-// EvaluationKeyWireBytes reports the packed wire size of a key set at the
-// given depth with rotCount rotation steps (+ conjugation when conj).
-func (p *Parameters) EvaluationKeyWireBytes(maxLevel, rotCount int, conj bool) int {
-	return EvalKeyWireBytes(p.Spec(), EvalKeyInfo{
-		Gadget: GadgetHybrid, Digits: p.SpecialLimbs, MaxLevel: maxLevel,
-		HasRelin: true, HasConj: conj, Steps: make([]int, rotCount),
-	})
+	return evalHeaderLen(len(info.Steps)) + packedBytes(info.keyCount()*limbTotal, n)
 }
 
 // ReadEvalKeyInfo parses and validates the headers of an evaluation-key
@@ -204,9 +195,6 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, error) {
 	if ks == nil {
 		return nil, fmt.Errorf("ckks: marshal eval keys: nil set")
-	}
-	if p.LimbBits > PackedWordBits {
-		return nil, fmt.Errorf("ckks: packed encoding needs limbs ≤ %d bits", PackedWordBits)
 	}
 	if ks.MaxLevel < 1 || ks.MaxLevel > p.MaxLevel() {
 		return nil, fmt.Errorf("ckks: marshal eval keys: depth %d out of range", ks.MaxLevel)

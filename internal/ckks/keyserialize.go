@@ -34,7 +34,7 @@ import (
 // public API's Encryptor role performs.
 const (
 	// KeyKindPublic and KeyKindSecret are the kind discriminators at byte 5
-	// of a key blob (disjoint from the ciphertext enc values 0, 1, 0x81).
+	// of a key blob (disjoint from the ciphertext form bytes 1 and 0x81).
 	KeyKindPublic byte = 'P'
 	KeyKindSecret byte = 'S'
 )
@@ -98,9 +98,8 @@ func ReadKeySpec(data []byte) (ParamSpec, byte, error) {
 	// No marshaler can emit a key blob for limbs wider than the packed
 	// word, so a header claiming one is forged — and accepting it would
 	// build a party whose own exports then fail the marshal-side check.
-	if spec.LimbBits > PackedWordBits {
-		return ParamSpec{}, 0, fmt.Errorf("ckks: key spec: limbBits %d exceeds packed word width %d",
-			spec.LimbBits, PackedWordBits)
+	if err := checkLimbBits(spec.LimbBits); err != nil {
+		return ParamSpec{}, 0, fmt.Errorf("ckks: key spec: %w", err)
 	}
 	return spec, kind, nil
 }
@@ -122,17 +121,12 @@ func (p *Parameters) checkKeyPoly(poly *ring.Poly) error {
 // marshalKey packs the header, an optional seed block, and the key
 // polynomials' residues.
 func (p *Parameters) marshalKey(kind byte, seed []byte, polys ...*ring.Poly) ([]byte, error) {
-	if p.LimbBits > PackedWordBits {
-		return nil, fmt.Errorf("ckks: packed encoding needs limbs ≤ %d bits", PackedWordBits)
-	}
 	for _, poly := range polys {
 		if err := p.checkKeyPoly(poly); err != nil {
 			return nil, err
 		}
 	}
-	coeffCount := len(polys) * p.Limbs * p.N()
-	payload := (coeffCount*PackedWordBits + 7) / 8
-	out := make([]byte, keyHeaderLen()+len(seed)+payload)
+	out := make([]byte, keyHeaderLen()+len(seed)+packedBytes(len(polys)*p.Limbs, p.N()))
 	if err := p.putKeyHeader(out, kind); err != nil {
 		return nil, err
 	}
@@ -158,8 +152,7 @@ func (p *Parameters) unmarshalKey(data []byte, kind byte, seedLen, nPolys int) (
 	if spec != p.Spec() {
 		return nil, nil, fmt.Errorf("ckks: unmarshal key: embedded spec %+v does not match parameters", spec)
 	}
-	coeffCount := nPolys * p.Limbs * p.N()
-	payload := (coeffCount*PackedWordBits + 7) / 8
+	payload := packedBytes(nPolys*p.Limbs, p.N())
 	if len(data) != keyHeaderLen()+seedLen+payload {
 		return nil, nil, fmt.Errorf("ckks: unmarshal key: payload length %d, want %d",
 			len(data)-keyHeaderLen(), seedLen+payload)
@@ -217,16 +210,6 @@ func (p *Parameters) UnmarshalSecretKey(data []byte) (*SecretKey, [16]byte, erro
 	return &SecretKey{S: polys[0]}, seed, nil
 }
 
-// PublicKeyWireBytes reports the packed wire size of a public key blob.
-func (p *Parameters) PublicKeyWireBytes() int {
-	return KeySpecWireBytes(p.Spec(), KeyKindPublic)
-}
-
-// SecretKeyWireBytes reports the packed wire size of a secret key blob.
-func (p *Parameters) SecretKeyWireBytes() int {
-	return KeySpecWireBytes(p.Spec(), KeyKindSecret)
-}
-
 // KeySpecWireBytes computes the exact blob size a key of the given kind
 // must have under spec — from the header alone, without building
 // Parameters. Wire-facing constructors use it to reject length-mismatched
@@ -237,9 +220,9 @@ func KeySpecWireBytes(spec ParamSpec, kind byte) int {
 	n := 1 << uint(spec.LogN)
 	switch kind {
 	case KeyKindPublic:
-		return keyHeaderLen() + (2*spec.Limbs*n*PackedWordBits+7)/8
+		return keyHeaderLen() + packedBytes(2*spec.Limbs, n)
 	case KeyKindSecret:
-		return keyHeaderLen() + 16 + (spec.Limbs*n*PackedWordBits+7)/8
+		return keyHeaderLen() + 16 + packedBytes(spec.Limbs, n)
 	}
 	return 0
 }

@@ -14,8 +14,8 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != p.PublicKeyWireBytes() {
-		t.Fatalf("wire size %d != reported %d", len(data), p.PublicKeyWireBytes())
+	if want := KeySpecWireBytes(p.Spec(), KeyKindPublic); len(data) != want {
+		t.Fatalf("wire size %d != reported %d", len(data), want)
 	}
 	got, err := p.UnmarshalPublicKey(data)
 	if err != nil {
@@ -51,8 +51,8 @@ func TestSecretKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) != p.SecretKeyWireBytes() {
-		t.Fatalf("wire size %d != reported %d", len(data), p.SecretKeyWireBytes())
+	if want := KeySpecWireBytes(p.Spec(), KeyKindSecret); len(data) != want {
+		t.Fatalf("wire size %d != reported %d", len(data), want)
 	}
 	got, gotSeed, err := p.UnmarshalSecretKey(data)
 	if err != nil {

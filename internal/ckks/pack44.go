@@ -3,6 +3,7 @@ package ckks
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/ring"
@@ -10,7 +11,9 @@ import (
 
 // The row-block 44-bit codec under every packed wire format (ciphertext,
 // seeded ciphertext, public/secret key, evaluation keys) — the software
-// twin of the accelerator's 44-bit datapath word.
+// twin of the accelerator's 44-bit datapath word. This file owns the
+// packing geometry: every blob size goes through packedBytes, and
+// checkLimbBits is the one limb-width rule.
 //
 // The packed stream is little-endian in bits: residue k of a payload sits
 // at bits [44k, 44k+44). ParamSpec.Validate pins LogN ≥ 4, so N is a
@@ -21,14 +24,27 @@ import (
 // unpackRows fan them across the ring's lanes with bytes that cannot
 // depend on the worker count.
 
+// PackedWordBits is the hardware stream word width.
+const PackedWordBits = 44
+
 const (
 	packBlockCoeffs = 16
 	packBlockBytes  = packBlockCoeffs * PackedWordBits / 8 // 88 = 11 words
 	packMask        = uint64(1)<<PackedWordBits - 1
 )
 
-// packedBytes is the packed size of `rows` limb rows of n residues.
+// packedBytes is the packed size of `rows` limb rows of n residues. N ≥ 16
+// makes every row a whole number of bytes.
 func packedBytes(rows, n int) int { return rows * n * PackedWordBits / 8 }
+
+// checkLimbBits rejects limbs wider than the packed word: no residue of
+// such a prime chain is guaranteed to fit 44 bits.
+func checkLimbBits(limbBits int) error {
+	if limbBits > PackedWordBits {
+		return fmt.Errorf("packed encoding needs limbs ≤ %d bits, got %d", PackedWordBits, limbBits)
+	}
+	return nil
+}
 
 // packRow packs row (len a multiple of 16) into dst (len(row)·44/8 bytes)
 // and returns the OR of every residue, so the caller can tell whether one
@@ -94,10 +110,16 @@ func unpackRow(row []uint64, src []byte, q uint64) bool {
 // packRows packs rows[i] at dst[i·N·44/8:], one lane task per row. Row i
 // is a residue row of limb i mod r.K() — every packed payload is a
 // sequence of whole polynomials over r, packed in the domain it sits in.
-// A row of the wrong length or holding a residue ≥ 2^44 cannot be
+// A ring with a prime wider than the packed word is refused outright. A
+// row of the wrong length or holding a residue ≥ 2^44 cannot be
 // represented and is an error naming the lowest such row — found by index
 // after the dispatch, so it is the same at any worker count or schedule.
 func packRows(r *ring.Ring, dst []byte, rows [][]uint64) error {
+	for _, m := range r.Basis.Moduli {
+		if err := checkLimbBits(bits.Len64(m.Q)); err != nil {
+			return fmt.Errorf("ckks: marshal: %w", err)
+		}
+	}
 	n := r.N
 	rowBytes := packedBytes(1, n)
 	bad := make([]bool, len(rows))

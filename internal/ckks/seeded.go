@@ -3,7 +3,6 @@ package ckks
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/prng"
@@ -143,72 +142,27 @@ func (p *Parameters) Expand(sct *SeededCiphertext) *Ciphertext {
 }
 
 // MarshalSeeded serializes the compressed form: header | seed | stream |
-// packed c0. Roughly half the bytes of a packed full ciphertext.
+// packed c0. Roughly half the bytes of a full ciphertext.
 func (p *Parameters) MarshalSeeded(sct *SeededCiphertext) ([]byte, error) {
-	if p.LimbBits > PackedWordBits {
-		return nil, fmt.Errorf("ckks: packed encoding needs limbs ≤ %d bits", PackedWordBits)
-	}
-	if sct.Level < 1 || sct.Level > p.MaxLevel() {
-		return nil, fmt.Errorf("ckks: marshal seeded: bad level %d", sct.Level)
-	}
-	n := p.N()
-	payload := (sct.Level*n*PackedWordBits + 7) / 8
-	out := make([]byte, headerLen()+16+8+payload)
-	copy(out, wireMagic)
-	out[4] = wireVersion
-	out[5] = encPacked | 0x80 // high bit marks the seeded form
-	out[6] = byte(p.LogN)
-	out[7] = byte(sct.Level)
-	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(sct.Scale))
-	copy(out[headerLen():], sct.Seed[:])
-	binary.LittleEndian.PutUint64(out[headerLen()+16:], sct.Stream)
-
-	if err := packRows(p.RingAt(sct.Level), out[headerLen()+24:], polyRows(sct.Level, sct.C0)); err != nil {
-		return nil, err
-	}
-	return out, nil
+	var prefix [seedMaterialLen]byte
+	copy(prefix[:], sct.Seed[:])
+	binary.LittleEndian.PutUint64(prefix[16:], sct.Stream)
+	return p.marshalCt(formSeeded, sct.Level, sct.Scale, prefix[:], sct.C0)
 }
 
 // UnmarshalSeeded reverses MarshalSeeded.
 func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
-	if len(data) < headerLen()+24 || string(data[:4]) != wireMagic {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: bad magic/short data")
+	level, scale, err := p.readCtHeader(data, formSeeded)
+	if err != nil {
+		return nil, fmt.Errorf("ckks: unmarshal seeded: %w", err)
 	}
-	if data[4] != wireVersion {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: unsupported version %d", data[4])
-	}
-	if data[5] != encPacked|0x80 {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: not a seeded ciphertext")
-	}
-	if int(data[6]) != p.LogN {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: logN mismatch")
-	}
-	if data[16] != 0 { // c0 travels in the coefficient domain; MarshalSeeded writes 0
-		return nil, fmt.Errorf("ckks: unmarshal seeded: domain byte %d, want 0", data[16])
-	}
-	level := int(data[7])
-	if level < 1 || level > p.MaxLevel() {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: bad level %d", level)
-	}
-	n := p.N()
-	payload := (level*n*PackedWordBits + 7) / 8
-	if len(data) != headerLen()+24+payload {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: bad payload length")
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-	if !validWireScale(scale) {
-		return nil, fmt.Errorf("ckks: unmarshal seeded: invalid scale %g", scale)
-	}
-	sct := &SeededCiphertext{
-		Level: level,
-		Scale: scale,
-	}
-	copy(sct.Seed[:], data[headerLen():])
-	sct.Stream = binary.LittleEndian.Uint64(data[headerLen()+16:])
+	sct := &SeededCiphertext{Level: level, Scale: scale}
+	copy(sct.Seed[:], data[ctHeaderLen:])
+	sct.Stream = binary.LittleEndian.Uint64(data[ctHeaderLen+16:])
 
 	rl := p.RingAt(level)
 	sct.C0 = rl.NewPoly()
-	if err := unpackRows(rl, data[headerLen()+24:], sct.C0.Coeffs); err != nil {
+	if err := unpackRows(rl, data[ctHeaderLen+seedMaterialLen:], sct.C0.Coeffs); err != nil {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: %w", err)
 	}
 	return sct, nil
@@ -217,5 +171,5 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 // SeededWireBytes is the compressed wire size at a level — half the
 // polynomial payload of the full form plus 24 bytes of seed material.
 func (p *Parameters) SeededWireBytes(level int) int {
-	return headerLen() + 24 + (level*p.N()*PackedWordBits+7)/8
+	return p.ctWireBytes(formSeeded, level)
 }

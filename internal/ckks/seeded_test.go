@@ -106,7 +106,7 @@ func TestSeededUnmarshalValidation(t *testing.T) {
 	data, _ := p.MarshalSeeded(se.Encrypt(enc.Encode(randMsg(p, 0, 35))))
 
 	bad := append([]byte(nil), data...)
-	bad[5] = encPacked // strip the seeded marker
+	bad[5] = formFull // strip the seeded marker
 	if _, err := p.UnmarshalSeeded(bad); err == nil {
 		t.Fatal("non-seeded payload must be rejected")
 	}
@@ -125,6 +125,15 @@ func TestSeededUnmarshalValidation(t *testing.T) {
 	fullData, _ := p.MarshalCiphertext(fullCt, true)
 	if _, err := p.UnmarshalSeeded(fullData); err == nil {
 		t.Fatal("full ciphertext must not parse as seeded")
+	}
+	if _, err := p.UnmarshalCiphertext(data); err == nil {
+		t.Fatal("seeded ciphertext must not parse as full")
+	}
+	// c0 travels in the coefficient domain: an NTT-domain c0 has no wire form.
+	sct := se.Encrypt(enc.Encode(randMsg(p, 0, 37)))
+	p.RingAt(sct.Level).NTT(sct.C0)
+	if _, err := p.MarshalSeeded(sct); err == nil {
+		t.Fatal("NTT-domain c0 marshaled")
 	}
 }
 

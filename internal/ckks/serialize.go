@@ -4,24 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/ring"
 )
 
-// Wire format for ciphertexts and plaintexts. Two encodings are provided:
+// Ciphertext wire formats. A ciphertext travels in one of two forms, both
+// packed at 44 bits per residue by pack44.go — the word the accelerator
+// streams over LPDDR5, so a blob's size is the DRAM traffic the simulator
+// charges for it (2·L·N·44/8 payload bytes for a full ciphertext; see
+// internal/sim and TestPackedSizeMatchesDRAMModel):
 //
-//   - word: 8 bytes per coefficient (fast, alignment-friendly), and
-//   - packed: 44 bits per coefficient — the format the accelerator
-//     streams over LPDDR5, so the serialized size matches the DRAM traffic
-//     the simulator charges (2·L·N·44/8 bytes per ciphertext; see
-//     internal/sim and the cross-check test). Coded by pack44.go in blocks
-//     of 16 coefficients = 88 bytes = 11 words; N ≥ 16 byte-aligns every
-//     limb row, so rows are coded in parallel across the lanes, residues
-//     are validated in the unpack pass, and the marshalers reject a
-//     residue that does not fit 44 bits.
+//   - full (form byte 1): c0 limbs then c1 limbs;
+//   - seeded (form byte 0x81, seeded.go): a 16-byte mask seed, a u64
+//     stream and the c0 limbs — c1 is regenerated from the seed.
 //
-// Layout (both encodings, little-endian):
+// Both forms carry the coefficient domain, in which every Ciphertext rests
+// between operations: the marshalers refuse an NTT-domain polynomial and
+// the unmarshalers a nonzero domain byte. Each accepted blob therefore
+// re-marshals to its own bytes.
 //
-//	magic "ABCF" | version u8 | enc u8 | logN u8 | level u8 |
-//	scale f64 | domain u8 | payload (c0 limbs then c1 limbs)
+// Header (both forms, little-endian), read and written by one pair of
+// functions:
+//
+//	magic "ABCF" | version u8 | form u8 | logN u8 | level u8 |
+//	scale f64 | domain u8 (always 0) | payload
 const (
 	wireMagic = "ABCF"
 	// wireVersion 2: PR 5 grew the key header by a specialLimbs byte and
@@ -31,143 +37,108 @@ const (
 	// ciphertext and key formats, so all marshalers moved together).
 	wireVersion = 2
 
-	encWord   = 0
-	encPacked = 1
+	// formFull and formSeeded are the ciphertext form bytes (byte 5).
+	formFull   = 1
+	formSeeded = 0x81
+
+	ctHeaderLen = 17
+	// seedMaterialLen is the seeded form's mask seed plus its stream.
+	seedMaterialLen = 16 + 8
 )
 
-// PackedWordBits is the hardware stream word width.
-const PackedWordBits = 44
-
-func headerLen() int { return 4 + 1 + 1 + 1 + 1 + 8 + 1 }
-
-// MarshalCiphertext serializes ct. packed selects the 44-bit stream
-// encoding; coefficients must fit PackedWordBits (true for ≤44-bit limb
-// primes — enforced).
-func (p *Parameters) MarshalCiphertext(ct *Ciphertext, packed bool) ([]byte, error) {
-	if ct.Level < 1 || ct.Level > p.MaxLevel() {
-		return nil, fmt.Errorf("ckks: marshal: bad level %d", ct.Level)
+// ctWireBytes is the exact blob size of a ciphertext form at a level.
+func (p *Parameters) ctWireBytes(form byte, level int) int {
+	if form == formSeeded {
+		return ctHeaderLen + seedMaterialLen + packedBytes(level, p.N())
 	}
-	enc := byte(encWord)
-	if packed {
-		if p.LimbBits > PackedWordBits {
-			return nil, fmt.Errorf("ckks: packed encoding needs limbs ≤ %d bits", PackedWordBits)
+	return ctHeaderLen + packedBytes(2*level, p.N())
+}
+
+// marshalCt writes a ciphertext blob of the given form: the header, the
+// prefix (the seeded form's seed material) and the packed limbs of polys,
+// which must be in the coefficient domain — the domain byte stays 0.
+func (p *Parameters) marshalCt(form byte, level int, scale float64, prefix []byte, polys ...*ring.Poly) ([]byte, error) {
+	if level < 1 || level > p.MaxLevel() {
+		return nil, fmt.Errorf("ckks: marshal: bad level %d", level)
+	}
+	for _, poly := range polys {
+		if poly.IsNTT {
+			return nil, fmt.Errorf("ckks: marshal: NTT-domain ciphertext; the wire carries the coefficient domain")
 		}
-		enc = encPacked
 	}
-	n := p.N()
-	coeffCount := 2 * ct.Level * n
-	var payload int
-	if packed {
-		payload = (coeffCount*PackedWordBits + 7) / 8
-	} else {
-		payload = coeffCount * 8
-	}
-	out := make([]byte, headerLen()+payload)
+	out := make([]byte, p.ctWireBytes(form, level))
 	copy(out, wireMagic)
 	out[4] = wireVersion
-	out[5] = enc
+	out[5] = form
 	out[6] = byte(p.LogN)
-	out[7] = byte(ct.Level)
-	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(ct.Scale))
-	if ct.C0.IsNTT {
-		out[16] = 1
-	}
-	if ct.C1.IsNTT != ct.C0.IsNTT {
-		return nil, fmt.Errorf("ckks: marshal: mixed-domain ciphertext")
-	}
-
-	body := out[headerLen():]
-	rows := polyRows(ct.Level, ct.C0, ct.C1)
-	if packed {
-		if err := packRows(p.RingAt(ct.Level), body, rows); err != nil {
-			return nil, err
-		}
-	} else {
-		for i, row := range rows {
-			for j, c := range row {
-				binary.LittleEndian.PutUint64(body[(i*n+j)*8:], c)
-			}
-		}
+	out[7] = byte(level)
+	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(scale))
+	copy(out[ctHeaderLen:], prefix)
+	if err := packRows(p.RingAt(level), out[ctHeaderLen+len(prefix):], polyRows(level, polys...)); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// UnmarshalCiphertext reverses MarshalCiphertext.
-func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
-	if len(data) < headerLen() || string(data[:4]) != wireMagic {
-		return nil, fmt.Errorf("ckks: unmarshal: bad magic/short data")
+// readCtHeader validates the header of a blob of the given form — magic,
+// version, form, ring degree, level, scale (finite and positive), domain 0
+// — and its exact length, before anything is allocated.
+func (p *Parameters) readCtHeader(data []byte, form byte) (level int, scale float64, err error) {
+	if len(data) < ctHeaderLen || string(data[:4]) != wireMagic {
+		return 0, 0, fmt.Errorf("bad magic/short data")
 	}
 	if data[4] != wireVersion {
-		return nil, fmt.Errorf("ckks: unmarshal: unsupported version %d", data[4])
+		return 0, 0, fmt.Errorf("unsupported version %d", data[4])
 	}
-	enc := data[5]
+	if data[5] != form {
+		return 0, 0, fmt.Errorf("form byte 0x%02x, want 0x%02x", data[5], form)
+	}
 	if int(data[6]) != p.LogN {
-		return nil, fmt.Errorf("ckks: unmarshal: logN %d does not match parameters (%d)", data[6], p.LogN)
+		return 0, 0, fmt.Errorf("logN %d does not match parameters (%d)", data[6], p.LogN)
 	}
-	level := int(data[7])
+	level = int(data[7])
 	if level < 1 || level > p.MaxLevel() {
-		return nil, fmt.Errorf("ckks: unmarshal: bad level %d", level)
+		return 0, 0, fmt.Errorf("bad level %d", level)
 	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-	if !validWireScale(scale) {
-		return nil, fmt.Errorf("ckks: unmarshal: invalid scale %g", scale)
+	scale = math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return 0, 0, fmt.Errorf("invalid scale %g", scale)
 	}
-	if data[16] > 1 { // no marshaler emits it; accepting it would break canonical re-marshal
-		return nil, fmt.Errorf("ckks: unmarshal: unknown domain byte %d", data[16])
+	if data[16] != 0 {
+		return 0, 0, fmt.Errorf("domain byte %d, want 0 (coefficient domain)", data[16])
 	}
-	isNTT := data[16] == 1
+	if want := p.ctWireBytes(form, level); len(data) != want {
+		return 0, 0, fmt.Errorf("blob length %d, want %d", len(data), want)
+	}
+	return level, scale, nil
+}
 
-	n := p.N()
-	coeffCount := 2 * level * n
-	var payload int
-	switch enc {
-	case encPacked:
-		payload = (coeffCount*PackedWordBits + 7) / 8
-	case encWord:
-		payload = coeffCount * 8
-	default:
-		return nil, fmt.Errorf("ckks: unmarshal: unknown encoding %d", enc)
+// MarshalCiphertext serializes a coefficient-domain ct in the full form.
+// packed must be true: it is the only encoding.
+func (p *Parameters) MarshalCiphertext(ct *Ciphertext, packed bool) ([]byte, error) {
+	if !packed {
+		return nil, fmt.Errorf("ckks: marshal: the packed encoding is the only ciphertext encoding")
 	}
-	if len(data) != headerLen()+payload {
-		return nil, fmt.Errorf("ckks: unmarshal: payload length %d, want %d",
-			len(data)-headerLen(), payload)
-	}
+	return p.marshalCt(formFull, ct.Level, ct.Scale, nil, ct.C0, ct.C1)
+}
 
+// UnmarshalCiphertext reverses MarshalCiphertext, validating every residue
+// against its limb's modulus.
+func (p *Parameters) UnmarshalCiphertext(data []byte) (*Ciphertext, error) {
+	level, scale, err := p.readCtHeader(data, formFull)
+	if err != nil {
+		return nil, fmt.Errorf("ckks: unmarshal: %w", err)
+	}
 	rl := p.RingAt(level)
 	ct := &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: level, Scale: scale}
-	body := data[headerLen():]
-	rows := polyRows(level, ct.C0, ct.C1)
-	if enc == encPacked {
-		if err := unpackRows(rl, body, rows); err != nil {
-			return nil, fmt.Errorf("ckks: unmarshal: %w", err)
-		}
-	} else {
-		for i, row := range rows {
-			q := rl.Basis.Moduli[i%level].Q
-			for j := range row {
-				c := binary.LittleEndian.Uint64(body[(i*n+j)*8:])
-				if c >= q {
-					return nil, fmt.Errorf("ckks: unmarshal: residue %d ≥ q_%d", c, i%level)
-				}
-				row[j] = c
-			}
-		}
+	if err := unpackRows(rl, data[ctHeaderLen:], polyRows(level, ct.C0, ct.C1)); err != nil {
+		return nil, fmt.Errorf("ckks: unmarshal: %w", err)
 	}
-	ct.C0.IsNTT = isNTT
-	ct.C1.IsNTT = isNTT
 	return ct, nil
 }
 
-// CiphertextWireBytes returns the packed wire size at a level — the
+// CiphertextWireBytes returns the full form's wire size at a level — the
 // number the DRAM model in internal/sim charges per ciphertext transfer.
 func (p *Parameters) CiphertextWireBytes(level int) int {
-	return headerLen() + (2*level*p.N()*PackedWordBits+7)/8
-}
-
-// validWireScale is the shared hardening predicate for scale fields read
-// from untrusted bytes: finite and strictly positive (NaN fails the
-// comparison). Both ciphertext unmarshalers use it, so the accepted
-// domain is identical on the full and seeded paths.
-func validWireScale(scale float64) bool {
-	return scale > 0 && !math.IsInf(scale, 0)
+	return p.ctWireBytes(formFull, level)
 }

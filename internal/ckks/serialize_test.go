@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"slices"
 	"strings"
@@ -24,19 +23,42 @@ func quickConfig(t *testing.T, maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(seed))}
 }
 
-func roundTripCt(t *testing.T, packed bool) {
+// freshCt is a fresh public-key encryption of randMsg(p, 0, stream) under p.
+func freshCt(p *Parameters, stream uint64) *Ciphertext {
+	_, pk := NewKeyGenerator(p, testSeed()).GenKeyPair()
+	return NewEncryptor(p, pk, testSeed()).Encrypt(NewEncoder(p).Encode(randMsg(p, 0, stream)))
+}
+
+// wordBlob hand-builds ct in the retired 8-byte word encoding: the full
+// form's header with form byte 0, then every residue as a little-endian
+// uint64, c0 limbs then c1 limbs.
+func wordBlob(t testing.TB, p *Parameters, ct *Ciphertext) []byte {
 	t.Helper()
+	packed, err := p.MarshalCiphertext(ct, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), packed[:ctHeaderLen]...)
+	out[5] = 0
+	for _, row := range polyRows(ct.Level, ct.C0, ct.C1) {
+		for _, c := range row {
+			out = binary.LittleEndian.AppendUint64(out, c)
+		}
+	}
+	return out
+}
+
+func TestMarshalPackedRoundTrip(t *testing.T) {
 	p := testParams
 	kg := NewKeyGenerator(p, testSeed())
 	sk, pk := kg.GenKeyPair()
 	enc := NewEncoder(p)
-	encryptor := NewEncryptor(p, pk, testSeed())
 	dec := NewDecryptor(p, sk)
 
 	msg := randMsg(p, 0, 21)
-	ct := encryptor.Encrypt(enc.Encode(msg))
+	ct := NewEncryptor(p, pk, testSeed()).Encrypt(enc.Encode(msg))
 
-	data, err := p.MarshalCiphertext(ct, packed)
+	data, err := p.MarshalCiphertext(ct, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +66,12 @@ func roundTripCt(t *testing.T, packed bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Level != ct.Level || got.Scale != ct.Scale {
+	if got.Level != ct.Level || got.Scale != ct.Scale || got.C0.IsNTT || got.C1.IsNTT {
 		t.Fatal("metadata lost")
 	}
 	for i := range ct.C0.Coeffs {
-		for j := range ct.C0.Coeffs[i] {
-			if ct.C0.Coeffs[i][j] != got.C0.Coeffs[i][j] ||
-				ct.C1.Coeffs[i][j] != got.C1.Coeffs[i][j] {
-				t.Fatalf("coefficient mismatch at limb %d pos %d", i, j)
-			}
+		if !slices.Equal(ct.C0.Coeffs[i], got.C0.Coeffs[i]) || !slices.Equal(ct.C1.Coeffs[i], got.C1.Coeffs[i]) {
+			t.Fatalf("coefficient mismatch at limb %d", i)
 		}
 	}
 	// And it still decrypts.
@@ -62,54 +81,98 @@ func roundTripCt(t *testing.T, packed bool) {
 	}
 }
 
-func TestMarshalWordRoundTrip(t *testing.T)   { roundTripCt(t, false) }
-func TestMarshalPackedRoundTrip(t *testing.T) { roundTripCt(t, true) }
+// TestMarshalWordRoundTrip: the retired 8-byte word encoding no longer
+// round-trips. A well-formed word blob is refused — also with its form
+// byte forged to the packed one — and so is a request to marshal in it.
+func TestMarshalWordRoundTrip(t *testing.T) {
+	p := testParams
+	ct := freshCt(p, 21)
+	word := wordBlob(t, p, ct)
+	if _, err := p.UnmarshalCiphertext(word); err == nil {
+		t.Fatal("word blob accepted")
+	}
+	word[5] = formFull
+	if _, err := p.UnmarshalCiphertext(word); err == nil {
+		t.Fatal("word payload under the packed form byte accepted")
+	}
+	if _, err := p.MarshalCiphertext(ct, false); err == nil {
+		t.Fatal("packed=false marshaled")
+	}
+}
+
+// TestMarshalNTTDomainPreserved: the NTT domain no longer travels. A blob
+// whose domain byte claims it is refused, and so is marshalling an
+// NTT-domain ciphertext.
+func TestMarshalNTTDomainPreserved(t *testing.T) {
+	p := testParams
+	ct := freshCt(p, 22)
+	data, err := p.MarshalCiphertext(ct, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[16] = 1
+	if _, err := p.UnmarshalCiphertext(data); err == nil {
+		t.Fatal("NTT-tagged blob accepted")
+	}
+	rl := p.RingAt(ct.Level)
+	rl.NTT(ct.C0)
+	rl.NTT(ct.C1)
+	if _, err := p.MarshalCiphertext(ct, true); err == nil {
+		t.Fatal("NTT-domain ciphertext marshaled")
+	}
+}
 
 func TestPackedSizeMatchesDRAMModel(t *testing.T) {
 	// The packed wire size must equal the DRAM traffic the paper's memory
-	// accounting charges: 2·L·N·44 bits (+ header).
+	// accounting charges: 2·L·N·44 bits plus the 17-byte header (the
+	// seeded form: L·N·44 bits plus header and 24 bytes of seed material).
 	p := testParams
-	level := p.MaxLevel()
-	wantPayload := (2 * level * p.N() * PackedWordBits) / 8
-	got := p.CiphertextWireBytes(level)
-	if got != headerLen()+wantPayload {
-		t.Fatalf("wire bytes %d, want header+%d", got, wantPayload)
+	for level := 1; level <= p.MaxLevel(); level++ {
+		if got, want := p.CiphertextWireBytes(level), 17+2*level*p.N()*44/8; got != want {
+			t.Fatalf("level %d: wire bytes %d, want %d", level, got, want)
+		}
+		if got, want := p.SeededWireBytes(level), 17+24+level*p.N()*44/8; got != want {
+			t.Fatalf("level %d: seeded wire bytes %d, want %d", level, got, want)
+		}
 	}
-	// Packed is ~44/64 the size of the word encoding.
-	kg := NewKeyGenerator(p, testSeed())
-	_, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	ct := NewEncryptor(p, pk, testSeed()).Encrypt(enc.Encode(randMsg(p, 0, 22)))
-	word, _ := p.MarshalCiphertext(ct, false)
-	packed, _ := p.MarshalCiphertext(ct, true)
-	ratio := float64(len(packed)) / float64(len(word))
-	if ratio < 0.66 || ratio > 0.72 { // 44/64 ≈ 0.6875
-		t.Fatalf("packed/word ratio %.3f, want ≈0.6875", ratio)
+	data, err := p.MarshalCiphertext(freshCt(p, 22), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != p.CiphertextWireBytes(p.MaxLevel()) {
+		t.Fatalf("blob is %d bytes, CiphertextWireBytes says %d", len(data), p.CiphertextWireBytes(p.MaxLevel()))
 	}
 }
 
 func TestUnmarshalRejectsCorruption(t *testing.T) {
 	p := testParams
-	kg := NewKeyGenerator(p, testSeed())
-	_, pk := kg.GenKeyPair()
-	enc := NewEncoder(p)
-	ct := NewEncryptor(p, pk, testSeed()).Encrypt(enc.Encode(randMsg(p, 0, 23)))
-	data, _ := p.MarshalCiphertext(ct, false)
+	data, err := p.MarshalCiphertext(freshCt(p, 23), true)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string]func([]byte) []byte{
-		"short":      func(d []byte) []byte { return d[:10] },
-		"bad magic":  func(d []byte) []byte { d[0] = 'X'; return d },
-		"bad ver":    func(d []byte) []byte { d[4] = 99; return d },
-		"bad logN":   func(d []byte) []byte { d[6] = 3; return d },
-		"bad level":  func(d []byte) []byte { d[7] = 200; return d },
-		"level 0":    func(d []byte) []byte { d[7] = 0; return d },
-		"zero scale": func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], 0); return d },
-		"NaN scale":  func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.NaN())); return d },
-		"bad enc":    func(d []byte) []byte { d[5] = 7; return d },
-		"truncated":  func(d []byte) []byte { return d[:len(d)-5] },
-		"bad domain": func(d []byte) []byte { d[16] = 2; return d },
+		"short":          func(d []byte) []byte { return d[:10] },
+		"header only":    func(d []byte) []byte { return d[:ctHeaderLen] },
+		"bad magic":      func(d []byte) []byte { d[0] = 'X'; return d },
+		"bad ver":        func(d []byte) []byte { d[4] = 99; return d },
+		"bad logN":       func(d []byte) []byte { d[6] = 3; return d },
+		"bad level":      func(d []byte) []byte { d[7] = 200; return d },
+		"level 0":        func(d []byte) []byte { d[7] = 0; return d },
+		"lower level":    func(d []byte) []byte { d[7]--; return d },
+		"zero scale":     func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], 0); return d },
+		"negative scale": func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(-1)); return d },
+		"NaN scale":      func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.NaN())); return d },
+		"inf scale":      func(d []byte) []byte { binary.LittleEndian.PutUint64(d[8:], math.Float64bits(math.Inf(1))); return d },
+		"word form":      func(d []byte) []byte { d[5] = 0; return d },
+		"seeded form":    func(d []byte) []byte { d[5] = formSeeded; return d },
+		"bad form":       func(d []byte) []byte { d[5] = 7; return d },
+		"NTT domain":     func(d []byte) []byte { d[16] = 1; return d },
+		"bad domain":     func(d []byte) []byte { d[16] = 2; return d },
+		"truncated":      func(d []byte) []byte { return d[:len(d)-5] },
+		"padded":         func(d []byte) []byte { return append(d, 0) },
 		"residue>=q": func(d []byte) []byte {
-			for i := headerLen(); i < headerLen()+8; i++ {
+			for i := ctHeaderLen; i < ctHeaderLen+8; i++ {
 				d[i] = 0xFF
 			}
 			return d
@@ -197,7 +260,7 @@ func TestPackedPayloadMatchesScalarReference(t *testing.T) {
 	for _, row := range polyRows(ct.Level, ct.C0, ct.C1) {
 		all = append(all, row...)
 	}
-	if !bytes.Equal(data[headerLen():], scalarPack(all)) {
+	if !bytes.Equal(data[ctHeaderLen:], scalarPack(all)) {
 		t.Fatal("packed payload differs from the scalar reference stream")
 	}
 }
@@ -278,36 +341,40 @@ func TestMarshalRejectsOversizedResidue(t *testing.T) {
 		}
 		*c.cell = saved
 	}
-	// The word encoding carries 64-bit values and is not affected.
-	ct.C0.Coeffs[0][0] = 1 << PackedWordBits
-	if _, err := p.MarshalCiphertext(ct, false); err != nil {
-		t.Errorf("word encoding: %v", err)
-	}
 }
 
-func TestMarshalNTTDomainPreserved(t *testing.T) {
-	p := testParams
+// TestMarshalRejectsWideLimbs: a parameter set whose primes are wider than
+// the packed word has no wire form; every packed marshaler refuses it from
+// the ring, whatever the residues happen to be.
+func TestMarshalRejectsWideLimbs(t *testing.T) {
+	spec := TestParams
+	spec.LimbBits = PackedWordBits + 1
+	p := spec.MustBuild()
+	defer p.Close()
+	kg := NewKeyGenerator(p, testSeed())
+	sk, pk := kg.GenKeyPair()
+	enc := NewEncoder(p)
 	rl := p.RingAt(2)
-	ct := &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: 2, Scale: p.Scale()}
-	rl.NTT(ct.C0)
-	rl.NTT(ct.C1)
-	data, err := p.MarshalCiphertext(ct, true)
-	if err != nil {
-		t.Fatal(err)
+	zero := &Ciphertext{C0: rl.NewPoly(), C1: rl.NewPoly(), Level: 2, Scale: p.Scale()}
+	sct := NewSeededEncryptor(p, sk, testSeed()).Encrypt(enc.Encode(randMsg(p, 0, 28)))
+	for name, marshal := range map[string]func() ([]byte, error){
+		"ciphertext": func() ([]byte, error) { return p.MarshalCiphertext(zero, true) },
+		"seeded":     func() ([]byte, error) { return p.MarshalSeeded(sct) },
+		"public key": func() ([]byte, error) { return p.MarshalPublicKey(pk) },
+		"secret key": func() ([]byte, error) { return p.MarshalSecretKey(sk, testSeed()) },
+		"eval keys": func() ([]byte, error) {
+			return p.MarshalEvaluationKeySet(kg.GenEvaluationKeySet(sk, 2, nil, false, GadgetHybrid))
+		},
+	} {
+		if _, err := marshal(); err == nil || !strings.Contains(err.Error(), "limbs ≤ 44 bits") {
+			t.Errorf("%s: %v, want the limb-width error", name, err)
+		}
 	}
-	got, err := p.UnmarshalCiphertext(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.C0.IsNTT || !got.C1.IsNTT {
-		t.Fatal("NTT domain flag lost")
-	}
-	_ = cmplx.Abs // keep import pattern consistent with the package tests
 }
 
-// TestMarshalRejectsMalformedCiphertext: in-memory states no operation
-// produces — a level outside the chain, a pair whose halves disagree on
-// the domain — never reach the wire.
+// TestMarshalRejectsMalformedCiphertext: in-memory states the wire cannot
+// carry — a level outside the chain, a half in the NTT domain — never
+// reach it.
 func TestMarshalRejectsMalformedCiphertext(t *testing.T) {
 	p := testParams
 	rl := p.RingAt(2)
@@ -315,11 +382,10 @@ func TestMarshalRejectsMalformedCiphertext(t *testing.T) {
 		"level 0":         {C0: rl.NewPoly(), C1: rl.NewPoly(), Level: 0, Scale: p.Scale()},
 		"level above max": {C0: rl.NewPoly(), C1: rl.NewPoly(), Level: p.MaxLevel() + 1, Scale: p.Scale()},
 		"mixed domain":    {C0: &ring.Poly{Coeffs: rl.NewPoly().Coeffs, IsNTT: true}, C1: rl.NewPoly(), Level: 2, Scale: p.Scale()},
+		"NTT c1":          {C0: rl.NewPoly(), C1: &ring.Poly{Coeffs: rl.NewPoly().Coeffs, IsNTT: true}, Level: 2, Scale: p.Scale()},
 	} {
-		for _, packed := range []bool{false, true} {
-			if _, err := p.MarshalCiphertext(ct, packed); err == nil {
-				t.Errorf("%s (packed %v): marshaled", name, packed)
-			}
+		if _, err := p.MarshalCiphertext(ct, true); err == nil {
+			t.Errorf("%s: marshaled", name)
 		}
 	}
 }

@@ -25,7 +25,7 @@ func fuzzSeedCorpus(t testing.TB) [][]byte {
 	ct := NewEncryptor(p, pk, seed).Encrypt(enc.Encode(randMsg(p, 8, 41)))
 	sct := NewSeededEncryptor(p, sk, seed).Encrypt(enc.Encode(randMsg(p, 8, 42)))
 
-	word, _ := p.MarshalCiphertext(ct, false)
+	word := wordBlob(t, p, ct) // the retired encoding: every parser must refuse it
 	packed, _ := p.MarshalCiphertext(ct, true)
 	seeded, _ := p.MarshalSeeded(sct)
 	pkData, _ := p.MarshalPublicKey(pk)
@@ -59,8 +59,7 @@ func retiredGadgetTag(evk []byte) []byte {
 func fuzzParse(t *testing.T, data []byte) {
 	p := testParams
 	if ct, err := p.UnmarshalCiphertext(data); err == nil {
-		packed := data[5] == encPacked
-		again, err := p.MarshalCiphertext(ct, packed)
+		again, err := p.MarshalCiphertext(ct, true)
 		if err != nil {
 			t.Fatalf("accepted ciphertext does not re-marshal: %v", err)
 		}

@@ -10,6 +10,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,6 +38,25 @@ func mustMsgs(t *testing.T, slots, n int) [][]complex128 {
 		msgs[j] = m
 	}
 	return msgs
+}
+
+// wordBlob re-encodes a packed ciphertext blob in the retired 8-byte word
+// encoding: the same header with form byte 0, then each 44-bit residue of
+// the little-endian bit stream as a little-endian uint64.
+func wordBlob(packed []byte) []byte {
+	const header, width = 17, 44
+	out := append([]byte(nil), packed[:header]...)
+	out[5] = 0
+	body := packed[header:]
+	for k := 0; k < len(body)*8/width; k++ {
+		var v uint64
+		for b := 0; b < width; b++ {
+			bit := k*width + b
+			v |= uint64(body[bit/8]>>(bit%8)&1) << b
+		}
+		out = binary.LittleEndian.AppendUint64(out, v)
+	}
+	return out
 }
 
 type testHarness struct {
@@ -734,6 +754,35 @@ func TestServeRegisterRejectsAndLifecycle(t *testing.T) {
 	}
 	if status, _, _ := h.eval(sr.Session, "mul", "", []byte("just one part")); status != http.StatusBadRequest {
 		t.Errorf("mul with one part: HTTP %d, want 400", status)
+	}
+	// The one ciphertext wire form: the retired word encoding of a valid
+	// ciphertext (65 553 bytes at the Test preset, well inside a frame)
+	// and a full ciphertext sent as a compressed upload are both refused.
+	pk, err := owner.ExportPublicKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := abcfhe.NewEncryptor(pk, 5, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	ct, err := enc.EncodeEncrypt(mustMsgs(t, enc.Slots(), 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := enc.SerializeCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, _, _ := h.eval(sr.Session, "rotate", "&by=1", full); status != http.StatusOK {
+		t.Errorf("packed ciphertext: HTTP %d, want 200", status)
+	}
+	if status, _, _ := h.eval(sr.Session, "rotate", "&by=1", wordBlob(full)); status != http.StatusBadRequest {
+		t.Errorf("word-encoded ciphertext: HTTP %d, want 400", status)
+	}
+	if status, _, _ := h.eval(sr.Session, "expand", "", full); status != http.StatusBadRequest {
+		t.Errorf("full ciphertext as a compressed upload: HTTP %d, want 400", status)
 	}
 
 	del := func(id string) int {

@@ -138,8 +138,9 @@ func (p *party) SerializeCiphertext(ct *Ciphertext) ([]byte, error) {
 }
 
 // DeserializeCiphertext reverses SerializeCiphertext, validating every
-// residue against the parameter set. A blob claiming the NTT domain is
-// rejected (see deserializeCiphertext).
+// residue against the parameter set. Only the form SerializeCiphertext
+// writes is accepted: any other form byte (the retired word encoding, a
+// seeded upload) or a nonzero domain byte returns ErrMalformedWire.
 func (p *party) DeserializeCiphertext(data []byte) (*Ciphertext, error) {
 	return deserializeCiphertext(p.params, data)
 }

@@ -10,6 +10,7 @@ package abcfhe
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -163,7 +164,7 @@ func FuzzDeserializeCiphertext(f *testing.F) {
 }
 
 // TestCiphertextHeaderSweep is the deterministic slice of
-// FuzzDeserializeCiphertext: every header byte (magic, version, encoding,
+// FuzzDeserializeCiphertext: every header byte (magic, version, form,
 // log N, level, scale, domain) through adversarial values, and
 // truncations at every header boundary.
 func TestCiphertextHeaderSweep(t *testing.T) {
@@ -180,4 +181,68 @@ func TestCiphertextHeaderSweep(t *testing.T) {
 		tryCiphertextBlob(t, owner, server, blob[:cut])
 	}
 	tryCiphertextBlob(t, owner, server, append(append([]byte(nil), blob...), 0))
+}
+
+// wordBlob hand-builds ct in the retired 8-byte word encoding: the
+// serialized header with form byte 0, then every residue as a
+// little-endian uint64, c0 limbs then c1 limbs.
+func wordBlob(t testing.TB, p *party, ct *Ciphertext) []byte {
+	t.Helper()
+	packed, err := p.SerializeCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(nil), packed[:17]...)
+	out[5] = 0
+	for _, rows := range [][][]uint64{ct.ct.C0.Coeffs, ct.ct.C1.Coeffs} {
+		for _, row := range rows[:ct.ct.Level] {
+			for _, c := range row {
+				out = binary.LittleEndian.AppendUint64(out, c)
+			}
+		}
+	}
+	return out
+}
+
+// TestCiphertextFormsCrossed: each deserializer accepts one form. The
+// retired word encoding of a valid ciphertext, a seeded upload handed to
+// DeserializeCiphertext and a full ciphertext handed to
+// ExpandCompressedUpload all return ErrMalformedWire.
+func TestCiphertextFormsCrossed(t *testing.T) {
+	owner, device, server := threeParties(t, Test, 0xF0, 0xF1)
+	msg := testMsgs(device.Slots(), 1)[0]
+	ct, err := device.EncodeEncrypt(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := device.SerializeCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded, err := owner.EncodeEncryptCompressed(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := wordBlob(t, &device.party, ct)
+
+	for role, p := range map[string]*party{"owner": &owner.party, "server": &server.party} {
+		for name, blob := range map[string][]byte{"word": word, "seeded": seeded} {
+			if _, err := p.DeserializeCiphertext(blob); !errors.Is(err, ErrMalformedWire) {
+				t.Errorf("%s DeserializeCiphertext(%s blob): %v", role, name, err)
+			}
+		}
+	}
+	for name, blob := range map[string][]byte{"word": word, "full": full} {
+		if _, err := server.ExpandCompressedUpload(blob); !errors.Is(err, ErrMalformedWire) {
+			t.Errorf("ExpandCompressedUpload(%s blob): %v", name, err)
+		}
+	}
+
+	// Each form still parses at its own entry point.
+	if _, err := server.DeserializeCiphertext(full); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := server.ExpandCompressedUpload(seeded); err != nil {
+		t.Fatal(err)
+	}
 }
