@@ -1,6 +1,6 @@
 package abcfhe
 
-// Byte-identity pins for deletion PRs (ROADMAP item 4): SHA-256 of the
+// Byte-identity pins for deletion PRs (ROADMAP item 13): SHA-256 of the
 // fixed-seed Test-preset key blobs, one ciphertext and the serialized
 // output of every key-switching op, asserted under both backends and
 // worker counts 1 and 8. A change that claims to preserve behaviour keeps
@@ -169,8 +169,9 @@ func retiredLayout(p *ckks.Parameters, set *ckks.EvaluationKeySet, blob []byte, 
 	rqp := p.RingQPAt(set.MaxLevel)
 	for _, k := range keys {
 		for j := range k.H0 {
-			for _, h := range []*ring.Poly{k.H0[j], k.H1[j]} {
-				c := rqp.CopyPoly(h)
+			for _, h := range [][]ring.NarrowPoly{k.H0, k.H1} {
+				c := rqp.Widen(&h[j])
+				c.IsNTT = true
 				if layout == 0 {
 					rqp.INTT(c)
 				}

@@ -89,7 +89,9 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 	k := p.SpecialLimbs
 	rl, rqp := p.RingAt(level), p.RingQPAt(level)
 	s := [2]*ring.Poly{rqp.NewPoly(), rqp.NewPoly()}
+	kqp := p.RingQPAt(ksk.Level)
 	for j := 0; j < p.DnumAt(level); j++ {
+		h0, h1 := wideRow(kqp, ksk.H0, j), wideRow(kqp, ksk.H1, j)
 		lo, hi := p.groupRange(level, j)
 		d := rqp.NewPoly()
 		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
@@ -107,8 +109,8 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 				if perm != nil {
 					dx = dm[perm[x]]
 				}
-				s[0].Coeffs[m][x] = ql.Add(s[0].Coeffs[m][x], ql.Mul(dx, ksk.H0[j].Coeffs[km][x]))
-				s[1].Coeffs[m][x] = ql.Add(s[1].Coeffs[m][x], ql.Mul(dx, ksk.H1[j].Coeffs[km][x]))
+				s[0].Coeffs[m][x] = ql.Add(s[0].Coeffs[m][x], ql.Mul(dx, h0.Coeffs[km][x]))
+				s[1].Coeffs[m][x] = ql.Add(s[1].Coeffs[m][x], ql.Mul(dx, h1.Coeffs[km][x]))
 			}
 		}
 	}

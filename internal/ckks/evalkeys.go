@@ -28,6 +28,28 @@ type EvaluationKeySet struct {
 	MaskSeed [16]byte
 }
 
+// ResidentBytes is the memory the set holds: every switching key's rows
+// (SwitchingKey.ResidentBytes) plus the gather table of each rotation and
+// of the conjugation. EvalKeyResidentBytes computes the same figure from
+// a blob's headers.
+func (ks *EvaluationKeySet) ResidentBytes() int {
+	n := 0
+	if ks.Rlk != nil {
+		n += ks.Rlk.K.ResidentBytes()
+	}
+	rots := make([]*RotationKey, 0, len(ks.Rot)+1)
+	for _, rk := range ks.Rot {
+		rots = append(rots, rk)
+	}
+	if ks.Conj != nil {
+		rots = append(rots, ks.Conj)
+	}
+	for _, rk := range rots {
+		n += rk.K.ResidentBytes() + 4*len(rk.Perm)
+	}
+	return n
+}
+
 // Steps lists the set's rotation steps in ascending order (the canonical
 // wire order).
 func (ks *EvaluationKeySet) Steps() []int {

@@ -16,6 +16,14 @@ func testEvalKeySet(t testing.TB, maxLevel int, steps []int, conj bool) (*Evalua
 	return kg.GenEvaluationKeySet(sk, maxLevel, steps, conj, GadgetHybrid), sk, pk
 }
 
+// wideRow returns row j of a key half as an NTT-domain word polynomial
+// over rqp.
+func wideRow(rqp *ring.Ring, half []ring.NarrowPoly, j int) *ring.Poly {
+	w := rqp.Widen(&half[j])
+	w.IsNTT = true
+	return w
+}
+
 // keySetsEqual reports whether two sets hold the same keys, row for row.
 func keySetsEqual(p *Parameters, a, b *EvaluationKeySet) bool {
 	if a.MaxLevel != b.MaxLevel || a.MaskSeed != b.MaskSeed || len(a.Rot) != len(b.Rot) || (a.Conj == nil) != (b.Conj == nil) {
@@ -34,7 +42,7 @@ func keySetsEqual(p *Parameters, a, b *EvaluationKeySet) bool {
 	rqp := p.RingQPAt(a.MaxLevel)
 	for _, k := range pairs {
 		for j := range k[0].H0 {
-			if !rqp.Equal(k[0].H0[j], k[1].H0[j]) || !rqp.Equal(k[0].H1[j], k[1].H1[j]) {
+			if !rqp.Equal(wideRow(rqp, k[0].H0, j), wideRow(rqp, k[1].H0, j)) || !rqp.Equal(wideRow(rqp, k[0].H1, j), wideRow(rqp, k[1].H1, j)) {
 				return false
 			}
 		}
@@ -343,7 +351,7 @@ func fullRowLayout(t *testing.T, p *Parameters, ks *EvaluationKeySet) []byte {
 	for _, k := range keys {
 		var polys []*ring.Poly
 		for j := range k.H0 {
-			polys = append(polys, k.H0[j], k.H1[j])
+			polys = append(polys, wideRow(rqp, k.H0, j), wideRow(rqp, k.H1, j))
 		}
 		body := make([]byte, packedBytes(len(polys)*rqp.K(), p.N()))
 		if err := packRows(rqp, body, polyRows(rqp.K(), polys...)); err != nil {
@@ -352,4 +360,70 @@ func fullRowLayout(t *testing.T, p *Parameters, ks *EvaluationKeySet) []byte {
 		out = append(out, body...)
 	}
 	return out
+}
+
+// TestResidentBytesPinned pins the resident footprint of the
+// benchmark-scale full-depth key sets from the parameters alone — no key
+// is built. A depth-24 key at PN14 is 6 groups × 28 limbs × 2^14 × 5 B ×
+// 2 halves; rotations and the conjugation add a 4-byte gather index per
+// coefficient. The word form the rows had before (8 B per residue) is
+// logged beside each pin.
+func TestResidentBytesPinned(t *testing.T) {
+	set := func(rotations int, conj bool) EvalKeyInfo {
+		return EvalKeyInfo{Gadget: GadgetHybrid, Digits: 4, MaxLevel: 24, HasRelin: true, HasConj: conj, Steps: make([]int, rotations)}
+	}
+	for _, c := range []struct {
+		name string
+		spec ParamSpec
+		info EvalKeyInfo
+		want int
+	}{
+		{"PN14 relinearization key", PN14, set(0, false), 27_525_120},
+		{"PN14 bootstrap set: relin, conjugation, 37 rotations", PN14, set(37, true), 1_075_970_048},
+		{"PN15 relinearization key", PN15, set(0, false), 55_050_240},
+		{"PN15 eval set: relin, conjugation, rotations 1 2 4", PN15, set(3, true), 275_775_488},
+	} {
+		got := EvalKeyResidentBytes(c.spec, c.info)
+		rows, n := c.info.halfLimbRows(c.spec)
+		words := got + (8-5)*c.info.keyCount()*2*rows*n // the same rows at 8 B
+		t.Logf("%s: %d B resident (%d B at 8 B per residue)", c.name, got, words)
+		if got != c.want {
+			t.Errorf("%s: %d resident bytes, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestResidentBytesMatchesKeys: a built set holds exactly the bytes the
+// header arithmetic gives — generated and imported, on the Test preset
+// (5 B per residue), and generated on 61-bit limbs, where the rows keep
+// 8 B per residue (that chain has no wire form).
+func TestResidentBytesMatchesKeys(t *testing.T) {
+	p := testParams
+	ks, _, _ := testEvalKeySet(t, p.MaxLevel(), []int{1, 3}, true)
+	want := EvalKeyResidentBytes(p.Spec(), ks.wireInfo(p.SpecialLimbs))
+	if got := ks.ResidentBytes(); got != want || want == 0 {
+		t.Errorf("Test preset generated: %d resident bytes, arithmetic %d", got, want)
+	}
+	blob, err := p.MarshalEvaluationKeySet(ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := p.UnmarshalEvaluationKeySet(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.ResidentBytes(); got != want {
+		t.Errorf("Test preset imported: %d resident bytes, arithmetic %d", got, want)
+	}
+	if k := ks.Rlk.K; k.ResidentBytes() != 2*p.DnumAt(p.MaxLevel())*(p.MaxLevel()+p.SpecialLimbs)*p.N()*5 {
+		t.Errorf("Test preset relinearization key: %d resident bytes, want 5 per residue", k.ResidentBytes())
+	}
+
+	wide := ParamSpec{LogN: 8, LimbBits: 61, Limbs: 9, LogScale: 40, HW: 32, SpecialLimbs: 1}.MustBuild()
+	kg := NewKeyGenerator(wide, testSeed())
+	wks := kg.GenEvaluationKeySet(kg.GenSecretKey(), wide.MaxLevel(), []int{1}, false, GadgetHybrid)
+	want = EvalKeyResidentBytes(wide.Spec(), wks.wireInfo(wide.SpecialLimbs))
+	if got := wks.ResidentBytes(); got != want || wks.Rlk.K.ResidentBytes() != 2*9*10*256*8 {
+		t.Errorf("61-bit limbs: %d resident bytes (relin %d), arithmetic %d", got, wks.Rlk.K.ResidentBytes(), want)
+	}
 }

@@ -50,8 +50,8 @@ func keyRowErrors(t *testing.T, p *Parameters, ksk *SwitchingKey, s, f *ring.Pol
 	out := make([][]int64, len(ksk.H0))
 	for j := range ksk.H0 {
 		e := rqp.NewPoly()
-		rqp.MulCoeffs(ksk.H1[j], s, e)
-		rqp.Add(e, ksk.H0[j], e)
+		rqp.MulCoeffs(wideRow(rqp, ksk.H1, j), s, e)
+		rqp.Add(e, wideRow(rqp, ksk.H0, j), e)
 		for i := j * p.SpecialLimbs; i < min((j+1)*p.SpecialLimbs, depth); i++ {
 			m := rqp.Basis.Moduli[i]
 			pi := new(big.Int).Mod(bigP, new(big.Int).SetUint64(m.Q)).Uint64()
@@ -184,7 +184,7 @@ func TestEvalKeySeedSplit(t *testing.T) {
 		t.Fatal("seed bit flip: re-marshal not canonical")
 	}
 	rqp := p.RingQPAt(ks.MaxLevel)
-	if rqp.Equal(back.Rlk.K.H1[0], ks.Rlk.K.H1[0]) {
+	if rqp.Equal(wideRow(rqp, back.Rlk.K.H1, 0), wideRow(rqp, ks.Rlk.K.H1, 0)) {
 		t.Fatal("seed bit flip regenerated the same mask row")
 	}
 }

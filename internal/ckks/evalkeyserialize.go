@@ -99,14 +99,40 @@ func evalHeaderLen(rotCount int) int {
 // Returns 0 for a geometry the spec cannot host (a non-hybrid tag, or a
 // spec without special primes) so length checks against it always fail.
 func EvalKeyWireBytes(spec ParamSpec, info EvalKeyInfo) int {
-	n := 1 << uint(spec.LogN)
-	alpha := spec.SpecialLimbs
-	if info.Gadget != GadgetHybrid || alpha < 1 || info.Digits != alpha {
+	limbTotal, n := info.halfLimbRows(spec)
+	if limbTotal == 0 {
 		return 0
 	}
-	dnum := (info.MaxLevel + alpha - 1) / alpha
-	limbTotal := dnum * (info.MaxLevel + alpha) // packed limbs across one key's b rows
 	return evalHeaderLen(len(info.Steps)) + packedBytes(info.keyCount()*limbTotal, n)
+}
+
+// EvalKeyResidentBytes is the memory the decoded set holds, computed from
+// a spec and an info block alone like EvalKeyWireBytes: both halves of
+// every key row at the chain's resident width (ring.NarrowResidueBytes:
+// 5 B per residue for primes below 2^40, else 8), plus the 4-byte-per-
+// coefficient gather table each rotation and the conjugation carry.
+// EvaluationKeySet.ResidentBytes reads the same figure off a built set.
+// Returns 0 for a geometry the spec cannot host.
+func EvalKeyResidentBytes(spec ParamSpec, info EvalKeyInfo) int {
+	limbTotal, n := info.halfLimbRows(spec)
+	gathers := info.keyCount()
+	if info.HasRelin {
+		gathers--
+	}
+	return info.keyCount()*2*limbTotal*n*ring.NarrowResidueBytes(spec.LimbBits) + gathers*4*n
+}
+
+// halfLimbRows is the number of limb rows in one half of one key of the
+// set (⌈maxLevel/α⌉ group rows of maxLevel+α limbs), and the ring degree;
+// 0 rows for a geometry the spec cannot host (a non-hybrid tag, or a spec
+// without special primes).
+func (info EvalKeyInfo) halfLimbRows(spec ParamSpec) (rows, n int) {
+	alpha := spec.SpecialLimbs
+	if info.Gadget != GadgetHybrid || alpha < 1 || info.Digits != alpha {
+		return 0, 0
+	}
+	dnum := (info.MaxLevel + alpha - 1) / alpha
+	return dnum * (info.MaxLevel + alpha), 1 << uint(spec.LogN)
 }
 
 // ReadEvalKeyInfo parses and validates the headers of an evaluation-key
@@ -189,6 +215,15 @@ func ReadEvalKeyInfo(data []byte) (ParamSpec, EvalKeyInfo, error) {
 	return spec, info, nil
 }
 
+// wireInfo describes the set's geometry for parameters with α special primes
+// — the sub-header MarshalEvaluationKeySet writes.
+func (ks *EvaluationKeySet) wireInfo(alpha int) EvalKeyInfo {
+	return EvalKeyInfo{
+		Gadget: GadgetHybrid, Digits: alpha, MaxLevel: ks.MaxLevel,
+		HasRelin: ks.Rlk != nil, HasConj: ks.Conj != nil, Steps: ks.Steps(),
+	}
+}
+
 // MarshalEvaluationKeySet serializes ks in the packed evaluation-key wire
 // format. The encoding is canonical: rotation keys are ordered by
 // ascending step, and unmarshal∘marshal is the identity on valid blobs.
@@ -202,11 +237,8 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 	if p.SpecialLimbs == 0 {
 		return nil, fmt.Errorf("ckks: marshal eval keys: parameters without special primes")
 	}
-	steps := ks.Steps()
-	info := EvalKeyInfo{
-		Gadget: GadgetHybrid, Digits: p.SpecialLimbs, MaxLevel: ks.MaxLevel,
-		HasRelin: ks.Rlk != nil, HasConj: ks.Conj != nil, Steps: steps,
-	}
+	info := ks.wireInfo(p.SpecialLimbs)
+	steps := info.Steps
 
 	var ksks []*SwitchingKey
 	if ks.Rlk != nil {
@@ -261,7 +293,7 @@ func (p *Parameters) MarshalEvaluationKeySet(ks *EvaluationKeySet) ([]byte, erro
 	body := out[evalHeaderLen(len(steps)):]
 	keyBytes := packedBytes(dnum*rqp.K(), p.N())
 	for i, ksk := range ksks {
-		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], polyRows(rqp.K(), ksk.H0...)); err != nil {
+		if err := packRows(rqp, body[i*keyBytes:(i+1)*keyBytes], narrowRows{ksk.H0, rqp.K()}); err != nil {
 			return nil, err
 		}
 	}
@@ -304,14 +336,14 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 	}
 	var keys []maskedKey
 	readKsk := func(base uint64) (*SwitchingKey, error) {
-		ksk := &SwitchingKey{Alpha: info.Digits, Level: info.MaxLevel}
-		ksk.H0 = make([]*ring.Poly, dnum)
-		ksk.H1 = make([]*ring.Poly, dnum)
-		for j := range ksk.H0 {
-			ksk.H0[j] = rqp.NewPoly()
-			ksk.H0[j].IsNTT = true
+		ksk := &SwitchingKey{
+			Alpha: info.Digits, Level: info.MaxLevel,
+			H0: make([]ring.NarrowPoly, dnum), H1: make([]ring.NarrowPoly, dnum),
 		}
-		if err := unpackRows(rqp, body[:keyBytes], polyRows(rqp.K(), ksk.H0...)); err != nil {
+		for j := range ksk.H0 {
+			ksk.H0[j] = rqp.NewNarrowPoly()
+		}
+		if err := unpackRows(rqp, body[:keyBytes], narrowRows{ksk.H0, rqp.K()}); err != nil {
 			return nil, fmt.Errorf("ckks: unmarshal eval keys: %w", err)
 		}
 		body = body[keyBytes:]
@@ -341,12 +373,14 @@ func (p *Parameters) UnmarshalEvaluationKeySet(data []byte) (*EvaluationKeySet, 
 		ks.Rot[s] = &RotationKey{G: g, K: k, Perm: p.Ring().GaloisPermNTT(g)}
 	}
 
-	// Regenerate every mask row straight into its NTT-domain poly, one
-	// lane task per (key, row): a row is one serial PRNG stream, so the
-	// rows are the unit of parallelism.
+	// Regenerate every mask row through pooled scratch into its narrow
+	// row, one lane task per (key, row): a row is one serial PRNG stream,
+	// so the rows are the unit of parallelism.
 	rqp.Engine().Run(len(keys)*dnum, func(t int) {
 		k := keys[t/dnum]
-		k.ksk.regenMaskRow(rqp, ks.MaskSeed, k.base, t%dnum)
+		a := rqp.GetPolyUninit()
+		k.ksk.regenMaskRow(rqp, ks.MaskSeed, k.base, t%dnum, a)
+		rqp.PutPoly(a)
 	})
 	return ks, nil
 }

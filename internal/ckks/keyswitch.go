@@ -46,9 +46,10 @@ import (
 //	2. mac      level+k limb tasks: per extended-basis limb, raise every
 //	            group's digit row (a copy of the source row on the
 //	            group's own limbs, CombineLimb elsewhere) and forward-NTT
-//	            it, then one MulPairRows over all β rows and both key
-//	            halves writes (or adds onto) the limb's accumulator rows
-//	            once. Given the source's NTT form, the own-limb rows copy
+//	            it, then MulPairRows over all β rows and both key halves
+//	            (decoded from their narrow rows a keyTile of coefficients
+//	            at a time) writes (or adds onto) the limb's accumulator
+//	            rows once. Given the source's NTT form, the own-limb rows copy
 //	            from it and skip their transform: β(level+k) − level NTTs
 //	            instead of β(level+k).
 //	3. intt-P   k limb tasks per half: the P rows back to coefficients.
@@ -108,12 +109,23 @@ const GadgetHybrid Gadget = 1
 type SwitchingKey struct {
 	// H0[j], H1[j]: the two halves (b_j, a_j) of the group-j row, NTT
 	// domain, Level+Alpha limbs over the extended basis
-	// (q_0..q_{Level-1}, p_0..p_{α-1}). a_j is the uniform mask, a
-	// function of the public mask seed (regenMaskRow).
-	H0, H1 []*ring.Poly
+	// (q_0..q_{Level-1}, p_0..p_{α-1}), resident at the chain's width
+	// (ring.NarrowPoly: 5 B per residue for primes below 2^40). a_j is
+	// the uniform mask, a function of the public mask seed (regenMaskRow).
+	H0, H1 []ring.NarrowPoly
 	Alpha  int // group size α (== Parameters.SpecialLimbs)
 
 	Level int
+}
+
+// ResidentBytes is the memory the key's rows hold: both halves of every
+// group row, at their resident width.
+func (k *SwitchingKey) ResidentBytes() int {
+	n := 0
+	for j := range k.H0 {
+		n += k.H0[j].Bytes() + k.H1[j].Bytes()
+	}
+	return n
 }
 
 // maskStream is the PRNG stream of row j's mask a_j in the switching key
@@ -121,15 +133,14 @@ type SwitchingKey struct {
 // maskStream+1 on the secret seed.
 func maskStream(base uint64, j int) uint64 { return base + 2*uint64(j) + 2 }
 
-// regenMaskRow allocates row j's mask a_j = Uniform(maskSeed,
-// maskStream(base, j)) in the NTT domain over rqp and installs it as
-// ksk.H1[j]. Key generation and evaluation-key import both build every
-// mask row here, so the rows a receiver regenerates are the generator's
-// by construction.
-func (ksk *SwitchingKey) regenMaskRow(rqp *ring.Ring, maskSeed [16]byte, base uint64, j int) {
-	a := rqp.NewPoly()
+// regenMaskRow fills a (scratch over rqp) with row j's mask
+// a_j = Uniform(maskSeed, maskStream(base, j)) in the NTT domain and
+// installs its narrow form as ksk.H1[j]. Key generation and
+// evaluation-key import both build every mask row here, so the rows a
+// receiver regenerates are the generator's by construction.
+func (ksk *SwitchingKey) regenMaskRow(rqp *ring.Ring, maskSeed [16]byte, base uint64, j int, a *ring.Poly) {
 	regenMask(rqp, maskSeed, maskStream(base, j), a)
-	ksk.H1[j] = a
+	ksk.H1[j] = rqp.Narrow(a)
 }
 
 // genHybridSwitchingKey builds the hybrid key that moves polynomial mass
@@ -139,28 +150,29 @@ func (ksk *SwitchingKey) regenMaskRow(rqp *ring.Ring, maskSeed [16]byte, base ui
 // stream streamBase+2j+2 and its error from the secret seed on +2j+3, so
 // the β rows are independent lane tasks (their limb kernels nest inside
 // the row task) and regeneration from the same seed is byte-identical at
-// any worker count.
+// any worker count. Each row is computed in pooled words and kept narrow.
 func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, streamBase uint64) *SwitchingKey {
 	p := kg.params
 	rqp := p.RingQPAt(depth)
 	beta := p.DnumAt(depth)
 	ksk := &SwitchingKey{
 		Alpha: p.SpecialLimbs, Level: depth,
-		H0: make([]*ring.Poly, beta), H1: make([]*ring.Poly, beta),
+		H0: make([]ring.NarrowPoly, beta), H1: make([]ring.NarrowPoly, beta),
 	}
 	rqp.Engine().Run(beta, func(j int) {
-		ksk.regenMaskRow(rqp, kg.maskSeed, streamBase, j)
-		a := ksk.H1[j]
+		a := rqp.GetPolyUninit() // regenMask overwrites every word
+		ksk.regenMaskRow(rqp, kg.maskSeed, streamBase, j, a)
 
 		e := rqp.GetPolyUninit() // sampler fully overwrites
 		rqp.GaussianPoly(prng.NewSource(kg.seed, maskStream(streamBase, j)+1), e)
 		rqp.NTT(e)
 
-		b := rqp.NewPoly()
+		b := rqp.GetPolyUninit() // MulCoeffs overwrites
 		rqp.MulCoeffs(a, sQP, b)
 		rqp.Neg(b, b)
 		rqp.Add(b, e, b)
 		rqp.PutPoly(e)
+		rqp.PutPoly(a)
 
 		// + P·δ_j·f: the gadget term touches only group-j limbs (it is 0 on
 		// the other Q limbs and ≡ 0 mod every special prime).
@@ -176,7 +188,8 @@ func (kg *KeyGenerator) genHybridSwitchingKey(sQP, fQP *ring.Poly, depth int, st
 				bi[x] = m.Add(bi[x], mod.Reduce128(ph, pl, q, bhi, blo))
 			}
 		}
-		ksk.H0[j] = b
+		ksk.H0[j] = rqp.Narrow(b)
+		rqp.PutPoly(b)
 	})
 	return ksk
 }
@@ -345,8 +358,9 @@ type qpSwitch struct {
 // and runs every switch's MAC over them, so the decomposition costs one
 // set of digit NTTs however many switches share it (rotations by several
 // keys, LinearTransform's babies) and never exists beyond the task's β
-// rows. Key limbs are addressed through the depth-capped key's geometry
-// (keyLimb). A switch's perm σ is applied to the digits: because σ is a
+// rows. The key rows are resident narrow; each MAC call reads them decoded
+// into a per-task tile of keyTile coefficients. Key limbs are addressed
+// through the depth-capped key's geometry (keyLimb). A switch's perm σ is applied to the digits: because σ is a
 // ring automorphism, Σ σ(D_j)·P·δ_j·σ(f) = σ(Σ D_j·P·δ_j·f) — the result
 // of decomposing σ(c), from the one decomposition of c.
 func (p *Parameters) switchQP(c, cn *ring.Poly, level int, add bool, sw ...qpSwitch) {
@@ -358,18 +372,34 @@ func (p *Parameters) switchQP(c, cn *ring.Poly, level int, add bool, sw ...qpSwi
 	n := p.N()
 	rqp := p.RingQPAt(level)
 	grp := p.reduceGroups(c, cn, level)
+	tile := min(n, keyTile)
 	rqp.Engine().Run(level+p.SpecialLimbs, func(m int) {
 		dig := lanes.GetMatrix(len(grp), n)
 		for j := range grp {
 			grp[j].raiseLimb(rqp, m, dig.Rows[j])
 		}
+		kt := lanes.GetMatrix(2*len(grp), tile)
+		k0, k1 := kt.Rows[:len(grp)], kt.Rows[len(grp):]
 		for _, w := range sw {
-			rqp.MulPairRows(m, w.perm, dig.Rows, w.ksk.H0, w.ksk.H1, w.ksk.keyLimb(level, m), w.s0.Coeffs[m], w.s1.Coeffs[m], add)
+			km := w.ksk.keyLimb(level, m)
+			for off := 0; off < n; off += tile {
+				for j := range grp {
+					w.ksk.H0[j].Load(km, off, k0[j])
+					w.ksk.H1[j].Load(km, off, k1[j])
+				}
+				rqp.MulPairRows(m, w.perm, dig.Rows, k0, k1, off, w.s0.Coeffs[m][off:off+tile], w.s1.Coeffs[m][off:off+tile], add)
+			}
 		}
+		lanes.PutMatrix(kt)
 		lanes.PutMatrix(dig)
 	})
 	releaseGroups(grp)
 }
+
+// keyTile is the coefficient span of the key-row tile switchQP decodes
+// narrow key rows into before each MAC call: 2β rows of it stay in cache
+// (96 KB at β = 6) while the MAC streams the digit rows.
+const keyTile = 1024
 
 // modDownPair closes a switch: modDown of both halves at once, the form
 // every MulRelin and rotation ends in.

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/fftfp"
+	"repro/internal/lanes"
 	"repro/internal/ring"
 )
 
@@ -390,16 +391,26 @@ type ltBaby struct{ b0, b1 *ring.Poly }
 func (lt *LinearTransform) sumBlock(rqp *ring.Ring, g int, babies map[int]ltBaby, o0, o1 *ring.Poly, add bool) {
 	terms := lt.groups[g]
 	nt := len(terms)
-	halves := make([]*ring.Poly, 2*nt)
+	// Limb-major like diagRows: entries m·2nt … m·2nt+nt−1 are the babies'
+	// first halves at limb m, the next nt their second halves.
+	halves := rowLists.Get(2 * nt * rqp.K())
 	for t, term := range terms {
 		b := babies[term.baby]
-		halves[t], halves[nt+t] = b.b0, b.b1
+		for m := range rqp.K() {
+			halves[2*nt*m+t], halves[2*nt*m+nt+t] = b.b0.Coeffs[m], b.b1.Coeffs[m]
+		}
 	}
 	rows := lt.diagRows[g]
 	rqp.Engine().Run(rqp.K(), func(m int) {
-		rqp.MulPairRows(m, nil, rows[m*nt:(m+1)*nt], halves[:nt], halves[nt:], m, o0.Coeffs[m], o1.Coeffs[m], add)
+		hm := halves[2*nt*m : 2*nt*(m+1)]
+		rqp.MulPairRows(m, nil, rows[m*nt:(m+1)*nt], hm[:nt], hm[nt:], 0, o0.Coeffs[m], o1.Coeffs[m], add)
 	})
+	clear(halves) // the pool must not keep the babies' rows reachable
+	rowLists.Put(halves)
 }
+
+// rowLists recycles the row-header lists sumBlock hands the MAC.
+var rowLists lanes.SlabPool[[]uint64]
 
 // mulP sets out = P·c over the Q·P basis for an NTT-domain c over Q_ℓ:
 // [P]_{q_i}·c on the Q limbs, and 0 on the P limbs, where P ≡ 0.

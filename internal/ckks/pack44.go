@@ -107,14 +107,79 @@ func unpackRow(row []uint64, src []byte, q uint64) bool {
 	return bad>>63 == 0
 }
 
-// packRows packs rows[i] at dst[i·N·44/8:], one lane task per row. Row i
-// is a residue row of limb i mod r.K() — every packed payload is a
+// codecRows is the residue rows packRows reads and unpackRows fills, in
+// wire order: word rows in place (wordRows) or the narrow rows switching
+// keys are resident in (narrowRows). Both run the block codec above.
+type codecRows interface {
+	count() int
+	// pack packs row i into dst and reports whether it is len(dst)·8/44
+	// residues, each below 2^44.
+	pack(i int, dst []byte) bool
+	// unpack fills row i from src and reports whether every residue is
+	// below q. A row that is not is left partly written.
+	unpack(i int, src []byte, q uint64) bool
+}
+
+// wordRows is a list of residue rows held as words.
+type wordRows [][]uint64
+
+func (w wordRows) count() int { return len(w) }
+
+func (w wordRows) pack(i int, dst []byte) bool {
+	return packedBytes(1, len(w[i])) == len(dst) && packRow(dst, w[i])>>PackedWordBits == 0
+}
+
+func (w wordRows) unpack(i int, src []byte, q uint64) bool { return unpackRow(w[i], src, q) }
+
+// narrowRows lists the first `limbs` limb rows of each narrow polynomial
+// in wire order. Rows pass through the codec in tiles of narrowTile
+// residues decoded on the stack.
+type narrowRows struct {
+	polys []ring.NarrowPoly
+	limbs int
+}
+
+// narrowTile is a multiple of the 16-residue block, so tile boundaries
+// fall on packed block boundaries.
+const narrowTile = 256
+
+func (nr narrowRows) count() int { return len(nr.polys) * nr.limbs }
+
+func (nr narrowRows) pack(i int, dst []byte) bool {
+	np, limb := &nr.polys[i/nr.limbs], i%nr.limbs
+	var tile [narrowTile]uint64
+	var or uint64
+	for off := 0; len(dst) > 0; off += narrowTile {
+		c := min(narrowTile, len(dst)*8/PackedWordBits)
+		np.Load(limb, off, tile[:c])
+		or |= packRow(dst, tile[:c])
+		dst = dst[packedBytes(1, c):]
+	}
+	return or>>PackedWordBits == 0
+}
+
+func (nr narrowRows) unpack(i int, src []byte, q uint64) bool {
+	np, limb := &nr.polys[i/nr.limbs], i%nr.limbs
+	var tile [narrowTile]uint64
+	for off := 0; len(src) > 0; off += narrowTile {
+		c := min(narrowTile, len(src)*8/PackedWordBits)
+		if !unpackRow(tile[:c], src, q) {
+			return false
+		}
+		np.Store(limb, off, tile[:c])
+		src = src[packedBytes(1, c):]
+	}
+	return true
+}
+
+// packRows packs row i of rows at dst[i·N·44/8:], one lane task per row.
+// Row i is a residue row of limb i mod r.K() — every packed payload is a
 // sequence of whole polynomials over r, packed in the domain it sits in.
 // A ring with a prime wider than the packed word is refused outright. A
 // row of the wrong length or holding a residue ≥ 2^44 cannot be
 // represented and is an error naming the lowest such row — found by index
 // after the dispatch, so it is the same at any worker count or schedule.
-func packRows(r *ring.Ring, dst []byte, rows [][]uint64) error {
+func packRows(r *ring.Ring, dst []byte, rows codecRows) error {
 	for _, m := range r.Basis.Moduli {
 		if err := checkLimbBits(bits.Len64(m.Q)); err != nil {
 			return fmt.Errorf("ckks: marshal: %w", err)
@@ -122,9 +187,9 @@ func packRows(r *ring.Ring, dst []byte, rows [][]uint64) error {
 	}
 	n := r.N
 	rowBytes := packedBytes(1, n)
-	bad := make([]bool, len(rows))
-	r.Engine().Run(len(rows), func(i int) {
-		bad[i] = len(rows[i]) != n || packRow(dst[i*rowBytes:(i+1)*rowBytes], rows[i])>>PackedWordBits != 0
+	bad := make([]bool, rows.count())
+	r.Engine().Run(len(bad), func(i int) {
+		bad[i] = !rows.pack(i, dst[i*rowBytes:(i+1)*rowBytes])
 	})
 	if i := slices.Index(bad, true); i >= 0 {
 		return fmt.Errorf("ckks: marshal: limb row %d (q_%d) is not %d residues below 2^%d", i, i%r.K(), n, PackedWordBits)
@@ -132,28 +197,30 @@ func packRows(r *ring.Ring, dst []byte, rows [][]uint64) error {
 	return nil
 }
 
-// unpackRows reverses packRows into rows (each of length r.N), comparing
+// unpackRows reverses packRows into rows (each of r.N residues), comparing
 // every residue with its limb's modulus in the same pass. The error names
-// the lowest offending row in wire order.
-func unpackRows(r *ring.Ring, src []byte, rows [][]uint64) error {
+// the lowest offending row in wire order and its first residue ≥ q.
+func unpackRows(r *ring.Ring, src []byte, rows codecRows) error {
 	n, k := r.N, r.K()
 	rowBytes := packedBytes(1, n)
-	bad := make([]bool, len(rows))
-	r.Engine().Run(len(rows), func(i int) {
-		bad[i] = !unpackRow(rows[i], src[i*rowBytes:(i+1)*rowBytes], r.Basis.Moduli[i%k].Q)
+	bad := make([]bool, rows.count())
+	r.Engine().Run(len(bad), func(i int) {
+		bad[i] = !rows.unpack(i, src[i*rowBytes:(i+1)*rowBytes], r.Basis.Moduli[i%k].Q)
 	})
 	if i := slices.Index(bad, true); i >= 0 {
 		q := r.Basis.Moduli[i%k].Q
-		j := slices.IndexFunc(rows[i], func(c uint64) bool { return c >= q })
-		return fmt.Errorf("residue %d ≥ q_%d (limb row %d)", rows[i][j], i%k, i)
+		row := make([]uint64, n)
+		unpackRow(row, src[i*rowBytes:(i+1)*rowBytes], q)
+		j := slices.IndexFunc(row, func(c uint64) bool { return c >= q })
+		return fmt.Errorf("residue %d ≥ q_%d (limb row %d)", row[j], i%k, i)
 	}
 	return nil
 }
 
 // polyRows lists the first `limbs` residue rows of each polynomial in
 // wire order — the row list packRows / unpackRows take.
-func polyRows(limbs int, polys ...*ring.Poly) [][]uint64 {
-	rows := make([][]uint64, 0, limbs*len(polys))
+func polyRows(limbs int, polys ...*ring.Poly) wordRows {
+	rows := make(wordRows, 0, limbs*len(polys))
 	for _, poly := range polys {
 		rows = append(rows, poly.Coeffs[:limbs]...)
 	}

@@ -162,7 +162,7 @@ func (p *Parameters) UnmarshalSeeded(data []byte) (*SeededCiphertext, error) {
 
 	rl := p.RingAt(level)
 	sct.C0 = rl.NewPoly()
-	if err := unpackRows(rl, data[ctHeaderLen+seedMaterialLen:], sct.C0.Coeffs); err != nil {
+	if err := unpackRows(rl, data[ctHeaderLen+seedMaterialLen:], wordRows(sct.C0.Coeffs)); err != nil {
 		return nil, fmt.Errorf("ckks: unmarshal seeded: %w", err)
 	}
 	return sct, nil

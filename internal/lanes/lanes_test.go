@@ -3,8 +3,10 @@ package lanes
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRunCoversAllIndicesOnce(t *testing.T) {
@@ -180,6 +182,32 @@ func TestMatrixPoolShapes(t *testing.T) {
 	PutMatrix(m2)
 }
 
+// TestMatrixScribbleWholeSlab: in a scribble build, returning a matrix
+// that shows fewer rows than its slab holds overwrites the whole slab,
+// the rows the last user never saw included.
+func TestMatrixScribbleWholeSlab(t *testing.T) {
+	if !scribbling {
+		t.Skip("PutMatrix scribbles only in builds with the scribble tag")
+	}
+	const cols = 1<<9 + 11 // a degree no other test uses
+	m := GetMatrix(5, cols)
+	PutMatrix(m)
+	m = GetMatrix(2, cols)
+	for _, row := range m.all {
+		for j := range row {
+			row[j] = 42
+		}
+	}
+	PutMatrix(m)
+	for i, row := range m.all {
+		for j, v := range row {
+			if v == 42 {
+				t.Fatalf("slab row %d word %d kept its value after a 2-row return", i, j)
+			}
+		}
+	}
+}
+
 // TestMatrixScribble: in a scribble build, a matrix that comes back from
 // its pool holds none of the words written before it was returned, and
 // two returns leave different words; otherwise PutMatrix leaves contents
@@ -207,6 +235,117 @@ func TestMatrixScribble(t *testing.T) {
 	if scribbling && seen[0] == seen[1] {
 		t.Fatalf("two returns left the same word %#x", seen[0])
 	}
+}
+
+// TestMatrixPoolReslicesByDegree: a request for fewer rows at a degree
+// reuses an idle larger slab and sees exactly the rows it asked for, each
+// of exactly cols words; a request for more rows than any idle slab holds
+// gets a fresh slab.
+func TestMatrixPoolReslicesByDegree(t *testing.T) {
+	const cols = 1<<9 + 3 // a degree no other test uses
+	big := GetMatrix(6, cols)
+	PutMatrix(big)
+	small := GetMatrix(2, cols)
+	if &small.all[0][0] != &big.all[0][0] {
+		t.Fatal("a 2-row request did not reuse the idle 6-row slab")
+	}
+	if len(small.Rows) != 2 || cap(small.Rows) != 2 {
+		t.Fatalf("2-row request: %d rows (cap %d)", len(small.Rows), cap(small.Rows))
+	}
+	for i, row := range small.Rows {
+		if len(row) != cols || cap(row) != cols {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), cols)
+		}
+	}
+	larger := GetMatrix(7, cols)
+	if len(larger.Rows) != 7 || len(larger.all) != 7 {
+		t.Fatalf("7-row request: %d rows over a %d-row slab", len(larger.Rows), len(larger.all))
+	}
+	PutMatrix(small)
+	PutMatrix(larger)
+	// Best fit: the 6-row slab serves a 5-row request, not the 7-row one.
+	if m := GetMatrix(5, cols); len(m.all) != 6 {
+		t.Fatalf("5-row request took a %d-row slab, want the 6-row one", len(m.all))
+	} else {
+		PutMatrix(m)
+	}
+}
+
+// TestMatrixPoolCounters: the counters follow Get and Put exactly in slab
+// bytes, the high-water mark holds the peak, and the trim that follows a
+// garbage collection drops every idle slab.
+func TestMatrixPoolCounters(t *testing.T) {
+	const cols = 1<<9 + 7 // a degree no other test uses
+	runtime.GC()
+	runtime.GC()
+	waitTrim(t, 0)
+	before := Stats()
+	ResetHighWater()
+	a, b := GetMatrix(4, cols), GetMatrix(2, cols)
+	slab := int64(8 * cols)
+	if s := Stats(); s.OutstandingBytes-before.OutstandingBytes != 6*slab || s.HighWaterBytes < before.OutstandingBytes+6*slab {
+		t.Fatalf("after two Gets: %+v (before %+v)", s, before)
+	}
+	PutMatrix(a)
+	PutMatrix(b)
+	s := Stats()
+	if s.OutstandingBytes != before.OutstandingBytes || s.IdleBytes-before.IdleBytes != 6*slab {
+		t.Fatalf("after two Puts: %+v (before %+v)", s, before)
+	}
+	if s.HighWaterBytes != before.OutstandingBytes+6*slab {
+		t.Fatalf("high water %d, want %d", s.HighWaterBytes, before.OutstandingBytes+6*slab)
+	}
+	runtime.GC()
+	runtime.GC()
+	waitTrim(t, 0)
+}
+
+// TestMatrixPoolConcurrent: goroutines sharing a degree pool, with
+// collections (and so trims) running beside them, each see their own rows
+// and leave the outstanding count where it started.
+func TestMatrixPoolConcurrent(t *testing.T) {
+	const cols = 1<<9 + 13 // a degree no other test uses
+	before := Stats().OutstandingBytes
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 200 {
+				m := GetMatrix(1+(g+i)%5, cols)
+				for _, row := range m.Rows {
+					row[0], row[cols-1] = uint64(g), uint64(i)
+				}
+				for _, row := range m.Rows {
+					if row[0] != uint64(g) || row[cols-1] != uint64(i) {
+						t.Errorf("goroutine %d: a row changed under it", g)
+					}
+				}
+				PutMatrix(m)
+				if i%50 == 0 {
+					runtime.GC()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := Stats().OutstandingBytes; got != before {
+		t.Fatalf("outstanding bytes %d after every matrix came back, want %d", got, before)
+	}
+}
+
+// waitTrim waits for the finalizer goroutine to run the trims the last
+// collections scheduled, until IdleBytes reads want.
+func waitTrim(t *testing.T, want int64) {
+	t.Helper()
+	for range 200 {
+		if Stats().IdleBytes == want {
+			return
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("idle bytes %d after collections, want %d", Stats().IdleBytes, want)
 }
 
 func TestSlabPool(t *testing.T) {

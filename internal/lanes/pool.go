@@ -1,55 +1,167 @@
 // Pooled scratch memory. ABC-FHE keeps its working set on chip in a few
 // KB of lane-local SRAM instead of allocating per operation (paper §IV-B);
-// the software analogue is a sync.Pool-backed allocator for the polynomial
-// scratch the CKKS hot paths churn through, keyed by shape so every (N,
-// limbs) configuration recycles its own buffers.
+// the software analogue is an allocator for the polynomial scratch the
+// CKKS hot paths churn through. Matrices are pooled per ring degree (the
+// column count), not per (limbs, degree) shape: a request for fewer rows
+// reslices a larger idle slab, so a computation walking down the modulus
+// chain recycles one working set instead of keeping one per limb count.
 package lanes
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// shape keys a matrix pool: rows = RNS limbs, cols = ring degree N.
-type shape struct{ rows, cols int }
+// matrixPools maps a column count to its *degreePool.
+var matrixPools sync.Map
 
-var matrixPools sync.Map // shape → *sync.Pool of *Matrix
-
-// poolFor returns pools[key]. Load comes first: LoadOrStore alone would
-// build (and discard) a sync.Pool on every call.
-func poolFor[K comparable](pools *sync.Map, key K) *sync.Pool {
+// poolFor returns pools[key], creating it on first use. Load comes first:
+// LoadOrStore alone would build (and discard) a new value on every call.
+func poolFor[K comparable, V any](pools *sync.Map, key K) *V {
 	pl, ok := pools.Load(key)
 	if !ok {
-		pl, _ = pools.LoadOrStore(key, &sync.Pool{})
+		pl, _ = pools.LoadOrStore(key, new(V))
 	}
-	return pl.(*sync.Pool)
+	return pl.(*V)
 }
+
+// degreePool holds the idle matrices of one column count. Like a
+// sync.Pool it lets the collector have what sits idle: after each garbage
+// collection every idle slab is dropped (trimPools), so it is freed by the
+// next one, and a working set that is no longer used is gone after two
+// cycles.
+type degreePool struct {
+	mu   sync.Mutex
+	idle []*Matrix
+}
+
+// take removes and returns the idle matrix with the fewest rows among
+// those with at least rows rows. When no slab is large enough it returns
+// nil and the caller allocates one of the requested size; the smaller
+// idle slabs stay for smaller requests until the collector trims them.
+// (Dropping them on the spot churns: results that leave the pool on a
+// larger slab than they need make the next call reallocate what was
+// dropped.)
+func (p *degreePool) take(rows int) *Matrix {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, m := range p.idle {
+		if len(m.all) >= rows && (best < 0 || len(m.all) < len(p.idle[best].all)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	m, n := p.idle[best], len(p.idle)-1
+	p.idle[best], p.idle[n] = p.idle[n], nil // the last entry fills the gap
+	p.idle = p.idle[:n]
+	idleBytes.Add(-m.bytes())
+	return m
+}
+
+func (p *degreePool) put(m *Matrix) {
+	p.mu.Lock()
+	p.idle = append(p.idle, m)
+	p.mu.Unlock()
+	idleBytes.Add(m.bytes())
+}
+
+// trimPools drops every idle slab. It runs once per garbage collection
+// (armTrim).
+func trimPools() {
+	matrixPools.Range(func(_, v any) bool {
+		p := v.(*degreePool)
+		p.mu.Lock()
+		var dropped int64
+		for _, m := range p.idle {
+			dropped += m.bytes()
+		}
+		clear(p.idle)
+		p.idle = p.idle[:0]
+		p.mu.Unlock()
+		idleBytes.Add(-dropped)
+		return true
+	})
+}
+
+// gcTick is a finalizer carrier: 16 bytes, so the tiny allocator never
+// packs it beside a live object (which would keep it from being finalized).
+type gcTick [16]byte
+
+// armTrim schedules trimPools after the next garbage collection and
+// re-arms itself from there.
+func armTrim() {
+	runtime.SetFinalizer(new(gcTick), func(*gcTick) {
+		trimPools()
+		armTrim()
+	})
+}
+
+func init() { armTrim() }
+
+// Pool counters, in bytes of matrix slabs: idle (pooled, not handed out),
+// outstanding (handed out by GetMatrix and not yet returned) and the
+// outstanding high-water mark. A slab that leaves with a result its
+// holder never returns stays outstanding. Reading the counters is the
+// only cost beyond one atomic add per Get and Put.
+var idleBytes, outBytes, outHigh atomic.Int64
+
+// PoolStats is a snapshot of the matrix pool counters.
+type PoolStats struct {
+	IdleBytes        int64 // slabs pooled and not handed out
+	OutstandingBytes int64 // slabs handed out and not yet returned
+	HighWaterBytes   int64 // the most OutstandingBytes has been since ResetHighWater
+}
+
+// Stats reads the matrix pool counters.
+func Stats() PoolStats {
+	return PoolStats{IdleBytes: idleBytes.Load(), OutstandingBytes: outBytes.Load(), HighWaterBytes: outHigh.Load()}
+}
+
+// ResetHighWater restarts the high-water mark from the bytes outstanding
+// now.
+func ResetHighWater() { outHigh.Store(outBytes.Load()) }
 
 // Matrix is a pooled rows×cols uint64 matrix over one contiguous backing
-// slab — the storage layout of an RNS polynomial (one row per limb).
+// slab — the storage layout of an RNS polynomial (one row per limb). The
+// slab may hold more rows than Rows shows.
 type Matrix struct {
 	Rows    [][]uint64
+	all     [][]uint64 // every row of the slab; Rows is a prefix
 	backing []uint64
-	key     shape
+	cols    int
 }
 
-// GetMatrix returns a pooled rows×cols matrix. Contents are NOT cleared;
-// call Zero when the caller needs the all-zero polynomial.
+func (m *Matrix) bytes() int64 { return int64(len(m.backing)) * 8 }
+
+// GetMatrix returns a pooled rows×cols matrix: rows rows of exactly cols
+// words each, from an idle slab of the same column count with at least
+// rows rows when there is one. Contents are NOT cleared; call Zero when
+// the caller needs the all-zero polynomial.
 func GetMatrix(rows, cols int) *Matrix {
-	key := shape{rows, cols}
-	if m, ok := poolFor(&matrixPools, key).Get().(*Matrix); ok {
-		return m
+	m := poolFor[int, degreePool](&matrixPools, cols).take(rows)
+	if m == nil {
+		backing := make([]uint64, rows*cols)
+		m = &Matrix{backing: backing, cols: cols, all: make([][]uint64, rows)}
+		for i := range m.all {
+			m.all[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+		}
 	}
-	backing := make([]uint64, rows*cols)
-	m := &Matrix{backing: backing, key: key, Rows: make([][]uint64, rows)}
-	for i := range m.Rows {
-		m.Rows[i] = backing[i*cols : (i+1)*cols : (i+1)*cols]
+	m.Rows = m.all[:rows:rows]
+	o := outBytes.Add(m.bytes())
+	for h := outHigh.Load(); o > h; h = outHigh.Load() {
+		if outHigh.CompareAndSwap(h, o) {
+			break
+		}
 	}
 	return m
 }
 
-// PutMatrix returns m to its shape's pool. The caller must not retain any
-// reference to m or its rows afterwards.
+// PutMatrix returns m to its degree's pool. The caller must not retain
+// any reference to m or its rows afterwards.
 func PutMatrix(m *Matrix) {
 	if m == nil {
 		return
@@ -57,7 +169,8 @@ func PutMatrix(m *Matrix) {
 	if scribbling {
 		scribble(m.backing)
 	}
-	poolFor(&matrixPools, m.key).Put(m)
+	outBytes.Add(-m.bytes())
+	poolFor[int, degreePool](&matrixPools, m.cols).put(m)
 }
 
 var scribbleWord atomic.Uint64
@@ -67,7 +180,8 @@ var scribbleWord atomic.Uint64
 // test -tags scribble`): code that reads a pooled word before writing it
 // then sees fresh garbage on every run instead of a stale copy of a
 // deterministic intermediate, which a byte comparison between runs cannot
-// tell apart from a correct result.
+// tell apart from a correct result. It covers the whole slab, rows the
+// last user did not see included, since the next may.
 func scribble(b []uint64) {
 	w := scribbleWord.Add(0x9E3779B97F4A7C15)
 	for i := range b {
@@ -75,9 +189,9 @@ func scribble(b []uint64) {
 	}
 }
 
-// Zero clears the whole matrix (single memclr over the backing slab).
+// Zero clears the matrix's rows (one memclr over their part of the slab).
 func (m *Matrix) Zero() {
-	clear(m.backing)
+	clear(m.backing[:len(m.Rows)*m.cols])
 }
 
 // Flat scratch slabs ----------------------------------------------------
@@ -98,7 +212,7 @@ type SlabPool[T any] struct {
 
 // Get returns a pooled []T of exactly length n, contents unspecified.
 func (p *SlabPool[T]) Get(n int) []T {
-	box, ok := poolFor(&p.pools, n).Get().(*[]T)
+	box, ok := poolFor[int, sync.Pool](&p.pools, n).Get().(*[]T)
 	if !ok {
 		return make([]T, n)
 	}
@@ -118,7 +232,7 @@ func (p *SlabPool[T]) Put(s []T) {
 		box = new([]T)
 	}
 	*box = s
-	poolFor(&p.pools, len(s)).Put(box)
+	poolFor[int, sync.Pool](&p.pools, len(s)).Put(box)
 }
 
 var (

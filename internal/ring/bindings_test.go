@@ -60,19 +60,18 @@ func bindingCases(galois []int32) []bindingCase {
 			// β = 5 groups: one full lazy block of four plus a flush.
 			order := [][3]int{{0, 1, 2}, {1, 2, 0}, {2, 0, 1}, {0, 2, 1}, {1, 0, 2}}
 			for limb := 0; limb < r.K(); limb++ {
-				var d [][]uint64
-				var k0, k1 []*Poly
+				var d, k0, k1 [][]uint64
 				for _, o := range order {
 					d = append(d, in[o[0]].Coeffs[limb])
-					k0 = append(k0, in[o[1]])
-					k1 = append(k1, in[o[2]])
+					k0 = append(k0, in[o[1]].Coeffs[limb])
+					k1 = append(k1, in[o[2]].Coeffs[limb])
 				}
 				for _, perm := range perms {
 					for _, add := range []bool{false, true} {
 						// Without add the rows arrive dirty and must be overwritten.
 						a0 := append([]uint64(nil), in[1].Coeffs[limb]...)
 						a1 := append([]uint64(nil), in[2].Coeffs[limb]...)
-						r.MulPairRows(limb, perm, d, k0, k1, limb, a0, a1, add)
+						r.MulPairRows(limb, perm, d, k0, k1, 0, a0, a1, add)
 						rows = append(rows, a0, a1)
 					}
 				}

@@ -80,15 +80,17 @@ func mulPermAddRowFast(m mod.Modulus, ai []uint64, perm []int32, bi, oi []uint64
 var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out for four terms
 
 // MulPairRows is the key-switch MAC of one limb over every decomposition
-// group at once:
+// group at once, on the coefficients [off, off+len(a0)):
 //
-//	a0[j] = Σ_g d[g][perm[j]]·k0[g].Coeffs[km][j]
-//	a1[j] = Σ_g d[g][perm[j]]·k1[g].Coeffs[km][j]
+//	a0[j] = Σ_g d[g][perm[off+j]]·k0[g][j]
+//	a1[j] = Σ_g d[g][perm[off+j]]·k1[g][j]
 //
-// (perm nil ⇒ identity; g ranges over len(d), the key may hold more rows).
-// d[g] is group g's digit row for this limb of the ring's own basis, km the
-// limb's row in the depth-capped key. With add the sums accumulate onto
-// a0/a1 instead (a0[j] += …); otherwise a0/a1 are written, never read.
+// (perm nil ⇒ identity; g ranges over len(d), k0/k1 may hold more rows).
+// d[g] is group g's whole digit row for this limb of the ring's own basis;
+// k0[g], k1[g] are the matching key rows of the same coefficient range as
+// a0/a1 — rows of a word polynomial, or a tile a narrow key row was
+// decoded into. With add the sums accumulate onto a0/a1 instead
+// (a0[j] += …); otherwise a0/a1 are written, never read.
 //
 // The portable binding is the spec: add each reduced product in group
 // order. The fast binding sums mod.LazyTerms groups' products per half in
@@ -96,11 +98,14 @@ var _ = [1]struct{}{}[mod.LazyTerms-4] // the lazy block below is written out fo
 // adding onto the first's output; as in rns.Extender.CombineLimb the block
 // is written out so its row pointers stay in registers. Each output is the
 // canonical residue of the same sum either way — the bytes cannot differ.
-func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km int, a0, a1 []uint64, add bool) {
+func (r *Ring) MulPairRows(limb int, perm []int32, d, k0, k1 [][]uint64, off int, a0, a1 []uint64, add bool) {
 	m := r.Basis.Moduli[limb]
+	if perm != nil {
+		perm = perm[off : off+len(a0)]
+	}
 	if !r.Backend().Specialized() {
 		for j := range a0 {
-			pj := j
+			pj := off + j
 			if perm != nil {
 				pj = int(perm[j])
 			}
@@ -109,8 +114,8 @@ func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly,
 				s0, s1 = a0[j], a1[j]
 			}
 			for g, dg := range d {
-				s0 = m.Add(s0, m.Mul(dg[pj], k0[g].Coeffs[km][j]))
-				s1 = m.Add(s1, m.Mul(dg[pj], k1[g].Coeffs[km][j]))
+				s0 = m.Add(s0, m.Mul(dg[pj], k0[g][j]))
+				s1 = m.Add(s1, m.Mul(dg[pj], k1[g][j]))
 			}
 			a0[j], a1[j] = s0, s1
 		}
@@ -124,7 +129,11 @@ func (r *Ring) MulPairRows(limb int, perm []int32, d [][]uint64, k0, k1 []*Poly,
 			if i >= n {
 				i = 0 // never read: aliases the block's first rows
 			}
-			return d[g+i], k0[g+i].Coeffs[km][:len(a0)], k1[g+i].Coeffs[km][:len(a0)]
+			dg = d[g+i]
+			if perm == nil {
+				dg = dg[off : off+len(a0)]
+			}
+			return dg, k0[g+i][:len(a0)], k1[g+i][:len(a0)]
 		}
 		d0, p0, q0 := slot(0)
 		d1, p1, q1 := slot(1)

@@ -10,7 +10,7 @@ import (
 
 // macRef is the key-switch MAC as the spec writes it: one reduced product
 // added per group, per half. It shares no code with MulPairRows.
-func macRef(r *Ring, limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km int, a0, a1 []uint64) {
+func macRef(r *Ring, limb int, perm []int32, d, k0, k1 [][]uint64, a0, a1 []uint64) {
 	m := r.Basis.Moduli[limb]
 	for j := range a0 {
 		pj := j
@@ -19,16 +19,16 @@ func macRef(r *Ring, limb int, perm []int32, d [][]uint64, k0, k1 []*Poly, km in
 		}
 		a0[j], a1[j] = 0, 0
 		for g := range d {
-			a0[j] = m.Add(a0[j], m.Mul(d[g][pj], k0[g].Coeffs[km][j]))
-			a1[j] = m.Add(a1[j], m.Mul(d[g][pj], k1[g].Coeffs[km][j]))
+			a0[j] = m.Add(a0[j], m.Mul(d[g][pj], k0[g][j]))
+			a1[j] = m.Add(a1[j], m.Mul(d[g][pj], k1[g][j]))
 		}
 	}
 }
 
-// macOperands draws β digit rows and a β-row, two-limb key for limb 0 of
-// r (the kernel reads key row km = 1), pinning coefficient 0 of every
-// operand at q − 1: the largest sum the 128-bit accumulator can see.
-func macOperands(r *Ring, beta int, stream uint64) (d [][]uint64, k0, k1 []*Poly) {
+// macOperands draws β digit rows and β rows of each key half for limb 0
+// of r, pinning coefficient 0 of every operand at q − 1: the largest sum
+// the 128-bit accumulator can see.
+func macOperands(r *Ring, beta int, stream uint64) (d, k0, k1 [][]uint64) {
 	q := r.Basis.Moduli[0].Q
 	row := func() []uint64 {
 		stream++
@@ -39,8 +39,8 @@ func macOperands(r *Ring, beta int, stream uint64) (d [][]uint64, k0, k1 []*Poly
 	}
 	for g := 0; g < beta; g++ {
 		d = append(d, row())
-		k0 = append(k0, &Poly{Coeffs: [][]uint64{nil, row()}})
-		k1 = append(k1, &Poly{Coeffs: [][]uint64{nil, row()}})
+		k0 = append(k0, row())
+		k1 = append(k1, row())
 	}
 	return d, k0, k1
 }
@@ -48,8 +48,10 @@ func macOperands(r *Ring, beta int, stream uint64) (d [][]uint64, k0, k1 []*Poly
 // TestMulPairRowsMatchesSpec: the one MAC kernel equals the term-by-term
 // reference on both backends — at 36-bit limbs and at 61-bit limbs, for β
 // below, at and past the lazy block (β = 9, 12 flush two and three times),
-// with and without a Galois gather, on dirty output rows — and, with add,
-// accumulating onto rows whose coefficient 0 is already q − 1.
+// with and without a Galois gather, on dirty output rows, over the whole
+// row and in four coefficient tiles (the key rows then cover only the
+// tile, the digit rows the whole row) — and, with add, accumulating onto
+// rows whose coefficient 0 is already q − 1.
 func TestMulPairRowsMatchesSpec(t *testing.T) {
 	const logN = 8
 	t.Logf("operand seed (123, 456), streams from 1000·bits + 10·β")
@@ -60,27 +62,35 @@ func TestMulPairRowsMatchesSpec(t *testing.T) {
 			for _, beta := range []int{1, 2, 6, 9, 12} {
 				d, k0, k1 := macOperands(r, beta, uint64(1000*bits+10*beta))
 				want0, want1 := make([]uint64, r.N), make([]uint64, r.N)
-				macRef(r, 0, perm, d, k0, k1, 1, want0, want1)
+				macRef(r, 0, perm, d, k0, k1, want0, want1)
 				base := d[0] // any residues: the accumulation base of the add rows
 				for _, b := range []lanes.Backend{lanes.Portable, lanes.Fast} {
 					r.SetBackend(b)
 					for _, add := range []bool{false, true} {
-						got0, got1 := make([]uint64, r.N), make([]uint64, r.N)
-						for j := range got0 {
-							got0[j], got1[j] = ^uint64(0), ^uint64(0) // pooled rows arrive dirty
-							if add {
-								got0[j], got1[j] = base[j], base[j]
+						for _, tile := range []int{r.N, r.N / 4} {
+							got0, got1 := make([]uint64, r.N), make([]uint64, r.N)
+							for j := range got0 {
+								got0[j], got1[j] = ^uint64(0), ^uint64(0) // pooled rows arrive dirty
+								if add {
+									got0[j], got1[j] = base[j], base[j]
+								}
 							}
-						}
-						r.MulPairRows(0, perm, d, k0, k1, 1, got0, got1, add)
-						for j := range want0 {
-							w0, w1 := want0[j], want1[j]
-							if add {
-								w0, w1 = m.Add(w0, base[j]), m.Add(w1, base[j])
+							for off := 0; off < r.N; off += tile {
+								t0, t1 := make([][]uint64, beta), make([][]uint64, beta)
+								for g := range beta {
+									t0[g], t1[g] = k0[g][off:off+tile], k1[g][off:off+tile]
+								}
+								r.MulPairRows(0, perm, d, t0, t1, off, got0[off:off+tile], got1[off:off+tile], add)
 							}
-							if got0[j] != w0 || got1[j] != w1 {
-								t.Fatalf("%d-bit β=%d perm=%v add=%v %s: coeff %d = (%d, %d), want (%d, %d)",
-									bits, beta, perm != nil, add, b.Name(), j, got0[j], got1[j], w0, w1)
+							for j := range want0 {
+								w0, w1 := want0[j], want1[j]
+								if add {
+									w0, w1 = m.Add(w0, base[j]), m.Add(w1, base[j])
+								}
+								if got0[j] != w0 || got1[j] != w1 {
+									t.Fatalf("%d-bit β=%d perm=%v add=%v tile=%d %s: coeff %d = (%d, %d), want (%d, %d)",
+										bits, beta, perm != nil, add, tile, b.Name(), j, got0[j], got1[j], w0, w1)
+								}
 							}
 						}
 					}
@@ -125,7 +135,7 @@ func BenchmarkMulPairRows(b *testing.B) {
 		b.Run(fmt.Sprintf("perm=%v", perm != nil), func(b *testing.B) {
 			b.SetBytes(int64(8 * (3*beta + 2) * r.N)) // rows streamed per call
 			for i := 0; i < b.N; i++ {
-				r.MulPairRows(0, perm, d, k0, k1, 1, a0, a1, false)
+				r.MulPairRows(0, perm, d, k0, k1, 0, a0, a1, false)
 			}
 		})
 	}

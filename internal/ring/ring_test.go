@@ -315,3 +315,32 @@ func TestEngineInheritedByLevelView(t *testing.T) {
 		t.Fatal("nil engine must fall back to the shared default")
 	}
 }
+
+// TestGetPolyZeroesReusedSlab: a pooled polynomial of fewer limbs than the
+// idle slab it reuses comes back all zero.
+func TestGetPolyZeroesReusedSlab(t *testing.T) {
+	r := MustRing(1<<5, primes.GenerateNTTPrimes(5, 36, 5)) // a degree no other test pools
+	big := r.GetPolyUninit()
+	for _, row := range big.Coeffs {
+		for j := range row {
+			row[j] = 7
+		}
+	}
+	first := &big.Coeffs[0][0]
+	r.PutPoly(big)
+	small := r.AtLevel(2).GetPoly()
+	if &small.Coeffs[0][0] != first {
+		t.Fatal("the 2-limb poly did not reuse the idle 5-limb slab")
+	}
+	if len(small.Coeffs) != 2 {
+		t.Fatalf("%d limbs, want 2", len(small.Coeffs))
+	}
+	for i, row := range small.Coeffs {
+		for j, v := range row {
+			if v != 0 {
+				t.Fatalf("limb %d coeff %d = %d after GetPoly", i, j, v)
+			}
+		}
+	}
+	r.PutPoly(small)
+}

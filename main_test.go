@@ -8,14 +8,17 @@ import (
 	"testing"
 )
 
-// The suite's memory contract on a 16 GB CI box. The soft limit makes the
-// collector reclaim the multi-GB key sets of the PN15/PN16 tests as soon
-// as they die instead of letting GOGC=100 double the heap over them; the
-// hard budget fails the run if the process footprint still grew past it,
-// so a test that starts holding two key sets again cannot pass silently.
+// The suite's memory contract. The soft limit makes the collector reclaim
+// the multi-GB key sets of the PN15/PN16 tests as soon as they die
+// instead of letting GOGC=100 double the heap over them; the hard budget
+// fails the run if the process footprint still grew past it, so a test
+// that starts holding two key sets again cannot pass silently. The suite
+// reads ≈ 7.3 GB (7 282 MB on an 8 GB, 2-core box): the PN15 round trips
+// sit at the soft limit. The budget is that reading plus ≈ 0.7 GB, about
+// 0.5 GB above the soft limit the collector steers by.
 const (
 	testMemoryLimit  = 7 << 30       // debug.SetMemoryLimit
-	testMemoryBudget = 9_500_000_000 // bytes the runtime may ever have mapped
+	testMemoryBudget = 8_000_000_000 // bytes the runtime may ever have mapped
 )
 
 func TestMain(m *testing.M) {
