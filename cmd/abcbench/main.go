@@ -7,7 +7,6 @@
 //	abcbench -exp all            # run every experiment
 //	abcbench -exp fig5a,table2   # run a subset
 //	abcbench -exp fig3c -fast    # reduced problem sizes
-//	abcbench -exp fig5a -cpu     # also measure the Go CKKS client here
 //	abcbench -list               # list experiment ids
 //	abcbench -exp table2 -csv    # CSV instead of an aligned table
 package main
@@ -24,7 +23,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
 	fast := flag.Bool("fast", false, "reduced problem sizes for quick runs")
-	cpu := flag.Bool("cpu", false, "additionally measure the pure-Go CKKS client on this host")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	flag.Parse()
@@ -41,7 +39,7 @@ func main() {
 		ids = strings.Split(*exp, ",")
 	}
 
-	opt := bench.Options{Fast: *fast, MeasureCPU: *cpu}
+	opt := bench.Options{Fast: *fast}
 	failed := false
 	for _, id := range ids {
 		r, err := bench.Run(strings.TrimSpace(id), opt)

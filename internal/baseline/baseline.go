@@ -17,8 +17,6 @@ package baseline
 type Provenance string
 
 const (
-	// Measured: produced by running code in this repository.
-	Measured Provenance = "measured"
 	// Simulated: produced by internal/sim (our cycle-level model).
 	Simulated Provenance = "simulated"
 	// PaperAnchored: reconstructed from the paper's published speed-up

@@ -3,8 +3,6 @@ package baseline
 import (
 	"math"
 	"testing"
-
-	"repro/internal/ckks"
 )
 
 func TestAnchoredSetRatios(t *testing.T) {
@@ -65,23 +63,6 @@ func TestFig1Shares(t *testing.T) {
 	}
 	if rows[2].ClientShare > 0.15 {
 		t.Fatalf("ABC-FHE client share %.4f — must flip the bottleneck (paper mark: 12.8%%)", rows[2].ClientShare)
-	}
-}
-
-func TestMeasureCPUSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing run")
-	}
-	encMS, decMS, err := MeasureCPU(ckks.TestParams, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if encMS < 0 || decMS < 0 {
-		t.Fatal("negative latency")
-	}
-	// Encode+encrypt at 4 limbs must cost more than decode+decrypt at 2.
-	if encMS > 0 && decMS > encMS*2 {
-		t.Fatalf("dec %v ms implausibly above enc %v ms", decMS, encMS)
 	}
 }
 

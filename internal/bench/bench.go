@@ -84,9 +84,6 @@ type Options struct {
 	// Fast reduces problem sizes for quick regression runs (used by unit
 	// tests and the default benchmark loop).
 	Fast bool
-	// MeasureCPU additionally times the pure-Go CKKS client on this host
-	// (minutes at the paper parameters; seconds in Fast mode).
-	MeasureCPU bool
 }
 
 var registry = map[string]Generator{}

@@ -43,9 +43,9 @@ func TestUnknownExperiment(t *testing.T) {
 }
 
 func TestIDsComplete(t *testing.T) {
-	want := []string{"archsweep", "decode", "fig1", "fig2", "fig3c", "fig4",
+	want := []string{"archsweep", "fig1", "fig2", "fig3c", "fig4",
 		"fig5a", "fig5b", "fig6a", "fig6b", "memclaim", "primes", "seeded",
-		"swlanes", "table1", "table2"}
+		"table1", "table2"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("experiment list %v", got)
@@ -60,9 +60,8 @@ func TestIDsComplete(t *testing.T) {
 // renderPins are the SHA-256 digests of every fast-mode Render() taken
 // before the model packages were reorganised. The paper model is
 // deterministic, so a refactor of it must reproduce every table byte for
-// byte. "decode" and "swlanes" time this host and are not pinned. The pins
-// were taken on amd64 (other architectures may fuse multiply-adds and
-// round differently).
+// byte. The pins were taken on amd64 (other architectures may fuse
+// multiply-adds and round differently).
 var renderPins = map[string]string{
 	"archsweep": "11273528b338278ef4e3f99658143471f6eb8a661b09a61018cf00a749c943eb",
 	"fig1":      "eab83b515cc472d4a65b82eeb79ff8b53d0abda7d59b26375e5d1bd11cfdbbeb",
@@ -85,9 +84,6 @@ func TestRenderPinned(t *testing.T) {
 		t.Skip("pins taken on amd64")
 	}
 	for _, id := range IDs() {
-		if id == "decode" || id == "swlanes" {
-			continue
-		}
 		want, ok := renderPins[id]
 		if !ok {
 			t.Errorf("%s: no render pin", id)

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/baseline"
-	"repro/internal/ckks"
 	"repro/internal/fftfp"
 	"repro/internal/hw"
 	"repro/internal/modmul"
@@ -30,8 +28,6 @@ func init() {
 	register("primes", primeCensus)
 	register("seeded", seeded)
 	register("archsweep", archsweep)
-	register("swlanes", swlanes)
-	register("decode", decodeSweep)
 }
 
 // fig1: client/server execution-time breakdown (ResNet20-FHE).
@@ -223,20 +219,6 @@ func fig5a(opt Options) Result {
 		}
 		r.Rows = append(r.Rows, []string{p.System, p.Op, fmt.Sprintf("%.4f", p.LatencyMS), sp, string(p.Provenance)})
 	}
-	if opt.MeasureCPU {
-		spec := ckks.PN16
-		decL := 2
-		if opt.Fast {
-			spec = ckks.TestParams
-			decL = 2
-		}
-		encMS, decMS, err := baseline.MeasureCPU(spec, decL, 1)
-		if err == nil {
-			r.Rows = append(r.Rows,
-				[]string{"Go CKKS on this host", "enc", fmt.Sprintf("%.4f", encMS), f1(encMS / enc.TimeMS), string(baseline.Measured)},
-				[]string{"Go CKKS on this host", "dec", fmt.Sprintf("%.4f", decMS), f1(decMS / dec.TimeMS), string(baseline.Measured)})
-		}
-	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("ABC-FHE simulated: enc %.4f ms (DRAM-bound: %.0f compute vs %.0f DRAM cycles), dec %.4f ms",
 			enc.TimeMS, enc.ComputeCycles, enc.DRAMCycles, dec.TimeMS),
@@ -407,105 +389,5 @@ func archsweep(opt Options) Result {
 	r.Notes = append(r.Notes,
 		"area x delay (mm^2 x ms) is the efficiency figure of merit; DRAM-bound points stop improving in delay",
 		"not a paper figure — extension-scope DSE per DESIGN.md")
-	return r
-}
-
-// swlanes: software-lane sweep — the Go client's EncodeEncrypt and
-// DecryptDecode measured at worker counts 1/2/4/8, the same axis the
-// paper sweeps in hardware lanes (Fig. 5b). Every limb-wise kernel in
-// internal/ring dispatches through internal/lanes; this experiment is the
-// end-to-end check that the software lanes scale (up to what the host's
-// GOMAXPROCS allows) while producing bit-identical ciphertexts.
-func swlanes(opt Options) Result {
-	spec := ckks.PN15
-	iters := 3
-	if opt.Fast {
-		spec = ckks.TestParams
-		iters = 20
-	}
-	r := Result{
-		ID:    "swlanes",
-		Title: "Extension: software PNL-lane sweep (worker pool vs serial client)",
-		Description: fmt.Sprintf("Go client at N=2^%d, %d limbs; workers are goroutine lanes over the\n"+
-			"same per-limb kernels the accelerator streams (host GOMAXPROCS=%d).",
-			spec.LogN, spec.Limbs, runtime.GOMAXPROCS(0)),
-		Header: []string{"workers", "enc+encode (ms)", "dec+decode (ms)", "enc speed-up", "dec speed-up"},
-	}
-	var enc1, dec1 float64
-	for _, w := range []int{1, 2, 4, 8} {
-		if w > 2*runtime.GOMAXPROCS(0) && w > 2 {
-			// Oversubscribing far past the host's cores only adds noise.
-			break
-		}
-		encMS, decMS, err := baseline.MeasureCPULanes(spec, 2, iters, w)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("workers=%d failed: %v", w, err))
-			continue
-		}
-		if w == 1 {
-			enc1, dec1 = encMS, decMS
-		}
-		encSp, decSp := 0.0, 0.0
-		if encMS > 0 {
-			encSp = enc1 / encMS
-		}
-		if decMS > 0 {
-			decSp = dec1 / decMS
-		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("%d", w), f3(encMS), f3(decMS), f2(encSp), f2(decSp),
-		})
-	}
-	r.Notes = append(r.Notes,
-		"same seed produces byte-identical ciphertexts at every worker count (asserted by TestLaneDeterminism)",
-		"speed-ups saturate at the host's core count; the paper's Fig. 5b saturates at the LPDDR5 ceiling instead")
-	return r
-}
-
-// decodeSweep: the inbound-pipeline counterpart of swlanes — DecryptDecode
-// at the paper's 2-limb return level, measured across software lane counts
-// with heap allocations per op. The decode datapath is the allocation-free
-// fast CRT combine (internal/rns fastcrt.go); before it existed the
-// big.Int path cost ~9.7k allocs/op on the Test preset.
-func decodeSweep(opt Options) Result {
-	spec := ckks.PN15
-	iters := 5
-	if opt.Fast {
-		spec = ckks.TestParams
-		iters = 50
-	}
-	r := Result{
-		ID:    "decode",
-		Title: "Extension: decode lane sweep (fast Combine-CRT, dec at 2 limbs)",
-		Description: fmt.Sprintf("Go client at N=2^%d decoding server-return ciphertexts; the combine\n"+
-			"stage runs word-arithmetic centered lifts from pooled scratch, fanned\n"+
-			"out in coefficient blocks across the lanes (host GOMAXPROCS=%d).",
-			spec.LogN, runtime.GOMAXPROCS(0)),
-		Header: []string{"workers", "dec+decode (ms)", "speed-up", "allocs/op"},
-	}
-	var dec1 float64
-	for _, w := range []int{1, 2, 4, 8} {
-		if w > 2*runtime.GOMAXPROCS(0) && w > 2 {
-			break // oversubscribing far past the host's cores only adds noise
-		}
-		decMS, allocs, err := baseline.MeasureDecode(spec, 2, iters, w)
-		if err != nil {
-			r.Notes = append(r.Notes, fmt.Sprintf("workers=%d failed: %v", w, err))
-			continue
-		}
-		if w == 1 {
-			dec1 = decMS
-		}
-		sp := 0.0
-		if decMS > 0 {
-			sp = dec1 / decMS
-		}
-		r.Rows = append(r.Rows, []string{
-			fmt.Sprintf("%d", w), f3(decMS), f2(sp), f0(allocs),
-		})
-	}
-	r.Notes = append(r.Notes,
-		"fast combine agreement with the big.Int oracle is pinned by property/fuzz tests at every level of every preset (internal/rns)",
-		"decoded slot values are bit-identical at any worker count (TestDecodeDeterminismAcrossWorkers)")
 	return r
 }

@@ -11,7 +11,7 @@
 // split a sequential PRNG sample stream across tasks; sampling code draws
 // the stream serially and parallelizes only the per-limb expansion (see
 // ring.sharedSigned). Under that rule the same seed yields bit-identical
-// results at any worker count, which TestLaneDeterminism asserts.
+// results at any worker count, which ring.TestLaneEngineDeterminism asserts.
 package lanes
 
 import (
