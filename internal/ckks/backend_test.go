@@ -87,14 +87,15 @@ func TestBackendEquivalence(t *testing.T) {
 // ModUpInto (P → Q_ℓ) → NTT → rounding divide, and the closing INTT. It
 func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, perm []int32) (out [2]*ring.Poly) {
 	k := p.SpecialLimbs
-	rl, rqp := p.RingAt(level), p.RingQPAt(level)
+	rl, qp := p.RingAt(level), p.qpAt(level)
+	rqp := qp.ring
 	s := [2]*ring.Poly{rqp.NewPoly(), rqp.NewPoly()}
 	kqp := p.RingQPAt(ksk.Level)
 	for j := 0; j < p.DnumAt(level); j++ {
 		h0, h1 := wideRow(kqp, ksk.H0, j), wideRow(kqp, ksk.H1, j)
 		lo, hi := p.groupRange(level, j)
 		d := rqp.NewPoly()
-		rqp.ModUpInto(p.groupExtender(level, j), c.Coeffs[lo:hi], d)
+		rqp.ModUpInto(qp.grp[j], c.Coeffs[lo:hi], d)
 		rqp.NTT(d)
 		for m := 0; m < level+k; m++ {
 			km := m // the key's P tail sits after all ksk.Level of its Q rows
@@ -118,7 +119,7 @@ func stagedSwitch(p *Parameters, c *ring.Poly, level int, ksk *SwitchingKey, per
 		accP := &ring.Poly{Coeffs: acc.Coeffs[level:], IsNTT: true}
 		p.ringP.INTT(accP)
 		ext := rl.NewPoly()
-		rl.ModUpInto(p.modDownExtender(level), accP.Coeffs, ext)
+		rl.ModUpInto(qp.down, accP.Coeffs, ext)
 		rl.NTT(ext)
 		out[h] = rl.NewPoly()
 		out[h].IsNTT = true

@@ -9,8 +9,10 @@ import (
 	"math"
 	"math/cmplx"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/lanes"
 	"repro/internal/prng"
 	"repro/internal/ring"
 )
@@ -300,4 +302,71 @@ func TestHybridRequiresSpecialPrimes(t *testing.T) {
 		}
 	}()
 	kg.GenRelinearizationKeyHybridAt(p.MaxLevel())
+}
+
+// TestParametersShareOneBinding: every ring view of a parameter set — the
+// level views, the special-prime ring and the Q·P views, built before or
+// after the change — reports the engine and backend SetWorkers and
+// SetBackend installed, and the shared default engine after Close. The
+// byte-identity suites cannot see a view left on the wrong binding: both
+// bindings, and every engine, emit the same bytes.
+func TestParametersShareOneBinding(t *testing.T) {
+	p := TestParams.MustBuild()
+	qp1, qpTop := p.RingQPAt(1), p.RingQPAt(p.MaxLevel()) // built before the change
+	p.SetBackend(lanes.Portable)
+	p.SetWorkers(3)
+	views := func() []*ring.Ring {
+		vs := append([]*ring.Ring(nil), p.RingP(), qp1, qpTop)
+		for l := 1; l <= p.MaxLevel(); l++ {
+			vs = append(vs, p.RingAt(l), p.RingQPAt(l))
+		}
+		return vs
+	}
+	e := p.Ring().Engine()
+	if e == lanes.Default() || e.Workers() != 3 {
+		t.Fatalf("SetWorkers(3) left the ring on %d workers (default engine: %v)", e.Workers(), e == lanes.Default())
+	}
+	for i, r := range views() {
+		if r.Backend() != lanes.Portable || r.Engine() != e {
+			t.Fatalf("view %d (%d limbs): backend %s, on the set's engine %v; want portable on the set's engine",
+				i, r.K(), r.Backend().Name(), r.Engine() == e)
+		}
+	}
+	p.Close()
+	for i, r := range views() {
+		if r.Engine() != lanes.Default() {
+			t.Fatalf("view %d (%d limbs) kept a closed engine", i, r.K())
+		}
+	}
+}
+
+// TestHybridGeometryBuiltOnce: goroutines racing to the first use of a
+// level's key-switch geometry all get the one Q·P ring, and the record
+// holds one extender per decomposition group beside it.
+func TestHybridGeometryBuiltOnce(t *testing.T) {
+	p := TestParams.MustBuild()
+	const racers = 4
+	got := make([][]*ring.Ring, racers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := 1; l <= p.MaxLevel(); l++ {
+				got[w] = append(got[w], p.RingQPAt(l))
+			}
+		}()
+	}
+	wg.Wait()
+	for l := 1; l <= p.MaxLevel(); l++ {
+		r := got[0][l-1]
+		for w := 1; w < racers; w++ {
+			if got[w][l-1] != r {
+				t.Fatalf("level %d: racer %d got another Q·P ring", l, w)
+			}
+		}
+		if g := p.qpAt(l); r.K() != l+p.SpecialLimbs || len(g.grp) != p.DnumAt(l) || g.down == nil {
+			t.Fatalf("level %d: %d-limb Q·P ring, %d group extenders", l, r.K(), len(g.grp))
+		}
+	}
 }

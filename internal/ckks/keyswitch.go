@@ -261,26 +261,6 @@ func (g *reducedGroup) raiseLimb(rqp *ring.Ring, m int, row []uint64) {
 	g.counts.digitNTT()
 }
 
-// runGroupChunks runs fn over (group, coefficient-range) tasks as one
-// lane dispatch, carving [0, n) the way lanes.RunChunks does (~4 chunks
-// per worker, capped at n) so the reduce stages load-balance alike.
-func runGroupChunks(eng *lanes.Engine, groups, n int, fn func(g, lo, hi int)) {
-	chunks := eng.Workers()
-	if chunks > 1 {
-		chunks *= 4
-	}
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
-	eng.Run(groups*chunks, func(t int) {
-		lo := (t % chunks) * size
-		if hi := min(lo+size, n); lo < hi {
-			fn(t/chunks, lo, hi)
-		}
-	})
-}
-
 // reduceGroups is stage 1: the source reduction of every decomposition
 // group of c (coefficient domain, `level` limbs), chunked over
 // coefficients. cn, when non-nil, is c's NTT-domain form; the digit rows
@@ -291,19 +271,19 @@ func (p *Parameters) reduceGroups(c, cn *ring.Poly, level int) []reducedGroup {
 		panic("ckks: key switch expects a coefficient-domain input and an optional NTT-domain copy")
 	}
 	n := p.N()
-	// Tables first, outside the lane tasks (they take p.hybridMu).
-	grp := make([]reducedGroup, p.DnumAt(level))
+	qp := p.qpAt(level)
+	grp := make([]reducedGroup, len(qp.grp))
 	for j := range grp {
 		lo, hi := p.groupRange(level, j)
 		grp[j] = reducedGroup{
-			src: c.Coeffs[lo:hi], lo: lo, ext: p.groupExtender(level, j),
+			src: c.Coeffs[lo:hi], lo: lo, ext: qp.grp[j],
 			y: lanes.GetMatrix(hi-lo, n), v: lanes.GetSlab(n), counts: p.counts,
 		}
 		if cn != nil {
 			grp[j].srcNTT = cn.Coeffs[lo:hi]
 		}
 	}
-	runGroupChunks(p.RingQPAt(level).Engine(), len(grp), n, func(j, lo, hi int) {
+	qp.ring.Engine().RunGroupChunks(len(grp), n, func(j, lo, hi int) {
 		g := grp[j]
 		g.ext.ReduceRange(g.src, g.y.Rows, g.v, lo, hi)
 	})
@@ -420,9 +400,8 @@ func (p *Parameters) modDownPair(s0, s1 *ring.Poly, level int, acc0, acc1 *ring.
 // transform-then-divide order gives, without the forward NTT.
 func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 	n, k := p.N(), p.SpecialLimbs
-	rq, rqp := p.RingAt(level), p.RingQPAt(level)
+	rq, qp := p.RingAt(level), p.qpAt(level)
 	eng := rq.Engine()
-	mext := p.modDownExtender(level)
 	var s, out [2]*ring.Poly // arrays the lane closures copy: no heap escape
 	for h := range src {
 		s[h], out[h] = src[h], dst[h]
@@ -442,8 +421,8 @@ func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 		yP[h] = lanes.GetMatrix(k, n)
 		vP[h] = lanes.GetSlab(n)
 	}
-	runGroupChunks(eng, halves, n, func(h, lo, hi int) {
-		mext.ReduceRange(s[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
+	eng.RunGroupChunks(halves, n, func(h, lo, hi int) {
+		qp.down.ReduceRange(s[h].Coeffs[level:], yP[h].Rows, vP[h], lo, hi)
 	})
 
 	// Stage 5: per-limb combine → rounding divide into the caller's
@@ -451,7 +430,7 @@ func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 	eng.Run(halves*level, func(t int) {
 		h, i := t/level, t%level
 		row := lanes.GetSlab(n)
-		mext.CombineLimb(i, yP[h].Rows, vP[h], row, 0, n)
+		qp.down.CombineLimb(i, yP[h].Rows, vP[h], row, 0, n)
 		inv, oi := p.pInvModQ[i], out[h].Coeffs[i]
 		if closeNTT {
 			rq.MulScalarAddRow(i, inv, s[h].Coeffs[i], oi)
@@ -470,7 +449,7 @@ func (p *Parameters) modDown(src, dst []*ring.Poly, level int, closeNTT bool) {
 		}
 		lanes.PutMatrix(yP[h])
 		lanes.PutSlab(vP[h])
-		rqp.PutPoly(s[h])
+		qp.ring.PutPoly(s[h])
 	}
 }
 

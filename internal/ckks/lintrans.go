@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,21 +124,23 @@ func (lt *LinearTransform) GiantSteps() []int { return append([]int(nil), lt.gia
 
 // Rotations returns the nonzero rotation steps the evaluation needs keys
 // for: the union of baby and giant steps, ascending.
-func (lt *LinearTransform) Rotations() []int {
-	set := map[int]bool{}
-	for _, s := range lt.babySteps {
-		set[s] = true
+func (lt *LinearTransform) Rotations() []int { return RotationSet(lt.babySteps, lt.giantSteps) }
+
+// RotationSet is the one rule every rotation-key set follows: the union
+// of the given step lists, 0 dropped (the identity needs no key),
+// ascending. Key owners and transform builders both derive their sets
+// through it, so the two agree by construction.
+func RotationSet(lists ...[]int) []int {
+	out := []int{}
+	for _, l := range lists {
+		for _, s := range l {
+			if s != 0 {
+				out = append(out, s)
+			}
+		}
 	}
-	for _, s := range lt.giantSteps {
-		set[s] = true
-	}
-	delete(set, 0)
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // BSGSSteps splits normalized diagonal indices by block size n1 and
@@ -513,20 +516,13 @@ func (enc *Encoder) NewHomomorphicDFT(cfg HomomorphicDFTConfig) *HomomorphicDFT 
 // pipeline needs, ascending (the conjugation key is needed additionally —
 // CoeffsToSlots' real/imaginary split uses it).
 func (dft *HomomorphicDFT) Rotations() []int {
-	set := map[int]bool{}
+	var steps [][]int
 	for _, lts := range [][]*LinearTransform{dft.C2S, dft.S2C} {
 		for _, lt := range lts {
-			for _, s := range lt.Rotations() {
-				set[s] = true
-			}
+			steps = append(steps, lt.babySteps, lt.giantSteps)
 		}
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return RotationSet(steps...)
 }
 
 // HomomorphicDFTRotations computes the rotation set a homomorphic DFT
@@ -541,26 +537,14 @@ func HomomorphicDFTRotations(slots, levels int) []int {
 	if slots < 2 || slots != 1<<uint(logn) {
 		panic("ckks: slot count must be a power of two")
 	}
-	set := map[int]bool{}
+	var steps [][]int
 	for _, inverse := range []bool{true, false} {
 		for _, idx := range fftfp.DFTDiagIndices(logn, levels, inverse) {
-			n1 := OptimalN1(slots, idx)
-			babies, giants := BSGSSteps(slots, idx, n1)
-			for _, s := range babies {
-				set[s] = true
-			}
-			for _, s := range giants {
-				set[s] = true
-			}
+			babies, giants := BSGSSteps(slots, idx, OptimalN1(slots, idx))
+			steps = append(steps, babies, giants)
 		}
 	}
-	delete(set, 0)
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return RotationSet(steps...)
 }
 
 // CoeffsToSlots homomorphically moves the plaintext polynomial's

@@ -25,7 +25,6 @@ import (
 	"repro/internal/fftfp"
 	"repro/internal/lanes"
 	"repro/internal/mod"
-	"repro/internal/ntt"
 	"repro/internal/primes"
 	"repro/internal/ring"
 	"repro/internal/rns"
@@ -48,8 +47,10 @@ type Parameters struct {
 	// key switching: no evaluation keys can be generated or imported.
 	SpecialLimbs int
 
+	// ringQ, its level views and ringP share one binding (engine and
+	// backend), and so does every Q·P view Join builds from ringQ.
 	ringQ    *ring.Ring
-	levels   []*ring.Ring // levels[l-1]: cached view at level l (AtLevel rebuilds CRT tables — too hot for per-op calls)
+	levels   []*ring.Ring // levels[l-1]: cached view at level l (AtLevel builds CRT tables — too hot for per-op calls)
 	embedder *fftfp.Embedder
 
 	engMu    sync.Mutex    // guards ownedEng: Close may race Close (and a late SetWorkers) during teardown
@@ -61,21 +62,23 @@ type Parameters struct {
 	ringP    *ring.Ring // ring over P (NTT tables for the special limbs)
 	pModQ    []uint64   // P mod q_i — the hybrid gadget factor per limb
 	pInvModQ []uint64   // P^{-1} mod q_i — the ModDown divisor per limb
+	qp       []qpLevel  // qp[l-1]: level l's key-switch geometry (qpAt)
 
 	pow2 []pow2Table // 2^e mod q per prime, Q chain then P chain (encodeCoeff, encodeConstInto)
 
 	counts *switchCounts // key-switch tallies; set only by tests, nil in production
+}
 
-	// Lazily built, mutex-guarded hybrid caches: extended-basis ring views
-	// (q_0..q_{ℓ-1}, p_0..p_{k-1} is not a prefix of any single chain, so
-	// level views cannot ride rns.Basis.Sub) and the basis extenders for
-	// decomposition groups and for the ModDown P→Q_ℓ conversion.
-	hybridMu   sync.Mutex
-	qpRings    map[int]*ring.Ring       // level → QP ring view
-	grpExt     map[[2]int]*rns.Extender // (level, group) → group → QP_ℓ extender
-	pExt       map[int]*rns.Extender    // level → P → Q_ℓ extender
-	curEng     *lanes.Engine            // engine mirrored onto lazily created views
-	curBackend lanes.Backend            // backend mirrored onto lazily created views
+// qpLevel is the hybrid key-switch geometry of one level ℓ, built once on
+// first use: the extended-basis ring view over q_0..q_{ℓ-1}, p_0..p_{k-1}
+// (not a prefix of any single chain, so it cannot ride AtLevel), the
+// basis extender of every decomposition group to that basis, and the
+// P → Q_ℓ extender ModDown divides through.
+type qpLevel struct {
+	once sync.Once
+	ring *ring.Ring
+	grp  []*rns.Extender // grp[j]: group j's primes → Q_ℓ·P
+	down *rns.Extender   // P → Q_ℓ
 }
 
 // Preset parameter sets.
@@ -206,10 +209,11 @@ func (s ParamSpec) Build() (*Parameters, error) {
 
 	if s.SpecialLimbs > 0 {
 		p.specials = all[s.Limbs:]
-		p.ringP, err = ring.NewRing(1<<uint(s.LogN), p.specials)
+		p.ringP, err = r.Sibling(p.specials)
 		if err != nil {
 			return nil, err
 		}
+		p.qp = make([]qpLevel, s.Limbs)
 		p.pModQ = make([]uint64, s.Limbs)
 		p.pInvModQ = make([]uint64, s.Limbs)
 		for i, m := range r.Basis.Moduli {
@@ -289,53 +293,20 @@ func (p *Parameters) SetWorkers(n int) {
 		p.ownedEng.Close()
 	}
 	p.ownedEng = lanes.New(n)
-	e := p.ownedEng
+	p.ringQ.SetEngine(p.ownedEng)
 	p.engMu.Unlock()
-	p.setEngineAll(e)
-}
-
-// setEngineAll installs e on the full ring, every cached level view, the
-// special-prime ring, and any extended-basis views built so far (views
-// built later inherit it through curEng).
-func (p *Parameters) setEngineAll(e *lanes.Engine) {
-	for _, rl := range p.levels {
-		rl.SetEngine(e)
-	}
-	if p.ringP != nil {
-		p.ringP.SetEngine(e)
-	}
-	p.hybridMu.Lock()
-	p.curEng = e
-	for _, r := range p.qpRings {
-		r.SetEngine(e)
-	}
-	p.hybridMu.Unlock()
 }
 
 // Workers reports the current lane count.
 func (p *Parameters) Workers() int { return p.ringQ.Engine().Workers() }
 
-// SetBackend rebinds every limb kernel of this parameter set to b: the
-// full ring, every cached level view, the special-prime ring and any
-// extended-basis views built so far (views built later inherit it
-// through curBackend). Parameters start on lanes.Fast; tests bind
-// lanes.Portable, the spec-shaped reference, to compare the two.
-// Outputs are byte-identical under either (and at any worker count); call
-// before sharing the parameters across goroutines.
-func (p *Parameters) SetBackend(b lanes.Backend) {
-	for _, rl := range p.levels {
-		rl.SetBackend(b)
-	}
-	if p.ringP != nil {
-		p.ringP.SetBackend(b)
-	}
-	p.hybridMu.Lock()
-	p.curBackend = b
-	for _, r := range p.qpRings {
-		r.SetBackend(b)
-	}
-	p.hybridMu.Unlock()
-}
+// SetBackend rebinds every limb kernel of this parameter set to b through
+// the one binding the full ring, its level views, the special-prime ring
+// and every Q·P view share — built already or later. Parameters start on
+// lanes.Fast; tests bind lanes.Portable, the spec-shaped reference, to
+// compare the two. Outputs are byte-identical under either (and at any
+// worker count); call before sharing the parameters across goroutines.
+func (p *Parameters) SetBackend(b lanes.Backend) { p.ringQ.SetBackend(b) }
 
 // Backend reports the backend the parameter set's kernels are bound to.
 func (p *Parameters) Backend() lanes.Backend { return p.ringQ.Backend() }
@@ -348,12 +319,11 @@ func (p *Parameters) Backend() lanes.Backend { return p.ringQ.Backend() }
 // close.
 func (p *Parameters) Close() {
 	p.engMu.Lock()
-	e := p.ownedEng
-	p.ownedEng = nil
-	p.engMu.Unlock()
-	if e != nil {
-		e.Close()
-		p.setEngineAll(nil)
+	defer p.engMu.Unlock()
+	if p.ownedEng != nil {
+		p.ownedEng.Close()
+		p.ownedEng = nil
+		p.ringQ.SetEngine(nil)
 	}
 }
 
@@ -386,34 +356,32 @@ func (p *Parameters) RingP() *ring.Ring {
 	return p.ringP
 }
 
-// RingQPAt returns the (cached) extended-basis ring over q_0..q_{level-1},
+// RingQPAt returns the extended-basis ring over q_0..q_{level-1},
 // p_0..p_{k-1} — the basis hybrid switching keys and hoisted digits live
-// in. The view shares the Q and P NTT tables (no table rebuild); only the
-// per-view RNS constants are constructed, once, under the lock.
-func (p *Parameters) RingQPAt(level int) *ring.Ring {
+// in. The view shares the Q and P NTT tables and the parameter set's
+// binding; it is built once per level, with the level's extenders (qpAt).
+func (p *Parameters) RingQPAt(level int) *ring.Ring { return p.qpAt(level).ring }
+
+// qpAt returns level's key-switch geometry, building it on first use.
+func (p *Parameters) qpAt(level int) *qpLevel {
 	if p.SpecialLimbs == 0 {
-		panic("ckks: RingQPAt on parameters without special primes")
+		panic("ckks: hybrid geometry on parameters without special primes")
 	}
 	if level < 1 || level > p.Limbs {
 		panic("ckks: level out of range")
 	}
-	p.hybridMu.Lock()
-	defer p.hybridMu.Unlock()
-	if r, ok := p.qpRings[level]; ok {
-		return r
-	}
-	primes := make([]uint64, 0, level+p.SpecialLimbs)
-	primes = append(primes, p.qPrimes[:level]...)
-	primes = append(primes, p.specials...)
-	tables := append(append([]*ntt.Table(nil), p.ringQ.Tables[:level]...), p.ringP.Tables...)
-	r := &ring.Ring{N: p.N(), LogN: p.LogN, Basis: rns.MustBasis(primes), Tables: tables}
-	r.SetEngine(p.curEng)
-	r.SetBackend(p.curBackend)
-	if p.qpRings == nil {
-		p.qpRings = make(map[int]*ring.Ring)
-	}
-	p.qpRings[level] = r
-	return r
+	g := &p.qp[level-1]
+	g.once.Do(func() {
+		g.ring = p.ringQ.Join(level, p.ringP)
+		dst := g.ring.Basis.Primes()
+		g.grp = make([]*rns.Extender, p.DnumAt(level))
+		for j := range g.grp {
+			lo, hi := p.groupRange(level, j)
+			g.grp[j] = rns.MustExtender(p.qPrimes[lo:hi], dst)
+		}
+		g.down = rns.MustExtender(p.specials, p.qPrimes[:level])
+	})
+	return g
 }
 
 // groupRange returns the limb span [lo, hi) of decomposition group j at
@@ -425,42 +393,6 @@ func (p *Parameters) groupRange(level, j int) (int, int) {
 		hi = level
 	}
 	return lo, hi
-}
-
-// groupExtender returns (building and caching on first use) the basis
-// extender from decomposition group j's primes to the full QP_ℓ basis.
-func (p *Parameters) groupExtender(level, j int) *rns.Extender {
-	p.hybridMu.Lock()
-	defer p.hybridMu.Unlock()
-	key := [2]int{level, j}
-	if e, ok := p.grpExt[key]; ok {
-		return e
-	}
-	lo, hi := p.groupRange(level, j)
-	dst := make([]uint64, 0, level+p.SpecialLimbs)
-	dst = append(dst, p.qPrimes[:level]...)
-	dst = append(dst, p.specials...)
-	e := rns.MustExtender(p.qPrimes[lo:hi], dst)
-	if p.grpExt == nil {
-		p.grpExt = make(map[[2]int]*rns.Extender)
-	}
-	p.grpExt[key] = e
-	return e
-}
-
-// modDownExtender returns the P → Q_ℓ extender ModDown uses.
-func (p *Parameters) modDownExtender(level int) *rns.Extender {
-	p.hybridMu.Lock()
-	defer p.hybridMu.Unlock()
-	if e, ok := p.pExt[level]; ok {
-		return e
-	}
-	e := rns.MustExtender(p.specials, p.qPrimes[:level])
-	if p.pExt == nil {
-		p.pExt = make(map[int]*rns.Extender)
-	}
-	p.pExt[level] = e
-	return e
 }
 
 // Embedder exposes the canonical-embedding FFT tables.

@@ -173,7 +173,7 @@ offer:
 	}
 }
 
-// chunkOversubscribe is how many chunks RunChunks carves per worker.
+// chunkOversubscribe is how many chunks RunGroupChunks carves per worker.
 // Chunks are claimed through Run's work-stealing cursor, so a worker
 // that finishes early (or joins late because the pool was busy) picks up
 // the tail another lane would otherwise idle through — the CRT-combine
@@ -185,13 +185,20 @@ const chunkOversubscribe = 4
 // RunChunks splits [0, n) into contiguous chunks and runs fn(lo, hi) for
 // each — the shape coefficient-indexed kernels (encode's RNS expansion,
 // decode's CRT combine, ModUp base conversion) want, where per-index
-// dispatch would be all overhead. It carves chunkOversubscribe chunks per
-// worker and lets Run's cursor balance them, so uneven per-chunk cost no
-// longer pins the whole call to the slowest fixed assignment. Chunk
-// boundaries are an execution detail: fn must compute per-index results
-// that do not depend on the partition (every caller here does — disjoint
-// output indices, pure per-coefficient arithmetic).
+// dispatch would be all overhead. It is RunGroupChunks with one group.
 func (e *Engine) RunChunks(n int, fn func(lo, hi int)) {
+	e.RunGroupChunks(1, n, func(_, lo, hi int) { fn(lo, hi) })
+}
+
+// RunGroupChunks runs fn(g, lo, hi) for every group g < groups and every
+// contiguous chunk [lo, hi) of [0, n), as one dispatch — the key switch's
+// per-group source reductions. It carves chunkOversubscribe chunks per
+// worker (capped at n) and lets Run's cursor balance them, so uneven
+// per-chunk cost no longer pins the whole call to the slowest fixed
+// assignment. Chunk boundaries are an execution detail: fn must compute
+// per-index results that do not depend on the partition (every caller
+// here does — disjoint output indices, pure per-coefficient arithmetic).
+func (e *Engine) RunGroupChunks(groups, n int, fn func(g, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -199,22 +206,18 @@ func (e *Engine) RunChunks(n int, fn func(lo, hi int)) {
 	if chunks > 1 {
 		chunks *= chunkOversubscribe
 	}
-	if chunks > n {
-		chunks = n
-	}
+	chunks = min(chunks, n)
 	if chunks == 1 {
-		fn(0, n)
+		for g := 0; g < groups; g++ {
+			fn(g, 0, n)
+		}
 		return
 	}
 	size := (n + chunks - 1) / chunks
-	e.Run(chunks, func(c int) {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		if lo < hi {
-			fn(lo, hi)
+	e.Run(groups*chunks, func(t int) {
+		lo := (t % chunks) * size
+		if hi := min(lo+size, n); lo < hi {
+			fn(t/chunks, lo, hi)
 		}
 	})
 }

@@ -20,14 +20,22 @@ import (
 	"repro/internal/rns"
 )
 
-// Ring bundles a degree, an RNS basis, per-limb NTT tables, and the lane
-// engine its limb-wise kernels run on.
+// Ring bundles a degree, an RNS basis, per-limb NTT tables, and the
+// binding its limb-wise kernels run on.
 type Ring struct {
 	N      int
 	LogN   int
 	Basis  *rns.Basis
 	Tables []*ntt.Table // one per limb
 
+	b *binding // shared with every view derived from this ring
+}
+
+// binding is the kernel setting a ring and every view derived from it
+// (AtLevel, Sibling, Join) share: the lane engine and the backend. A
+// change through any of them reaches all, the way one PNL configuration
+// serves every limb the chip streams.
+type binding struct {
 	eng     *lanes.Engine // nil ⇒ lanes.Default()
 	backend lanes.Backend // zero value: lanes.Fast
 }
@@ -39,7 +47,7 @@ func NewRing(n int, primes []uint64) (*Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Ring{N: n, Basis: basis}
+	r := &Ring{N: n, Basis: basis, b: &binding{}}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -68,47 +76,64 @@ func MustRing(n int, primes []uint64) *Ring {
 // K returns the number of limbs.
 func (r *Ring) K() int { return r.Basis.K() }
 
+// Sibling returns a ring of the same degree over other primes that shares
+// r's binding — the special-prime ring P beside the Q chain.
+func (r *Ring) Sibling(primes []uint64) (*Ring, error) {
+	s, err := NewRing(r.N, primes)
+	if err != nil {
+		return nil, err
+	}
+	s.b = r.b
+	return s, nil
+}
+
 // SetEngine pins the ring's limb-wise kernels to e (nil restores the
-// shared default engine). Set before concurrent use; level views created
-// afterwards inherit it.
-func (r *Ring) SetEngine(e *lanes.Engine) { r.eng = e }
+// shared default engine), for this ring and every view sharing its
+// binding. Set before concurrent use.
+func (r *Ring) SetEngine(e *lanes.Engine) { r.b.eng = e }
 
 // Engine returns the lane engine limb-wise kernels dispatch through.
 func (r *Ring) Engine() *lanes.Engine {
-	if r.eng != nil {
-		return r.eng
+	if e := r.b.eng; e != nil {
+		return e
 	}
 	return lanes.Default()
 }
 
-// SetBackend binds the ring's limb kernels to b. Tests bind
-// lanes.Portable to compare the reference kernels against the fast ones;
-// production rings keep the zero value, lanes.Fast. Like SetEngine, call
-// before concurrent use; level views created afterwards inherit it. The
+// SetBackend binds the limb kernels of this ring and of every view
+// sharing its binding to b. Tests bind lanes.Portable to compare the
+// reference kernels against the fast ones; production rings keep the
+// zero value, lanes.Fast. Like SetEngine, call before concurrent use. The
 // binding never changes results — both produce byte-identical
 // polynomials — only the inner loops the kernels run.
-func (r *Ring) SetBackend(b lanes.Backend) { r.backend = b }
+func (r *Ring) SetBackend(b lanes.Backend) { r.b.backend = b }
 
 // Backend returns the binding limb kernels run.
-func (r *Ring) Backend() lanes.Backend { return r.backend }
+func (r *Ring) Backend() lanes.Backend { return r.b.backend }
 
-// AtLevel returns a view of the ring restricted to the first `level` limbs.
-// Tables and the lane engine are shared, and the sub-basis (with its CRT
-// and fast-combine tables) is memoized inside rns.Basis, so repeated views
-// of the same level are cheap. ckks.Parameters.RingAt additionally caches
-// the Ring wrappers themselves for the hot paths.
+// AtLevel returns a view of the ring restricted to the first `level`
+// limbs. The view shares the NTT tables and the binding, so a later
+// SetEngine or SetBackend on either reaches both; only the prefix basis
+// (its CRT and fast-combine tables) is built, so callers on hot paths
+// cache the views (ckks.Parameters.RingAt).
 func (r *Ring) AtLevel(level int) *Ring {
 	if level < 1 || level > r.K() {
 		panic("ring: level out of range")
 	}
-	return &Ring{
-		N:       r.N,
-		LogN:    r.LogN,
-		Basis:   r.Basis.Sub(level),
-		Tables:  r.Tables[:level],
-		eng:     r.eng,
-		backend: r.backend,
+	return &Ring{N: r.N, LogN: r.LogN, Basis: r.Basis.Sub(level), Tables: r.Tables[:level], b: r.b}
+}
+
+// Join returns the ring over r's first `level` limbs followed by every
+// limb of s — the extended basis Q_ℓ·P hybrid key switching raises to.
+// It shares both rings' NTT tables and r's binding; only the joined basis
+// is built.
+func (r *Ring) Join(level int, s *Ring) *Ring {
+	if level < 1 || level > r.K() || s.N != r.N {
+		panic("ring: Join out of range")
 	}
+	primes := append(r.Basis.Primes()[:level:level], s.Basis.Primes()...)
+	tables := append(r.Tables[:level:level], s.Tables...)
+	return &Ring{N: r.N, LogN: r.LogN, Basis: rns.MustBasis(primes), Tables: tables, b: r.b}
 }
 
 // Poly is an RNS polynomial: Coeffs[i][j] is coefficient j mod prime i.

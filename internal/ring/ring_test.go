@@ -316,6 +316,39 @@ func TestEngineInheritedByLevelView(t *testing.T) {
 	}
 }
 
+// TestJoinSharesTablesAndBinding: Sibling and Join build rings that share
+// the parent's binding, and Join's basis is the parent's prefix followed
+// by the sibling's primes over the two rings' own NTT tables.
+func TestJoinSharesTablesAndBinding(t *testing.T) {
+	all := primes.GenerateNTTPrimes(5, 30, 8)
+	q := MustRing(256, all[:3])
+	p, err := q.Sibling(all[3:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp := q.Join(2, p)
+	want := []uint64{all[0], all[1], all[3], all[4]}
+	for i, pr := range qp.Basis.Primes() {
+		if pr != want[i] {
+			t.Fatalf("joined prime %d = %d, want %d", i, pr, want[i])
+		}
+	}
+	if qp.K() != len(want) || qp.Tables[1] != q.Tables[1] || qp.Tables[2] != p.Tables[0] {
+		t.Fatal("Join must reuse the prefix's and the sibling's NTT tables")
+	}
+	e := lanes.New(2)
+	defer e.Close()
+	p.SetEngine(e)
+	p.SetBackend(lanes.Portable)
+	for _, r := range []*Ring{q, q.AtLevel(1), p, qp} {
+		if r.Engine() != e || r.Backend() != lanes.Portable {
+			t.Fatal("every view must share one binding")
+		}
+	}
+	mustPanic(t, func() { q.Join(0, p) })
+	mustPanic(t, func() { q.Join(4, p) })
+}
+
 // TestGetPolyZeroesReusedSlab: a pooled polynomial of fewer limbs than the
 // idle slab it reuses comes back all zero.
 func TestGetPolyZeroesReusedSlab(t *testing.T) {

@@ -23,9 +23,9 @@ import (
 
 // Basis is an RNS basis: a list of pairwise-coprime word-sized primes with
 // the constants needed for expansion and CRT reconstruction. All fields
-// are immutable after NewBasis; the scratch pool and sub-basis cache are
-// internally synchronized, so a Basis is safe for concurrent use. Always
-// share a Basis by pointer (it owns sync primitives).
+// are immutable after NewBasis and the scratch pool is internally
+// synchronized, so a Basis is safe for concurrent use. Always share a
+// Basis by pointer (it owns a sync.Pool).
 type Basis struct {
 	Moduli []mod.Modulus
 	Q      *big.Int // product of all moduli
@@ -38,9 +38,6 @@ type Basis struct {
 	fast *fastCRT // word-level tables for the allocation-free combine
 
 	scratch sync.Pool // *bigScratch, reused by the exact big.Int paths
-
-	subMu sync.Mutex
-	subs  map[int]*Basis // memoized prefix sub-bases (level views)
 }
 
 // bigScratch is the reusable temporary set of the exact paths. Each
@@ -103,9 +100,10 @@ func (b *Basis) Primes() []uint64 {
 }
 
 // Sub returns the prefix sub-basis with the first k limbs — how CKKS
-// levels shrink: a level-l ciphertext lives in the first l limbs. Views
-// are memoized per basis, so repeated level lookups (ring.AtLevel) pay
-// the big.Int/fast-table construction once.
+// levels shrink: a level-l ciphertext lives in the first l limbs. Each
+// call builds the sub-basis's CRT and fast-combine tables afresh (k ==
+// K() returns b itself), so callers keep the views they use on hot
+// paths: ckks.Parameters builds one ring view per level, once.
 func (b *Basis) Sub(k int) *Basis {
 	if k < 1 || k > b.K() {
 		panic("rns: sub-basis size out of range")
@@ -113,17 +111,7 @@ func (b *Basis) Sub(k int) *Basis {
 	if k == b.K() {
 		return b
 	}
-	b.subMu.Lock()
-	defer b.subMu.Unlock()
-	if s, ok := b.subs[k]; ok {
-		return s
-	}
-	s := MustBasis(b.Primes()[:k])
-	if b.subs == nil {
-		b.subs = make(map[int]*Basis)
-	}
-	b.subs[k] = s
-	return s
+	return MustBasis(b.Primes()[:k])
 }
 
 // ExpandInt64 reduces a signed value into every limb.

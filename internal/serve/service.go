@@ -53,8 +53,9 @@ type Config struct {
 	// CacheBytes is the evaluation-key cache budget (default 1 GiB). It
 	// is charged at wire size, len(blob) per resident entry. The blobs
 	// carry a mask seed instead of the keys' uniform halves, which are
-	// regenerated on decode, so the decoded keys occupy ≈ 2.9× their
-	// charge: provision ≈ 2.9 × CacheBytes of RAM for the cache.
+	// regenerated on decode, so the decoded keys (both halves resident
+	// narrow, 5 B per residue) occupy ≈ 1.8× their charge: provision
+	// ≈ 1.8 × CacheBytes of RAM for the cache.
 	CacheBytes int64
 	// MaxInflight bounds accepted-but-unfinished requests across all
 	// sessions; excess gets 429 (default 256).

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/ckks"
@@ -161,21 +160,7 @@ func LinearTransformRotations(slots int, diags []int, n1 int) []int {
 	if n1 <= 0 {
 		n1 = ckks.OptimalN1(slots, diags)
 	}
-	babies, giants := ckks.BSGSSteps(slots, diags, n1)
-	set := map[int]bool{}
-	for _, s := range babies {
-		set[s] = true
-	}
-	for _, s := range giants {
-		set[s] = true
-	}
-	delete(set, 0)
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return ckks.RotationSet(ckks.BSGSSteps(slots, diags, n1))
 }
 
 // HomomorphicDFTRotations returns the rotation steps a homomorphic DFT
